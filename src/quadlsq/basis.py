@@ -13,8 +13,13 @@ through degree 2n.  Every q_j vanishes at all n nodes, and since the degree
 of exactness of an interpolatory rule is at most 2n-1, the first nonzero
 moment among I(q_n)..I(q_2n) always exists, so carrying the extension one
 index past 2n-1 guarantees degree detection terminates.
+
+:func:`build_basis` gives these polynomials with explicit coefficients, as a
+view for inspection and tests.  The fundamental system does not use it:
+``system`` works from the node differences and never forms coefficients.
 """
 
+import math
 from dataclasses import dataclass, field
 
 from .poly import Interval, Polynomial
@@ -22,7 +27,7 @@ from .poly import Interval, Polynomial
 
 @dataclass(frozen=True)
 class NodeSet:
-    """Strictly increasing abscissas plus the integration interval.
+    """Strictly increasing finite abscissas plus the integration interval.
 
     Nodes may lie outside the interval; only the ordering is required.
     """
@@ -34,6 +39,9 @@ class NodeSet:
         nodes = tuple(float(t) for t in self.nodes)
         if len(nodes) < 1:
             raise ValueError("a rule needs at least one node")
+        for t in nodes:
+            if not math.isfinite(t):
+                raise ValueError(f"non-finite node: {t!r}")
         for a, b in zip(nodes, nodes[1:]):
             if not a < b:
                 raise ValueError(f"unordered nodes: {a!r} !< {b!r}")

@@ -14,8 +14,9 @@ import csv
 import json
 import math
 import sys
+from decimal import Decimal
 
-from .analysis import build_report
+from .analysis import build_report, error_coefficient
 from .errors import NumericalFailure
 from .minimax import solve_rule
 from .nodes import Family, FamilySpec, generate, read_nodes_file
@@ -78,6 +79,15 @@ def _json_object(pairs):
     return "{" + ", ".join(parts) + "}"
 
 
+def _node_float(value):
+    """An exact node value as a double; beyond double range is an input error."""
+    try:
+        return float(value)
+    except OverflowError:
+        approx = Decimal(value.numerator) / Decimal(value.denominator)
+        raise ValueError(f"node {approx:.6g} is outside the double range") from None
+
+
 def _resolve_nodeset(args):
     """NodeSet from --family/--n or --nodes-file, honoring --interval."""
     interval = Interval(*args.interval) if args.interval else Interval()
@@ -85,7 +95,7 @@ def _resolve_nodeset(args):
     if family is Family.CUSTOM:
         if not args.nodes_file:
             raise ValueError("custom family needs --nodes-file")
-        nodes = tuple(float(v) for v in read_nodes_file(args.nodes_file))
+        nodes = tuple(_node_float(v) for v in read_nodes_file(args.nodes_file))
         return generate(FamilySpec(family, custom_nodes=nodes), interval), "custom"
     if args.nodes_file:
         raise ValueError("--nodes-file only applies to --family custom")
@@ -182,9 +192,7 @@ def _cmd_integrate(args, out):
     fs = build_system(ns, eps_deg=args.eps_deg)
     sol = solve_rule(fs)
     value = math.fsum(w * f(t) for w, t in zip(sol.omega, ns.nodes))
-    c_n = fs.mu_Q / math.factorial(fs.degree + 1) if fs.degree + 1 <= 20 else (
-        math.copysign(math.exp(math.log(abs(fs.mu_Q)) - math.lgamma(fs.degree + 2)),
-                      fs.mu_Q) if fs.mu_Q else 0.0)
+    _, c_n = error_coefficient(fs.mu_Q, fs.degree)
     pairs = [("family", label), ("n", ns.n), ("integrand", args.integrand),
              ("value", value), ("degree", fs.degree), ("c_n", c_n)]
     if args.format == "text":

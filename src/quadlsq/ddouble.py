@@ -10,6 +10,7 @@ Only the operations the moment/solve pipeline needs are implemented.
 """
 
 import math
+from fractions import Fraction
 
 _SPLITTER = 134217729.0  # 2**27 + 1, exact in double
 
@@ -128,3 +129,21 @@ def as_dd(x):
     if isinstance(x, DD):
         return x
     return DD(x)
+
+
+def exact_diff(a, b):
+    """a - b for two doubles, exactly, as a DD (Knuth's two-sum)."""
+    return tuple.__new__(DD, _two_sum(a, -b))
+
+
+def from_fraction(x):
+    """The DD nearest a rational: hi correctly rounded, lo the rounded rest.
+
+    A value beyond the double range gives +-inf, as a double operation
+    would.
+    """
+    try:
+        hi = float(x)
+    except OverflowError:
+        return DD(math.inf if x > 0 else -math.inf)
+    return DD(hi, float(x - Fraction(hi)))

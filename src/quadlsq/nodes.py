@@ -17,7 +17,7 @@ from enum import Enum
 from fractions import Fraction
 
 from .basis import NodeSet
-from .ddouble import DD
+from .ddouble import DD, ONE, from_fraction
 from .errors import ConvergenceError
 from .poly import Interval
 
@@ -114,12 +114,19 @@ def _legendre_pair(k, x):
     return p1, dp
 
 
-def _legendre_pair_dd(k, x):
-    """Same recurrence carried in double-double; x is a DD."""
-    p0, p1 = DD(1.0), x
-    for j in range(2, k + 1):
-        p0, p1 = p1, (p1 * x * (2 * j - 1) - p0 * (j - 1)) / j
-    dp = (p0 - p1 * x) * k / (DD(1.0) - x * x)
+def _legendre_ratios(k):
+    """DD pairs ((2j-1)/j, -(j-1)/j), j = 2..k: the recurrence's divisions."""
+    return [(from_fraction(Fraction(2 * j - 1, j)), from_fraction(Fraction(1 - j, j)))
+            for j in range(2, k + 1)]
+
+
+def _legendre_pair_dd(k, x, ratios):
+    """Same recurrence carried in double-double; x is a DD and ``ratios``
+    comes from :func:`_legendre_ratios` for the same k."""
+    p0, p1 = ONE, x
+    for a, b in ratios:
+        p0, p1 = p1, p1 * x * a + p0 * b
+    dp = (p0 - p1 * x) * k / (ONE - x * x)
     return p1, dp
 
 
@@ -129,10 +136,14 @@ def legendre_nodes(n):
     Newton iteration on the three-term recurrence from the asymptotic
     guesses cos(pi (4k-1) / (4n+2)), polished with two double-double steps
     so every root is correctly rounded, then mirrored for exact symmetry.
+    The double-double recurrence multiplies by the ratios (2j-1)/j and
+    -(j-1)/j, rounded to double-double once per n and shared by all roots,
+    so it performs no division.
     Raises :class:`ConvergenceError` after 100 iterations on any root.
     """
     if n < 1:
         raise ValueError(f"unsupported count: need n >= 1, got {n}")
+    ratios = _legendre_ratios(n)
     half = []
     for k in range(1, n // 2 + 1):
         x = math.cos(math.pi * (4 * k - 1) / (4 * n + 2))
@@ -147,9 +158,9 @@ def legendre_nodes(n):
             raise ConvergenceError(f"no convergence for root {k} of P_{n}")
         x_dd = DD(x)
         for _ in range(2):
-            p_dd, dp_dd = _legendre_pair_dd(n, x_dd)
+            p_dd, dp_dd = _legendre_pair_dd(n, x_dd, ratios)
             x_dd = x_dd - p_dd / dp_dd
-        p_dd, _ = _legendre_pair_dd(n, x_dd)
+        p_dd, _ = _legendre_pair_dd(n, x_dd, ratios)
         if not (abs(float(p_dd)) < _NEWTON_PTOL and abs(dx) < _NEWTON_XTOL):
             raise ConvergenceError(f"no convergence for root {k} of P_{n}")
         half.append(float(x_dd))

@@ -12,6 +12,7 @@ would only change :meth:`Polynomial.integrate`; every worked rule in scope
 uses the unweighted integral, so the extension is documented but not built.
 """
 
+import math
 from dataclasses import dataclass
 
 from .ddouble import DD, ZERO, as_dd
@@ -19,7 +20,7 @@ from .ddouble import DD, ZERO, as_dd
 
 @dataclass(frozen=True)
 class Interval:
-    """Integration interval (a, b) with a < b.  Defaults to (-1, 1)."""
+    """Integration interval (a, b) with finite a < b.  Defaults to (-1, 1)."""
 
     a: float = -1.0
     b: float = 1.0
@@ -27,6 +28,8 @@ class Interval:
     def __post_init__(self):
         object.__setattr__(self, "a", float(self.a))
         object.__setattr__(self, "b", float(self.b))
+        if not (math.isfinite(self.a) and math.isfinite(self.b)):
+            raise ValueError(f"non-finite interval: ({self.a}, {self.b})")
         if not self.a < self.b:
             raise ValueError(f"invalid interval: need a < b, got ({self.a}, {self.b})")
 

@@ -13,6 +13,24 @@ from plain backward substitution; that unique solution of A w = c is also
 the least-squares solution of the full system, whose residual then has the
 same norm |mu_Q| in every p-norm.
 
+The moments and A come from one O(n^2) kernel that never forms polynomial
+coefficients.  Write P_0..P_2n for phi_0..phi_{n-1}, q_n..q_2n, so that
+P_j = P_{j-1}(x) (x - r_j) with roots r = t_1..t_n, t_1..t_n, and let c be
+a double at or next to the interval midpoint (0 on (-1, 1)):
+
+* moments (modified moments: Sack & Donovan 1972; Gautschi, *Orthogonal
+  Polynomials: Computation and Approximation*, 2004, sec. 2.1): with
+  M_j[m] = integral of P_j(x) (x - c)^m, M_0[m] is computed exactly and
+  rounded once, then M_j[m] = M_{j-1}[m+1] - (r_j - c) M_{j-1}[m], and
+  mu_j = M_j[0];
+* A: phi_i(t_j) = phi_{i-1}(t_j) (t_j - t_i), a running product down each
+  column of A from phi_0 = 1.
+
+Every node difference is formed exactly by a two-sum.  Centring keeps the
+terms of the moment recurrence as small as the interval allows, so a
+shifted interval loses no more digits than one of the same length
+centred at 0.
+
 All matrix entries, moments and solves are carried in double-double and
 rounded to doubles only at the public surface.  Residual norms, by contrast,
 are plain-double reductions of the extended-precision residual components.
@@ -20,11 +38,12 @@ are plain-double reductions of the extended-precision residual components.
 
 import math
 from dataclasses import dataclass, field
+from fractions import Fraction
 
 import numpy as np
 
-from .basis import NodeSet, build_basis
-from .ddouble import DD, ZERO, as_dd
+from .basis import NodeSet
+from .ddouble import DD, ONE, ZERO, as_dd, exact_diff, from_fraction
 from .errors import DegreeOverflowError, SingularDiagonalError
 
 #: Relative zero threshold for degree detection, scaled by max(1, |mu_0|).
@@ -86,9 +105,40 @@ def _freeze(a):
     return a
 
 
-def _extended_moments(ns, cb):
-    """Double-double moments of q_n..q_{2n}."""
-    return [q._integrate_dd(ns.interval) for q in cb.qs]
+def _factor(d):
+    """A DD factor as its plain double when that is exact: a cheaper product."""
+    return d[0] if d[1] == 0.0 else d
+
+
+def _moments_dd(ns):
+    """mu_0..mu_{2n} in double-double, by the centred moment recurrence."""
+    nodes, iv = ns.nodes, ns.interval
+    c = 0.5 * iv.a + 0.5 * iv.b
+    ua, ub = Fraction(iv.a) - Fraction(c), Fraction(iv.b) - Fraction(c)
+    pa = pb = Fraction(1)
+    M = []
+    for m in range(1, 2 * len(nodes) + 2):
+        pa *= ua
+        pb *= ub
+        M.append(from_fraction((pb - pa) / m))
+    mom = [M[0]]
+    for t in nodes + nodes:
+        f = _factor(exact_diff(c, t))
+        M = [M[m + 1] + M[m] * f for m in range(len(M) - 1)]
+        mom.append(M[0])
+    return mom
+
+
+def _node_products_dd(nodes):
+    """Rows of A, phi_i(t_j), as running products of exact node differences."""
+    n = len(nodes)
+    rows = [(ONE,) * n]
+    for i in range(1, n):
+        prev, s = rows[-1], nodes[i - 1]
+        rows.append((ZERO,) * i + tuple(
+            prev[j] * _factor(exact_diff(nodes[j], s)) for j in range(i, n)
+        ))
+    return rows
 
 
 def _detect(ext_dd, n, eps):
@@ -102,49 +152,38 @@ def _detect(ext_dd, n, eps):
     )
 
 
-def detect_degree(ns, cb, eps_deg=None):
+def _moments_and_degree(ns, eps_deg):
+    """(mu_0..mu_2n in DD, threshold, degree, mu_Q in DD) for a node set."""
+    mom_dd = _moments_dd(ns)
+    eps = _default_eps_deg(float(mom_dd[0])) if eps_deg is None else float(eps_deg)
+    degree, mu_q_dd = _detect(mom_dd[ns.n:], ns.n, eps)
+    return mom_dd, eps, degree, mu_q_dd
+
+
+def detect_degree(ns, eps_deg=None):
     """Degree of exactness and principal moment of the rule on ``ns``.
 
     Scans mu_j = I(q_j) for j = n..2n and returns (j-1, mu_j) at the first
     moment whose magnitude exceeds the zero threshold.
     """
-    n = ns.n
-    mu0 = cb.phis[0].integrate(ns.interval)
-    eps = _default_eps_deg(mu0) if eps_deg is None else float(eps_deg)
-    degree, mu_dd = _detect(_extended_moments(ns, cb), n, eps)
-    return degree, float(mu_dd)
+    _, _, degree, mu_q_dd = _moments_and_degree(ns, eps_deg)
+    return degree, float(mu_q_dd)
 
 
-def build_system(ns, cb=None, eps_deg=None):
+def build_system(ns, eps_deg=None):
     """Assemble the fundamental system for a node set.
 
-    The basis is built on demand when ``cb`` is not supplied.  Raises
-    :class:`DegreeOverflowError` if degree detection fails (only possible
-    with a misconfigured ``eps_deg``).
+    Raises :class:`DegreeOverflowError` if degree detection fails (only
+    possible with a misconfigured ``eps_deg``).
     """
-    if cb is None:
-        cb = build_basis(ns)
     n = ns.n
-    iv = ns.interval
-
-    mom_dd = [phi._integrate_dd(iv) for phi in cb.phis]
-    ext_dd = _extended_moments(ns, cb)
-    eps = _default_eps_deg(float(mom_dd[0])) if eps_deg is None else float(eps_deg)
-    degree, mu_q_dd = _detect(ext_dd, n, eps)
-
-    F_dd = []
-    F_dd.append(tuple(DD(1.0) for _ in range(n)))
-    for i in range(1, n):
-        phi = cb.phis[i]
-        F_dd.append(tuple(
-            phi._eval_dd(ns.nodes[j]) if j >= i else ZERO for j in range(n)
-        ))
-    F_dd.append(tuple(ZERO for _ in range(n)))
-    c_tilde_dd = tuple(mom_dd) + (mu_q_dd,)
+    mom_dd, eps, degree, mu_q_dd = _moments_and_degree(ns, eps_deg)
+    F_dd = _node_products_dd(ns.nodes) + [(ZERO,) * n]
+    c_tilde_dd = tuple(mom_dd[:n]) + (mu_q_dd,)
 
     F = _freeze([[float(e) for e in row] for row in F_dd])
     c_tilde = _freeze([float(m) for m in c_tilde_dd])
-    moments = _freeze([float(m) for m in mom_dd] + [float(m) for m in ext_dd])
+    moments = _freeze([float(m) for m in mom_dd])
 
     return FundamentalSystem(
         F=F,

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -28,6 +30,13 @@ class TestNodeSet:
 
     def test_count(self):
         assert NodeSet((-1.0, 0.0, 1.0)).n == 3
+
+    @pytest.mark.parametrize("nodes", [
+        (math.nan,), (0.0, math.inf), (-math.inf, 0.0), (0.0, math.nan, 1.0),
+    ])
+    def test_rejects_non_finite(self, nodes):
+        with pytest.raises(ValueError, match="non-finite node"):
+            NodeSet(nodes)
 
 
 class TestBuildBasis:

@@ -85,6 +85,22 @@ class TestAnalyze:
         assert obj["mu_Q"] == pytest.approx(-0.1, abs=1e-14)
         assert obj["error"] == ""
 
+    def test_non_finite_interval_exits_2(self, capsys):
+        code, _ = run(["analyze", "--family", "gl", "--n", "3",
+                       "--interval", "0", "1e400"])
+        assert code == 2
+        assert "non-finite interval" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", [
+        ["analyze"], ["integrate", "--integrand", "poly:1"],
+    ])
+    def test_node_beyond_double_range_exits_2(self, tmp_path, capsys, command):
+        path = tmp_path / "huge.txt"
+        path.write_text("-1e400\n0\n", encoding="utf-8")
+        code, _ = run(command + ["--family", "custom", "--nodes-file", str(path)])
+        assert code == 2
+        assert "node -1.00000e+400 is outside the double range" in capsys.readouterr().err
+
     def test_interval_flag(self, simpson_file):
         code, text = run([
             "analyze", "--family", "custom", "--nodes-file", simpson_file,
@@ -216,6 +232,18 @@ class TestIntegrate:
         ])
         assert code == 2
         assert "unknown integrand" in capsys.readouterr().err
+
+    def test_error_constant_matches_analyze(self):
+        # degree + 1 = 34 > 20: the log-gamma branch of error_coefficient
+        args = ["--family", "gl", "--n", "17", "--format", "json"]
+        code, text = run(["integrate", "--integrand", "poly:1"] + args)
+        assert code == 0
+        integrated = json.loads(text)
+        code, text = run(["analyze"] + args)
+        assert code == 0
+        analyzed = json.loads(text)
+        assert integrated["degree"] == analyzed["degree"] == 33
+        assert integrated["c_n"] == analyzed["c_n"]
 
     def test_text_format(self, simpson_file):
         code, text = run([

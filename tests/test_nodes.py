@@ -84,6 +84,23 @@ class TestGenerators:
             p, dp = _legendre_pair(n, t)
             assert abs(p) <= 1e-14 * max(1.0, abs(dp))
 
+    @pytest.mark.parametrize("n", [17, 33, 64])
+    def test_gauss_roots_correctly_rounded(self, n):
+        # P_n, evaluated exactly, changes sign between the two midpoints of
+        # each node and its neighbouring doubles: the root is within half an
+        # ulp, so the node is the root correctly rounded
+        def legendre_exact(x):
+            p0, p1 = Fraction(1), x
+            for j in range(2, n + 1):
+                p0, p1 = p1, ((2 * j - 1) * x * p1 - (j - 1) * p0) / j
+            return p1
+
+        for t in legendre_nodes(n):
+            x = Fraction(t)
+            below = (x + Fraction(math.nextafter(t, -math.inf))) / 2
+            above = (x + Fraction(math.nextafter(t, math.inf))) / 2
+            assert legendre_exact(below) * legendre_exact(above) < 0
+
     @pytest.mark.parametrize("family", FAMILIES)
     @pytest.mark.parametrize("n", [2, 3, 7, 12, 17, 33])
     def test_sorted_in_interval_symmetric(self, family, n):

@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -168,3 +169,10 @@ class TestInterval:
             Interval(1.0, 1.0)
         with pytest.raises(ValueError):
             Interval(2.0, -2.0)
+
+    @pytest.mark.parametrize("a,b", [
+        (0.0, math.inf), (-math.inf, 0.0), (math.nan, 1.0), (0.0, math.nan),
+    ])
+    def test_rejects_non_finite(self, a, b):
+        with pytest.raises(ValueError, match="non-finite interval"):
+            Interval(a, b)

@@ -1,22 +1,27 @@
 import math
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import quadlsq as q
 from quadlsq import (
     DegreeOverflowError,
+    Interval,
     NodeSet,
-    build_basis,
     build_system,
     detect_degree,
+    rational_pipeline,
     residual,
     residual_norms,
     solve_weights,
 )
+from quadlsq.system import _moments_dd, _node_products_dd
 
-from helpers import family_cases, nodeset, solved
+from helpers import FAMILIES, family_cases, nodeset, solved
 
 SIMPSON = NodeSet((-1.0, 0.0, 1.0))
 
@@ -78,27 +83,27 @@ class TestBuildSystem:
 class TestDetectDegree:
     def test_simpson(self):
         ns = SIMPSON
-        d, mu = detect_degree(ns, build_basis(ns))
+        d, mu = detect_degree(ns)
         assert d == 3
         assert mu == pytest.approx(-4.0 / 15.0, abs=1e-16)
 
     def test_gl2(self):
         # nodes +-1/sqrt(3): mu_2 = mu_3 = 0, mu_4 = int (x^2-1/3)^2 = 8/45
         ns = nodeset(q.Family.GAUSS_LEGENDRE, 2)
-        d, mu = detect_degree(ns, build_basis(ns))
+        d, mu = detect_degree(ns)
         assert d == 3
         assert mu == pytest.approx(8.0 / 45.0, abs=1e-13)
 
     def test_fejer3(self):
         ns = nodeset(q.Family.FEJER1, 3)
-        d, mu = detect_degree(ns, build_basis(ns))
+        d, mu = detect_degree(ns)
         assert d == 3
         assert mu == pytest.approx(-0.1, abs=1e-14)
 
     def test_degree_overflow_with_bad_threshold(self):
         ns = SIMPSON
         with pytest.raises(DegreeOverflowError, match="degree overflow"):
-            detect_degree(ns, build_basis(ns), eps_deg=1e6)
+            detect_degree(ns, eps_deg=1e6)
 
     def test_threshold_knob_passes_through_build(self):
         with pytest.raises(DegreeOverflowError):
@@ -209,3 +214,90 @@ class TestDerivedRegressions:
         assert fs.degree == 17
         expected = -(1.0 / 323.0 + 1.0 / 255.0) / 65536.0
         assert fs.mu_Q == pytest.approx(expected, rel=1e-12)
+
+
+def _asymmetric_rational_nodes(seed, n=24):
+    """n increasing rationals num/den on (0, 2), one per cell of a jittered grid."""
+    rng = random.Random(seed)
+    out = []
+    for k in range(n):
+        den = rng.randint(100, 1000)
+        centre = Fraction(2 * k + 1, n) + Fraction(rng.randint(-40, 40), 100 * n)
+        out.append(Fraction(round(centre * den), den))
+    return out
+
+
+KERNEL_CASES = [pytest.param(nodeset(fam, 24), id=fam.value) for fam in FAMILIES] + [
+    pytest.param(
+        NodeSet(tuple(float(t) for t in _asymmetric_rational_nodes(seed)), Interval(0.0, 2.0)),
+        id=f"rational-0-2-seed{seed}",
+    )
+    for seed in (1, 2, 3)
+]
+
+
+def _dd_error(x_dd, exact):
+    """|x_dd - exact|, exactly."""
+    return abs(Fraction(x_dd[0]) + Fraction(x_dd[1]) - exact)
+
+
+def _assert_matrix_exact(A_dd, rr):
+    """Every entry of A within relative 1e-30 of the exact entry."""
+    for row_dd, row in zip(A_dd, rr.A):
+        for entry, exact in zip(row_dd, row):
+            assert _dd_error(entry, exact) <= Fraction(1, 10 ** 30) * abs(exact)
+
+
+class TestKernelAgainstExact:
+    """The O(n^2) kernel against ``rational_pipeline`` on the same doubles."""
+
+    @pytest.mark.parametrize("ns", KERNEL_CASES)
+    def test_n24(self, ns):
+        rr = rational_pipeline(ns)
+        n = ns.n
+        A_dd, moments = _node_products_dd(ns.nodes), [float(m) for m in _moments_dd(ns)]
+        try:
+            fs = build_system(ns)
+        except DegreeOverflowError:  # GL at n = 24: the fixed 1e-12 threshold
+            pass
+        else:
+            A_dd, moments = fs._F_dd[:n], fs.moments
+        assert len(A_dd) == n
+        _assert_matrix_exact(A_dd, rr)
+        assert len(moments) == 2 * n + 1
+        for got, want in zip(moments, rr.moments):
+            assert got == pytest.approx(float(want), rel=1e-13, abs=1e-25)
+
+    @pytest.mark.parametrize("n,degree", [(16, 31), (20, 39)])
+    def test_gauss_legendre_on_shifted_interval(self, n, degree):
+        ns = q.generate(q.FamilySpec(q.Family.GAUSS_LEGENDRE, n), Interval(2.0, 4.0))
+        assert detect_degree(ns)[0] == degree
+        assert build_system(ns).degree == degree
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        a=st.fractions(-8, 8, max_denominator=64),
+        length=st.fractions(1, 4, max_denominator=64),
+        us=st.lists(st.fractions(-Fraction(1, 4), Fraction(5, 4), max_denominator=1000),
+                    min_size=1, max_size=8, unique=True),
+    )
+    def test_property_random_rational_nodes(self, a, length, us):
+        iv = Interval(float(a), float(a + length))
+        nodes = sorted({float(a + u * length) for u in us})
+        ns = NodeSet(tuple(nodes), iv)
+        rr = rational_pipeline(ns)
+        _assert_matrix_exact(_node_products_dd(ns.nodes), rr)
+        # Running-error scale of the centred recurrence: the same recurrence
+        # on absolute values bounds every term that enters mu_j, and each
+        # step adds at most a few units of 2^-106 relative to that bound.
+        fa, fb = Fraction(iv.a), Fraction(iv.b)
+        c = Fraction(0.5 * iv.a + 0.5 * iv.b)
+        ua, ub = fa - c, fb - c
+        scale = [(ub ** (m + 1) + (-ua) ** (m + 1)) / (m + 1) for m in range(2 * ns.n + 1)]
+        mom = _moments_dd(ns)
+        assert _dd_error(mom[0], rr.moments[0]) <= Fraction(1, 2 ** 100) * scale[0]
+        for j, t in enumerate(ns.nodes * 2, start=1):
+            d = abs(Fraction(t) - c)
+            scale = [scale[m + 1] + d * scale[m] for m in range(len(scale) - 1)]
+            bound = (j + 1) * Fraction(1, 2 ** 100) * scale[0]
+            assert _dd_error(mom[j], rr.moments[j]) <= bound
