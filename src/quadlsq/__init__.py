@@ -23,6 +23,7 @@ from .basis import CanonicalBasis, NodeSet, build_basis
 from .errors import (
     ConvergenceError,
     DegreeOverflowError,
+    MomentOverflowError,
     NumericalFailure,
     SelfCheckError,
     SingularDiagonalError,
@@ -73,6 +74,7 @@ __all__ = [
     "FamilySpec",
     "FundamentalSystem",
     "Interval",
+    "MomentOverflowError",
     "NodeSet",
     "NumericalFailure",
     "Polynomial",

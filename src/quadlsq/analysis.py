@@ -23,7 +23,7 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .minimax import epsilon_check, equioscillation_residual, solve_rule
+from .minimax import epsilon_from_residual, equioscillation_residual, solve_rule
 from .system import build_system, residual, residual_norms
 
 
@@ -139,7 +139,7 @@ def build_report(ns, family="custom", eps_deg=None, fs=None, solution=None):
     if solution is None:
         solution = solve_rule(fs)
 
-    r_omega = residual(fs, list(solution._omega_dd))
+    r_omega = residual(fs, list(solution._omega_dd))  # for the norms and the check
     r_z = equioscillation_residual(fs, solution)
     norms_w = residual_norms(r_omega, (1, 2, 3, math.inf))
     norms = {
@@ -148,7 +148,7 @@ def build_report(ns, family="custom", eps_deg=None, fs=None, solution=None):
         "r_omega_3": norms_w[3],
         "r_omega_inf": norms_w[math.inf],
         "r_z_inf": residual_norms(r_z, (math.inf,))[math.inf],
-        "epsilon": epsilon_check(fs, solution),
+        "epsilon": epsilon_from_residual(fs, r_omega),
     }
     n_omega, n_z = norm_params(solution.omega, solution.z_star)
     alpha, c_n = error_coefficient(fs.mu_Q, fs.degree)

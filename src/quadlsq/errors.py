@@ -18,6 +18,16 @@ class DegreeOverflowError(NumericalFailure):
     """
 
 
+class MomentOverflowError(NumericalFailure):
+    """A moment of the fundamental system is not a finite double.
+
+    The centred monomial moments grow like (half-length)^(2n+1), so a wide
+    interval at large n leaves the double range; the moments built from
+    them are then inf or nan, and neither the degree nor mu_Q can be read
+    from them.
+    """
+
+
 class SingularDiagonalError(NumericalFailure):
     """A diagonal entry of the triangular block underflowed to zero."""
 

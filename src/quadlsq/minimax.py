@@ -24,15 +24,14 @@ route reuses the triangular solver.  The direct elimination lives in
 
 import numpy as np
 
-from .ddouble import DD, as_dd
+from .ddouble import DD, dd_add
 from .errors import SelfCheckError
 from .system import (
     RuleSolution,
     _as_dd_vector,
     _freeze,
     _residual_dd,
-    _solve_upper_dd,
-    _weights_dd,
+    _solve_dd,
     residual_norms,
 )
 
@@ -40,15 +39,9 @@ from .system import (
 EPS_CHECK_RTOL = 1e-10
 
 
-def _tau_dd(fs):
-    n = fs.n
-    rhs = [abs(as_dd(fs._c_tilde_dd[n]))] * n
-    return _solve_upper_dd(fs._F_dd[:n], rhs)
-
-
 def solve_tau(fs):
     """Correction vector: backward substitution on A tau = |mu_Q| v."""
-    return _freeze([float(t) for t in _tau_dd(fs)])
+    return _freeze([float(t) for t in _solve_dd(fs)[1]])
 
 
 def minimax_solution(fs, omega):
@@ -64,9 +57,8 @@ def solve_rule(fs):
     the attached double-double copies feed residual formation, so the
     equioscillation structure survives down to |mu_Q| values near 1e-10.
     """
-    w_dd = _weights_dd(fs)
-    t_dd = _tau_dd(fs)
-    z_dd = [w + t for w, t in zip(w_dd, t_dd)]
+    w_dd, t_dd = _solve_dd(fs)
+    z_dd = [DD(*dd_add(w[0], w[1], t[0], t[1])) for w, t in zip(w_dd, t_dd)]
     omega = _freeze([float(w) for w in w_dd])
     tau = _freeze([float(t) for t in t_dd])
     return RuleSolution(
@@ -96,7 +88,13 @@ def epsilon_check(fs, omega):
     :class:`RuleSolution`.
     """
     w_dd = _vector_of(fs, omega, "_omega_dd")
-    r = [float(v) for v in _residual_dd(fs, w_dd)]
+    return epsilon_from_residual(fs, [float(v) for v in _residual_dd(fs, w_dd)])
+
+
+def epsilon_from_residual(fs, r):
+    """The check of :func:`epsilon_check` on a residual r(omega) already
+    formed (as :func:`quadlsq.system.residual` returns it), so a caller
+    that needs r(omega) anyway forms it only once."""
     norms = residual_norms(r, (1, 2))
     eps = norms[2] ** 2 / norms[1]
     ref = abs(fs.mu_Q)

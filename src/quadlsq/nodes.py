@@ -17,7 +17,7 @@ from enum import Enum
 from fractions import Fraction
 
 from .basis import NodeSet
-from .ddouble import DD, ONE, from_fraction
+from .ddouble import dd_add, dd_div, dd_mul, dd_mul_d, from_fraction
 from .errors import ConvergenceError
 from .poly import Interval
 
@@ -115,19 +115,33 @@ def _legendre_pair(k, x):
 
 
 def _legendre_ratios(k):
-    """DD pairs ((2j-1)/j, -(j-1)/j), j = 2..k: the recurrence's divisions."""
-    return [(from_fraction(Fraction(2 * j - 1, j)), from_fraction(Fraction(1 - j, j)))
-            for j in range(2, k + 1)]
+    """Float pairs of (2j-1)/j and -(j-1)/j, j = 2..k, as (ah, al, bh, bl):
+    the recurrence's divisions, rounded to double-double once."""
+    out = []
+    for j in range(2, k + 1):
+        a, b = from_fraction(Fraction(2 * j - 1, j)), from_fraction(Fraction(1 - j, j))
+        out.append((a[0], a[1], b[0], b[1]))
+    return out
 
 
-def _legendre_pair_dd(k, x, ratios):
-    """Same recurrence carried in double-double; x is a DD and ``ratios``
-    comes from :func:`_legendre_ratios` for the same k."""
-    p0, p1 = ONE, x
-    for a, b in ratios:
-        p0, p1 = p1, p1 * x * a + p0 * b
-    dp = (p0 - p1 * x) * k / (ONE - x * x)
-    return p1, dp
+def _legendre_pair_dd(k, xh, xl, ratios):
+    """Same recurrence carried in double-double on float pairs: x = xh + xl,
+    ``ratios`` from :func:`_legendre_ratios` for the same k.  Returns
+    (P_k, P'_k) as (ph, pl, dh, dl)."""
+    p0h, p0l, p1h, p1l = 1.0, 0.0, xh, xl
+    for ah, al, bh, bl in ratios:
+        th, tl = dd_mul(p1h, p1l, xh, xl)
+        th, tl = dd_mul(th, tl, ah, al)
+        uh, ul = dd_mul(p0h, p0l, bh, bl)
+        p0h, p0l = p1h, p1l
+        p1h, p1l = dd_add(th, tl, uh, ul)
+    th, tl = dd_mul(p1h, p1l, xh, xl)
+    th, tl = dd_add(p0h, p0l, -th, -tl)  # P_{k-1} - x P_k
+    th, tl = dd_mul_d(th, tl, float(k))
+    uh, ul = dd_mul(xh, xl, xh, xl)
+    uh, ul = dd_add(1.0, 0.0, -uh, -ul)  # 1 - x^2
+    dh, dl = dd_div(th, tl, uh, ul)
+    return p1h, p1l, dh, dl
 
 
 def legendre_nodes(n):
@@ -138,7 +152,9 @@ def legendre_nodes(n):
     so every root is correctly rounded, then mirrored for exact symmetry.
     The double-double recurrence multiplies by the ratios (2j-1)/j and
     -(j-1)/j, rounded to double-double once per n and shared by all roots,
-    so it performs no division.
+    so it performs no division; it runs on float pairs through the
+    :mod:`quadlsq.ddouble` primitives, bit-identical to the same recurrence
+    written with ``DD`` operators.
     Raises :class:`ConvergenceError` after 100 iterations on any root.
     """
     if n < 1:
@@ -156,14 +172,15 @@ def legendre_nodes(n):
                 break
         else:
             raise ConvergenceError(f"no convergence for root {k} of P_{n}")
-        x_dd = DD(x)
+        xh, xl = x, 0.0
         for _ in range(2):
-            p_dd, dp_dd = _legendre_pair_dd(n, x_dd, ratios)
-            x_dd = x_dd - p_dd / dp_dd
-        p_dd, _ = _legendre_pair_dd(n, x_dd, ratios)
-        if not (abs(float(p_dd)) < _NEWTON_PTOL and abs(dx) < _NEWTON_XTOL):
+            ph, pl, dh, dl = _legendre_pair_dd(n, xh, xl, ratios)
+            qh, ql = dd_div(ph, pl, dh, dl)
+            xh, xl = dd_add(xh, xl, -qh, -ql)
+        ph, pl, _, _ = _legendre_pair_dd(n, xh, xl, ratios)
+        if not (abs(ph + pl) < _NEWTON_PTOL and abs(dx) < _NEWTON_XTOL):
             raise ConvergenceError(f"no convergence for root {k} of P_{n}")
-        half.append(float(x_dd))
+        half.append(xh + xl)
     half.sort(reverse=True)
     return _mirrored(half, n)
 

@@ -34,6 +34,22 @@ centred at 0.
 All matrix entries, moments and solves are carried in double-double and
 rounded to doubles only at the public surface.  Residual norms, by contrast,
 are plain-double reductions of the extended-precision residual components.
+
+Every O(n^2) loop here -- the moment recurrence, the running products, the
+backward substitution and the residual -- runs on unpacked (hi, lo) float
+pairs through the primitives of :mod:`quadlsq.ddouble`, and builds ``DD``
+values only for what it stores or returns.  Each loop performs the same
+operations in the same order as the same loop written with ``DD``
+operators, so every stored value is bit-identical to that form.  The
+weights and the correction tau share A, so one backward pass solves both
+right-hand sides.  The exact M_0 moments depend on the interval alone and
+are memoised per interval (a small bounded cache, filled on first use);
+``analysis.build_report`` forms r(omega) once for its norms and the
+epsilon self-check.
+
+Moments that overflow the double range (M_0 grows like the half-length to
+the power 2n+1) raise :class:`MomentOverflowError` rather than feeding inf
+or nan into degree detection.
 """
 
 import math
@@ -43,8 +59,10 @@ from fractions import Fraction
 import numpy as np
 
 from .basis import NodeSet
-from .ddouble import DD, ONE, ZERO, as_dd, exact_diff, from_fraction
-from .errors import DegreeOverflowError, SingularDiagonalError
+from .ddouble import (
+    DD, ONE, ZERO, as_dd, dd_add, dd_div, dd_mul, dd_mul_d, exact_diff, from_fraction, two_sum,
+)
+from .errors import DegreeOverflowError, MomentOverflowError, SingularDiagonalError
 
 #: Relative zero threshold for degree detection, scaled by max(1, |mu_0|).
 #: It must sit below the smallest genuine principal moment in scope
@@ -105,39 +123,74 @@ def _freeze(a):
     return a
 
 
-def _factor(d):
-    """A DD factor as its plain double when that is exact: a cheaper product."""
-    return d[0] if d[1] == 0.0 else d
+#: Intervals whose exact centred monomial moments are kept (oldest evicted).
+_M0_CACHE_SIZE = 16
+_m0_cache = {}
+
+
+def _centred_monomial_moments(a, b, count):
+    """M_0[m] = integral over (a, b) of (x - c)^m, m = 0..count-1, as DD.
+
+    Exact as Fractions, rounded once.  The values depend on the endpoints
+    alone, so they are memoised per (a, b) and extended when a longer list
+    is asked for; every rule on one interval shares them.
+    """
+    key = (a, b)
+    M = _m0_cache.pop(key, ())
+    if len(M) < count:
+        c = Fraction(0.5 * a + 0.5 * b)
+        ua, ub = Fraction(a) - c, Fraction(b) - c
+        pa, pb = ua ** len(M), ub ** len(M)
+        ext = []
+        for m in range(len(M) + 1, count + 1):
+            pa *= ua
+            pb *= ub
+            ext.append(from_fraction((pb - pa) / m))
+        M += tuple(ext)
+    if len(_m0_cache) >= _M0_CACHE_SIZE:
+        del _m0_cache[next(iter(_m0_cache))]
+    _m0_cache[key] = M  # re-inserted last: the least recently used goes first
+    return M[:count]
 
 
 def _moments_dd(ns):
     """mu_0..mu_{2n} in double-double, by the centred moment recurrence."""
     nodes, iv = ns.nodes, ns.interval
     c = 0.5 * iv.a + 0.5 * iv.b
-    ua, ub = Fraction(iv.a) - Fraction(c), Fraction(iv.b) - Fraction(c)
-    pa = pb = Fraction(1)
-    M = []
-    for m in range(1, 2 * len(nodes) + 2):
-        pa *= ua
-        pb *= ub
-        M.append(from_fraction((pb - pa) / m))
-    mom = [M[0]]
+    M0 = _centred_monomial_moments(iv.a, iv.b, 2 * len(nodes) + 1)
+    H = [m[0] for m in M0]
+    L = [m[1] for m in M0]
+    mom = [M0[0]]
+    size = len(M0)
     for t in nodes + nodes:
-        f = _factor(exact_diff(c, t))
-        M = [M[m + 1] + M[m] * f for m in range(len(M) - 1)]
-        mom.append(M[0])
+        fh, fl = exact_diff(c, t)
+        size -= 1
+        if fl == 0.0:  # the difference is a double: the cheaper product
+            for m in range(size):
+                ph, pl = dd_mul_d(H[m], L[m], fh)
+                H[m], L[m] = dd_add(H[m + 1], L[m + 1], ph, pl)
+        else:
+            for m in range(size):
+                ph, pl = dd_mul(H[m], L[m], fh, fl)
+                H[m], L[m] = dd_add(H[m + 1], L[m + 1], ph, pl)
+        mom.append(DD(H[0], L[0]))
     return mom
 
 
 def _node_products_dd(nodes):
     """Rows of A, phi_i(t_j), as running products of exact node differences."""
     n = len(nodes)
+    H, L = [1.0] * n, [0.0] * n
     rows = [(ONE,) * n]
     for i in range(1, n):
-        prev, s = rows[-1], nodes[i - 1]
-        rows.append((ZERO,) * i + tuple(
-            prev[j] * _factor(exact_diff(nodes[j], s)) for j in range(i, n)
-        ))
+        s = nodes[i - 1]
+        for j in range(i, n):
+            dh, dl = two_sum(nodes[j], -s)  # exact_diff, without a DD per entry
+            if dl == 0.0:
+                H[j], L[j] = dd_mul_d(H[j], L[j], dh)
+            else:
+                H[j], L[j] = dd_mul(H[j], L[j], dh, dl)
+        rows.append((ZERO,) * i + tuple(map(DD, H[i:], L[i:])))
     return rows
 
 
@@ -155,6 +208,15 @@ def _detect(ext_dd, n, eps):
 def _moments_and_degree(ns, eps_deg):
     """(mu_0..mu_2n in DD, threshold, degree, mu_Q in DD) for a node set."""
     mom_dd = _moments_dd(ns)
+    for j, m in enumerate(mom_dd):
+        if not math.isfinite(m[0] + m[1]):
+            iv = ns.interval
+            raise MomentOverflowError(
+                f"moment mu_{j} is not finite: the centred monomial moments "
+                f"overflow the double range on an interval of half-length "
+                f"{0.5 * (iv.b - iv.a):g} at n = {ns.n}, so neither the degree "
+                "nor mu_Q can be read"
+            )
     eps = _default_eps_deg(float(mom_dd[0])) if eps_deg is None else float(eps_deg)
     degree, mu_q_dd = _detect(mom_dd[ns.n:], ns.n, eps)
     return mom_dd, eps, degree, mu_q_dd
@@ -200,24 +262,43 @@ def build_system(ns, eps_deg=None):
     )
 
 
+def _back_substitute(rows, rhss):
+    """Backward substitution on an upper-triangular double-double system,
+    for several right-hand sides in one pass over the rows.
+
+    ``rows`` and each right-hand side hold DD values; the solutions come
+    back as lists of (hi, lo) float pairs.  Each right-hand side sees the
+    same operations, in the same order, as if it were solved alone.
+    """
+    n = len(rows)
+    xs = [[None] * n for _ in rhss]
+    for i in range(n - 1, -1, -1):
+        row = rows[i]
+        dh, dl = row[i]
+        if dh + dl == 0.0:
+            raise SingularDiagonalError(f"singular diagonal at row {i + 1}")
+        for x, rhs in zip(xs, rhss):
+            sh, sl = rhs[i]
+            for j in range(i + 1, n):
+                ah, al = row[j]
+                xh, xl = x[j]
+                ph, pl = dd_mul(ah, al, xh, xl)
+                sh, sl = dd_add(sh, sl, -ph, -pl)
+            x[i] = dd_div(sh, sl, dh, dl)
+    return xs
+
+
 def _solve_upper_dd(rows, rhs):
     """Backward substitution on an upper-triangular double-double system."""
-    n = len(rhs)
-    x = [ZERO] * n
-    for i in range(n - 1, -1, -1):
-        s = rhs[i]
-        for j in range(i + 1, n):
-            s = s - rows[i][j] * x[j]
-        d = rows[i][i]
-        if float(d) == 0.0:
-            raise SingularDiagonalError(f"singular diagonal at row {i + 1}")
-        x[i] = s / d
-    return x
+    return [DD(*p) for p in _back_substitute(rows, [rhs])[0]]
 
 
-def _weights_dd(fs):
+def _solve_dd(fs):
+    """(omega, tau) as DD lists: A w = c and A tau = |mu_Q| v, one pass."""
     n = fs.n
-    return _solve_upper_dd(fs._F_dd[:n], list(fs._c_tilde_dd[:n]))
+    rhs_tau = [abs(fs._c_tilde_dd[n])] * n
+    w, t = _back_substitute(fs._F_dd[:n], [fs._c_tilde_dd[:n], rhs_tau])
+    return [DD(*p) for p in w], [DD(*p) for p in t]
 
 
 def solve_weights(fs):
@@ -226,7 +307,7 @@ def solve_weights(fs):
     By construction this unique solution is also the least-squares solution
     of the full (n+1)-row system.
     """
-    return _freeze([float(w) for w in _weights_dd(fs)])
+    return _freeze([float(w) for w in _solve_dd(fs)[0]])
 
 
 def _as_dd_vector(x, n):
@@ -244,11 +325,15 @@ def _residual_dd(fs, x_dd):
     n = fs.n
     r = []
     for i in range(n + 1):
-        s = ZERO
+        sh, sl = 0.0, 0.0
         row = fs._F_dd[i]
         for j in range(min(i, n), n):  # row i has zeros left of column i
-            s = s + row[j] * x_dd[j]
-        r.append(s - fs._c_tilde_dd[i])
+            ah, al = row[j]
+            xh, xl = x_dd[j]
+            ph, pl = dd_mul(ah, al, xh, xl)
+            sh, sl = dd_add(sh, sl, ph, pl)
+        ch, cl = fs._c_tilde_dd[i]
+        r.append(DD(*dd_add(sh, sl, -ch, -cl)))
     return r
 
 

@@ -1,7 +1,10 @@
-"""Shared helpers: cached rule construction across the four families, and
-exact rational references for the diagnostics."""
+"""Shared helpers: cached rule construction across the four families, exact
+rational references for the diagnostics, and the frozen scalar-DD reference
+route for the float-pair kernels."""
 
 import math
+import random
+import struct
 from fractions import Fraction
 from functools import lru_cache
 
@@ -70,3 +73,251 @@ def exact_angle(ns):
     wz = sum(w * v for w, v in zip(omega, z))
     sin2 = 1 - wz * wz / (ww * zz)
     return rr.degree, math.degrees(math.asin(math.sqrt(sin2)))
+
+
+def asymmetric_rational_nodes(seed, n=24):
+    """n increasing rationals num/den on (0, 2), one per cell of a jittered grid."""
+    rng = random.Random(seed)
+    out = []
+    for k in range(n):
+        den = rng.randint(100, 1000)
+        centre = Fraction(2 * k + 1, n) + Fraction(rng.randint(-40, 40), 100 * n)
+        out.append(Fraction(round(centre * den), den))
+    return out
+
+
+# ---------------------------------------------------------------------------
+# Frozen reference route for the float-pair kernels
+#
+# ``RefDD`` is the double-double scalar as it was before the arithmetic moved
+# into the float-pair primitives of ``quadlsq.ddouble``: the same operator
+# bodies, built on two-sum, fast two-sum and two-product helpers.  The
+# ``ref_*`` loops are the scalar-DD forms of the O(n^2) kernels in
+# ``quadlsq.system`` and of the Gauss-Legendre polish in ``quadlsq.nodes``.
+# The kernels must reproduce them bit for bit.
+# ---------------------------------------------------------------------------
+
+_SPLITTER = 134217729.0  # 2**27 + 1
+
+
+def _ref_two_sum(a, b):
+    s = a + b
+    bb = s - a
+    return s, (a - (s - bb)) + (b - bb)
+
+
+def _ref_fast_two_sum(a, b):
+    s = a + b
+    return s, b - (s - a)
+
+
+def _ref_two_prod(a, b):
+    p = a * b
+    if hasattr(math, "fma"):
+        return p, math.fma(a, b, -p)
+    c = _SPLITTER * a
+    ah = c - (c - a)
+    al = a - ah
+    c = _SPLITTER * b
+    bh = c - (c - b)
+    bl = b - bh
+    return p, ((ah * bh - p) + ah * bl + al * bh) + al * bl
+
+
+class RefDD(tuple):
+    """Reference double-double scalar (hi, lo)."""
+
+    __slots__ = ()
+
+    def __new__(cls, hi=0.0, lo=0.0):
+        return tuple.__new__(cls, (float(hi), float(lo)))
+
+    def __float__(self):
+        return self[0] + self[1]
+
+    def __neg__(self):
+        return tuple.__new__(RefDD, (-self[0], -self[1]))
+
+    def __abs__(self):
+        if self[0] < 0.0 or (self[0] == 0.0 and self[1] < 0.0):
+            return -self
+        return self
+
+    def __add__(self, other):
+        if isinstance(other, RefDD):
+            s, e = _ref_two_sum(self[0], other[0])
+            t, f = _ref_two_sum(self[1], other[1])
+            e += t
+            s, e = _ref_fast_two_sum(s, e)
+            e += f
+            return tuple.__new__(RefDD, _ref_fast_two_sum(s, e))
+        s, e = _ref_two_sum(self[0], float(other))
+        e += self[1]
+        return tuple.__new__(RefDD, _ref_fast_two_sum(s, e))
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        if isinstance(other, RefDD):
+            return self.__add__(tuple.__new__(RefDD, (-other[0], -other[1])))
+        return self.__add__(-float(other))
+
+    def __rsub__(self, other):
+        return (-self).__add__(float(other))
+
+    def __mul__(self, other):
+        if isinstance(other, RefDD):
+            p, e = _ref_two_prod(self[0], other[0])
+            e += self[0] * other[1] + self[1] * other[0]
+            return tuple.__new__(RefDD, _ref_fast_two_sum(p, e))
+        f = float(other)
+        p, e = _ref_two_prod(self[0], f)
+        e += self[1] * f
+        return tuple.__new__(RefDD, _ref_fast_two_sum(p, e))
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, other):
+        if not isinstance(other, RefDD):
+            other = RefDD(other)
+        q1 = self[0] / other[0]
+        r = self - other * q1
+        q2 = r[0] / other[0]
+        r = r - other * q2
+        q3 = r[0] / other[0]
+        s, e = _ref_fast_two_sum(q1, q2)
+        return tuple.__new__(RefDD, _ref_fast_two_sum(s, e + q3))
+
+    def __rtruediv__(self, other):
+        return RefDD(other).__truediv__(self)
+
+
+_REF_ZERO = RefDD(0.0)
+_REF_ONE = RefDD(1.0)
+
+
+def _ref(x):
+    """A (hi, lo) pair as a RefDD."""
+    return RefDD(x[0], x[1])
+
+
+def _ref_from_fraction(x):
+    try:
+        hi = float(x)
+    except OverflowError:
+        return RefDD(math.inf if x > 0 else -math.inf)
+    return RefDD(hi, float(x - Fraction(hi)))
+
+
+def _ref_factor(a, b):
+    """Exact a - b as the plain double when that is exact, else a RefDD."""
+    d = _ref_two_sum(a, -b)
+    return d[0] if d[1] == 0.0 else RefDD(*d)
+
+
+def ref_moments(ns):
+    """mu_0..mu_2n by the centred moment recurrence, M_0 computed cold."""
+    nodes, iv = ns.nodes, ns.interval
+    c = 0.5 * iv.a + 0.5 * iv.b
+    ua, ub = Fraction(iv.a) - Fraction(c), Fraction(iv.b) - Fraction(c)
+    pa = pb = Fraction(1)
+    M = []
+    for m in range(1, 2 * len(nodes) + 2):
+        pa *= ua
+        pb *= ub
+        M.append(_ref_from_fraction((pb - pa) / m))
+    mom = [M[0]]
+    for t in nodes + nodes:
+        f = _ref_factor(c, t)
+        M = [M[m + 1] + M[m] * f for m in range(len(M) - 1)]
+        mom.append(M[0])
+    return mom
+
+
+def ref_node_products(nodes):
+    """Rows of A as running products of exact node differences."""
+    n = len(nodes)
+    rows = [(_REF_ONE,) * n]
+    for i in range(1, n):
+        prev, s = rows[-1], nodes[i - 1]
+        rows.append((_REF_ZERO,) * i + tuple(
+            prev[j] * _ref_factor(nodes[j], s) for j in range(i, n)
+        ))
+    return rows
+
+
+def ref_solve_upper(rows, rhs):
+    """Backward substitution; rows and rhs are (hi, lo) pairs."""
+    rows = [[_ref(e) for e in row] for row in rows]
+    n = len(rhs)
+    x = [_REF_ZERO] * n
+    for i in range(n - 1, -1, -1):
+        s = _ref(rhs[i])
+        for j in range(i + 1, n):
+            s = s - rows[i][j] * x[j]
+        x[i] = s / rows[i][i]
+    return x
+
+
+def ref_residual(F, c_tilde, x):
+    """F x - c_tilde with the zeros left of the diagonal skipped."""
+    n = len(x)
+    x = [_ref(v) for v in x]
+    r = []
+    for i in range(n + 1):
+        s = _REF_ZERO
+        for j in range(min(i, n), n):
+            s = s + _ref(F[i][j]) * x[j]
+        r.append(s - _ref(c_tilde[i]))
+    return r
+
+
+def _ref_legendre_pair_dd(k, x, ratios):
+    p0, p1 = _REF_ONE, x
+    for a, b in ratios:
+        p0, p1 = p1, p1 * x * a + p0 * b
+    dp = (p0 - p1 * x) * k / (_REF_ONE - x * x)
+    return p1, dp
+
+
+def _ref_legendre_ratios(k):
+    return [(_ref_from_fraction(Fraction(2 * j - 1, j)), _ref_from_fraction(Fraction(1 - j, j)))
+            for j in range(2, k + 1)]
+
+
+def ref_legendre_pair(k, x):
+    """(P_k(x), P'_k(x)) by the scalar-DD recurrence; x is a (hi, lo) pair."""
+    return _ref_legendre_pair_dd(k, _ref(x), _ref_legendre_ratios(k))
+
+
+def ref_legendre_nodes(n):
+    """Gauss-Legendre nodes: the double Newton iteration of ``quadlsq.nodes``
+    followed by the scalar-DD polish."""
+    from quadlsq import nodes as qn
+
+    ratios = _ref_legendre_ratios(n)
+    half = []
+    for k in range(1, n // 2 + 1):
+        x = math.cos(math.pi * (4 * k - 1) / (4 * n + 2))
+        for _ in range(100):
+            p, dp = qn._legendre_pair(n, x)
+            dx = p / dp
+            x -= dx
+            if abs(dx) < 1e-15:
+                break
+        x_dd = RefDD(x)
+        for _ in range(2):
+            p_dd, dp_dd = _ref_legendre_pair_dd(n, x_dd, ratios)
+            x_dd = x_dd - p_dd / dp_dd
+        half.append(float(x_dd))
+    half.sort(reverse=True)
+    return qn._mirrored(half, n)
+
+
+def bits(values):
+    """The IEEE bit patterns of a flat sequence of doubles or of (hi, lo)
+    pairs: equal bits tell signed zeros and NaN payloads apart."""
+    flat = []
+    for v in values:
+        flat.extend(v if isinstance(v, tuple) else (v,))
+    return struct.pack(f"<{len(flat)}d", *flat)

@@ -91,6 +91,19 @@ class TestAnalyze:
         assert code == 2
         assert "non-finite interval" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv,message", [
+        (["--family", "gl", "--n", "64", "--interval", "0", "1000"],
+         "moment mu_110 is not finite"),
+        (["--family", "nc", "--n", "40", "--interval", "0", "1e8"],
+         "moment mu_39 is not finite"),
+    ])
+    def test_moment_overflow_exits_3(self, capsys, argv, message):
+        code, _ = run(["analyze"] + argv)
+        assert code == 3
+        err = capsys.readouterr().err
+        assert message in err
+        assert "self-check" not in err and "degree overflow" not in err
+
     @pytest.mark.parametrize("command", [
         ["analyze"], ["integrate", "--integrand", "poly:1"],
     ])

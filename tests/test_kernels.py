@@ -1,0 +1,262 @@
+"""The float-pair double-double kernels against the frozen scalar-DD route.
+
+``quadlsq.ddouble``'s primitives and the O(n^2) loops built on them must do
+the same IEEE operations, in the same order, as the scalar ``DD`` operators
+and loops they replaced (kept in ``helpers`` as ``RefDD`` and ``ref_*``).
+Every comparison here is on bit patterns, so signed zeros count.
+"""
+
+import math
+import os
+import pathlib
+import subprocess
+import sys
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import quadlsq as q
+from quadlsq import ddouble, system
+from quadlsq.ddouble import DD, dd_add, dd_add_d, dd_div, dd_mul, dd_mul_d
+from quadlsq.minimax import solve_rule
+from quadlsq.nodes import _legendre_pair_dd, _legendre_ratios
+from quadlsq.system import _moments_dd, _node_products_dd, _residual_dd, _solve_upper_dd
+
+from helpers import (
+    FAMILIES,
+    MIN_N,
+    RefDD,
+    asymmetric_rational_nodes,
+    bits,
+    ref_legendre_nodes,
+    ref_legendre_pair,
+    ref_moments,
+    ref_node_products,
+    ref_residual,
+    ref_solve_upper,
+)
+
+# -- primitives ------------------------------------------------------------
+
+_finite = st.floats(allow_nan=False, allow_infinity=False, width=64)
+_signed_zero = st.sampled_from([0.0, -0.0])
+
+
+@st.composite
+def _pairs(draw):
+    """A (hi, lo) pair: normalised two-sum results, pairs with a signed-zero
+    part, and exact doubles (lo = +-0)."""
+    kind = draw(st.sampled_from(["two_sum", "scaled", "zero_hi", "exact"]))
+    if kind == "two_sum":
+        a = draw(st.floats(-1e150, 1e150, allow_nan=False))
+        b = draw(st.floats(-1e150, 1e150, allow_nan=False))
+        return ddouble.two_sum(a, b)
+    if kind == "scaled":
+        hi = draw(st.floats(-1e150, 1e150, allow_nan=False))
+        u = draw(st.floats(-1.0, 1.0, allow_nan=False))
+        return hi, hi * u * 2.0 ** -53
+    if kind == "zero_hi":
+        return draw(_signed_zero), draw(st.one_of(_signed_zero, st.floats(-1e-300, 1e-300)))
+    return draw(_finite.filter(lambda x: abs(x) < 1e150)), draw(_signed_zero)
+
+
+def _same(got, want):
+    assert bits([tuple(got)]) == bits([tuple(want)]), (got, want)
+
+
+def _same_or_both_raise(fn_got, fn_want):
+    try:
+        want = fn_want()
+    except ZeroDivisionError:
+        with pytest.raises(ZeroDivisionError):
+            fn_got()
+        return
+    _same(fn_got(), want)
+
+
+class TestPrimitives:
+    """Each primitive, and each DD operator over it, equals the reference
+    operator bit for bit."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(a=_pairs(), b=_pairs())
+    def test_dd_by_dd(self, a, b):
+        ra, rb = RefDD(*a), RefDD(*b)
+        da, db = DD(*a), DD(*b)
+        _same(dd_add(*a, *b), ra + rb)
+        _same(dd_add(*a, -b[0], -b[1]), ra - rb)
+        _same(dd_mul(*a, *b), ra * rb)
+        _same(da + db, ra + rb)
+        _same(da - db, ra - rb)
+        _same(da * db, ra * rb)
+        _same_or_both_raise(lambda: dd_div(*a, *b), lambda: ra / rb)
+        _same_or_both_raise(lambda: da / db, lambda: ra / rb)
+
+    @settings(max_examples=400, deadline=None)
+    @given(a=_pairs(), f=st.one_of(_finite.filter(lambda x: abs(x) < 1e150), _signed_zero))
+    def test_dd_by_double(self, a, f):
+        ra, da = RefDD(*a), DD(*a)
+        _same(dd_add_d(*a, f), ra + f)
+        _same(dd_mul_d(*a, f), ra * f)
+        _same(da + f, ra + f)
+        _same(f + da, f + ra)
+        _same(da - f, ra - f)
+        _same(f - da, f - ra)
+        _same(da * f, ra * f)
+        _same(f * da, f * ra)
+        _same(da * 3, ra * 3)
+        _same_or_both_raise(lambda: da / f, lambda: ra / f)
+        _same_or_both_raise(lambda: f / da, lambda: f / ra)
+        _same(-da, -ra)
+        _same(abs(da), abs(ra))
+
+    @pytest.mark.parametrize("a", [(0.0, 0.0), (-0.0, 0.0), (0.0, -0.0), (-0.0, -0.0)])
+    @pytest.mark.parametrize("b", [(0.0, 0.0), (-0.0, -0.0), (1.5, -0.0), (-2.0, 1e-17)])
+    def test_signed_zeros(self, a, b):
+        ra, rb = RefDD(*a), RefDD(*b)
+        _same(dd_add(*a, *b), ra + rb)
+        _same(dd_mul(*a, *b), ra * rb)
+        _same(dd_mul_d(*a, b[0]), ra * b[0])
+        _same(dd_add_d(*a, b[0]), ra + b[0])
+        _same(abs(DD(*a)), abs(ra))
+        _same_or_both_raise(lambda: dd_div(*a, *b), lambda: ra / rb)
+
+
+# -- kernels ---------------------------------------------------------------
+
+_NS = (1, 2, 3, 16, 17, 33, 64)
+_INTERVALS = ((-1.0, 1.0), (2.0, 4.0))
+
+PIPELINE_CASES = [
+    pytest.param(q.generate(q.FamilySpec(fam, n), q.Interval(*iv)),
+                 id=f"{fam.value}-{n}-({iv[0]:g},{iv[1]:g})")
+    for fam in FAMILIES for n in _NS if n >= MIN_N[fam] for iv in _INTERVALS
+] + [
+    pytest.param(q.NodeSet(tuple(float(t) for t in asymmetric_rational_nodes(seed)),
+                           q.Interval(0.0, 2.0)), id=f"rational-0-2-seed{seed}")
+    for seed in (1, 2, 3)
+]
+
+
+def _system(ns):
+    """The fundamental system; where the default zero threshold overflows,
+    any mu_Q will do, since only the bits of the solves are compared."""
+    try:
+        return q.build_system(ns)
+    except q.DegreeOverflowError:
+        return q.build_system(ns, eps_deg=0.0)
+
+
+@pytest.mark.parametrize("ns", PIPELINE_CASES)
+def test_pipeline_bit_identical(ns):
+    n = ns.n
+    assert bits(_moments_dd(ns)) == bits(ref_moments(ns))
+    rows = _node_products_dd(ns.nodes)
+    ref_rows = ref_node_products(ns.nodes)
+    assert bits(e for row in rows for e in row) == bits(e for row in ref_rows for e in row)
+
+    fs = _system(ns)
+    sol = solve_rule(fs)
+    w = ref_solve_upper(fs._F_dd[:n], fs._c_tilde_dd[:n])
+    t = ref_solve_upper(fs._F_dd[:n], [abs(RefDD(*fs._c_tilde_dd[n]))] * n)
+    z = [a + b for a, b in zip(w, t)]
+    assert bits(sol._omega_dd) == bits(w)
+    assert bits(sol._tau_dd) == bits(t)
+    assert bits(sol._z_dd) == bits(z)
+    assert bits(_residual_dd(fs, sol._omega_dd)) == bits(ref_residual(fs._F_dd, fs._c_tilde_dd, w))
+    assert bits(_residual_dd(fs, sol._z_dd)) == bits(ref_residual(fs._F_dd, fs._c_tilde_dd, z))
+    assert bits(_solve_upper_dd(fs._F_dd[:n], fs._c_tilde_dd[:n])) == bits(w)
+
+
+@pytest.mark.parametrize("n", _NS)
+def test_gauss_legendre_nodes_bit_identical(n):
+    nodes = q.legendre_nodes(n)
+    assert bits(nodes) == bits(ref_legendre_nodes(n))
+    # the polish itself, not only the double it rounds to: P_n and P'_n
+    # at every root, and off it by a low part
+    ratios = _legendre_ratios(n)
+    for t in nodes:
+        for x in ((t, 0.0), (t, t * 2.0 ** -60), (0.5 * t, -(t * 2.0 ** -58))):
+            got = _legendre_pair_dd(n, *x, ratios)
+            p, dp = ref_legendre_pair(n, x)
+            assert bits([got[:2], got[2:]]) == bits([p, dp])
+
+
+# -- the M_0 memo ----------------------------------------------------------
+
+def _cold(ns):
+    system._m0_cache.clear()
+    return bits(_moments_dd(ns))
+
+
+def _rule(family, n, a, b):
+    return q.generate(q.FamilySpec(family, n), q.Interval(a, b))
+
+
+class TestMomentMemo:
+    def test_other_interval_after_a_warm_one(self):
+        first = _rule(q.Family.CLENSHAW_CURTIS, 9, -1.0, 1.0)
+        second = _rule(q.Family.CLENSHAW_CURTIS, 9, 0.0, 2.0)
+        cold = _cold(second)
+        _cold(first)
+        assert bits(_moments_dd(second)) == cold
+        assert cold == bits(ref_moments(second))
+
+    def test_same_midpoint_other_half_length(self):
+        # (-1, 1) and (-2, 2) share c = 0, so the key must hold both ends
+        wide = _rule(q.Family.FEJER1, 5, -2.0, 2.0)
+        cold = _cold(wide)
+        _cold(_rule(q.Family.FEJER1, 5, -1.0, 1.0))
+        assert bits(_moments_dd(wide)) == cold
+
+    def test_short_after_long(self):
+        short = _rule(q.Family.NEWTON_COTES, 3, -1.0, 1.0)
+        cold = _cold(short)
+        _cold(_rule(q.Family.NEWTON_COTES, 33, -1.0, 1.0))
+        assert bits(_moments_dd(short)) == cold
+
+    def test_long_after_short_extends(self):
+        long = _rule(q.Family.GAUSS_LEGENDRE, 33, 2.0, 4.0)
+        cold = _cold(long)
+        _cold(_rule(q.Family.GAUSS_LEGENDRE, 3, 2.0, 4.0))
+        assert bits(_moments_dd(long)) == cold
+        assert len(system._m0_cache[(2.0, 4.0)]) == 2 * 33 + 1
+
+    def test_bounded(self):
+        system._m0_cache.clear()
+        for k in range(system._M0_CACHE_SIZE + 5):
+            _moments_dd(_rule(q.Family.FEJER1, 3, float(k), float(k) + 1.0))
+        assert len(system._m0_cache) == system._M0_CACHE_SIZE
+        assert (0.0, 1.0) not in system._m0_cache
+
+    def test_empty_after_import(self):
+        code = "import quadlsq.system as s; assert not s._m0_cache"
+        src = str(pathlib.Path(q.__file__).resolve().parent.parent)
+        subprocess.run([sys.executable, "-c", code], check=True, timeout=60,
+                       env=dict(os.environ, PYTHONPATH=src))
+
+
+# -- moment overflow -------------------------------------------------------
+
+class TestMomentOverflow:
+    @pytest.mark.parametrize("family,n,interval,index,half", [
+        (q.Family.GAUSS_LEGENDRE, 64, (0.0, 1000.0), 110, "500"),
+        (q.Family.NEWTON_COTES, 40, (0.0, 1e8), 39, "5e+07"),
+    ])
+    def test_typed_failure(self, family, n, interval, index, half):
+        ns = _rule(family, n, *interval)
+        assert any(not math.isfinite(m[0]) for m in _moments_dd(ns))
+        for call in (q.build_system, q.detect_degree):
+            with pytest.raises(q.MomentOverflowError) as info:
+                call(ns)
+            assert f"mu_{index} is not finite" in str(info.value)
+            assert f"half-length {half} " in str(info.value)
+        assert issubclass(q.MomentOverflowError, q.NumericalFailure)
+
+    def test_finite_moments_do_not_raise(self):
+        # on (0, 1000) the moments still fit the double range at n = 40
+        ns = _rule(q.Family.GAUSS_LEGENDRE, 40, 0.0, 1000.0)
+        assert all(math.isfinite(m[0]) for m in _moments_dd(ns))
+        assert q.build_system(ns).n == 40
+

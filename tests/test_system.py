@@ -21,7 +21,7 @@ from quadlsq import (
 )
 from quadlsq.system import _moments_dd, _node_products_dd
 
-from helpers import FAMILIES, family_cases, nodeset, solved
+from helpers import FAMILIES, asymmetric_rational_nodes, family_cases, nodeset, solved
 
 SIMPSON = NodeSet((-1.0, 0.0, 1.0))
 
@@ -216,20 +216,9 @@ class TestDerivedRegressions:
         assert fs.mu_Q == pytest.approx(expected, rel=1e-12)
 
 
-def _asymmetric_rational_nodes(seed, n=24):
-    """n increasing rationals num/den on (0, 2), one per cell of a jittered grid."""
-    rng = random.Random(seed)
-    out = []
-    for k in range(n):
-        den = rng.randint(100, 1000)
-        centre = Fraction(2 * k + 1, n) + Fraction(rng.randint(-40, 40), 100 * n)
-        out.append(Fraction(round(centre * den), den))
-    return out
-
-
 KERNEL_CASES = [pytest.param(nodeset(fam, 24), id=fam.value) for fam in FAMILIES] + [
     pytest.param(
-        NodeSet(tuple(float(t) for t in _asymmetric_rational_nodes(seed)), Interval(0.0, 2.0)),
+        NodeSet(tuple(float(t) for t in asymmetric_rational_nodes(seed)), Interval(0.0, 2.0)),
         id=f"rational-0-2-seed{seed}",
     )
     for seed in (1, 2, 3)
