@@ -34,7 +34,7 @@ print("principal moment mu_Q:", fs.mu_Q, "(= -4/15)")
 # are also the least-squares solution of the full 4x3 system.
 sol = q.solve_rule(fs)
 print("\nweights omega:", sol.omega, "(= [1/3, 4/3, 1/3])")
-print("residual at omega:", q.residual(fs, list(sol._omega_dd)))
+print("residual at omega:", q.residual(fs, sol._omega_dd))
 print("  -> zero except the last component, whose size is |mu_Q|")
 
 # The minimax solution differs from omega by the triangular correction

@@ -139,7 +139,7 @@ def build_report(ns, family="custom", eps_deg=None, fs=None, solution=None):
     if solution is None:
         solution = solve_rule(fs)
 
-    r_omega = residual(fs, list(solution._omega_dd))  # for the norms and the check
+    r_omega = residual(fs, solution._omega_dd)  # for the norms and the check
     r_z = equioscillation_residual(fs, solution)
     norms_w = residual_norms(r_omega, (1, 2, 3, math.inf))
     norms = {

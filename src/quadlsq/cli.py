@@ -14,6 +14,7 @@ import csv
 import json
 import math
 import sys
+from collections import ChainMap
 from decimal import Decimal
 
 from .analysis import build_report, error_coefficient
@@ -41,28 +42,13 @@ def _fmt(value):
 
 
 def _report_row(report, error=""):
-    rn = report.residual_norms if report is not None else {}
-    values = {
-        "family": report.family if report else "",
-        "n": report.n if report else "",
-        "degree": report.degree if report else "",
-        "mu_Q": report.mu_Q if report else "",
-        "N_omega": report.N_omega if report else "",
-        "N_z": report.N_z if report else "",
-        "angle_deg": report.angle_deg if report else "",
-        "tau_inf": report.tau_inf if report else "",
-        "alpha": report.alpha if report else "",
-        "c_n": report.c_n if report else "",
-        "Omega": report.Omega if report else "",
-        "Gamma": report.Gamma if report else "",
-        "cond_inf_A": report.cond_inf_A if report else "",
-        "r_omega_1": rn.get("r_omega_1", ""),
-        "r_omega_2": rn.get("r_omega_2", ""),
-        "r_omega_inf": rn.get("r_omega_inf", ""),
-        "r_z_inf": rn.get("r_z_inf", ""),
-        "error": error,
-    }
-    return values
+    """The ``CSV_COLUMNS`` of a report: its attributes, then its
+    ``residual_norms``, then ``error`` (``KeyError`` for a column in none).
+    Without a report every column but ``error`` is empty."""
+    if report is None:
+        return {c: error if c == "error" else "" for c in CSV_COLUMNS}
+    fields = ChainMap(vars(report), report.residual_norms, {"error": error})
+    return {c: fields[c] for c in CSV_COLUMNS}
 
 
 def _json_object(pairs):

@@ -20,19 +20,15 @@ z* is always derived through tau rather than by eliminating the (n+1)x(n+1)
 system with eps unknown; the two are algebraically identical and the tau
 route reuses the triangular solver.  The direct elimination lives in
 :mod:`quadlsq.oracle` as an independent check.
+
+The one backward pass that gives omega and tau together, ``solve_rule``
+and ``minimax_solution`` live in :mod:`quadlsq.system` next to the store
+they read, and are re-exported here.
 """
 
-import numpy as np
-
-from .ddouble import DD, dd_add
 from .errors import SelfCheckError
-from .system import (
-    RuleSolution,
-    _as_dd_vector,
-    _freeze,
-    _residual_dd,
-    _solve_dd,
-    residual_norms,
+from .system import (  # minimax_solution and solve_rule are re-exported
+    RuleSolution, minimax_solution, residual, residual_norms, solve_rule,
 )
 
 #: Relative tolerance of the eps = |mu_Q| self-check.
@@ -41,42 +37,7 @@ EPS_CHECK_RTOL = 1e-10
 
 def solve_tau(fs):
     """Correction vector: backward substitution on A tau = |mu_Q| v."""
-    return _freeze([float(t) for t in _solve_dd(fs)[1]])
-
-
-def minimax_solution(fs, omega):
-    """Minimax solution z* = omega + tau of the fundamental system."""
-    omega = np.asarray(omega, dtype=float)
-    return _freeze(omega + solve_tau(fs))
-
-
-def solve_rule(fs):
-    """Solve one rule end to end, keeping extended precision internally.
-
-    Returns a :class:`RuleSolution` whose public vectors are doubles while
-    the attached double-double copies feed residual formation, so the
-    equioscillation structure survives down to |mu_Q| values near 1e-10.
-    """
-    w_dd, t_dd = _solve_dd(fs)
-    z_dd = [DD(*dd_add(w[0], w[1], t[0], t[1])) for w, t in zip(w_dd, t_dd)]
-    omega = _freeze([float(w) for w in w_dd])
-    tau = _freeze([float(t) for t in t_dd])
-    return RuleSolution(
-        omega=omega,
-        z_star=_freeze(omega + tau),
-        tau=tau,
-        _omega_dd=tuple(w_dd),
-        _tau_dd=tuple(t_dd),
-        _z_dd=tuple(z_dd),
-    )
-
-
-def _vector_of(fs, x, attr):
-    if isinstance(x, RuleSolution):
-        return list(getattr(x, attr))
-    if isinstance(x, (list, tuple)) and x and isinstance(x[0], DD):
-        return list(x)
-    return _as_dd_vector(x, fs.n)
+    return solve_rule(fs).tau
 
 
 def epsilon_check(fs, omega):
@@ -87,8 +48,9 @@ def epsilon_check(fs, omega):
     :class:`SelfCheckError`.  ``omega`` may be a plain vector or a
     :class:`RuleSolution`.
     """
-    w_dd = _vector_of(fs, omega, "_omega_dd")
-    return epsilon_from_residual(fs, [float(v) for v in _residual_dd(fs, w_dd)])
+    if isinstance(omega, RuleSolution):
+        omega = omega._omega_dd
+    return epsilon_from_residual(fs, residual(fs, omega))
 
 
 def epsilon_from_residual(fs, r):
@@ -114,5 +76,6 @@ def equioscillation_residual(fs, z_star):
     accuracy).  Components 1..n come out as +|mu_Q|, component n+1 as
     -mu_Q.
     """
-    z_dd = _vector_of(fs, z_star, "_z_dd")
-    return _freeze([float(v) for v in _residual_dd(fs, z_dd)])
+    if isinstance(z_star, RuleSolution):
+        z_star = z_star._z_dd
+    return residual(fs, z_star)

@@ -13,6 +13,10 @@ Four deliberately different routes to the same quantities:
 * ``direct_sis4_minimax`` -- the minimax solution from eliminating the full
   (n+1) x (n+1) system with the residual magnitude as an extra unknown,
   instead of the correction-vector route.
+
+The oracle reads the pipeline's double-double store (``A_dd``,
+``moments_dd``) or its doubles; only its arithmetic, the float-pair
+primitives of :mod:`quadlsq.ddouble`, is shared with the pipeline.
 """
 
 import math
@@ -22,7 +26,7 @@ from fractions import Fraction
 import numpy as np
 
 from .basis import NodeSet
-from .ddouble import ZERO
+from .ddouble import dd_add, dd_mul, dd_mul_d
 from .errors import SingularSystemError
 from .system import _default_eps_deg
 
@@ -203,32 +207,42 @@ def lsq_normal_equations(fs):
     extended-precision system.  Refinement is what keeps the squared
     conditioning of the normal equations from eating the whole double
     mantissa near n = 12 (plain elimination lands around 1e-7 there).
+    Column j of F is nonzero in rows 0..j only, so each dot product runs
+    over those terms, in row order.
     """
-    n = fs.n
-    cols = list(zip(*fs._F_dd))
-    gram_dd = [[_dd_dot(cols[i], cols[j]) for j in range(n)] for i in range(n)]
-    rhs_dd = [_dd_dot(cols[i], fs._c_tilde_dd) for i in range(n)]
-    gram = np.array([[float(e) for e in row] for row in gram_dd])
-    rhs = np.array([float(e) for e in rhs_dd])
+    n, rows = fs.n, fs.A_dd
+    cols = [[rows[k][j - k] for k in range(j + 1)] for j in range(n)]
+    gram_dd = [[_dot(ci, cj) for cj in cols] for ci in cols]
+    rhs_dd = [_dot(ci, fs.moments_dd) for ci in cols]
+    gram = np.array([h + l for row in gram_dd for h, l in row]).reshape(n, n)
+    rhs = np.array([h + l for h, l in rhs_dd])
 
     lu, piv = _lu_factor(gram)
     y = _lu_solve(lu, piv, rhs)
     for _ in range(3):
-        resid = np.array([
-            float(rhs_dd[i] - _dd_dot(gram_dd[i], [float(v) for v in y]))
-            for i in range(n)
-        ])
+        ys = y.tolist()
+        resid = []
+        for (bh, bl), row in zip(rhs_dd, gram_dd):
+            sh, sl = 0.0, 0.0
+            for (gh, gl), v in zip(row, ys):
+                ph, pl = dd_mul_d(gh, gl, v)
+                sh, sl = dd_add(sh, sl, ph, pl)
+            rh, rl = dd_add(bh, bl, -sh, -sl)
+            resid.append(rh + rl)
+        resid = np.array(resid)
         if not np.any(resid):
             break
         y = y + _lu_solve(lu, piv, resid)
     return y
 
 
-def _dd_dot(xs, ys):
-    acc = ZERO
-    for x, v in zip(xs, ys):
-        acc = acc + x * v
-    return acc
+def _dot(xs, ys):
+    """Sum of x * y over the (hi, lo) pairs of two sequences, in order."""
+    sh, sl = 0.0, 0.0
+    for (xh, xl), (yh, yl) in zip(xs, ys):
+        ph, pl = dd_mul(xh, xl, yh, yl)
+        sh, sl = dd_add(sh, sl, ph, pl)
+    return sh, sl
 
 
 def direct_sis4_minimax(fs):

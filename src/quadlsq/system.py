@@ -31,37 +31,40 @@ terms of the moment recurrence as small as the interval allows, so a
 shifted interval loses no more digits than one of the same length
 centred at 0.
 
-All matrix entries, moments and solves are carried in double-double and
-rounded to doubles only at the public surface.  Residual norms, by contrast,
-are plain-double reductions of the extended-precision residual components.
+One double-double store holds the system: ``A_dd``, the rows of A as
+(hi, lo) float pairs without their structural zeros (row i holds columns
+i..n-1), and ``moments_dd``, mu_0..mu_2n as pairs (mu_Q is the entry at
+degree + 1).  The public doubles ``A``, ``moments``, ``c`` and ``mu_Q`` are
+hi + lo of the store, the IEEE addition ``float(DD)`` performs, and ``F``
+and ``c_tilde`` are derived from them.  One backward pass solves omega and
+tau together, one routine forms the residual and one coercion turns a
+candidate vector into pairs.  Residual norms are plain-double reductions
+of the extended-precision residual components.
 
 Every O(n^2) loop here -- the moment recurrence, the running products, the
-backward substitution and the residual -- runs on unpacked (hi, lo) float
-pairs through the primitives of :mod:`quadlsq.ddouble`, and builds ``DD``
-values only for what it stores or returns.  Each loop performs the same
-operations in the same order as the same loop written with ``DD``
-operators, so every stored value is bit-identical to that form.  The
-weights and the correction tau share A, so one backward pass solves both
-right-hand sides.  The exact M_0 moments depend on the interval alone and
-are memoised per interval (a small bounded cache, filled on first use);
-``analysis.build_report`` forms r(omega) once for its norms and the
-epsilon self-check.
+backward substitution and the residual -- runs on (hi, lo) float pairs
+through the primitives of :mod:`quadlsq.ddouble`.  Each loop performs the
+same operations in the same order as the same loop written with ``DD``
+operators, so every stored value is bit-identical to that form.  The exact
+M_0 moments depend on the interval alone and are memoised per interval (a
+small bounded cache, filled on first use); ``analysis.build_report`` forms
+r(omega) once for its norms and the epsilon self-check.
 
 Moments that overflow the double range (M_0 grows like the half-length to
 the power 2n+1) raise :class:`MomentOverflowError` rather than feeding inf
-or nan into degree detection.
+or nan into degree detection.  A negative or non-finite ``eps_deg`` is an
+input error and raises ``ValueError``.
 """
 
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 
 from .basis import NodeSet
-from .ddouble import (
-    DD, ONE, ZERO, as_dd, dd_add, dd_div, dd_mul, dd_mul_d, exact_diff, from_fraction, two_sum,
-)
+from .ddouble import dd_add, dd_div, dd_mul, dd_mul_d, from_fraction, two_sum
 from .errors import DegreeOverflowError, MomentOverflowError, SingularDiagonalError
 
 #: Relative zero threshold for degree detection, scaled by max(1, |mu_0|).
@@ -75,29 +78,50 @@ def _default_eps_deg(mu0):
     return DEFAULT_EPS_DEG * max(1.0, abs(mu0))
 
 
+def _freeze(a):
+    a = np.asarray(a, dtype=float)
+    a.setflags(write=False)
+    return a
+
+
+def _round(pairs):
+    """hi + lo of each (hi, lo) pair, as a read-only array of doubles."""
+    return _freeze([h + l for h, l in pairs])
+
+
 @dataclass(frozen=True, eq=False)
 class FundamentalSystem:
-    """F w = c_tilde for one node set, with the triangular block split out.
+    """F w = c_tilde for one node set, kept as its double-double store.
 
-    ``moments`` holds mu_0..mu_{2n}: the canonical moments followed by all
-    extended moments, kept so reports can show the full moment profile.
+    ``A_dd`` and ``moments_dd`` (mu_0..mu_{2n}, kept so reports can show
+    the full moment profile) are the store; the read-only double arrays
+    are rounded from it or derived from those.
     """
 
-    F: np.ndarray
-    c_tilde: np.ndarray
     A: np.ndarray
-    c: np.ndarray
     moments: np.ndarray
     mu_Q: float
     degree: int
     nodes: NodeSet
     eps_deg: float
-    _F_dd: tuple = field(repr=False, default=())
-    _c_tilde_dd: tuple = field(repr=False, default=())
+    A_dd: tuple = field(repr=False)
+    moments_dd: tuple = field(repr=False)
 
     @property
     def n(self):
         return self.A.shape[0]
+
+    @cached_property
+    def c(self):  # a view of mu_0..mu_{n-1}
+        return self.moments[:self.n]
+
+    @cached_property
+    def F(self):  # A with a zero row appended
+        return _freeze(np.vstack((self.A, np.zeros((1, self.n)))))
+
+    @cached_property
+    def c_tilde(self):  # c followed by mu_Q
+        return _freeze(np.append(self.c, self.mu_Q))
 
 
 @dataclass(frozen=True, eq=False)
@@ -105,7 +129,7 @@ class RuleSolution:
     """Least-squares weights, minimax vector and the correction between them.
 
     ``z_star == omega + tau`` holds exactly at the double level by
-    construction; the private double-double copies preserve the solves'
+    construction; the private (hi, lo) pair copies preserve the solves'
     full accuracy for residual formation.
     """
 
@@ -115,12 +139,6 @@ class RuleSolution:
     _omega_dd: tuple = field(repr=False, default=())
     _tau_dd: tuple = field(repr=False, default=())
     _z_dd: tuple = field(repr=False, default=())
-
-
-def _freeze(a):
-    a = np.asarray(a, dtype=float)
-    a.setflags(write=False)
-    return a
 
 
 #: Intervals whose exact centred monomial moments are kept (oldest evicted).
@@ -154,16 +172,16 @@ def _centred_monomial_moments(a, b, count):
 
 
 def _moments_dd(ns):
-    """mu_0..mu_{2n} in double-double, by the centred moment recurrence."""
+    """mu_0..mu_{2n} as (hi, lo) pairs, by the centred moment recurrence."""
     nodes, iv = ns.nodes, ns.interval
     c = 0.5 * iv.a + 0.5 * iv.b
     M0 = _centred_monomial_moments(iv.a, iv.b, 2 * len(nodes) + 1)
     H = [m[0] for m in M0]
     L = [m[1] for m in M0]
-    mom = [M0[0]]
+    mom = [(H[0], L[0])]
     size = len(M0)
     for t in nodes + nodes:
-        fh, fl = exact_diff(c, t)
+        fh, fl = two_sum(c, -t)  # exact_diff, without a DD per node
         size -= 1
         if fl == 0.0:  # the difference is a double: the cheaper product
             for m in range(size):
@@ -173,15 +191,16 @@ def _moments_dd(ns):
             for m in range(size):
                 ph, pl = dd_mul(H[m], L[m], fh, fl)
                 H[m], L[m] = dd_add(H[m + 1], L[m + 1], ph, pl)
-        mom.append(DD(H[0], L[0]))
+        mom.append((H[0], L[0]))
     return mom
 
 
 def _node_products_dd(nodes):
-    """Rows of A, phi_i(t_j), as running products of exact node differences."""
+    """Rows of A, phi_i(t_j) for j >= i, as running products of exact node
+    differences; row i holds the (hi, lo) pairs of columns i..n-1."""
     n = len(nodes)
     H, L = [1.0] * n, [0.0] * n
-    rows = [(ONE,) * n]
+    rows = [((1.0, 0.0),) * n]
     for i in range(1, n):
         s = nodes[i - 1]
         for j in range(i, n):
@@ -190,115 +209,117 @@ def _node_products_dd(nodes):
                 H[j], L[j] = dd_mul_d(H[j], L[j], dh)
             else:
                 H[j], L[j] = dd_mul(H[j], L[j], dh, dl)
-        rows.append((ZERO,) * i + tuple(map(DD, H[i:], L[i:])))
-    return rows
-
-
-def _detect(ext_dd, n, eps):
-    """First index j >= n with |mu_j| above the threshold."""
-    for i, m in enumerate(ext_dd):
-        if abs(float(m)) > eps:
-            return n + i - 1, m
-    raise DegreeOverflowError(
-        f"degree overflow: no extended moment above {eps:g} through index {2 * n}; "
-        "the zero threshold is misconfigured (degree <= 2n-1 is guaranteed)"
-    )
+        rows.append(tuple(zip(H[i:], L[i:])))
+    return tuple(rows)
 
 
 def _moments_and_degree(ns, eps_deg):
-    """(mu_0..mu_2n in DD, threshold, degree, mu_Q in DD) for a node set."""
+    """(mu_0..mu_2n as pairs, the same as doubles, threshold, degree)."""
+    if eps_deg is not None:
+        eps_deg = float(eps_deg)
+        if not (math.isfinite(eps_deg) and eps_deg >= 0.0):
+            raise ValueError(f"eps_deg must be a finite number >= 0, got {eps_deg!r}")
     mom_dd = _moments_dd(ns)
-    for j, m in enumerate(mom_dd):
-        if not math.isfinite(m[0] + m[1]):
-            iv = ns.interval
-            raise MomentOverflowError(
-                f"moment mu_{j} is not finite: the centred monomial moments "
-                f"overflow the double range on an interval of half-length "
-                f"{0.5 * (iv.b - iv.a):g} at n = {ns.n}, so neither the degree "
-                "nor mu_Q can be read"
-            )
-    eps = _default_eps_deg(float(mom_dd[0])) if eps_deg is None else float(eps_deg)
-    degree, mu_q_dd = _detect(mom_dd[ns.n:], ns.n, eps)
-    return mom_dd, eps, degree, mu_q_dd
+    moments = [h + l for h, l in mom_dd]
+    bad = next((j for j, m in enumerate(moments) if not math.isfinite(m)), None)
+    if bad is not None:
+        iv = ns.interval
+        raise MomentOverflowError(
+            f"moment mu_{bad} is not finite: the centred monomial moments "
+            f"overflow the double range on an interval of half-length "
+            f"{0.5 * (iv.b - iv.a):g} at n = {ns.n}, so neither the degree "
+            "nor mu_Q can be read"
+        )
+    n = ns.n
+    eps = _default_eps_deg(moments[0]) if eps_deg is None else eps_deg
+    j = next((j for j in range(n, 2 * n + 1) if abs(moments[j]) > eps), None)
+    if j is None:
+        raise DegreeOverflowError(
+            f"degree overflow: no extended moment above {eps:g} through index {2 * n}; "
+            "the zero threshold is misconfigured (degree <= 2n-1 is guaranteed)"
+        )
+    return mom_dd, _freeze(moments), eps, j - 1
 
 
 def detect_degree(ns, eps_deg=None):
     """Degree of exactness and principal moment of the rule on ``ns``.
 
     Scans mu_j = I(q_j) for j = n..2n and returns (j-1, mu_j) at the first
-    moment whose magnitude exceeds the zero threshold.
+    moment whose magnitude exceeds the zero threshold.  ``eps_deg`` must
+    be a finite number >= 0 (``ValueError`` otherwise).
     """
-    _, _, degree, mu_q_dd = _moments_and_degree(ns, eps_deg)
-    return degree, float(mu_q_dd)
+    _, moments, _, degree = _moments_and_degree(ns, eps_deg)
+    return degree, float(moments[degree + 1])
 
 
 def build_system(ns, eps_deg=None):
     """Assemble the fundamental system for a node set.
 
-    Raises :class:`DegreeOverflowError` if degree detection fails (only
-    possible with a misconfigured ``eps_deg``).
+    Raises ``ValueError`` for a negative or non-finite ``eps_deg``, and
+    :class:`DegreeOverflowError` if degree detection fails (only possible
+    with a misconfigured ``eps_deg``).
     """
     n = ns.n
-    mom_dd, eps, degree, mu_q_dd = _moments_and_degree(ns, eps_deg)
-    F_dd = _node_products_dd(ns.nodes) + [(ZERO,) * n]
-    c_tilde_dd = tuple(mom_dd[:n]) + (mu_q_dd,)
-
-    F = _freeze([[float(e) for e in row] for row in F_dd])
-    c_tilde = _freeze([float(m) for m in c_tilde_dd])
-    moments = _freeze([float(m) for m in mom_dd])
-
+    mom_dd, moments, eps, degree = _moments_and_degree(ns, eps_deg)
+    A_dd = _node_products_dd(ns.nodes)
+    A = np.zeros((n, n))
+    for i, row in enumerate(A_dd):
+        A[i, i:] = [h + l for h, l in row]
     return FundamentalSystem(
-        F=F,
-        c_tilde=c_tilde,
-        A=_freeze(F[:n]),
-        c=_freeze(c_tilde[:n]),
+        A=_freeze(A),
         moments=moments,
-        mu_Q=float(mu_q_dd),
+        mu_Q=float(moments[degree + 1]),
         degree=degree,
         nodes=ns,
         eps_deg=eps,
-        _F_dd=tuple(F_dd),
-        _c_tilde_dd=c_tilde_dd,
+        A_dd=A_dd,
+        moments_dd=tuple(mom_dd),
     )
 
 
 def _back_substitute(rows, rhss):
-    """Backward substitution on an upper-triangular double-double system,
-    for several right-hand sides in one pass over the rows.
-
-    ``rows`` and each right-hand side hold DD values; the solutions come
-    back as lists of (hi, lo) float pairs.  Each right-hand side sees the
-    same operations, in the same order, as if it were solved alone.
+    """Backward substitution on upper-triangular rows (row i holds columns
+    i..n-1) for several right-hand sides in one pass, all in (hi, lo) pairs.
+    Each right-hand side sees the operations it would see if solved alone.
     """
     n = len(rows)
     xs = [[None] * n for _ in rhss]
     for i in range(n - 1, -1, -1):
         row = rows[i]
-        dh, dl = row[i]
+        dh, dl = row[0]
         if dh + dl == 0.0:
             raise SingularDiagonalError(f"singular diagonal at row {i + 1}")
+        tail = row[1:]
         for x, rhs in zip(xs, rhss):
             sh, sl = rhs[i]
-            for j in range(i + 1, n):
-                ah, al = row[j]
-                xh, xl = x[j]
+            for (ah, al), (xh, xl) in zip(tail, x[i + 1:]):
                 ph, pl = dd_mul(ah, al, xh, xl)
                 sh, sl = dd_add(sh, sl, -ph, -pl)
             x[i] = dd_div(sh, sl, dh, dl)
     return xs
 
 
-def _solve_upper_dd(rows, rhs):
-    """Backward substitution on an upper-triangular double-double system."""
-    return [DD(*p) for p in _back_substitute(rows, [rhs])[0]]
+def solve_rule(fs):
+    """Solve one rule end to end, keeping extended precision internally.
 
-
-def _solve_dd(fs):
-    """(omega, tau) as DD lists: A w = c and A tau = |mu_Q| v, one pass."""
-    n = fs.n
-    rhs_tau = [abs(fs._c_tilde_dd[n])] * n
-    w, t = _back_substitute(fs._F_dd[:n], [fs._c_tilde_dd[:n], rhs_tau])
-    return [DD(*p) for p in w], [DD(*p) for p in t]
+    One backward pass solves A w = c and A tau = |mu_Q| v.  Returns a
+    :class:`RuleSolution` whose public vectors are doubles while the
+    attached (hi, lo) pair copies feed residual formation, so the
+    equioscillation structure survives down to |mu_Q| values near 1e-10.
+    """
+    mh, ml = fs.moments_dd[fs.degree + 1]
+    if mh < 0.0 or (mh == 0.0 and ml < 0.0):  # |mu_Q|, as abs(DD) forms it
+        mh, ml = -mh, -ml
+    w, t = _back_substitute(fs.A_dd, (fs.moments_dd, ((mh, ml),) * fs.n))
+    omega, tau = _round(w), _round(t)
+    return RuleSolution(
+        omega=omega,
+        z_star=_freeze(omega + tau),
+        tau=tau,
+        _omega_dd=tuple(w),
+        _tau_dd=tuple(t),
+        _z_dd=tuple(dd_add(wh, wl, th, tl) for (wh, wl), (th, tl) in zip(w, t)),
+    )
 
 
 def solve_weights(fs):
@@ -307,33 +328,43 @@ def solve_weights(fs):
     By construction this unique solution is also the least-squares solution
     of the full (n+1)-row system.
     """
-    return _freeze([float(w) for w in _solve_dd(fs)[0]])
+    return solve_rule(fs).omega
 
 
-def _as_dd_vector(x, n):
-    """Coerce a vector (doubles or DD entries) to a DD list of length n."""
+def _vector(x, n):
+    """A candidate vector as n (hi, lo) pairs: pairs (``DD`` values among
+    them) are kept, doubles get lo = 0."""
     if isinstance(x, RuleSolution):
         raise TypeError("pass solution.omega / solution.z_star, not the solution")
     xs = list(x)
     if len(xs) != n:
         raise ValueError(f"expected a vector of length {n}, got {len(xs)}")
-    return [as_dd(v) for v in xs]
+    return [v if isinstance(v, tuple) else (float(v), 0.0) for v in xs]
 
 
-def _residual_dd(fs, x_dd):
-    """r(x) = F x - c_tilde, formed in double-double."""
-    n = fs.n
+def minimax_solution(fs, omega):
+    """Minimax solution z* = omega + tau of the fundamental system.
+
+    ``omega`` is a vector of n doubles or (hi, lo) pairs, rounded to
+    doubles before tau is added.
+    """
+    return _freeze(_round(_vector(omega, fs.n)) + solve_rule(fs).tau)
+
+
+def _residual_dd(fs, x):
+    """r(x) = F x - c_tilde as (hi, lo) pairs, for x a list of n pairs.
+
+    Row i < n of F is row i of A, zero left of column i; row n is zero.
+    """
+    n, mom = fs.n, fs.moments_dd
     r = []
-    for i in range(n + 1):
+    rows = fs.A_dd + ((),)
+    for i, (row, (ch, cl)) in enumerate(zip(rows, mom[:n] + (mom[fs.degree + 1],))):
         sh, sl = 0.0, 0.0
-        row = fs._F_dd[i]
-        for j in range(min(i, n), n):  # row i has zeros left of column i
-            ah, al = row[j]
-            xh, xl = x_dd[j]
+        for (ah, al), (xh, xl) in zip(row, x[i:]):
             ph, pl = dd_mul(ah, al, xh, xl)
             sh, sl = dd_add(sh, sl, ph, pl)
-        ch, cl = fs._c_tilde_dd[i]
-        r.append(DD(*dd_add(sh, sl, -ch, -cl)))
+        r.append(dd_add(sh, sl, -ch, -cl))
     return r
 
 
@@ -341,15 +372,11 @@ def residual(fs, x):
     """Residual vector F x - c_tilde (length n+1) for any candidate x.
 
     When ``x`` is a plain double vector the residual is exact for those
-    doubles; the solver-side callers pass the internal double-double
+    doubles; the solver-side callers pass the internal (hi, lo) pair
     solutions so that the components that should vanish actually do, far
     below |mu_Q|.
     """
-    if isinstance(x, (list, tuple)) and x and isinstance(x[0], DD):
-        x_dd = list(x)
-    else:
-        x_dd = _as_dd_vector(x, fs.n)
-    return _freeze([float(v) for v in _residual_dd(fs, x_dd)])
+    return _round(_residual_dd(fs, _vector(x, fs.n)))
 
 
 def residual_norms(r, p_list=(1, 2, 3, math.inf)):

@@ -272,6 +272,44 @@ def ref_residual(F, c_tilde, x):
     return r
 
 
+def _ref_dd_dot(xs, ys):
+    acc = _REF_ZERO
+    for x, v in zip(xs, ys):
+        acc = acc + x * v
+    return acc
+
+
+def ref_lsq_normal_equations(F, c_tilde):
+    """``oracle.lsq_normal_equations`` on the padded system: F is all n+1
+    rows of (hi, lo) pairs, structural zeros included, and c_tilde the n+1
+    right-hand sides.  The Gram system, its right-hand side and the
+    refinement residuals use scalar RefDD operators over every entry; the
+    elimination is the oracle's own."""
+    import numpy as np
+    from quadlsq.oracle import _lu_factor, _lu_solve
+
+    F = [[_ref(e) for e in row] for row in F]
+    c_tilde = [_ref(e) for e in c_tilde]
+    n = len(F[0])
+    cols = list(zip(*F))
+    gram_dd = [[_ref_dd_dot(cols[i], cols[j]) for j in range(n)] for i in range(n)]
+    rhs_dd = [_ref_dd_dot(cols[i], c_tilde) for i in range(n)]
+    gram = np.array([[float(e) for e in row] for row in gram_dd])
+    rhs = np.array([float(e) for e in rhs_dd])
+
+    lu, piv = _lu_factor(gram)
+    y = _lu_solve(lu, piv, rhs)
+    for _ in range(3):
+        resid = np.array([
+            float(rhs_dd[i] - _ref_dd_dot(gram_dd[i], [float(v) for v in y]))
+            for i in range(n)
+        ])
+        if not np.any(resid):
+            break
+        y = y + _lu_solve(lu, piv, resid)
+    return y
+
+
 def _ref_legendre_pair_dd(k, x, ratios):
     p0, p1 = _REF_ONE, x
     for a, b in ratios:

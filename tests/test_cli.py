@@ -64,6 +64,25 @@ class TestAnalyze:
         assert code == 3
         assert "degree overflow" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", [
+        ["analyze"], ["integrate", "--integrand", "poly:1"],
+    ])
+    @pytest.mark.parametrize("value", ["-1", "nan", "inf"])
+    def test_invalid_eps_deg_exits_2(self, capsys, command, value):
+        code, _ = run(command + ["--family", "nc", "--n", "3", f"--eps-deg={value}"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "eps_deg must be a finite number >= 0" in err
+        assert "self-check" not in err and "degree overflow" not in err
+
+    def test_invalid_eps_deg_sweep_rows(self, tmp_path):
+        out = tmp_path / "nc.csv"
+        code, _ = run(["sweep", "--family", "nc", "--n-min", "2", "--n-max", "3",
+                       "--eps-deg=-1", "--out", str(out)])
+        assert code == 0
+        rows = list(csv.DictReader(out.open(encoding="utf-8")))
+        assert [r["error"] for r in rows] == ["eps_deg must be a finite number >= 0, got -1.0"] * 2
+
     def test_csv_round_trips(self):
         code, text = run(["analyze", "--family", "cc", "--n", "6", "--format", "csv"])
         assert code == 0

@@ -21,7 +21,7 @@ from quadlsq import ddouble, system
 from quadlsq.ddouble import DD, dd_add, dd_add_d, dd_div, dd_mul, dd_mul_d
 from quadlsq.minimax import solve_rule
 from quadlsq.nodes import _legendre_pair_dd, _legendre_ratios
-from quadlsq.system import _moments_dd, _node_products_dd, _residual_dd, _solve_upper_dd
+from quadlsq.system import _back_substitute, _moments_dd, _node_products_dd, _residual_dd
 
 from helpers import (
     FAMILIES,
@@ -31,6 +31,7 @@ from helpers import (
     bits,
     ref_legendre_nodes,
     ref_legendre_pair,
+    ref_lsq_normal_equations,
     ref_moments,
     ref_node_products,
     ref_residual,
@@ -148,25 +149,95 @@ def _system(ns):
         return q.build_system(ns, eps_deg=0.0)
 
 
+def _padded(rows, n):
+    """The n + 1 rows of F rebuilt from rows of A that start at the
+    diagonal: zeros to the left of it, and a zero last row."""
+    zero = (0.0, 0.0)
+    return [(zero,) * i + tuple(row) for i, row in enumerate(rows)] + [(zero,) * n]
+
+
+def _floats(xs):
+    return [float(v) for v in xs]
+
+
 @pytest.mark.parametrize("ns", PIPELINE_CASES)
 def test_pipeline_bit_identical(ns):
     n = ns.n
-    assert bits(_moments_dd(ns)) == bits(ref_moments(ns))
+    mom = ref_moments(ns)
+    assert bits(_moments_dd(ns)) == bits(mom)
     rows = _node_products_dd(ns.nodes)
     ref_rows = ref_node_products(ns.nodes)
-    assert bits(e for row in rows for e in row) == bits(e for row in ref_rows for e in row)
+    # the store keeps row i from column i on; the reference pads it with zeros
+    assert [len(row) for row in rows] == list(range(n, 0, -1))
+    assert bits(e for row in rows for e in row) == bits(
+        e for i, row in enumerate(ref_rows) for e in row[i:])
 
     fs = _system(ns)
+    assert bits(e for row in fs.A_dd for e in row) == bits(e for row in rows for e in row)
+    assert bits(fs.moments_dd) == bits(mom)
+    F = _padded(fs.A_dd, n)
+    c_tilde = fs.moments_dd[:n] + (fs.moments_dd[fs.degree + 1],)
     sol = solve_rule(fs)
-    w = ref_solve_upper(fs._F_dd[:n], fs._c_tilde_dd[:n])
-    t = ref_solve_upper(fs._F_dd[:n], [abs(RefDD(*fs._c_tilde_dd[n]))] * n)
+    w = ref_solve_upper(F[:n], c_tilde[:n])
+    t = ref_solve_upper(F[:n], [abs(RefDD(*c_tilde[n]))] * n)
     z = [a + b for a, b in zip(w, t)]
     assert bits(sol._omega_dd) == bits(w)
     assert bits(sol._tau_dd) == bits(t)
     assert bits(sol._z_dd) == bits(z)
-    assert bits(_residual_dd(fs, sol._omega_dd)) == bits(ref_residual(fs._F_dd, fs._c_tilde_dd, w))
-    assert bits(_residual_dd(fs, sol._z_dd)) == bits(ref_residual(fs._F_dd, fs._c_tilde_dd, z))
-    assert bits(_solve_upper_dd(fs._F_dd[:n], fs._c_tilde_dd[:n])) == bits(w)
+    assert bits(_residual_dd(fs, sol._omega_dd)) == bits(ref_residual(F, c_tilde, w))
+    assert bits(_residual_dd(fs, sol._z_dd)) == bits(ref_residual(F, c_tilde, z))
+    assert bits(_back_substitute(fs.A_dd, [c_tilde[:n]])[0]) == bits(w)
+
+    # The public doubles against float() of the reference route alone:
+    # its rows of A, its moments, and the solves and residuals on them.
+    ref_F = ref_rows + [(RefDD(),) * n]
+    mu_q = mom[fs.degree + 1]
+    ref_c_tilde = mom[:n] + [mu_q]
+    omega, tau = _floats(w), _floats(t)
+    z_star = [a + b for a, b in zip(omega, tau)]
+    assert bits(fs.F.ravel()) == bits(float(e) for row in ref_F for e in row)
+    assert bits(fs.A.ravel()) == bits(float(e) for row in ref_rows for e in row)
+    assert bits(fs.c_tilde) == bits(_floats(ref_c_tilde))
+    assert bits(fs.c) == bits(_floats(mom[:n]))
+    assert bits(fs.moments) == bits(_floats(mom))
+    assert bits([fs.mu_Q]) == bits([float(mu_q)])
+    assert bits(sol.omega) == bits(omega)
+    assert bits(sol.tau) == bits(tau)
+    assert bits(sol.z_star) == bits(z_star)
+    assert bits(q.solve_weights(fs)) == bits(omega)
+    assert bits(q.solve_tau(fs)) == bits(tau)
+    assert bits(q.minimax_solution(fs, sol.omega)) == bits(z_star)
+    assert bits(q.residual(fs, sol._omega_dd)) == bits(_floats(ref_residual(ref_F, ref_c_tilde, w)))
+    assert bits(q.residual(fs, sol.omega)) == bits(
+        _floats(ref_residual(ref_F, ref_c_tilde, [(v, 0.0) for v in omega])))
+    assert bits(q.equioscillation_residual(fs, sol)) == bits(
+        _floats(ref_residual(ref_F, ref_c_tilde, z)))
+    assert bits(q.equioscillation_residual(fs, sol.z_star)) == bits(
+        _floats(ref_residual(ref_F, ref_c_tilde, [(v, 0.0) for v in z_star])))
+
+
+ORACLE_CASES = [
+    pytest.param(q.generate(q.FamilySpec(fam, n), q.Interval(*iv)),
+                 id=f"{fam.value}-{n}-({iv[0]:g},{iv[1]:g})")
+    for fam in FAMILIES for n in (1, 2, 3, 9, 16, 24) if n >= MIN_N[fam] for iv in _INTERVALS
+] + PIPELINE_CASES[-3:]
+
+
+@pytest.mark.parametrize("ns", ORACLE_CASES)
+def test_lsq_normal_equations_bit_identical(ns):
+    # the float-pair oracle skips the structural zeros of F; the frozen
+    # scalar route reads every entry of F padded back to n + 1 full rows
+    fs = _system(ns)
+    n = fs.n
+    F = _padded(fs.A_dd, n)
+    c_tilde = fs.moments_dd[:n] + (fs.moments_dd[fs.degree + 1],)
+    try:
+        want = ref_lsq_normal_equations(F, c_tilde)
+    except q.SingularSystemError:
+        with pytest.raises(q.SingularSystemError):
+            q.lsq_normal_equations(fs)
+        return
+    assert bits(q.lsq_normal_equations(fs)) == bits(want)
 
 
 @pytest.mark.parametrize("n", _NS)

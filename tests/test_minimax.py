@@ -34,14 +34,15 @@ class TestSolveTau:
 
     def test_scaling_linearity(self):
         # scaling the right-hand side by a power of two scales tau exactly
-        from quadlsq.system import _solve_upper_dd
+        from quadlsq.ddouble import DD
+        from quadlsq.system import _back_substitute
 
         fs = build_system(NodeSet((-1.0, -0.25, 0.5, 1.0)))
-        rows = fs._F_dd[: fs.n]
-        mu = abs(fs._c_tilde_dd[fs.n])
-        t1 = _solve_upper_dd(rows, [mu] * fs.n)
-        t4 = _solve_upper_dd(rows, [mu * 4.0] * fs.n)
-        assert [float(x) * 4.0 for x in t1] == [float(x) for x in t4]
+        rows = fs.A_dd
+        mu = abs(DD(*fs.moments_dd[fs.degree + 1]))
+        t1 = _back_substitute(rows, [[mu] * fs.n])[0]
+        t4 = _back_substitute(rows, [[mu * 4.0] * fs.n])[0]
+        assert [float(DD(*x)) * 4.0 for x in t1] == [float(DD(*x)) for x in t4]
 
 
 class TestMinimaxSolution:
@@ -64,6 +65,17 @@ class TestMinimaxSolution:
         fs = build_system(NodeSet((0.0,)))
         z = minimax_solution(fs, solve_weights(fs))
         np.testing.assert_allclose(z, [8 / 3], rtol=1e-15)
+
+    @pytest.mark.parametrize("omega", [[0.5], [0.5, 0.5], [0.5] * 4, []])
+    def test_length_mismatch(self, omega):
+        # a wrong length is refused, not broadcast against tau
+        fs = build_system(SIMPSON)
+        with pytest.raises(ValueError, match=f"expected a vector of length 3, got {len(omega)}"):
+            minimax_solution(fs, omega)
+
+    def test_accepts_double_double_pairs(self):
+        _, fs, sol = solved(q.Family.GAUSS_LEGENDRE, 5)
+        np.testing.assert_array_equal(minimax_solution(fs, sol._omega_dd), sol.z_star)
 
     def test_z_equals_omega_plus_tau_exactly(self):
         for family, n in family_cases(2, 8):

@@ -109,6 +109,13 @@ class TestDetectDegree:
         with pytest.raises(DegreeOverflowError):
             build_system(SIMPSON, eps_deg=1e6)
 
+    @pytest.mark.parametrize("eps_deg", [-1.0, -1e-300, math.nan, math.inf, -math.inf])
+    def test_invalid_threshold_is_an_input_error(self, eps_deg):
+        # an input error, not a numerical failure further down the pipeline
+        for call in (build_system, detect_degree):
+            with pytest.raises(ValueError, match="eps_deg must be a finite number >= 0"):
+                call(SIMPSON, eps_deg=eps_deg)
+
 
 class TestSolveWeights:
     def test_simpson(self):
@@ -232,8 +239,10 @@ def _dd_error(x_dd, exact):
 
 def _assert_matrix_exact(A_dd, rr):
     """Every entry of A within relative 1e-30 of the exact entry."""
-    for row_dd, row in zip(A_dd, rr.A):
-        for entry, exact in zip(row_dd, row):
+    # row i of the store starts at column i; the exact rows are full
+    for i, (row_dd, row) in enumerate(zip(A_dd, rr.A)):
+        assert len(row_dd) == len(row) - i
+        for entry, exact in zip(row_dd, row[i:]):
             assert _dd_error(entry, exact) <= Fraction(1, 10 ** 30) * abs(exact)
 
 
@@ -244,13 +253,13 @@ class TestKernelAgainstExact:
     def test_n24(self, ns):
         rr = rational_pipeline(ns)
         n = ns.n
-        A_dd, moments = _node_products_dd(ns.nodes), [float(m) for m in _moments_dd(ns)]
+        A_dd, moments = _node_products_dd(ns.nodes), [h + l for h, l in _moments_dd(ns)]
         try:
             fs = build_system(ns)
         except DegreeOverflowError:  # GL at n = 24: the fixed 1e-12 threshold
             pass
         else:
-            A_dd, moments = fs._F_dd[:n], fs.moments
+            A_dd, moments = fs.A_dd, fs.moments
         assert len(A_dd) == n
         _assert_matrix_exact(A_dd, rr)
         assert len(moments) == 2 * n + 1
