@@ -357,9 +357,10 @@ def _residual_dd(fs, x):
     Row i < n of F is row i of A, zero left of column i; row n is zero.
     """
     n, mom = fs.n, fs.moments_dd
-    r = []
     rows = fs.A_dd + ((),)
-    for i, (row, (ch, cl)) in enumerate(zip(rows, mom[:n] + (mom[fs.degree + 1],))):
+    c_tilde = mom[:n] + (mom[fs.degree + 1],)
+    r = []
+    for i, (row, (ch, cl)) in enumerate(zip(rows, c_tilde)):
         sh, sl = 0.0, 0.0
         for (ah, al), (xh, xl) in zip(row, x[i:]):
             ph, pl = dd_mul(ah, al, xh, xl)
