@@ -11,6 +11,7 @@ files are deterministic: re-running a sweep produces byte-identical output.
 
 import argparse
 import csv
+import functools
 import json
 import math
 import sys
@@ -236,10 +237,16 @@ def build_parser():
     return parser
 
 
+@functools.cache
+def _parser():
+    """The process's one parser: argparse's objects form reference cycles,
+    so a parser built per call would leave garbage for the collector."""
+    return build_parser()
+
+
 def main(argv=None, out=None):
     out = out or sys.stdout
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     handlers = {"analyze": _cmd_analyze, "sweep": _cmd_sweep,
                 "integrate": _cmd_integrate}
     try:

@@ -28,7 +28,7 @@ import numpy as np
 from .basis import NodeSet
 from .ddouble import dd_add, dd_mul, dd_mul_d
 from .errors import SingularSystemError
-from .system import _default_eps_deg
+from .system import _checked_eps_deg, _default_eps_deg
 
 _MAGNITUDE_LIMIT = 2 ** 63
 
@@ -269,14 +269,17 @@ def degree_by_monomials(ns, weights, eps_deg=None):
 
     The exact monomial moments are computed from the interval endpoints as
     exact rationals, so on (-1, 1) odd k compares against 0 and even k
-    against 2/(k+1).
+    against 2/(k+1).  ``eps_deg`` must be a finite number >= 0
+    (``ValueError`` otherwise), as for :func:`quadlsq.build_system`.
     """
     ts = np.asarray(ns.nodes, dtype=float)
     w = np.asarray(weights, dtype=float)
     n = len(ts)
     a = Fraction(ns.interval.a)
     b = Fraction(ns.interval.b)
-    eps = _default_eps_deg(float(b - a)) if eps_deg is None else float(eps_deg)
+    eps = _checked_eps_deg(eps_deg)
+    if eps is None:
+        eps = _default_eps_deg(float(b - a))
     powers = np.ones_like(ts)
     for k in range(2 * n + 1):
         if k > 0:

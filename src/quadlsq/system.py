@@ -213,12 +213,20 @@ def _node_products_dd(nodes):
     return tuple(rows)
 
 
+def _checked_eps_deg(eps_deg):
+    """A zero threshold override as a float (None stays None); anything but
+    a finite number >= 0 raises ``ValueError``."""
+    if eps_deg is None:
+        return None
+    eps_deg = float(eps_deg)
+    if not (math.isfinite(eps_deg) and eps_deg >= 0.0):
+        raise ValueError(f"eps_deg must be a finite number >= 0, got {eps_deg!r}")
+    return eps_deg
+
+
 def _moments_and_degree(ns, eps_deg):
     """(mu_0..mu_2n as pairs, the same as doubles, threshold, degree)."""
-    if eps_deg is not None:
-        eps_deg = float(eps_deg)
-        if not (math.isfinite(eps_deg) and eps_deg >= 0.0):
-            raise ValueError(f"eps_deg must be a finite number >= 0, got {eps_deg!r}")
+    eps_deg = _checked_eps_deg(eps_deg)
     mom_dd = _moments_dd(ns)
     moments = [h + l for h, l in mom_dd]
     bad = next((j for j, m in enumerate(moments) if not math.isfinite(m)), None)
@@ -383,14 +391,19 @@ def residual(fs, x):
 def residual_norms(r, p_list=(1, 2, 3, math.inf)):
     """p-norms of a residual vector, plain-double reductions.
 
+    The components are scaled by the power of two of max |r| first, an
+    exact scaling, so no p-th power overflows while the norm itself fits.
     Returns a dict keyed by the requested p (use ``math.inf`` for the max
     norm).
     """
-    r = np.asarray(r, dtype=float)
+    r = np.abs(np.asarray(r, dtype=float))
+    top = float(np.max(r)) if r.size else 0.0
+    e = math.frexp(top)[1]  # |r| / 2^e <= 1, so |r|^p cannot overflow
+    scaled = np.ldexp(r, -e)
     out = {}
     for p in p_list:
         if p == math.inf:
-            out[p] = float(np.max(np.abs(r))) if r.size else 0.0
+            out[p] = top
         else:
-            out[p] = float(np.sum(np.abs(r) ** p) ** (1.0 / p))
+            out[p] = float(np.ldexp(np.sum(scaled ** p) ** (1.0 / p), e))
     return out

@@ -75,6 +75,52 @@ def exact_angle(ns):
     return rr.degree, math.degrees(math.asin(math.sqrt(sin2)))
 
 
+def closed_form_inverse(ts):
+    """A^-1 of the Newton block in Fractions, from the divided-difference
+    weights: A^-1[k][i] = 1 / prod_{m <= i, m != k} (t_k - t_m) for i >= k."""
+    ts = [Fraction(t) for t in ts]
+    n = len(ts)
+    inv = [[Fraction(0)] * n for _ in range(n)]
+    for k in range(n):
+        p = Fraction(1)
+        for m in range(k):
+            p *= ts[k] - ts[m]
+        for i in range(k, n):
+            if i > k:
+                p *= ts[k] - ts[i]
+            inv[k][i] = 1 / p
+    return inv
+
+
+def exact_cond_inf(ts):
+    """||A||_inf ||A^-1||_inf of the Newton block of nodes ts, exactly.
+
+    A[i][j] = prod_{m < i} (t_j - t_m) for j >= i.  Row k of the closed
+    form |A^-1| sums to h / prod_{m < k} |t_k - t_m| with
+    h = 1 + (1 + (1 + ...) / |t_k - t_{k+2}|) / |t_k - t_{k+1}|, which is
+    evaluated from the innermost term as an unreduced integer ratio: exact,
+    and a gcd per step cheaper than Fractions.
+    """
+    ts = [Fraction(t) for t in ts]
+    n = len(ts)
+    col = [Fraction(1)] * n
+    norm_a = Fraction(0)
+    for i in range(n):
+        if i:
+            for j in range(i, n):
+                col[j] *= ts[j] - ts[i - 1]
+        norm_a = max(norm_a, sum(abs(v) for v in col[i:]))
+    norm_inv = Fraction(0)
+    for k in range(n):
+        num, den = 1, 1
+        for i in range(n - 1, k, -1):
+            d = abs(ts[k] - ts[i])
+            num, den = den * d.numerator + num * d.denominator, den * d.numerator
+        head = math.prod((abs(ts[k] - ts[m]) for m in range(k)), start=Fraction(1))
+        norm_inv = max(norm_inv, Fraction(num, den) / head)
+    return norm_a * norm_inv
+
+
 def asymmetric_rational_nodes(seed, n=24):
     """n increasing rationals num/den on (0, 2), one per cell of a jittered grid."""
     rng = random.Random(seed)

@@ -1,4 +1,6 @@
 import math
+import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -12,11 +14,20 @@ from quadlsq import (
     cond_inf_upper,
     error_coefficient,
     norm_params,
+    rational_pipeline,
     rule_angle,
     solve_rule,
 )
 
-from helpers import family_cases, solved
+from helpers import (
+    FAMILIES,
+    asymmetric_rational_nodes,
+    closed_form_inverse,
+    exact_cond_inf,
+    family_cases,
+    nodeset,
+    solved,
+)
 
 SIMPSON_OMEGA = np.array([1 / 3, 4 / 3, 1 / 3])
 
@@ -129,8 +140,9 @@ class TestBounds:
         assert cond == pytest.approx(1.0, rel=1e-15)
         assert gamma == pytest.approx(1.0, rel=1e-12)
 
-    def test_cond_inf_identity(self):
-        assert cond_inf_upper(np.eye(4)) == 1.0
+    def test_cond_inf_simpson_exact(self):
+        # ||A||_inf = 3 (row 1 1 1), ||A^-1||_inf = 5/2 (row 1 -1 1/2)
+        assert cond_inf_upper(build_system(NodeSet((-1.0, 0.0, 1.0)))) == 7.5
 
     @pytest.mark.parametrize("family,n", family_cases(2, 12))
     def test_bound_chain(self, family, n):
@@ -138,6 +150,74 @@ class TestBounds:
         omega_bound, gamma, cond = bounds_omega_gamma(fs, sol.omega, sol.z_star)
         assert abs(fs.mu_Q) <= omega_bound + 1e-12
         assert 1.0 - 1e-10 <= gamma <= cond * (1.0 + 1e-10)
+
+
+#: node counts of the cond_inf accuracy check: dense up to 24, then sparse
+#: to the sweep limit (the exact reference costs O(n^2) big rationals)
+COND_NS = tuple(range(2, 25)) + (32, 40, 48, 56, 64)
+
+INVERSE_CASES = [
+    pytest.param(nodeset(fam, n), None, id=f"{fam.value}-{n}")
+    for fam, n in family_cases(1, 16)
+] + [
+    pytest.param(asymmetric_rational_nodes(seed), (Fraction(0), Fraction(2)),
+                 id=f"rational-0-2-seed{seed}")
+    for seed in (1, 2, 3)
+]
+
+COND_CASES = [
+    pytest.param(nodeset(fam, n), id=f"{fam.value}-{n}")
+    for fam in FAMILIES for n in COND_NS
+] + [
+    pytest.param(q.generate(q.FamilySpec(q.Family.GAUSS_LEGENDRE, n), q.Interval(2.0, 4.0)),
+                 id=f"gauss_legendre-{n}-(2,4)")
+    for n in COND_NS
+]
+
+
+class TestCondInf:
+    @pytest.mark.parametrize("nodes,interval", INVERSE_CASES)
+    def test_closed_form_inverse_is_exact(self, nodes, interval):
+        rr = rational_pipeline(nodes) if interval is None else rational_pipeline(nodes, interval)
+        n, A = len(rr.nodes), rr.A
+        inv = closed_form_inverse(rr.nodes)
+        for k in range(n):
+            assert not any(inv[k][:k]) and not any(A[k][:k])  # both upper-triangular
+            for j in range(k, n):
+                entry = sum((inv[k][i] * A[i][j] for i in range(k, j + 1)), Fraction(0))
+                assert entry == (1 if j == k else 0), (k, j)
+        norm_a = max(sum(abs(v) for v in row) for row in A)
+        norm_inv = max(sum(abs(v) for v in row) for row in inv)
+        assert norm_a * norm_inv == exact_cond_inf(rr.nodes)
+
+    @pytest.mark.parametrize("ns", COND_CASES)
+    def test_within_rounding_bound_of_exact(self, ns):
+        """|cond_inf_upper(fs) - cond| <= (4n+1) u cond, u = 2^-53.
+
+        To first order in u: each node difference t_k - t_m is one
+        rounding, the running product of at most n-1 differences adds at
+        most n-2 and the reciprocal one, so each term of a row sum of
+        |A^-1| is within (2n-2) u; summing at most n positive terms adds
+        (n-1) u, so ||A^-1||_inf is within (3n-3) u.  Each double entry of
+        A is its double-double value rounded once, within u of the exact
+        entry (the double-double error is O(n u^2)), and a row sum of n
+        nonnegative terms adds (n-1) u, so ||A||_inf is within n u.  The
+        final product adds u: (3n-3) + n + 1 = 4n - 2, and the (4n+1) u
+        bound leaves 3u for the second-order terms.  The maxima over rows
+        keep these relative bounds.
+        """
+        fs = build_system(ns, eps_deg=0.0)
+        exact = exact_cond_inf(ns.nodes)
+        err = abs(Fraction(cond_inf_upper(fs)) - exact)
+        assert err <= (4 * fs.n + 1) * Fraction(1, 2 ** 53) * exact
+
+    def test_underflowing_products_give_inf_without_warnings(self):
+        # 40 nodes 1e-10 apart: the products of node differences underflow,
+        # so the diagonal of A and the denominators of A^-1 are 0
+        fs = build_system(NodeSet(tuple(i * 1e-10 for i in range(40))), eps_deg=0.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cond_inf_upper(fs) == math.inf
 
 
 class TestFamilyShapes:

@@ -1,7 +1,9 @@
 import csv
+import gc
 import io
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -82,6 +84,18 @@ class TestAnalyze:
         assert code == 0
         rows = list(csv.DictReader(out.open(encoding="utf-8")))
         assert [r["error"] for r in rows] == ["eps_deg must be a finite number >= 0, got -1.0"] * 2
+
+    def test_residual_norms_on_a_wide_interval(self):
+        # |mu_Q| = 1.6e115: |r|^3 overflows unless the norm is scaled
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, text = run(["analyze", "--family", "nc", "--n", "20",
+                              "--interval", "0", "1e6", "--format", "text"])
+        assert code == 0
+        lines = dict(line.split(": ", 1) for line in text.splitlines() if ": " in line)
+        mu = abs(float(lines["mu_Q"]))
+        assert mu > 1e115
+        assert float(lines["r_omega_3"]) == pytest.approx(mu, rel=1e-12)
 
     def test_csv_round_trips(self):
         code, text = run(["analyze", "--family", "cc", "--n", "6", "--format", "csv"])
@@ -287,6 +301,29 @@ class TestIntegrate:
 
 
 class TestParser:
+    def test_repeated_calls_leave_no_cyclic_garbage(self, tmp_path):
+        # one parser per process: argparse's objects form reference cycles,
+        # which a parser per call would leave to the collector
+        argvs = [["sweep", "--family", fam, "--n-min", "2", "--n-max", "6",
+                  "--out", str(tmp_path / f"{fam}.csv")]
+                 for fam in ("nc", "fejer1", "cc", "gl")]
+        argvs += [["analyze", "--family", "gl", "--n", "5", "--format", fmt]
+                  for fmt in ("text", "csv", "json")]
+        for argv in argvs:  # the first pass fills caches and builds the parser
+            assert run(argv)[0] == 0
+        gc.collect()
+        flags = gc.get_debug()
+        gc.set_debug(gc.DEBUG_SAVEALL)  # keep what the collector finds
+        try:
+            for argv in argvs:
+                assert run(argv)[0] == 0
+            gc.collect()
+            garbage = [type(obj).__name__ for obj in gc.garbage]
+        finally:
+            gc.set_debug(flags)
+            gc.garbage.clear()
+        assert garbage == []
+
     def test_usage_error_exits_2(self):
         with pytest.raises(SystemExit) as exc:
             main(["analyze"])  # missing --family

@@ -89,7 +89,7 @@ class TestMinimaxSolution:
         for family, n in family_cases(1, 9):
             _, fs, sol = solved(family, n)
             norm_ainf = np.max(np.sum(np.abs(fs.A), axis=1))
-            bound = abs(fs.mu_Q) * cond_inf_upper(fs.A) / norm_ainf
+            bound = abs(fs.mu_Q) * cond_inf_upper(fs) / norm_ainf
             assert np.max(np.abs(sol.tau)) <= bound * (1 + 1e-12)
 
 

@@ -179,6 +179,16 @@ class TestResidualNorms:
     def test_requested_subset(self):
         assert set(residual_norms([1.0], (1, math.inf))) == {1, math.inf}
 
+    @pytest.mark.parametrize("scale", [pytest.param(2.0 ** 700, id="2^700"),
+                                       pytest.param(2.0 ** -700, id="2^-700")])
+    def test_no_overflow_or_underflow(self, scale):
+        # |r|^p would overflow (or flush to 0) unscaled; a 3-4-5 triangle
+        norms = residual_norms([0.0, 3.0 * scale, -4.0 * scale])
+        assert norms[1] == 7.0 * scale
+        assert norms[2] == 5.0 * scale
+        assert norms[3] == pytest.approx(91.0 ** (1 / 3) * scale, rel=1e-15)
+        assert norms[math.inf] == 4.0 * scale
+
     @pytest.mark.parametrize("family,n", family_cases(1, 12))
     def test_constant_norm_property(self, family, n):
         # every p-norm of r(omega) equals |mu_Q|
