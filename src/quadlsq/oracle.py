@@ -9,7 +9,13 @@ Four deliberately different routes to the same quantities:
 * ``degree_by_monomials`` -- degree of exactness straight from the
   definition, testing the rule against 1, x, x^2, ... monomial by monomial.
 * ``rational_pipeline`` -- the entire basis/system/weights/degree pipeline
-  re-run in exact arbitrary-precision rational arithmetic.
+  re-run in exact rational arithmetic, carried on Python integers: with D
+  the lcm of the node and endpoint denominators, X = D x puts every node on
+  an integer T_i, so the basis polynomials have integer coefficients in X,
+  each moment is an integer over L D^(j+1) (L = lcm(1..2n+1)), each entry
+  of A an integer over D^i, and each weight an integer over
+  L D prod_{m != k}(T_k - T_m).  Only the returned Fractions are reduced,
+  one gcd each.
 * ``direct_sis4_minimax`` -- the minimax solution from eliminating the full
   (n+1) x (n+1) system with the residual magnitude as an extra unknown,
   instead of the correction-vector route.
@@ -17,9 +23,18 @@ Four deliberately different routes to the same quantities:
 The oracle reads the pipeline's double-double store (``A_dd``,
 ``moments_dd``) or its doubles; only its arithmetic, the float-pair
 primitives of :mod:`quadlsq.ddouble`, is shared with the pipeline.
+
+The exact route also computes its quantities by other formulas than the
+pipeline, so that a wrong derivation cannot show up on both sides: moments
+from the monomial coefficients of each basis polynomial (the pipeline runs
+the modified-moment recurrence), A by Horner's rule on those coefficients
+(the pipeline multiplies running node differences), and the weights by
+integrating each Lagrange polynomial (the pipeline solves A w = c by
+backward substitution).
 """
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -40,9 +55,9 @@ _MAGNITUDE_LIMIT = 2 ** 63
 def _as_fraction(value):
     """Exact Fraction from an int, Fraction, string, (num, den) pair or float.
 
-    Floats are converted exactly (every finite double is a binary rational);
-    the resulting numerator/denominator must stay below 2**63 in magnitude,
-    which every node family in scope satisfies.
+    Floats are converted exactly, whatever their exponent: every finite
+    double is a binary rational.  The other forms must give a numerator and
+    denominator below 2**63 in magnitude.
     """
     if isinstance(value, Fraction):
         f = value
@@ -56,7 +71,7 @@ def _as_fraction(value):
     elif isinstance(value, tuple) and len(value) == 2:
         f = Fraction(value[0], value[1])
     elif isinstance(value, float):
-        f = Fraction(value)
+        return Fraction(value)
     else:
         raise ValueError(f"irrational nodes: unsupported node spec {value!r}")
     if abs(f.numerator) >= _MAGNITUDE_LIMIT or f.denominator >= _MAGNITUDE_LIMIT:
@@ -64,30 +79,19 @@ def _as_fraction(value):
     return f
 
 
-def _rat_mul_linear(coeffs, root):
-    out = [Fraction(0)] * (len(coeffs) + 1)
+def _mul_linear(coeffs, root):
+    """Ascending integer coefficients of p(X) * (X - root)."""
+    out = [0, *coeffs]
     for k, c in enumerate(coeffs):
         out[k] -= root * c
-        out[k + 1] += c
     return out
 
 
-def _rat_eval(coeffs, x):
-    acc = Fraction(0)
+def _horner(coeffs, x):
+    acc = 0
     for c in reversed(coeffs):
         acc = acc * x + c
     return acc
-
-
-def _rat_integrate(coeffs, a, b):
-    total = Fraction(0)
-    pa, pb = Fraction(1), Fraction(1)
-    for k, c in enumerate(coeffs):
-        pa *= a
-        pb *= b
-        if c:
-            total += c * (pb - pa) / (k + 1)
-    return total
 
 
 @dataclass(frozen=True, eq=False)
@@ -123,36 +127,63 @@ def rational_pipeline(nodes, interval=(Fraction(-1), Fraction(1))):
     a, b = _as_fraction(interval[0]), _as_fraction(interval[1])
     n = len(ts)
 
-    phis = [[Fraction(1)]]
+    # Scaled integers: X = D x puts every node and endpoint on the integers.
+    D = math.lcm(a.denominator, b.denominator, *(t.denominator for t in ts))
+    T = [t.numerator * (D // t.denominator) for t in ts]
+    lo, hi = a.numerator * (D // a.denominator), b.numerator * (D // b.denominator)
+    # S[k] = L/(k+1) * (hi^(k+1) - lo^(k+1)), so that for an integer
+    # polynomial p of degree j in X, the integral of p(Dx) over (a, b)
+    # is sum_k p_k S[k] / (L D^(j+1)); p(Dx) = D^j phi_j(x) for the basis.
+    L = math.lcm(*range(1, 2 * n + 2))
+    S = []
+    pa = pb = 1
+    for k in range(1, 2 * n + 2):
+        pa *= lo
+        pb *= hi
+        S.append(L // k * (pb - pa))
+    D_pow = [1]
+    for _ in range(2 * n + 1):
+        D_pow.append(D_pow[-1] * D)
+
+    phis = [[1]]
     for j in range(1, n):
-        phis.append(_rat_mul_linear(phis[-1], ts[j - 1]))
-    qs = [_rat_mul_linear(phis[-1], ts[n - 1])]
+        phis.append(_mul_linear(phis[-1], T[j - 1]))
+    qs = [_mul_linear(phis[-1], T[n - 1])]
     for j in range(n + 1, 2 * n + 1):
         r = j % n or n
-        qs.append(_rat_mul_linear(qs[-1], ts[r - 1]))
+        qs.append(_mul_linear(qs[-1], T[r - 1]))
 
-    mom = [_rat_integrate(p, a, b) for p in phis]
-    ext = [_rat_integrate(q, a, b) for q in qs]
+    moments = [Fraction(sum(map(operator.mul, p, S)), L * D_pow[j + 1])
+               for j, p in enumerate(phis + qs)]
+    mom, ext = moments[:n], moments[n:]
     degree = mu_q = None
     for i, m in enumerate(ext):
         if m != 0:
             degree, mu_q = n + i - 1, m
             break
 
-    A = [[_rat_eval(phis[i], ts[j]) if j >= i else Fraction(0) for j in range(n)]
+    zero = Fraction(0)
+    A = [[Fraction(_horner(phis[i], T[j]), D_pow[i]) if j >= i else zero
+          for j in range(n)]
          for i in range(n)]
-    w = [Fraction(0)] * n
-    for i in range(n - 1, -1, -1):
-        s = mom[i]
-        for j in range(i + 1, n):
-            s -= A[i][j] * w[j]
-        w[i] = s / A[i][i]
+    # Lagrange weights: l_k(x) = r_k(X) / prod_{m != k} (T_k - T_m), where
+    # r_k = prod_m (X - T_m) / (X - T_k) by synthetic division.
+    ell = qs[0]
+    w = []
+    for k, tk in enumerate(T):
+        r = [0] * n
+        r[n - 1] = acc = ell[n]
+        for i in range(n - 1, 0, -1):
+            acc = ell[i] + tk * acc
+            r[i - 1] = acc
+        scale = math.prod(tk - tm for m, tm in enumerate(T) if m != k)
+        w.append(Fraction(sum(map(operator.mul, r, S)), L * D * scale))
 
     return RationalRule(
         nodes=tuple(ts),
         A=tuple(tuple(row) for row in A),
         c=tuple(mom),
-        moments=tuple(mom) + tuple(ext),
+        moments=tuple(moments),
         mu_Q=mu_q,
         degree=degree,
         weights=tuple(w),

@@ -404,6 +404,8 @@ def residual_norms(r, p_list=(1, 2, 3, math.inf)):
     for p in p_list:
         if p == math.inf:
             out[p] = top
+        elif p == 2:  # math.sqrt is correctly rounded, s ** 0.5 (libm pow) is not
+            out[p] = float(np.ldexp(math.sqrt(np.sum(scaled ** 2)), e))
         else:
             out[p] = float(np.ldexp(np.sum(scaled ** p) ** (1.0 / p), e))
     return out

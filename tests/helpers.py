@@ -1,6 +1,7 @@
 """Shared helpers: cached rule construction across the four families, exact
-rational references for the diagnostics, and the frozen scalar-DD reference
-route for the float-pair kernels."""
+rational references for the diagnostics, the frozen Fraction route of the
+exact oracle, and the frozen scalar-DD reference route for the float-pair
+kernels."""
 
 import math
 import random
@@ -9,6 +10,8 @@ from fractions import Fraction
 from functools import lru_cache
 
 import quadlsq as q
+from quadlsq.basis import NodeSet
+from quadlsq.oracle import RationalRule, _as_fraction
 
 FAMILIES = (
     q.Family.NEWTON_COTES,
@@ -130,6 +133,97 @@ def asymmetric_rational_nodes(seed, n=24):
         centre = Fraction(2 * k + 1, n) + Fraction(rng.randint(-40, 40), 100 * n)
         out.append(Fraction(round(centre * den), den))
     return out
+
+
+# ---------------------------------------------------------------------------
+# Frozen reference route for the exact oracle
+#
+# ``ref_rational_pipeline`` is ``quadlsq.rational_pipeline`` as it was before
+# its arithmetic moved onto scaled integers: Fraction polynomials, Fraction
+# Horner for A and a Fraction backward substitution for the weights.  The
+# integer route must return the same Fractions, field for field.
+# ---------------------------------------------------------------------------
+
+def _ref_rat_mul_linear(coeffs, root):
+    out = [Fraction(0)] * (len(coeffs) + 1)
+    for k, c in enumerate(coeffs):
+        out[k] -= root * c
+        out[k + 1] += c
+    return out
+
+
+def _ref_rat_eval(coeffs, x):
+    acc = Fraction(0)
+    for c in reversed(coeffs):
+        acc = acc * x + c
+    return acc
+
+
+def _ref_rat_integrate(coeffs, a, b):
+    total = Fraction(0)
+    pa, pb = Fraction(1), Fraction(1)
+    for k, c in enumerate(coeffs):
+        pa *= a
+        pb *= b
+        if c:
+            total += c * (pb - pa) / (k + 1)
+    return total
+
+
+def ref_rational_pipeline(nodes, interval=(Fraction(-1), Fraction(1))):
+    """Run basis construction, degree detection and the weight solve exactly.
+
+    ``nodes`` may be a :class:`NodeSet` (its doubles are interpreted as the
+    exact binary rationals they are) or a sequence of ints, Fractions,
+    ``num/den`` / decimal strings, ``(num, den)`` pairs or floats.  Degree
+    detection uses exact zero tests, so feeding rounded nodes of an
+    irrational family verifies the floating pipeline on those exact inputs,
+    not the ideal rule.
+    """
+    if isinstance(nodes, NodeSet):
+        interval = (Fraction(nodes.interval.a), Fraction(nodes.interval.b))
+        nodes = nodes.nodes
+    ts = [_as_fraction(t) for t in nodes]
+    for x, y in zip(ts, ts[1:]):
+        if not x < y:
+            raise ValueError(f"unordered nodes: {x} !< {y}")
+    a, b = _as_fraction(interval[0]), _as_fraction(interval[1])
+    n = len(ts)
+
+    phis = [[Fraction(1)]]
+    for j in range(1, n):
+        phis.append(_ref_rat_mul_linear(phis[-1], ts[j - 1]))
+    qs = [_ref_rat_mul_linear(phis[-1], ts[n - 1])]
+    for j in range(n + 1, 2 * n + 1):
+        r = j % n or n
+        qs.append(_ref_rat_mul_linear(qs[-1], ts[r - 1]))
+
+    mom = [_ref_rat_integrate(p, a, b) for p in phis]
+    ext = [_ref_rat_integrate(q, a, b) for q in qs]
+    degree = mu_q = None
+    for i, m in enumerate(ext):
+        if m != 0:
+            degree, mu_q = n + i - 1, m
+            break
+
+    A = [[_ref_rat_eval(phis[i], ts[j]) if j >= i else Fraction(0) for j in range(n)]
+         for i in range(n)]
+    w = [Fraction(0)] * n
+    for i in range(n - 1, -1, -1):
+        s = mom[i]
+        for j in range(i + 1, n):
+            s -= A[i][j] * w[j]
+        w[i] = s / A[i][i]
+
+    return RationalRule(
+        nodes=tuple(ts),
+        A=tuple(tuple(row) for row in A),
+        c=tuple(mom),
+        moments=tuple(mom) + tuple(ext),
+        mu_Q=mu_q,
+        degree=degree,
+        weights=tuple(w),
+    )
 
 
 # ---------------------------------------------------------------------------

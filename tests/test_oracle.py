@@ -1,8 +1,14 @@
+import importlib.util
+import json
 import math
 from fractions import Fraction
+from functools import lru_cache
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import quadlsq as q
 from quadlsq import (
@@ -17,7 +23,13 @@ from quadlsq import (
 )
 from quadlsq.oracle import _solve_dense
 
-from helpers import family_cases, nodeset, solved
+from helpers import (
+    asymmetric_rational_nodes,
+    family_cases,
+    nodeset,
+    ref_rational_pipeline,
+    solved,
+)
 
 SIMPSON = NodeSet((-1.0, 0.0, 1.0))
 
@@ -160,10 +172,99 @@ class TestRationalPipeline:
         with pytest.raises(ValueError, match="irrational nodes"):
             rational_pipeline([Fraction(1, 2 ** 64), Fraction(1, 2)])
 
+    def test_small_double_nodes_are_binary_rationals(self):
+        # 1e-4 is m / 2^66 exactly: a double, whatever its exponent, is a
+        # valid node, as it is for the float pipeline
+        rr = rational_pipeline(NodeSet((-1.0, 1e-4, 1.0)))
+        assert rr.nodes[1] == Fraction(1e-4)
+        assert sum(rr.weights) == 2
+
     def test_general_interval(self):
         rr = rational_pipeline([0, 1, 2], interval=(0, 2))
         assert sum(rr.weights) == 2
         assert rr.weights == (Fraction(1, 3), Fraction(4, 3), Fraction(1, 3))
+
+
+def _assert_same_rule(ns_or_nodes, *interval):
+    got = rational_pipeline(ns_or_nodes, *interval)
+    want = ref_rational_pipeline(ns_or_nodes, *interval)
+    for field in ("nodes", "A", "c", "moments", "mu_Q", "degree", "weights"):
+        assert getattr(got, field) == getattr(want, field), field
+    entries = (*got.nodes, *got.moments, *got.weights, *(v for row in got.A for v in row))
+    assert all(type(v) is Fraction for v in entries)
+
+
+_INTERVALS = (None, q.Interval(2.0, 4.0))
+
+_NON_DYADIC = st.fractions(-12, 12, max_denominator=1000).filter(
+    lambda f: f.denominator & (f.denominator - 1))
+
+
+class TestIntegerRoute:
+    """``rational_pipeline`` on scaled integers against the frozen Fraction
+    route of ``helpers.ref_rational_pipeline``: the same Fractions."""
+
+    @pytest.mark.parametrize("interval", _INTERVALS, ids=["(-1,1)", "(2,4)"])
+    @pytest.mark.parametrize("family,n", family_cases(1, 24))
+    def test_families_match_frozen_route(self, family, n, interval):
+        _assert_same_rule(q.generate(q.FamilySpec(family, n), interval))
+
+    @pytest.mark.parametrize("seed", (1, 2, 3))
+    def test_asymmetric_rational_nodes_match_frozen_route(self, seed):
+        nodes = asymmetric_rational_nodes(seed)
+        _assert_same_rule(nodes, (0, 2))
+        _assert_same_rule(NodeSet(tuple(float(t) for t in nodes), q.Interval(0.0, 2.0)))
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        nodes=st.lists(_NON_DYADIC, min_size=1, max_size=10, unique=True),
+        a=st.fractions(-8, 8, max_denominator=60),
+        length=st.fractions(Fraction(1, 8), 6, max_denominator=60),
+    )
+    def test_random_rationals_match_frozen_route(self, nodes, a, length):
+        # intervals anywhere in (-8, 14): negative, shifted or around 0
+        _assert_same_rule(sorted(nodes), (a, a + length))
+
+    @pytest.mark.parametrize("n", range(2, 65))
+    def test_weights_solve_the_system_exactly(self, n):
+        # Lagrange weights, unlike a backward substitution, are not A w = c
+        # by construction; the exact Newton-Cotes nodes -1 + 2k/(n-1)
+        rr = rational_pipeline([Fraction(2 * k, n - 1) - 1 for k in range(n)])
+        for i, (row, c) in enumerate(zip(rr.A, rr.c)):
+            assert sum(a * w for a, w in zip(row[i:], rr.weights[i:])) == c
+
+
+_PERFBENCH_REFERENCE = Path(__file__).resolve().parent.parent / "perfbench" / "reference.py"
+
+
+@lru_cache(maxsize=None)
+def _benchmark_reference():
+    """The benchmark's ``reference`` module, loaded from its file, and the
+    entries it cached in ``reference.json``; neither is written."""
+    spec = importlib.util.spec_from_file_location("perfbench_reference", _PERFBENCH_REFERENCE)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module, json.loads(module.CACHE.read_text(encoding="utf-8"))["rules"]
+
+
+class TestCachedBenchmarkReferences:
+    """``rational_pipeline`` reproduces the benchmark's cached exact
+    references: an entry holds the hash of the nodes, the degree, and mu_Q,
+    the weights and their 1-norm each rounded once.  Only the entries whose
+    nodes do not depend on libm: Newton-Cotes and the custom pool (decimal
+    rationals rounded once)."""
+
+    @pytest.mark.parametrize("n", range(2, 65))
+    def test_newton_cotes(self, n):
+        ref, cached = _benchmark_reference()
+        assert ref.family_reference(q, "newton_cotes", n) == cached[f"newton_cotes/{n}"]
+
+    def test_custom_pool(self):
+        ref, cached = _benchmark_reference()
+        pool = ref.custom_pool()
+        assert len(pool) == 176
+        for key, nodes in pool.items():
+            assert ref.exact_reference(q, ref.custom_nodeset(q, nodes)) == cached[key], key
 
 
 class TestDirectMinimax:

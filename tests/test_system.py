@@ -167,6 +167,25 @@ class TestResidual:
             residual(fs, [1.0, 2.0])
 
 
+def _sqrt_correctly_rounded(s):
+    """sqrt(s) rounded to the nearest double (ties to even), s an int >= 0.
+
+    r = isqrt(s 4^k) = floor(sqrt(s) 2^k) carries at least 55 bits; the
+    bits below the 53 kept, plus whether the root is inexact, decide the
+    rounding.
+    """
+    if s == 0:
+        return 0.0
+    k = max(0, (112 - s.bit_length()) // 2)
+    r = math.isqrt(s << 2 * k)
+    inexact = r * r != s << 2 * k
+    drop = r.bit_length() - 53
+    top, rest, half = r >> drop, r & ((1 << drop) - 1), 1 << (drop - 1)
+    if rest > half or (rest == half and (inexact or top & 1)):
+        top += 1
+    return math.ldexp(top, drop - k)
+
+
 class TestResidualNorms:
     def test_constant_residual_vector(self):
         norms = residual_norms([0.0, 0.0, 0.0, 4.0 / 15.0])
@@ -188,6 +207,20 @@ class TestResidualNorms:
         assert norms[2] == 5.0 * scale
         assert norms[3] == pytest.approx(91.0 ** (1 / 3) * scale, rel=1e-15)
         assert norms[math.inf] == 4.0 * scale
+
+    def test_two_norm_is_correctly_rounded(self):
+        # Integer components with an exact double sum of squares S, so the
+        # norm's one rounding is the square root's.  libm pow(S, 0.5) rounds
+        # the first five wrongly; each is a 2-vector below 2^26.
+        rng = random.Random(2)
+        cases = [(53540181, 46644076), (51611239, 14022077), (66225355, 26654041),
+                 (43289070, 21153567), (16938248, 58342701)] + [
+            tuple(rng.randrange(2 ** 25) for _ in range(rng.randint(1, 8)))
+            for _ in range(2000)
+        ]
+        for ks in cases:
+            norm = residual_norms([float(k) for k in ks], (2,))[2]
+            assert norm == _sqrt_correctly_rounded(sum(k * k for k in ks)), ks
 
     @pytest.mark.parametrize("family,n", family_cases(1, 12))
     def test_constant_norm_property(self, family, n):
