@@ -5,7 +5,8 @@ Four deliberately different routes to the same quantities:
 * ``lsq_normal_equations`` -- least squares through the explicit normal
   system F^T F y = F^T c, solved by dense elimination.  Verification only:
   it squares the conditioning of A, which is exactly why the triangular
-  route is the production path.
+  route is the production path.  The Gram matrix is symmetric, so only its
+  upper triangle is formed, and iterative refinement stops at a fixed point.
 * ``degree_by_monomials`` -- degree of exactness straight from the
   definition, testing the rule against 1, x, x^2, ... monomial by monomial.
 * ``rational_pipeline`` -- the entire basis/system/weights/degree pipeline
@@ -14,8 +15,11 @@ Four deliberately different routes to the same quantities:
   an integer T_i, so the basis polynomials have integer coefficients in X,
   each moment is an integer over L D^(j+1) (L = lcm(1..2n+1)), each entry
   of A an integer over D^i, and each weight an integer over
-  L D prod_{m != k}(T_k - T_m).  Only the returned Fractions are reduced,
-  one gcd each.
+  L D prod_{m != k}(T_k - T_m).  The degree and mu_Q come from zero tests
+  on integer numerators, so the extension q_n, q_{n+1}, ... is built only
+  up to the first nonzero moment, and only mu_Q and the weights are reduced
+  to Fractions, one gcd each.  A, c and the moments are built, and reduced,
+  when first read.
 * ``direct_sis4_minimax`` -- the minimax solution from eliminating the full
   (n+1) x (n+1) system with the residual magnitude as an extra unknown,
   instead of the correction-vector route.
@@ -37,6 +41,8 @@ import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+from itertools import chain, islice
 
 import numpy as np
 
@@ -44,8 +50,6 @@ from .basis import NodeSet
 from .ddouble import dd_add, dd_mul, dd_mul_d
 from .errors import SingularSystemError
 from .system import _checked_eps_deg, _default_eps_deg
-
-_MAGNITUDE_LIMIT = 2 ** 63
 
 
 # ---------------------------------------------------------------------------
@@ -56,27 +60,36 @@ def _as_fraction(value):
     """Exact Fraction from an int, Fraction, string, (num, den) pair or float.
 
     Floats are converted exactly, whatever their exponent: every finite
-    double is a binary rational.  The other forms must give a numerator and
-    denominator below 2**63 in magnitude.
+    double is a binary rational.  The other forms may need integers of any
+    size.
     """
     if isinstance(value, Fraction):
-        f = value
-    elif isinstance(value, int):
-        f = Fraction(value)
-    elif isinstance(value, str):
+        return value
+    if isinstance(value, int):
+        return Fraction(value)
+    if isinstance(value, str):
         try:
-            f = Fraction(value)
+            return Fraction(value)
         except (ValueError, ZeroDivisionError):
             raise ValueError(f"irrational nodes: cannot parse {value!r}") from None
-    elif isinstance(value, tuple) and len(value) == 2:
-        f = Fraction(value[0], value[1])
-    elif isinstance(value, float):
+    if isinstance(value, tuple) and len(value) == 2:
+        return Fraction(value[0], value[1])
+    if isinstance(value, float):
+        if not math.isfinite(value):
+            raise ValueError(f"non-finite node: {value!r}")
         return Fraction(value)
-    else:
-        raise ValueError(f"irrational nodes: unsupported node spec {value!r}")
-    if abs(f.numerator) >= _MAGNITUDE_LIMIT or f.denominator >= _MAGNITUDE_LIMIT:
-        raise ValueError(f"irrational nodes: {value!r} needs integers >= 2**63")
-    return f
+    raise ValueError(f"irrational nodes: unsupported node spec {value!r}")
+
+
+def _as_interval(interval):
+    """(a, b) as Fractions, checked as :class:`quadlsq.Interval` checks it."""
+    a, b = interval
+    if not all(math.isfinite(e) for e in interval if isinstance(e, float)):
+        raise ValueError(f"non-finite interval: ({a}, {b})")
+    fa, fb = _as_fraction(a), _as_fraction(b)
+    if not fa < fb:
+        raise ValueError(f"invalid interval: need a < b, got ({a}, {b})")
+    return fa, fb
 
 
 def _mul_linear(coeffs, root):
@@ -94,17 +107,76 @@ def _horner(coeffs, x):
     return acc
 
 
+def _scaled(nodes, a, b):
+    """(D, T, L, S) for rational nodes on (a, b).
+
+    X = D x puts every node and endpoint on the integers: D is the lcm of
+    their denominators and T_i = D t_i.  S[k] = L/(k+1) (hi^(k+1) -
+    lo^(k+1)) with L = lcm(1..2n+1) and lo, hi = D a, D b, so that for an
+    integer polynomial p of degree j in X, the integral of p(Dx) over
+    (a, b) is sum_k p_k S[k] / (L D^(j+1)); p(Dx) = D^j phi_j(x) for the
+    basis.
+    """
+    D = math.lcm(a.denominator, b.denominator, *(t.denominator for t in nodes))
+    T = [t.numerator * (D // t.denominator) for t in nodes]
+    lo, hi = a.numerator * (D // a.denominator), b.numerator * (D // b.denominator)
+    L = math.lcm(*range(1, 2 * len(T) + 2))
+    S = []
+    pa = pb = 1
+    for k in range(1, 2 * len(T) + 2):
+        pa *= lo
+        pb *= hi
+        S.append(L // k * (pb - pa))
+    return D, T, L, S
+
+
+def _basis(T):
+    """Integer coefficients in X of phi_0..phi_{n-1}, then q_n..q_{2n}.
+
+    Each polynomial is the one before times (X - T_r), r running through
+    the nodes twice, and is built only when the caller asks for it.
+    """
+    p = [1]
+    yield p
+    for t in chain(T, T):
+        p = _mul_linear(p, t)
+        yield p
+
+
 @dataclass(frozen=True, eq=False)
 class RationalRule:
-    """Exact analysis of a rule with rational nodes; all entries Fractions."""
+    """Exact analysis of a rule with rational nodes; all entries Fractions.
+
+    ``interval`` is (a, b).  ``A``, ``c`` and ``moments`` (mu_0 .. mu_{2n})
+    are built from the nodes and the interval on first read, and cached;
+    the degree, mu_Q and the weights do not need them.
+    """
 
     nodes: tuple
-    A: tuple
-    c: tuple
-    moments: tuple       # mu_0 .. mu_{2n}
+    interval: tuple
     mu_Q: Fraction
     degree: int
     weights: tuple
+
+    @cached_property
+    def A(self):
+        """A[i][j] = phi_i(t_j), zero below the diagonal: Horner's rule on
+        the coefficients of phi_i."""
+        D, T, _, _ = _scaled(self.nodes, *self.interval)
+        n, zero = len(T), Fraction(0)
+        return tuple(
+            tuple(Fraction(_horner(phi, T[j]), D ** i) if j >= i else zero for j in range(n))
+            for i, phi in enumerate(islice(_basis(T), n)))
+
+    @cached_property
+    def moments(self):
+        D, T, L, S = _scaled(self.nodes, *self.interval)
+        return tuple(Fraction(sum(map(operator.mul, p, S)), L * D ** len(p))
+                     for p in _basis(T))
+
+    @cached_property
+    def c(self):
+        return self.moments[:len(self.nodes)]
 
 
 def rational_pipeline(nodes, interval=(Fraction(-1), Fraction(1))):
@@ -115,60 +187,34 @@ def rational_pipeline(nodes, interval=(Fraction(-1), Fraction(1))):
     ``num/den`` / decimal strings, ``(num, den)`` pairs or floats.  Degree
     detection uses exact zero tests, so feeding rounded nodes of an
     irrational family verifies the floating pipeline on those exact inputs,
-    not the ideal rule.
+    not the ideal rule.  Inputs that :class:`NodeSet` or
+    :class:`quadlsq.Interval` reject raise the same ``ValueError``.
     """
     if isinstance(nodes, NodeSet):
-        interval = (Fraction(nodes.interval.a), Fraction(nodes.interval.b))
+        interval = (nodes.interval.a, nodes.interval.b)
         nodes = nodes.nodes
-    ts = [_as_fraction(t) for t in nodes]
+    ts = tuple(_as_fraction(t) for t in nodes)
+    if not ts:
+        raise ValueError("a rule needs at least one node")
     for x, y in zip(ts, ts[1:]):
         if not x < y:
             raise ValueError(f"unordered nodes: {x} !< {y}")
-    a, b = _as_fraction(interval[0]), _as_fraction(interval[1])
+    a, b = _as_interval(interval)
     n = len(ts)
+    D, T, L, S = _scaled(ts, a, b)
 
-    # Scaled integers: X = D x puts every node and endpoint on the integers.
-    D = math.lcm(a.denominator, b.denominator, *(t.denominator for t in ts))
-    T = [t.numerator * (D // t.denominator) for t in ts]
-    lo, hi = a.numerator * (D // a.denominator), b.numerator * (D // b.denominator)
-    # S[k] = L/(k+1) * (hi^(k+1) - lo^(k+1)), so that for an integer
-    # polynomial p of degree j in X, the integral of p(Dx) over (a, b)
-    # is sum_k p_k S[k] / (L D^(j+1)); p(Dx) = D^j phi_j(x) for the basis.
-    L = math.lcm(*range(1, 2 * n + 2))
-    S = []
-    pa = pb = 1
-    for k in range(1, 2 * n + 2):
-        pa *= lo
-        pb *= hi
-        S.append(L // k * (pb - pa))
-    D_pow = [1]
-    for _ in range(2 * n + 1):
-        D_pow.append(D_pow[-1] * D)
-
-    phis = [[1]]
-    for j in range(1, n):
-        phis.append(_mul_linear(phis[-1], T[j - 1]))
-    qs = [_mul_linear(phis[-1], T[n - 1])]
-    for j in range(n + 1, 2 * n + 1):
-        r = j % n or n
-        qs.append(_mul_linear(qs[-1], T[r - 1]))
-
-    moments = [Fraction(sum(map(operator.mul, p, S)), L * D_pow[j + 1])
-               for j, p in enumerate(phis + qs)]
-    mom, ext = moments[:n], moments[n:]
-    degree = mu_q = None
-    for i, m in enumerate(ext):
-        if m != 0:
-            degree, mu_q = n + i - 1, m
+    # Degree and mu_Q from the first q_j, j >= n, whose integral has a
+    # nonzero numerator; q_2n = ell^2 integrates to a positive number.
+    polys = _basis(T)
+    ell = next(islice(polys, n, None))    # q_n = prod_m (X - T_m)
+    for j, q in enumerate(chain([ell], polys), start=n):
+        num = sum(map(operator.mul, q, S))
+        if num:
             break
+    mu_q = Fraction(num, L * D ** (j + 1))
 
-    zero = Fraction(0)
-    A = [[Fraction(_horner(phis[i], T[j]), D_pow[i]) if j >= i else zero
-          for j in range(n)]
-         for i in range(n)]
     # Lagrange weights: l_k(x) = r_k(X) / prod_{m != k} (T_k - T_m), where
     # r_k = prod_m (X - T_m) / (X - T_k) by synthetic division.
-    ell = qs[0]
     w = []
     for k, tk in enumerate(T):
         r = [0] * n
@@ -179,15 +225,8 @@ def rational_pipeline(nodes, interval=(Fraction(-1), Fraction(1))):
         scale = math.prod(tk - tm for m, tm in enumerate(T) if m != k)
         w.append(Fraction(sum(map(operator.mul, r, S)), L * D * scale))
 
-    return RationalRule(
-        nodes=tuple(ts),
-        A=tuple(tuple(row) for row in A),
-        c=tuple(mom),
-        moments=tuple(moments),
-        mu_Q=mu_q,
-        degree=degree,
-        weights=tuple(w),
-    )
+    return RationalRule(nodes=ts, interval=(a, b), mu_Q=mu_q, degree=j - 1,
+                        weights=tuple(w))
 
 
 # ---------------------------------------------------------------------------
@@ -239,11 +278,19 @@ def lsq_normal_equations(fs):
     conditioning of the normal equations from eating the whole double
     mantissa near n = 12 (plain elimination lands around 1e-7 there).
     Column j of F is nonzero in rows 0..j only, so each dot product runs
-    over those terms, in row order.
+    over those terms, in row order.  Only the upper triangle of the Gram
+    matrix is computed and mirrored: the two-product of ``dd_mul`` is exact
+    on both of its branches, so x.y and y.x give the same bits.  Refinement
+    takes at most three steps and stops early at a fixed point, once a step
+    leaves every bit of the iterate unchanged: each later step would
+    compute the same residual and return the same iterate again.
     """
     n, rows = fs.n, fs.A_dd
     cols = [[rows[k][j - k] for k in range(j + 1)] for j in range(n)]
-    gram_dd = [[_dot(ci, cj) for cj in cols] for ci in cols]
+    gram_dd = [[None] * n for _ in range(n)]
+    for i, ci in enumerate(cols):
+        for j in range(i, n):
+            gram_dd[i][j] = gram_dd[j][i] = _dot(ci, cols[j])
     rhs_dd = [_dot(ci, fs.moments_dd) for ci in cols]
     gram = np.array([h + l for row in gram_dd for h, l in row]).reshape(n, n)
     rhs = np.array([h + l for h, l in rhs_dd])
@@ -263,7 +310,11 @@ def lsq_normal_equations(fs):
         resid = np.array(resid)
         if not np.any(resid):
             break
-        y = y + _lu_solve(lu, piv, resid)
+        # tobytes, not ==: a step that only flips the sign of a zero is
+        # not a fixed point
+        y, y_prev = y + _lu_solve(lu, piv, resid), y
+        if y.tobytes() == y_prev.tobytes():
+            break
     return y
 
 

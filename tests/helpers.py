@@ -8,10 +8,11 @@ import random
 import struct
 from fractions import Fraction
 from functools import lru_cache
+from types import SimpleNamespace
 
 import quadlsq as q
 from quadlsq.basis import NodeSet
-from quadlsq.oracle import RationalRule, _as_fraction
+from quadlsq.oracle import _as_fraction
 
 FAMILIES = (
     q.Family.NEWTON_COTES,
@@ -141,7 +142,9 @@ def asymmetric_rational_nodes(seed, n=24):
 # ``ref_rational_pipeline`` is ``quadlsq.rational_pipeline`` as it was before
 # its arithmetic moved onto scaled integers: Fraction polynomials, Fraction
 # Horner for A and a Fraction backward substitution for the weights.  The
-# integer route must return the same Fractions, field for field.
+# integer route must return the same Fractions, field for field.  It returns
+# a plain record of the seven fields, all computed eagerly, since
+# ``RationalRule`` now builds ``A``, ``c`` and ``moments`` when first read.
 # ---------------------------------------------------------------------------
 
 def _ref_rat_mul_linear(coeffs, root):
@@ -215,7 +218,7 @@ def ref_rational_pipeline(nodes, interval=(Fraction(-1), Fraction(1))):
             s -= A[i][j] * w[j]
         w[i] = s / A[i][i]
 
-    return RationalRule(
+    return SimpleNamespace(
         nodes=tuple(ts),
         A=tuple(tuple(row) for row in A),
         c=tuple(mom),

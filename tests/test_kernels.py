@@ -220,6 +220,10 @@ ORACLE_CASES = [
     pytest.param(q.generate(q.FamilySpec(fam, n), q.Interval(*iv)),
                  id=f"{fam.value}-{n}-({iv[0]:g},{iv[1]:g})")
     for fam in FAMILIES for n in (1, 2, 3, 9, 16, 24) if n >= MIN_N[fam] for iv in _INTERVALS
+] + [
+    pytest.param(q.NodeSet(tuple(float(t) for t in asymmetric_rational_nodes(1, n)),
+                           q.Interval(0.0, 2.0)), id=f"rational-0-2-n{n}")
+    for n in (6, 12, 18)
 ] + PIPELINE_CASES[-3:]
 
 

@@ -168,9 +168,31 @@ class TestRationalPipeline:
         with pytest.raises(ValueError, match="irrational nodes"):
             rational_pipeline(["pi", "1"])
 
-    def test_magnitude_guard(self):
-        with pytest.raises(ValueError, match="irrational nodes"):
-            rational_pipeline([Fraction(1, 2 ** 64), Fraction(1, 2)])
+    def test_exact_nodes_of_any_size(self):
+        # 1/2^64 needs a denominator beyond 2^63: an exact node of any size
+        # is a rational, as a double of any exponent is
+        for nodes in ([Fraction(1, 2 ** 64), Fraction(1, 2)],
+                      [f"1/{2 ** 64}", "1/2"],
+                      [(1, 2 ** 64), (1, 2)]):
+            _assert_same_rule(nodes)
+
+    def test_empty_rejected(self):
+        assert _message(rational_pipeline, []) == _message(NodeSet, ())
+
+    def test_degenerate_interval_rejected(self):
+        assert _message(rational_pipeline, [0, 1], (1.0, 1.0)) == _message(q.Interval, 1.0, 1.0)
+        with pytest.raises(ValueError, match=r"invalid interval: need a < b, got \(1, 1\)"):
+            rational_pipeline([0, 1], (1, 1))
+
+    def test_reversed_interval_rejected(self):
+        assert _message(rational_pipeline, [0, 1], (2.0, -2.0)) == _message(q.Interval, 2.0, -2.0)
+        with pytest.raises(ValueError, match=r"invalid interval: need a < b, got \(2, -2\)"):
+            rational_pipeline([0, 1], (2, -2))
+
+    def test_non_finite_rejected(self):
+        assert _message(rational_pipeline, [0.0, math.inf]) == _message(NodeSet, (0.0, math.inf))
+        assert (_message(rational_pipeline, [0, 1], (0.0, math.nan))
+                == _message(q.Interval, 0.0, math.nan))
 
     def test_small_double_nodes_are_binary_rationals(self):
         # 1e-4 is m / 2^66 exactly: a double, whatever its exponent, is a
@@ -183,6 +205,13 @@ class TestRationalPipeline:
         rr = rational_pipeline([0, 1, 2], interval=(0, 2))
         assert sum(rr.weights) == 2
         assert rr.weights == (Fraction(1, 3), Fraction(4, 3), Fraction(1, 3))
+
+
+def _message(fn, *args):
+    """The message of the ValueError that ``fn(*args)`` raises."""
+    with pytest.raises(ValueError) as info:
+        fn(*args)
+    return str(info.value)
 
 
 def _assert_same_rule(ns_or_nodes, *interval):
@@ -232,6 +261,32 @@ class TestIntegerRoute:
         rr = rational_pipeline([Fraction(2 * k, n - 1) - 1 for k in range(n)])
         for i, (row, c) in enumerate(zip(rr.A, rr.c)):
             assert sum(a * w for a, w in zip(row[i:], rr.weights[i:])) == c
+
+
+_LAZY = ("A", "c", "moments")
+
+
+class TestLazyFields:
+    """``A``, ``c`` and ``moments`` are built on first read, in any order,
+    equal the frozen route's and are cached; the rule returns without them."""
+
+    @pytest.mark.parametrize("order", (_LAZY, _LAZY[::-1]), ids=["A-first", "moments-first"])
+    @pytest.mark.parametrize("args", [
+        ([-1, 0, 1],),
+        (asymmetric_rational_nodes(1, 6), (0, 2)),
+        (nodeset(q.Family.NEWTON_COTES, 9),),
+        (nodeset(q.Family.GAUSS_LEGENDRE, 7),),
+    ], ids=["simpson", "rational-6", "nc-9", "gl-7"])
+    def test_built_on_first_read_and_cached(self, args, order):
+        rr = rational_pipeline(*args)
+        assert not set(_LAZY) & vars(rr).keys()
+        want = ref_rational_pipeline(*args)
+        for field in order:
+            got = getattr(rr, field)
+            assert got == getattr(want, field), field
+            assert getattr(rr, field) is got, field
+        assert rr.c == rr.moments[:len(rr.nodes)]
+        assert rr.mu_Q == rr.moments[rr.degree + 1]
 
 
 _PERFBENCH_REFERENCE = Path(__file__).resolve().parent.parent / "perfbench" / "reference.py"
