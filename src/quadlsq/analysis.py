@@ -25,7 +25,7 @@ from types import MappingProxyType
 import numpy as np
 
 from .minimax import epsilon_from_residual, equioscillation_residual, solve_rule
-from .system import build_system, residual, residual_norms
+from .system import _checked_eps_deg, build_system, residual, residual_norms
 
 
 @dataclass(frozen=True, eq=False)
@@ -77,21 +77,15 @@ def norm_params(omega, z_star):
 def error_coefficient(mu_Q, degree):
     """Error-formula constant alpha = c_n = mu_Q / (degree+1)!.
 
-    For degree+1 > 20 the factorial goes through log-gamma with the sign
-    carried separately, since (d+1)! overflows doubles at d >= 170 and the
-    Gauss-Legendre rules in scope already need 34!.
+    mu_Q is an exact binary rational p/q, so the quotient is one integer
+    true division p / (q (degree+1)!), which CPython rounds correctly for
+    every degree, down to 0 where it underflows.
     Returns the pair (alpha, c_n); the two names denote the same value.
     """
-    if degree < 0:
-        raise ValueError(f"degree must be >= 0, got {degree}")
-    if mu_Q == 0.0:
-        return 0.0, 0.0
-    if degree + 1 <= 20:
-        value = mu_Q / math.factorial(degree + 1)
-    else:
-        value = math.copysign(
-            math.exp(math.log(abs(mu_Q)) - math.lgamma(degree + 2)), mu_Q
-        )
+    if degree < 0 or not math.isfinite(mu_Q):
+        raise ValueError(f"need degree >= 0 and a finite mu_Q, got {degree} and {mu_Q!r}")
+    p, q = mu_Q.as_integer_ratio()
+    value = p / (q * math.factorial(degree + 1))
     return value, value
 
 
@@ -129,11 +123,15 @@ def bounds_omega_gamma(fs, omega, z_star):
 def build_report(ns, family="custom", eps_deg=None, fs=None, solution=None):
     """Run the full pipeline on a node set and collect every diagnostic.
 
-    ``fs`` and ``solution`` may be passed in when already computed (the
-    command-line front end prints the vectors and reuses them here).
+    ``fs`` and ``solution`` may be passed in when already computed; an
+    ``fs`` built on other nodes or another ``eps_deg`` is a ``ValueError``.
     """
     if fs is None:
         fs = build_system(ns, eps_deg=eps_deg)
+    elif fs.nodes is not ns and fs.nodes != ns:
+        raise ValueError("build_report: fs was built on other nodes than ns")
+    elif eps_deg is not None and _checked_eps_deg(eps_deg) != fs.eps_deg:
+        raise ValueError(f"build_report: eps_deg {eps_deg!r} != fs.eps_deg {fs.eps_deg!r}")
     if solution is None:
         solution = solve_rule(fs)
 

@@ -17,12 +17,32 @@ index past 2n-1 guarantees degree detection terminates.
 :func:`build_basis` gives these polynomials with explicit coefficients, as a
 view for inspection and tests.  The fundamental system does not use it:
 ``system`` works from the node differences and never forms coefficients.
+
+The one node check lives here: :class:`NodeSet` runs it on doubles, the
+exact oracle and the node-file reader on exact values.
 """
 
 import math
 from dataclasses import dataclass, field
+from decimal import Decimal
 
 from .poly import Interval, Polynomial
+
+
+def _checked_nodes(nodes):
+    """The nodes as a tuple if there is at least one, each is finite and
+    each is below the next, else ``ValueError``.  Exact values (ints,
+    Fractions) are finite; only floats are tested."""
+    nodes = tuple(nodes)
+    if not nodes:
+        raise ValueError("a rule needs at least one node")
+    for t in nodes:
+        if isinstance(t, float) and not math.isfinite(t):
+            raise ValueError(f"non-finite node: {t}")
+    for a, b in zip(nodes, nodes[1:]):
+        if not a < b:
+            raise ValueError(f"unordered nodes: {a} !< {b}")
+    return nodes
 
 
 @dataclass(frozen=True)
@@ -30,22 +50,21 @@ class NodeSet:
     """Strictly increasing finite abscissas plus the integration interval.
 
     Nodes may lie outside the interval; only the ordering is required.
+    An exact value beyond the double range is a ``ValueError``.
     """
 
     nodes: tuple
     interval: Interval = field(default_factory=Interval)
 
     def __post_init__(self):
-        nodes = tuple(float(t) for t in self.nodes)
-        if len(nodes) < 1:
-            raise ValueError("a rule needs at least one node")
-        for t in nodes:
-            if not math.isfinite(t):
-                raise ValueError(f"non-finite node: {t!r}")
-        for a, b in zip(nodes, nodes[1:]):
-            if not a < b:
-                raise ValueError(f"unordered nodes: {a!r} !< {b!r}")
-        object.__setattr__(self, "nodes", nodes)
+        values = tuple(self.nodes)  # no copy for a tuple
+        try:
+            nodes = tuple(float(t) for t in values)
+        except OverflowError:  # Fraction has no format spec before 3.12
+            big = max((t for t in values if hasattr(t, "denominator")), key=abs)
+            approx = Decimal(big.numerator) / Decimal(big.denominator)
+            raise ValueError(f"node {approx:.6g} is outside the double range") from None
+        object.__setattr__(self, "nodes", _checked_nodes(nodes))
 
     @property
     def n(self):

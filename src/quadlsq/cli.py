@@ -16,7 +16,6 @@ import json
 import math
 import sys
 from collections import ChainMap
-from decimal import Decimal
 
 from .analysis import build_report, error_coefficient
 from .errors import NumericalFailure
@@ -66,15 +65,6 @@ def _json_object(pairs):
     return "{" + ", ".join(parts) + "}"
 
 
-def _node_float(value):
-    """An exact node value as a double; beyond double range is an input error."""
-    try:
-        return float(value)
-    except OverflowError:
-        approx = Decimal(value.numerator) / Decimal(value.denominator)
-        raise ValueError(f"node {approx:.6g} is outside the double range") from None
-
-
 def _resolve_nodeset(args):
     """NodeSet from --family/--n or --nodes-file, honoring --interval."""
     interval = Interval(*args.interval) if args.interval else Interval()
@@ -82,7 +72,7 @@ def _resolve_nodeset(args):
     if family is Family.CUSTOM:
         if not args.nodes_file:
             raise ValueError("custom family needs --nodes-file")
-        nodes = tuple(_node_float(v) for v in read_nodes_file(args.nodes_file))
+        nodes = tuple(read_nodes_file(args.nodes_file))
         return generate(FamilySpec(family, custom_nodes=nodes), interval), "custom"
     if args.nodes_file:
         raise ValueError("--nodes-file only applies to --family custom")

@@ -204,7 +204,6 @@ class DD(tuple):
 
 
 ZERO = DD(0.0)
-ONE = DD(1.0)
 
 
 def as_dd(x):
@@ -212,11 +211,6 @@ def as_dd(x):
     if isinstance(x, DD):
         return x
     return DD(x)
-
-
-def exact_diff(a, b):
-    """a - b for two doubles, exactly, as a DD (Knuth's two-sum)."""
-    return _dd(two_sum(a, -b))
 
 
 def from_fraction(x):

@@ -1,6 +1,6 @@
 """Exception hierarchy for numerical failures.
 
-Input problems (bad node files, unsupported node counts, unordered nodes)
+Input problems (bad node files, unsupported node counts, nodes out of order)
 raise plain ``ValueError``.  Failures of the numerics themselves derive from
 :class:`NumericalFailure` so callers can distinguish the two.
 """

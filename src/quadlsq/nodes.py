@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 
-from .basis import NodeSet
+from .basis import NodeSet, _checked_nodes
 from .ddouble import dd_add, dd_div, dd_mul, dd_mul_d, from_fraction
 from .errors import ConvergenceError
 from .poly import Interval
@@ -163,7 +163,6 @@ def legendre_nodes(n):
     half = []
     for k in range(1, n // 2 + 1):
         x = math.cos(math.pi * (4 * k - 1) / (4 * n + 2))
-        dx = math.inf
         for _ in range(_NEWTON_MAX_ITER):
             p, dp = _legendre_pair(n, x)
             dx = p / dp
@@ -178,7 +177,7 @@ def legendre_nodes(n):
             qh, ql = dd_div(ph, pl, dh, dl)
             xh, xl = dd_add(xh, xl, -qh, -ql)
         ph, pl, _, _ = _legendre_pair_dd(n, xh, xl, ratios)
-        if not (abs(ph + pl) < _NEWTON_PTOL and abs(dx) < _NEWTON_XTOL):
+        if not abs(ph + pl) < _NEWTON_PTOL:
             raise ConvergenceError(f"no convergence for root {k} of P_{n}")
         half.append(xh + xl)
     half.sort(reverse=True)
@@ -203,7 +202,7 @@ def generate(spec, interval=None):
     if spec.family == Family.CUSTOM:
         if not spec.custom_nodes:
             raise ValueError("custom family needs custom_nodes")
-        return NodeSet(tuple(float(t) for t in spec.custom_nodes), interval)
+        return NodeSet(spec.custom_nodes, interval)
     nodes = _GENERATORS[spec.family](spec.n)
     if (interval.a, interval.b) != (-1.0, 1.0):
         mid = (interval.a + interval.b) / 2.0
@@ -216,8 +215,8 @@ def read_nodes_file(path):
     """Exact node values from a text file, one per line.
 
     Each line holds one decimal number or a ``num/den`` rational; ``#``
-    starts a comment.  Values are returned as Fractions (exact) and must be
-    strictly increasing.
+    starts a comment.  Values are returned as Fractions (exact) and must
+    pass the node check of :class:`NodeSet`, whose message names the path.
     """
     values = []
     with open(path, encoding="utf-8") as fh:
@@ -231,7 +230,8 @@ def read_nodes_file(path):
                 raise ValueError(f"{path}:{lineno}: cannot parse node {text!r}") from None
     if not values:
         raise ValueError(f"{path}: no nodes found")
-    for a, b in zip(values, values[1:]):
-        if not a < b:
-            raise ValueError(f"{path}: unordered nodes: {a} !< {b}")
+    try:
+        _checked_nodes(values)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
     return values

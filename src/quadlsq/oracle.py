@@ -25,8 +25,8 @@ Four deliberately different routes to the same quantities:
   instead of the correction-vector route.
 
 The oracle reads the pipeline's double-double store (``A_dd``,
-``moments_dd``) or its doubles; only its arithmetic, the float-pair
-primitives of :mod:`quadlsq.ddouble`, is shared with the pipeline.
+``moments_dd``) or its doubles; it shares only the float-pair primitives
+of :mod:`quadlsq.ddouble` and the NodeSet and Interval input checks.
 
 The exact route also computes its quantities by other formulas than the
 pipeline, so that a wrong derivation cannot show up on both sides: moments
@@ -46,9 +46,10 @@ from itertools import chain, islice
 
 import numpy as np
 
-from .basis import NodeSet
+from .basis import NodeSet, _checked_nodes
 from .ddouble import dd_add, dd_mul, dd_mul_d
 from .errors import SingularSystemError
+from .poly import _checked_interval
 from .system import _checked_eps_deg, _default_eps_deg
 
 
@@ -57,7 +58,9 @@ from .system import _checked_eps_deg, _default_eps_deg
 # ---------------------------------------------------------------------------
 
 def _as_fraction(value):
-    """Exact Fraction from an int, Fraction, string, (num, den) pair or float.
+    """Exact Fraction from an int, Fraction, string, (num, den) pair of
+    integers, float or numpy scalar; a non-finite one is returned as a
+    float, for the node or interval check to reject.
 
     Floats are converted exactly, whatever their exponent: every finite
     double is a binary rational.  The other forms may need integers of any
@@ -65,31 +68,22 @@ def _as_fraction(value):
     """
     if isinstance(value, Fraction):
         return value
-    if isinstance(value, int):
-        return Fraction(value)
-    if isinstance(value, str):
+    if isinstance(value, (int, np.integer)):
+        return Fraction(int(value))
+    if isinstance(value, (float, np.floating)):
         try:
+            return Fraction(*value.as_integer_ratio())
+        except (OverflowError, ValueError):  # inf or nan
+            return float(value)
+    try:
+        if isinstance(value, str):
             return Fraction(value)
-        except (ValueError, ZeroDivisionError):
-            raise ValueError(f"irrational nodes: cannot parse {value!r}") from None
-    if isinstance(value, tuple) and len(value) == 2:
-        return Fraction(value[0], value[1])
-    if isinstance(value, float):
-        if not math.isfinite(value):
-            raise ValueError(f"non-finite node: {value!r}")
-        return Fraction(value)
+        if (isinstance(value, tuple) and len(value) == 2
+                and all(isinstance(v, (int, np.integer)) for v in value)):
+            return Fraction(int(value[0]), int(value[1]))
+    except (ValueError, ZeroDivisionError):
+        raise ValueError(f"irrational nodes: cannot parse {value!r}") from None
     raise ValueError(f"irrational nodes: unsupported node spec {value!r}")
-
-
-def _as_interval(interval):
-    """(a, b) as Fractions, checked as :class:`quadlsq.Interval` checks it."""
-    a, b = interval
-    if not all(math.isfinite(e) for e in interval if isinstance(e, float)):
-        raise ValueError(f"non-finite interval: ({a}, {b})")
-    fa, fb = _as_fraction(a), _as_fraction(b)
-    if not fa < fb:
-        raise ValueError(f"invalid interval: need a < b, got ({a}, {b})")
-    return fa, fb
 
 
 def _mul_linear(coeffs, root):
@@ -184,22 +178,20 @@ def rational_pipeline(nodes, interval=(Fraction(-1), Fraction(1))):
 
     ``nodes`` may be a :class:`NodeSet` (its doubles are interpreted as the
     exact binary rationals they are) or a sequence of ints, Fractions,
-    ``num/den`` / decimal strings, ``(num, den)`` pairs or floats.  Degree
-    detection uses exact zero tests, so feeding rounded nodes of an
-    irrational family verifies the floating pipeline on those exact inputs,
-    not the ideal rule.  Inputs that :class:`NodeSet` or
-    :class:`quadlsq.Interval` reject raise the same ``ValueError``.
+    ``num/den`` / decimal strings, ``(num, den)`` pairs of integers, floats,
+    or numpy integer and floating scalars; the interval endpoints take the
+    same forms.  Degree detection uses exact zero tests, so feeding rounded
+    nodes of an irrational family verifies the floating pipeline on those
+    exact inputs, not the ideal rule.  The nodes and the interval pass the
+    checks of :class:`NodeSet` and :class:`quadlsq.Interval`, so an input
+    those reject raises the same ``ValueError``; a value of none of these
+    forms raises an "irrational nodes" ``ValueError``.
     """
     if isinstance(nodes, NodeSet):
         interval = (nodes.interval.a, nodes.interval.b)
         nodes = nodes.nodes
-    ts = tuple(_as_fraction(t) for t in nodes)
-    if not ts:
-        raise ValueError("a rule needs at least one node")
-    for x, y in zip(ts, ts[1:]):
-        if not x < y:
-            raise ValueError(f"unordered nodes: {x} !< {y}")
-    a, b = _as_interval(interval)
+    ts = _checked_nodes(map(_as_fraction, nodes))
+    a, b = _checked_interval(*interval, convert=_as_fraction)
     n = len(ts)
     D, T, L, S = _scaled(ts, a, b)
 

@@ -18,6 +18,17 @@ from dataclasses import dataclass
 from .ddouble import DD, ZERO, as_dd
 
 
+def _checked_interval(a, b, *, convert=float):
+    """(convert(a), convert(b)) if both are finite and the first is the
+    smaller, else ``ValueError`` showing a and b as passed."""
+    lo, hi = convert(a), convert(b)
+    if any(isinstance(e, float) and not math.isfinite(e) for e in (lo, hi)):
+        raise ValueError(f"non-finite interval: ({a}, {b})")
+    if not lo < hi:
+        raise ValueError(f"invalid interval: need a < b, got ({a}, {b})")
+    return lo, hi
+
+
 @dataclass(frozen=True)
 class Interval:
     """Integration interval (a, b) with finite a < b.  Defaults to (-1, 1)."""
@@ -26,12 +37,9 @@ class Interval:
     b: float = 1.0
 
     def __post_init__(self):
-        object.__setattr__(self, "a", float(self.a))
-        object.__setattr__(self, "b", float(self.b))
-        if not (math.isfinite(self.a) and math.isfinite(self.b)):
-            raise ValueError(f"non-finite interval: ({self.a}, {self.b})")
-        if not self.a < self.b:
-            raise ValueError(f"invalid interval: need a < b, got ({self.a}, {self.b})")
+        a, b = _checked_interval(self.a, self.b)
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "b", b)
 
     @property
     def length(self):
@@ -131,5 +139,3 @@ class Polynomial:
         """Definite integral over the interval (default (-1, 1))."""
         return float(self._integrate_dd(interval or Interval()))
 
-
-ONE_POLY = Polynomial([1.0])

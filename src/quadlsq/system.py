@@ -181,7 +181,7 @@ def _moments_dd(ns):
     mom = [(H[0], L[0])]
     size = len(M0)
     for t in nodes + nodes:
-        fh, fl = two_sum(c, -t)  # exact_diff, without a DD per node
+        fh, fl = two_sum(c, -t)
         size -= 1
         if fl == 0.0:  # the difference is a double: the cheaper product
             for m in range(size):
@@ -204,7 +204,7 @@ def _node_products_dd(nodes):
     for i in range(1, n):
         s = nodes[i - 1]
         for j in range(i, n):
-            dh, dl = two_sum(nodes[j], -s)  # exact_diff, without a DD per entry
+            dh, dl = two_sum(nodes[j], -s)
             if dl == 0.0:
                 H[j], L[j] = dd_mul_d(H[j], L[j], dh)
             else:

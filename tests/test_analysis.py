@@ -122,6 +122,21 @@ class TestErrorCoefficient:
         with pytest.raises(ValueError):
             error_coefficient(1.0, -1)
 
+    @pytest.mark.parametrize("mu_Q", [math.inf, -math.inf, math.nan])
+    def test_non_finite_moment_rejected(self, mu_Q):
+        with pytest.raises(ValueError, match="finite mu_Q"):
+            error_coefficient(mu_Q, 3)
+
+    @pytest.mark.parametrize("mu_Q", [-4 / 15, 1.80e-10, 0.1, -1e-300, 5e-324, 1.7976931348623157e308])
+    def test_correctly_rounded_for_every_degree(self, mu_Q):
+        # the exact quotient rounded once, also where it is subnormal or
+        # underflows to zero; log-gamma was off by up to 1.3e-13 relative
+        got = [error_coefficient(mu_Q, d) for d in range(201)]
+        want = [float(Fraction(mu_Q) / math.factorial(d + 1)) for d in range(201)]
+        assert [alpha for alpha, _ in got] == [c_n for _, c_n in got] == want
+        if abs(mu_Q) < 1e-200:
+            assert want[-1] == 0.0 and any(0.0 < abs(v) < 2.2250738585072014e-308 for v in want)
+
 
 class TestBounds:
     def test_simpson_hand_values(self):
@@ -264,6 +279,31 @@ class TestBuildReport:
         assert rep.residual_norms["epsilon"] == pytest.approx(4 / 15, rel=1e-13)
         for key in ("r_omega_1", "r_omega_2", "r_omega_3", "r_omega_inf", "r_z_inf"):
             assert rep.residual_norms[key] == pytest.approx(4 / 15, rel=1e-12)
+
+    def test_fs_of_other_nodes_rejected(self):
+        # n = 5 and degree 9 were reported for the three Simpson nodes
+        gl5 = q.generate(q.FamilySpec(q.Family.GAUSS_LEGENDRE, 5))
+        with pytest.raises(ValueError, match="other nodes"):
+            build_report(NodeSet((-1.0, 0.0, 1.0)), fs=build_system(gl5))
+        other_interval = NodeSet((-1.0, 0.0, 1.0), q.Interval(-1.0, 2.0))
+        with pytest.raises(ValueError, match="other nodes"):
+            build_report(NodeSet((-1.0, 0.0, 1.0)), fs=build_system(other_interval))
+
+    def test_eps_deg_contradicting_fs_rejected(self):
+        # eps_deg = 1.0 on its own overflows; with fs it was ignored
+        simpson = NodeSet((-1.0, 0.0, 1.0))
+        with pytest.raises(q.DegreeOverflowError):
+            build_report(simpson, eps_deg=1.0)
+        with pytest.raises(ValueError, match="eps_deg"):
+            build_report(simpson, eps_deg=1.0, fs=build_system(simpson))
+        with pytest.raises(ValueError, match="eps_deg"):
+            build_report(simpson, eps_deg=math.nan, fs=build_system(simpson))
+
+    def test_consistent_fs_accepted(self):
+        fs = build_system(NodeSet((-1.0, 0.0, 1.0)), eps_deg=1e-10)
+        rep = build_report(NodeSet((-1.0, 0.0, 1.0)), eps_deg=1e-10, fs=fs)
+        assert (rep.n, rep.degree) == (3, 3)
+        assert build_report(fs.nodes, fs=fs).degree == 3
 
     def test_report_is_frozen(self):
         rep = build_report(NodeSet((-1.0, 0.0, 1.0)))

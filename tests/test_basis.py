@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -37,6 +38,26 @@ class TestNodeSet:
     def test_rejects_non_finite(self, nodes):
         with pytest.raises(ValueError, match="non-finite node"):
             NodeSet(nodes)
+
+
+    def test_exact_values_are_stored_as_doubles(self):
+        ns = NodeSet((Fraction(-1), 0, Fraction(1, 2), np.float32(0.75)))
+        assert ns.nodes == (-1.0, 0.0, 0.5, 0.75)
+        assert all(type(t) is float for t in ns.nodes)
+
+    @pytest.mark.parametrize("big", [Fraction(10 ** 400), 10 ** 400, Fraction(-(10 ** 401), 7)],
+                             ids=["Fraction", "int", "negative"])
+    def test_exact_value_beyond_double_range_is_a_value_error(self, big):
+        # float() raises OverflowError there, which is neither a ValueError
+        # nor a NumericalFailure
+        with pytest.raises(ValueError, match=r"node -?1\.\d{5}e\+40[01] is outside the double range"):
+            NodeSet((big,))
+        with pytest.raises(ValueError, match=r"node -?1\.\d{5}e\+40[01] is outside the double range"):
+            NodeSet((-math.inf, big, math.inf))
+
+    def test_generator_beyond_double_range_is_a_value_error(self):
+        with pytest.raises(ValueError, match=r"node 1\.00000e\+400 is outside the double range"):
+            NodeSet(t for t in (0, Fraction(10 ** 400), 1))
 
 
 class TestBuildBasis:

@@ -9,6 +9,7 @@ from quadlsq import (
     Family,
     FamilySpec,
     Interval,
+    NodeSet,
     clenshaw_curtis_nodes,
     fejer1_nodes,
     generate,
@@ -149,6 +150,14 @@ class TestGenerate:
         )
         assert ns.nodes == (0.25, 0.5)
 
+    def test_custom_exact_nodes_become_doubles(self):
+        ns = generate(FamilySpec(Family.CUSTOM, custom_nodes=(Fraction(-1), Fraction(1, 3))))
+        assert ns.nodes == (-1.0, 1 / 3)
+
+    def test_custom_node_beyond_double_range_is_a_value_error(self):
+        with pytest.raises(ValueError, match=r"node 1\.00000e\+400 is outside the double range"):
+            generate(FamilySpec(Family.CUSTOM, custom_nodes=(Fraction(0), Fraction(10 ** 400))))
+
     @pytest.mark.parametrize("n", range(1, 13))
     def test_gauss_rules_link_to_system(self, n):
         # generated GL nodes must give the maximal degree and weight sum 2
@@ -179,6 +188,23 @@ class TestNodesFile:
         path.write_text("1\n0\n", encoding="utf-8")
         with pytest.raises(ValueError, match="unordered nodes"):
             read_nodes_file(path)
+
+    def test_message_names_the_file(self, tmp_path):
+        path = tmp_path / "nodes.txt"
+        path.write_text("1/2\n1/2\n", encoding="utf-8")
+        with pytest.raises(ValueError) as info:
+            read_nodes_file(path)
+        assert str(info.value) == f"{path}: unordered nodes: 1/2 !< 1/2"
+
+    def test_value_beyond_double_range_is_a_value_error_in_a_node_set(self, tmp_path):
+        # the file holds exact values, so it reads; the double conversion
+        # of NodeSet is what rejects it, with a ValueError
+        path = tmp_path / "nodes.txt"
+        path.write_text("0\n1e400\n", encoding="utf-8")
+        values = read_nodes_file(path)
+        assert values == [Fraction(0), Fraction(10) ** 400]
+        with pytest.raises(ValueError, match=r"node 1\.00000e\+400 is outside the double range"):
+            NodeSet(tuple(values))
 
     def test_garbage_rejected(self, tmp_path):
         path = tmp_path / "nodes.txt"

@@ -168,6 +168,26 @@ class TestRationalPipeline:
         with pytest.raises(ValueError, match="irrational nodes"):
             rational_pipeline(["pi", "1"])
 
+    @pytest.mark.parametrize("pair", [(1, 0), (1.5, 2), (1, 2.0), (Fraction(1, 2), 1), (1, 2, 3)])
+    def test_malformed_pair_rejected(self, pair):
+        # a zero denominator used to escape as ZeroDivisionError, a float
+        # entry as TypeError
+        with pytest.raises(ValueError, match="irrational nodes"):
+            rational_pipeline([pair, (5, 1)])
+
+    @pytest.mark.parametrize("nodes,exact", [
+        ([np.int32(0), 1], [0, 1]),
+        ([np.float32(0), np.float32(0.5)], [0, Fraction(1, 2)]),
+        ([np.int64(-1), np.uint8(0), np.float16(1)], [-1, 0, 1]),
+        ([np.float32(0.1), (np.int64(1), np.int64(2))], [Fraction(float(np.float32(0.1))), Fraction(1, 2)]),
+    ])
+    def test_numpy_scalars_are_exact(self, nodes, exact):
+        got, want = rational_pipeline(nodes, (np.int64(-1), np.float32(1))), rational_pipeline(exact)
+        assert got.interval == want.interval
+        for field in ("nodes", "mu_Q", "degree", "weights"):
+            assert getattr(got, field) == getattr(want, field), field
+        assert all(type(t.numerator) is int and type(t.denominator) is int for t in got.nodes)
+
     def test_exact_nodes_of_any_size(self):
         # 1/2^64 needs a denominator beyond 2^63: an exact node of any size
         # is a rational, as a double of any exponent is
@@ -191,6 +211,8 @@ class TestRationalPipeline:
 
     def test_non_finite_rejected(self):
         assert _message(rational_pipeline, [0.0, math.inf]) == _message(NodeSet, (0.0, math.inf))
+        inf32 = np.float32(math.inf)
+        assert _message(rational_pipeline, [0, inf32]) == _message(NodeSet, (0.0, inf32))
         assert (_message(rational_pipeline, [0, 1], (0.0, math.nan))
                 == _message(q.Interval, 0.0, math.nan))
 
@@ -223,6 +245,15 @@ def _assert_same_rule(ns_or_nodes, *interval):
     assert all(type(v) is Fraction for v in entries)
 
 
+def _written(t):
+    """The exact forms of the rational t that ``rational_pipeline`` takes."""
+    forms = [t, f"{t.numerator}/{t.denominator}", (t.numerator, t.denominator),
+             (np.int64(t.numerator), np.int32(t.denominator))]
+    if t.denominator == 1:
+        forms.append(np.int16(t.numerator))
+    return forms
+
+
 _INTERVALS = (None, q.Interval(2.0, 4.0))
 
 _NON_DYADIC = st.fractions(-12, 12, max_denominator=1000).filter(
@@ -253,6 +284,26 @@ class TestIntegerRoute:
     def test_random_rationals_match_frozen_route(self, nodes, a, length):
         # intervals anywhere in (-8, 14): negative, shifted or around 0
         _assert_same_rule(sorted(nodes), (a, a + length))
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        nodes=st.lists(st.one_of(st.integers(-12, 12).map(Fraction),
+                                 st.fractions(-12, 12, max_denominator=50)),
+                       min_size=1, max_size=8, unique=True),
+        data=st.data(),
+    )
+    def test_exact_node_forms_give_the_same_rule(self, nodes, data):
+        # Fraction, "p/q", (p, q) and, for an integral node, numpy ints: the
+        # same exact value, so the same rule
+        nodes = sorted(nodes)
+        forms = [[_written(t)[k] for t in nodes] for k in range(4)]
+        forms.append([data.draw(st.sampled_from(_written(t))) for t in nodes])
+        if all(t.denominator == 1 for t in nodes):
+            forms.append([np.int32(t.numerator) for t in nodes])
+        want = rational_pipeline(nodes)
+        for form in forms:
+            got = rational_pipeline(form)
+            assert (got.degree, got.mu_Q, got.weights) == (want.degree, want.mu_Q, want.weights)
 
     @pytest.mark.parametrize("n", range(2, 65))
     def test_weights_solve_the_system_exactly(self, n):
