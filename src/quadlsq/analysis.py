@@ -48,15 +48,25 @@ class RuleReport:
     residual_norms: MappingProxyType
 
 
+def _unit_scaled(x):
+    """x / 2^e as doubles, 2^e the power of two of max |x|, so that
+    max |x / 2^e| lies in [1/2, 1)."""
+    x = np.asarray(x, dtype=float)
+    top = float(np.max(np.abs(x))) if x.size else 0.0
+    return np.ldexp(x, -math.frexp(top)[1])
+
+
 def rule_angle(omega, z_star, degrees=True):
     """Angle between the weight vector and the minimax solution.
 
     The cosine |<z*, omega>| / (||z*||_2 ||omega||_2) is clamped to [-1, 1]
-    before arccos.  Reported in degrees by convention; pass
-    ``degrees=False`` for radians.
+    before arccos.  Each vector is first divided by the power of two of its
+    largest component, an exact scaling that leaves the cosine as it is
+    and keeps the norms from overflowing.  Reported in degrees by
+    convention; pass ``degrees=False`` for radians.
     """
-    omega = np.asarray(omega, dtype=float)
-    z_star = np.asarray(z_star, dtype=float)
+    omega = _unit_scaled(omega)
+    z_star = _unit_scaled(z_star)
     nw = np.linalg.norm(omega)
     nz = np.linalg.norm(z_star)
     if nw == 0.0 or nz == 0.0:

@@ -24,9 +24,8 @@ exact oracle and the node-file reader on exact values.
 
 import math
 from dataclasses import dataclass, field
-from decimal import Decimal
 
-from .poly import Interval, Polynomial
+from .poly import Interval, Polynomial, _as_double
 
 
 def _checked_nodes(nodes):
@@ -57,13 +56,7 @@ class NodeSet:
     interval: Interval = field(default_factory=Interval)
 
     def __post_init__(self):
-        values = tuple(self.nodes)  # no copy for a tuple
-        try:
-            nodes = tuple(float(t) for t in values)
-        except OverflowError:  # Fraction has no format spec before 3.12
-            big = max((t for t in values if hasattr(t, "denominator")), key=abs)
-            approx = Decimal(big.numerator) / Decimal(big.denominator)
-            raise ValueError(f"node {approx:.6g} is outside the double range") from None
+        nodes = tuple(_as_double(t, "node") for t in self.nodes)
         object.__setattr__(self, "nodes", _checked_nodes(nodes))
 
     @property

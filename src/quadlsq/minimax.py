@@ -26,6 +26,10 @@ and ``minimax_solution`` live in :mod:`quadlsq.system` next to the store
 they read, and are re-exported here.
 """
 
+import math
+
+import numpy as np
+
 from .errors import SelfCheckError
 from .system import (  # minimax_solution and solve_rule are re-exported
     RuleSolution, minimax_solution, residual, residual_norms, solve_rule,
@@ -56,9 +60,15 @@ def epsilon_check(fs, omega):
 def epsilon_from_residual(fs, r):
     """The check of :func:`epsilon_check` on a residual r(omega) already
     formed (as :func:`quadlsq.system.residual` returns it), so a caller
-    that needs r(omega) anyway forms it only once."""
-    norms = residual_norms(r, (1, 2))
-    eps = norms[2] ** 2 / norms[1]
+    that needs r(omega) anyway forms it only once.
+
+    The norms are taken of r / 2^e, with 2^e the power of two of max |r|,
+    and eps is scaled back by 2^e: an exact scaling, so ||r||_2^2 cannot
+    overflow while eps itself fits."""
+    r = np.asarray(r, dtype=float)
+    e = math.frexp(float(np.max(np.abs(r))))[1]
+    norms = residual_norms(np.ldexp(r, -e), (1, 2))
+    eps = math.ldexp(norms[2] ** 2 / norms[1], e)
     ref = abs(fs.mu_Q)
     if abs(eps - ref) > EPS_CHECK_RTOL * ref:
         raise SelfCheckError(

@@ -25,7 +25,7 @@ Four deliberately different routes to the same quantities:
   instead of the correction-vector route.
 
 The oracle reads the pipeline's double-double store (``A_dd``,
-``moments_dd``) or its doubles; it shares only the float-pair primitives
+``leading_dd``) or its doubles; it shares only the float-pair primitives
 of :mod:`quadlsq.ddouble` and the NodeSet and Interval input checks.
 
 The exact route also computes its quantities by other formulas than the
@@ -283,7 +283,7 @@ def lsq_normal_equations(fs):
     for i, ci in enumerate(cols):
         for j in range(i, n):
             gram_dd[i][j] = gram_dd[j][i] = _dot(ci, cols[j])
-    rhs_dd = [_dot(ci, fs.moments_dd) for ci in cols]
+    rhs_dd = [_dot(ci, fs.leading_dd) for ci in cols]
     gram = np.array([h + l for row in gram_dd for h, l in row]).reshape(n, n)
     rhs = np.array([h + l for h, l in rhs_dd])
 

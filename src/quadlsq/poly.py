@@ -14,13 +14,30 @@ uses the unweighted integral, so the extension is documented but not built.
 
 import math
 from dataclasses import dataclass
+from decimal import Decimal
 
 from .ddouble import DD, ZERO, as_dd
 
 
-def _checked_interval(a, b, *, convert=float):
+def _as_double(value, what):
+    """float(value); an exact number beyond the double range, on which
+    float() raises ``OverflowError``, is a ``ValueError`` naming ``what``."""
+    try:
+        return float(value)
+    except OverflowError:  # Fraction has no format spec before 3.12
+        approx = Decimal(value.numerator) / Decimal(value.denominator)
+        raise ValueError(f"{what} {approx:.6g} is outside the double range") from None
+
+
+def _double_endpoint(value):
+    return _as_double(value, "interval endpoint")
+
+
+def _checked_interval(a, b, *, convert=_double_endpoint):
     """(convert(a), convert(b)) if both are finite and the first is the
-    smaller, else ``ValueError`` showing a and b as passed."""
+    smaller, else ``ValueError`` showing a and b as passed; by default the
+    endpoints become doubles, and one beyond the double range is a
+    ``ValueError`` as well."""
     lo, hi = convert(a), convert(b)
     if any(isinstance(e, float) and not math.isfinite(e) for e in (lo, hi)):
         raise ValueError(f"non-finite interval: ({a}, {b})")

@@ -22,7 +22,9 @@ a double at or next to the interval midpoint (0 on (-1, 1)):
   Polynomials: Computation and Approximation*, 2004, sec. 2.1): with
   M_j[m] = integral of P_j(x) (x - c)^m, M_0[m] is computed exactly and
   rounded once, then M_j[m] = M_{j-1}[m+1] - (r_j - c) M_{j-1}[m], and
-  mu_j = M_j[0];
+  mu_j = M_j[0].  mu_J needs only the anti-diagonal M_j[J - j], j <= J,
+  so the recurrence yields the moments one at a time, in O(J) per moment,
+  and degree detection pulls them only as far as mu_Q;
 * A: phi_i(t_j) = phi_{i-1}(t_j) (t_j - t_i), a running product down each
   column of A from phi_0 = 1.
 
@@ -33,11 +35,14 @@ centred at 0.
 
 One double-double store holds the system: ``A_dd``, the rows of A as
 (hi, lo) float pairs without their structural zeros (row i holds columns
-i..n-1), and ``moments_dd``, mu_0..mu_2n as pairs (mu_Q is the entry at
-degree + 1).  The public doubles ``A``, ``moments``, ``c`` and ``mu_Q`` are
-hi + lo of the store, the IEEE addition ``float(DD)`` performs, and ``F``
-and ``c_tilde`` are derived from them.  One backward pass solves omega and
-tau together, one routine forms the residual and one coercion turns a
+i..n-1), and ``leading_dd``, mu_0..mu_{d+1} as pairs, which is all the
+system reads (c = mu_0..mu_{n-1} and mu_Q = mu_{d+1}, d the degree).  The
+public doubles ``A``, ``c`` and ``mu_Q`` are hi + lo of the store, the IEEE
+addition ``float(DD)`` performs, and ``F`` and ``c_tilde`` are derived from
+them.  The full profile mu_0..mu_2n (``moments_dd`` and its doubles
+``moments``) is computed by the same recurrence when first read; no
+pipeline or oracle path reads it.  One backward pass solves omega and tau
+together, one routine forms the residual and one coercion turns a
 candidate vector into pairs.  Residual norms are plain-double reductions
 of the extended-precision residual components.
 
@@ -52,8 +57,15 @@ r(omega) once for its norms and the epsilon self-check.
 
 Moments that overflow the double range (M_0 grows like the half-length to
 the power 2n+1) raise :class:`MomentOverflowError` rather than feeding inf
-or nan into degree detection.  A negative or non-finite ``eps_deg`` is an
-input error and raises ``ValueError``.
+or nan into degree detection, and they do so whether or not the overflow
+lies past mu_Q: the scan stops at mu_Q only where an a-priori bound,
+|M_j[m]| <= (1 + R)^j max_m |M_0[m]| with R = max |c - t_i| and a rounding
+factor per step (derived at :func:`_profile_stays_finite`), keeps every
+later value of the recurrence below 2^996, where the Dekker split of the
+two-product still cannot overflow.  Elsewhere it runs on to mu_2n, so a
+profile that overflows fails at the same index whether its degree shows
+early or not.  A negative or non-finite ``eps_deg`` is an input error and
+raises ``ValueError``.
 """
 
 import math
@@ -93,27 +105,37 @@ def _round(pairs):
 class FundamentalSystem:
     """F w = c_tilde for one node set, kept as its double-double store.
 
-    ``A_dd`` and ``moments_dd`` (mu_0..mu_{2n}, kept so reports can show
-    the full moment profile) are the store; the read-only double arrays
-    are rounded from it or derived from those.
+    ``A_dd`` and ``leading_dd`` (mu_0..mu_{d+1}, the moments the system
+    reads: c = mu_0..mu_{n-1} and mu_Q = mu_{d+1}) are the store; the
+    read-only double arrays are rounded from it or derived from those.
+    The full profile mu_0..mu_{2n}, ``moments_dd`` and its doubles
+    ``moments``, is computed by the same recurrence when first read, for
+    reports that show it; nothing in the pipeline or the oracles reads it.
     """
 
     A: np.ndarray
-    moments: np.ndarray
     mu_Q: float
     degree: int
     nodes: NodeSet
     eps_deg: float
     A_dd: tuple = field(repr=False)
-    moments_dd: tuple = field(repr=False)
+    leading_dd: tuple = field(repr=False)
 
     @property
     def n(self):
         return self.A.shape[0]
 
     @cached_property
-    def c(self):  # a view of mu_0..mu_{n-1}
-        return self.moments[:self.n]
+    def moments_dd(self):  # mu_0..mu_2n as pairs
+        return tuple(_moments_dd(self.nodes))
+
+    @cached_property
+    def moments(self):  # mu_0..mu_2n
+        return _round(self.moments_dd)
+
+    @cached_property
+    def c(self):  # mu_0..mu_{n-1}
+        return _round(self.leading_dd[:self.n])
 
     @cached_property
     def F(self):  # A with a zero row appended
@@ -171,28 +193,75 @@ def _centred_monomial_moments(a, b, count):
     return M[:count]
 
 
-def _moments_dd(ns):
-    """mu_0..mu_{2n} as (hi, lo) pairs, by the centred moment recurrence."""
+def _iter_moments_dd(ns):
+    """mu_0, mu_1, ..., mu_{2n} as (hi, lo) pairs, one per anti-diagonal of
+    the centred moment recurrence, each computed when it is pulled.
+
+    mu_J = M_J[0] needs only M_j[J - j] for j <= J, so one pair per level
+    is kept: on reaching anti-diagonal J, level j still holds M_j[J-1-j],
+    and M_{j+1}[J-1-j] = M_j[J-j] + (c - r_{j+1}) M_j[J-1-j] replaces it
+    from level 0 (M_0[J]) upward.  Every M_j[m] is formed by the same
+    product and sum as in a row-by-row pass, so each moment is the same
+    pair whichever way, and however far, the recurrence is run.
+    """
     nodes, iv = ns.nodes, ns.interval
     c = 0.5 * iv.a + 0.5 * iv.b
-    M0 = _centred_monomial_moments(iv.a, iv.b, 2 * len(nodes) + 1)
-    H = [m[0] for m in M0]
-    L = [m[1] for m in M0]
-    mom = [(H[0], L[0])]
-    size = len(M0)
-    for t in nodes + nodes:
-        fh, fl = two_sum(c, -t)
-        size -= 1
-        if fl == 0.0:  # the difference is a double: the cheaper product
-            for m in range(size):
-                ph, pl = dd_mul_d(H[m], L[m], fh)
-                H[m], L[m] = dd_add(H[m + 1], L[m + 1], ph, pl)
-        else:
-            for m in range(size):
-                ph, pl = dd_mul(H[m], L[m], fh, fl)
-                H[m], L[m] = dd_add(H[m + 1], L[m + 1], ph, pl)
-        mom.append((H[0], L[0]))
-    return mom
+    factors = [two_sum(c, -t) for t in nodes + nodes]
+    H, L = [], []  # level j: M_j on the latest anti-diagonal
+    for h, l in _centred_monomial_moments(iv.a, iv.b, len(factors) + 1):
+        for j, (fh, fl) in enumerate(factors[:len(H)]):
+            oh, ol = H[j], L[j]
+            H[j], L[j] = h, l
+            if fl == 0.0:  # the difference is a double: the cheaper product
+                ph, pl = dd_mul_d(oh, ol, fh)
+            else:
+                ph, pl = dd_mul(oh, ol, fh, fl)
+            h, l = dd_add(h, l, ph, pl)
+        H.append(h)
+        L.append(l)
+        yield h, l
+
+
+def _moments_dd(ns):
+    """mu_0..mu_{2n} as (hi, lo) pairs: the whole moment profile."""
+    return list(_iter_moments_dd(ns))
+
+
+#: An operand above this turns into nan in the Dekker split, which scales
+#: it by 2^27 + 1 (2^996 (2^27 + 1) is within a factor 2^-0.99 of 2^1024).
+_SPLIT_LIMIT = 2.0 ** 996
+
+#: Relative slack per step of the moment bound, 2^-40 = 2^13 u with
+#: u = 2^-53.  A step needs about 12 u: 8 u for one DD product and one DD
+#: sum, u for c - t_i rounded to a double, and the roundings of forming the
+#: bound in doubles.
+_BOUND_SLACK = 1.0 + 2.0 ** -40
+
+
+def _profile_stays_finite(ns):
+    """True if no value of the moment recurrence through mu_{2n} can exceed
+    ``_SPLIT_LIMIT``, so that every one of them is finite.
+
+    Let R = max |c - t_i| and write |x| = |hi| + |lo| for a pair.  Exactly,
+    |M_j[m]| <= |M_{j-1}[m+1]| + R |M_{j-1}[m]| <= (1 + R) max_m |M_{j-1}[m]|,
+    so |M_j[m]| <= (1 + R)^j max_m |M_0[m]|.  A DD product and a DD sum
+    each return hi + lo within a relative 7 u^2 of their exact result
+    (Joldes, Muller & Popescu, ACM TOMS 44, 2017; an underflow adds at
+    most an absolute 2^-1074 instead, which cannot move a value toward the
+    limit), and |lo| <= u |hi|, so a computed step grows |x| by at most
+    (1 + R)(1 + 8 u).  The factor ``_BOUND_SLACK`` per step covers that and
+    the roundings below, and once more the lo parts of M_0.  Every operand
+    the split sees, M_j[m] and c - t_i, then lies below the limit.
+    """
+    nodes, iv = ns.nodes, ns.interval
+    c = 0.5 * iv.a + 0.5 * iv.b
+    steps = 2 * len(nodes)
+    growth = (1.0 + max(abs(c - t) for t in nodes)) * _BOUND_SLACK
+    bound = max(abs(h) for h, _ in _centred_monomial_moments(iv.a, iv.b, steps + 1))
+    bound *= _BOUND_SLACK
+    for _ in range(steps):
+        bound *= growth
+    return max(bound, growth) < _SPLIT_LIMIT
 
 
 def _node_products_dd(nodes):
@@ -225,28 +294,43 @@ def _checked_eps_deg(eps_deg):
 
 
 def _moments_and_degree(ns, eps_deg):
-    """(mu_0..mu_2n as pairs, the same as doubles, threshold, degree)."""
-    eps_deg = _checked_eps_deg(eps_deg)
-    mom_dd = _moments_dd(ns)
-    moments = [h + l for h, l in mom_dd]
-    bad = next((j for j, m in enumerate(moments) if not math.isfinite(m)), None)
-    if bad is not None:
-        iv = ns.interval
-        raise MomentOverflowError(
-            f"moment mu_{bad} is not finite: the centred monomial moments "
-            f"overflow the double range on an interval of half-length "
-            f"{0.5 * (iv.b - iv.a):g} at n = {ns.n}, so neither the degree "
-            "nor mu_Q can be read"
-        )
+    """(mu_0..mu_Q as pairs, threshold, degree), pulling moments only as
+    far as the scan needs them.
+
+    Each moment is checked for finiteness as it arrives.  The scan stops at
+    the first j >= n with |mu_j| above the threshold when
+    :func:`_profile_stays_finite` proves that no later value of the
+    recurrence can overflow; otherwise it runs on through mu_{2n}, so a
+    moment that overflows anywhere in the profile still raises
+    :class:`MomentOverflowError` at its index.
+    """
+    eps = _checked_eps_deg(eps_deg)
     n = ns.n
-    eps = _default_eps_deg(moments[0]) if eps_deg is None else eps_deg
-    j = next((j for j in range(n, 2 * n + 1) if abs(moments[j]) > eps), None)
-    if j is None:
+    lead, j_q = [], None
+    for j, (h, l) in enumerate(_iter_moments_dd(ns)):
+        mu = h + l
+        if not math.isfinite(mu):
+            iv = ns.interval
+            raise MomentOverflowError(
+                f"moment mu_{j} is not finite: the centred monomial moments "
+                f"overflow the double range on an interval of half-length "
+                f"{0.5 * (iv.b - iv.a):g} at n = {n}, so neither the degree "
+                "nor mu_Q can be read"
+            )
+        if j == 0 and eps is None:
+            eps = _default_eps_deg(mu)
+        if j_q is None:
+            lead.append((h, l))
+            if j >= n and abs(mu) > eps:
+                j_q = j
+                if j == 2 * n or _profile_stays_finite(ns):
+                    break
+    if j_q is None:
         raise DegreeOverflowError(
             f"degree overflow: no extended moment above {eps:g} through index {2 * n}; "
             "the zero threshold is misconfigured (degree <= 2n-1 is guaranteed)"
         )
-    return mom_dd, _freeze(moments), eps, j - 1
+    return tuple(lead), eps, j_q - 1
 
 
 def detect_degree(ns, eps_deg=None):
@@ -256,8 +340,9 @@ def detect_degree(ns, eps_deg=None):
     moment whose magnitude exceeds the zero threshold.  ``eps_deg`` must
     be a finite number >= 0 (``ValueError`` otherwise).
     """
-    _, moments, _, degree = _moments_and_degree(ns, eps_deg)
-    return degree, float(moments[degree + 1])
+    lead, _, degree = _moments_and_degree(ns, eps_deg)
+    h, l = lead[-1]
+    return degree, h + l
 
 
 def build_system(ns, eps_deg=None):
@@ -268,20 +353,20 @@ def build_system(ns, eps_deg=None):
     with a misconfigured ``eps_deg``).
     """
     n = ns.n
-    mom_dd, moments, eps, degree = _moments_and_degree(ns, eps_deg)
+    lead, eps, degree = _moments_and_degree(ns, eps_deg)
     A_dd = _node_products_dd(ns.nodes)
     A = np.zeros((n, n))
     for i, row in enumerate(A_dd):
         A[i, i:] = [h + l for h, l in row]
+    h, l = lead[-1]
     return FundamentalSystem(
         A=_freeze(A),
-        moments=moments,
-        mu_Q=float(moments[degree + 1]),
+        mu_Q=h + l,
         degree=degree,
         nodes=ns,
         eps_deg=eps,
         A_dd=A_dd,
-        moments_dd=tuple(mom_dd),
+        leading_dd=lead,
     )
 
 
@@ -315,10 +400,10 @@ def solve_rule(fs):
     attached (hi, lo) pair copies feed residual formation, so the
     equioscillation structure survives down to |mu_Q| values near 1e-10.
     """
-    mh, ml = fs.moments_dd[fs.degree + 1]
+    mh, ml = fs.leading_dd[-1]
     if mh < 0.0 or (mh == 0.0 and ml < 0.0):  # |mu_Q|, as abs(DD) forms it
         mh, ml = -mh, -ml
-    w, t = _back_substitute(fs.A_dd, (fs.moments_dd, ((mh, ml),) * fs.n))
+    w, t = _back_substitute(fs.A_dd, (fs.leading_dd, ((mh, ml),) * fs.n))
     omega, tau = _round(w), _round(t)
     return RuleSolution(
         omega=omega,
@@ -364,9 +449,9 @@ def _residual_dd(fs, x):
 
     Row i < n of F is row i of A, zero left of column i; row n is zero.
     """
-    n, mom = fs.n, fs.moments_dd
+    n, lead = fs.n, fs.leading_dd
     rows = fs.A_dd + ((),)
-    c_tilde = mom[:n] + (mom[fs.degree + 1],)
+    c_tilde = lead[:n] + lead[-1:]
     r = []
     for i, (row, (ch, cl)) in enumerate(zip(rows, c_tilde)):
         sh, sl = 0.0, 0.0

@@ -23,6 +23,7 @@ from helpers import (
     FAMILIES,
     asymmetric_rational_nodes,
     closed_form_inverse,
+    exact_angle,
     exact_cond_inf,
     family_cases,
     nodeset,
@@ -65,6 +66,28 @@ class TestRuleAngle:
         assert rule_angle(4.0 * a, b) == ref
         assert rule_angle(a, 0.25 * b) == ref
         assert rule_angle(3.7 * a, 1.9 * b) == pytest.approx(ref, rel=1e-12)
+
+    @pytest.mark.parametrize("family,n", [(q.Family.NEWTON_COTES, 3), (q.Family.FEJER1, 9),
+                                          (q.Family.CLENSHAW_CURTIS, 17),
+                                          (q.Family.GAUSS_LEGENDRE, 12)])
+    def test_scaling_by_powers_of_two_is_exact(self, family, n):
+        # each vector scaled by its own 2^k, for every k that keeps its
+        # components normal doubles: the same angle, bit for bit, and no
+        # overflow in the norms
+        _, _, sol = solved(family, n)
+        ref = rule_angle(sol.omega, sol.z_star)
+
+        def k_range(x):
+            exps = [math.frexp(v)[1] for v in np.abs(x) if v != 0.0]
+            return range(-1021 - min(exps), 1024 - max(exps) + 1, 11)
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for k in k_range(sol.omega):
+                for j in (k, -k, 0):
+                    if j in k_range(sol.z_star):
+                        got = rule_angle(np.ldexp(sol.omega, k), np.ldexp(sol.z_star, j))
+                        assert got == ref, (k, j)
 
     def test_antiparallel_is_zero(self):
         # the absolute value in the cosine folds opposite directions
@@ -279,6 +302,19 @@ class TestBuildReport:
         assert rep.residual_norms["epsilon"] == pytest.approx(4 / 15, rel=1e-13)
         for key in ("r_omega_1", "r_omega_2", "r_omega_3", "r_omega_inf", "r_z_inf"):
             assert rep.residual_norms[key] == pytest.approx(4 / 15, rel=1e-12)
+
+    def test_wide_interval_report(self):
+        # on (0, 1e40) ||r||_2^2 (~1e395) and the norms of omega and z*
+        # (~1e40 and ~1e198, squared inside a 2-norm) overflow unscaled
+        ns = q.generate(q.FamilySpec(q.Family.NEWTON_COTES, 3), q.Interval(0.0, 1e40))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rep = build_report(ns)
+        assert abs(rep.residual_norms["epsilon"] - abs(rep.mu_Q)) <= (
+            q.minimax.EPS_CHECK_RTOL * abs(rep.mu_Q))
+        degree, angle = exact_angle(ns)
+        assert rep.degree == degree == 3
+        assert rep.angle_deg == pytest.approx(angle, rel=1e-12)
 
     def test_fs_of_other_nodes_rejected(self):
         # n = 5 and degree 9 were reported for the three Simpson nodes

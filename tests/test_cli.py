@@ -137,6 +137,18 @@ class TestAnalyze:
         assert message in err
         assert "self-check" not in err and "degree overflow" not in err
 
+    def test_wide_interval_exits_0(self, capsys):
+        # the squared 2-norms of the report overflowed on (0, 1e40)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, text = run(["analyze", "--family", "nc", "--n", "3",
+                              "--interval", "0", "1e40", "--format", "json"])
+        assert code == 0, capsys.readouterr().err
+        row = json.loads(text)
+        assert row["degree"] == 3
+        assert row["r_omega_2"] == pytest.approx(abs(row["mu_Q"]), rel=1e-12)
+        assert 0.0 < row["angle_deg"] < 90.0
+
     @pytest.mark.parametrize("command", [
         ["analyze"], ["integrate", "--integrand", "poly:1"],
     ])

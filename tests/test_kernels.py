@@ -11,6 +11,7 @@ import os
 import pathlib
 import subprocess
 import sys
+from itertools import islice
 
 import pytest
 from hypothesis import given, settings
@@ -21,7 +22,9 @@ from quadlsq import ddouble, system
 from quadlsq.ddouble import DD, dd_add, dd_add_d, dd_div, dd_mul, dd_mul_d
 from quadlsq.minimax import solve_rule
 from quadlsq.nodes import _legendre_pair_dd, _legendre_ratios
-from quadlsq.system import _back_substitute, _moments_dd, _node_products_dd, _residual_dd
+from quadlsq.system import (
+    _back_substitute, _iter_moments_dd, _moments_dd, _node_products_dd, _residual_dd,
+)
 
 from helpers import (
     FAMILIES,
@@ -214,6 +217,22 @@ def test_pipeline_bit_identical(ns):
         _floats(ref_residual(ref_F, ref_c_tilde, z)))
     assert bits(q.equioscillation_residual(fs, sol.z_star)) == bits(
         _floats(ref_residual(ref_F, ref_c_tilde, [(v, 0.0) for v in z_star])))
+
+
+@pytest.mark.parametrize("ns", PIPELINE_CASES)
+def test_moment_scan_prefixes_bit_identical(ns):
+    # each moment as it is pulled, so every prefix of the scan; then scans
+    # stopped early, from a cold and from a warm memo
+    mom = ref_moments(ns)
+    system._m0_cache.clear()
+    scan = _iter_moments_dd(ns)
+    for k, want in enumerate(mom):
+        assert bits([next(scan)]) == bits([want]), k
+    assert next(scan, None) is None
+    for k in sorted({0, 1, ns.n, ns.n + 1, ns.n + 2, 2 * ns.n}):
+        system._m0_cache.clear()
+        assert bits(islice(_iter_moments_dd(ns), k)) == bits(mom[:k])
+        assert bits(islice(_iter_moments_dd(ns), k)) == bits(mom[:k])
 
 
 ORACLE_CASES = [

@@ -1,4 +1,5 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -17,6 +18,8 @@ from quadlsq import (
     solve_tau,
     solve_weights,
 )
+
+from quadlsq.minimax import epsilon_from_residual
 
 from helpers import family_cases, solved
 
@@ -119,6 +122,21 @@ class TestEpsilonCheck:
     def test_equals_principal_moment(self, family, n):
         _, fs, sol = solved(family, n)
         assert epsilon_check(fs, sol) == pytest.approx(abs(fs.mu_Q), rel=1e-12)
+
+    @pytest.mark.parametrize("family,n", [(q.Family.NEWTON_COTES, 3), (q.Family.FEJER1, 9),
+                                          (q.Family.CLENSHAW_CURTIS, 17),
+                                          (q.Family.GAUSS_LEGENDRE, 12)])
+    def test_scaling_by_a_power_of_two_is_exact(self, family, n):
+        # r and mu_Q scaled by 2^k give eps scaled by 2^k, bit for bit, for
+        # every k that keeps each nonzero component a normal double: the
+        # squared 2-norm, up to 2^2048 unscaled, never overflows
+        _, fs, sol = solved(family, n)
+        r = residual(fs, sol._omega_dd)
+        eps = epsilon_from_residual(fs, r)
+        exps = [math.frexp(v)[1] for v in np.abs(r) if v != 0.0]
+        for k in range(-1021 - min(exps), 1024 - max(exps) + 1, 7):
+            scaled = SimpleNamespace(mu_Q=math.ldexp(fs.mu_Q, k))
+            assert epsilon_from_residual(scaled, np.ldexp(r, k)) == math.ldexp(eps, k), k
 
 
 class TestEquioscillation:

@@ -216,6 +216,20 @@ class TestRationalPipeline:
         assert (_message(rational_pipeline, [0, 1], (0.0, math.nan))
                 == _message(q.Interval, 0.0, math.nan))
 
+    @pytest.mark.parametrize("interval", [
+        (0, 10 ** 400), (Fraction(-(10 ** 400)), 0),
+        (-(10 ** 400), Fraction(10 ** 400, 3)), (Fraction(-1, 10 ** 400), Fraction(1, 10 ** 400)),
+    ], ids=["int-b", "Fraction-a", "both", "tiny"])
+    def test_endpoints_beyond_double_range_are_taken_exactly(self, interval):
+        # Interval rejects these; the exact oracle integrates over them as given
+        nodes = [Fraction(-1), Fraction(0), Fraction(1)]
+        rr = rational_pipeline(nodes, interval)
+        a, b = map(Fraction, interval)
+        assert rr.interval == (a, b)
+        assert sum(rr.weights) == b - a
+        assert rr.moments[0] == b - a
+        assert rr.mu_Q == rr.moments[rr.degree + 1]
+
     def test_small_double_nodes_are_binary_rationals(self):
         # 1e-4 is m / 2^66 exactly: a double, whatever its exponent, is a
         # valid node, as it is for the float pipeline

@@ -1,4 +1,5 @@
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -175,4 +176,16 @@ class TestInterval:
     ])
     def test_rejects_non_finite(self, a, b):
         with pytest.raises(ValueError, match="non-finite interval"):
+            Interval(a, b)
+
+    @pytest.mark.parametrize("a,b,shown", [
+        (0, 10 ** 400, "1.00000e+400"),
+        (-(10 ** 400), 0, "-1.00000e+400"),
+        (Fraction(-(10 ** 400)), 0, "-1.00000e+400"),
+        (0, Fraction(10 ** 401, 3), "3.33333e+400"),
+    ], ids=["int-b", "int-a", "Fraction-a", "Fraction-b"])
+    def test_rejects_exact_endpoint_beyond_double_range(self, a, b, shown):
+        # float() raises OverflowError there, which is not a ValueError
+        with pytest.raises(ValueError, match=rf"interval endpoint {re.escape(shown)} "
+                                             "is outside the double range"):
             Interval(a, b)

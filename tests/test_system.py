@@ -21,7 +21,7 @@ from quadlsq import (
 )
 from quadlsq.system import _moments_dd, _node_products_dd
 
-from helpers import FAMILIES, asymmetric_rational_nodes, family_cases, nodeset, solved
+from helpers import FAMILIES, MIN_N, asymmetric_rational_nodes, bits, family_cases, nodeset, solved
 
 SIMPSON = NodeSet((-1.0, 0.0, 1.0))
 
@@ -342,3 +342,140 @@ class TestKernelAgainstExact:
             scale = [scale[m + 1] + d * scale[m] for m in range(len(scale) - 1)]
             bound = (j + 1) * Fraction(1, 2 ** 100) * scale[0]
             assert _dd_error(mom[j], rr.moments[j]) <= bound
+
+
+# -- the demand-driven moment scan ------------------------------------------
+
+def _drained_scan(ns):
+    """Degree detection on the whole profile mu_0..mu_2n, default threshold:
+    ("ok", leading pairs, threshold, degree), or ("overflow", first index
+    of a non-finite moment), or ("degree overflow",)."""
+    full = _moments_dd(ns)
+    moments = [h + l for h, l in full]
+    bad = next((j for j, m in enumerate(moments) if not math.isfinite(m)), None)
+    if bad is not None:
+        return ("overflow", bad)
+    eps = q.system._default_eps_deg(moments[0])
+    j = next((j for j in range(ns.n, 2 * ns.n + 1) if abs(moments[j]) > eps), None)
+    if j is None:
+        return ("degree overflow",)
+    return ("ok", full[:j + 1], eps, j - 1)
+
+
+def _scan_outcome(ns):
+    try:
+        fs = build_system(ns)
+    except q.MomentOverflowError as exc:
+        return ("overflow", int(str(exc).split()[1][len("mu_"):]))
+    except DegreeOverflowError:
+        return ("degree overflow",)
+    return ("ok", fs.leading_dd, fs.eps_deg, fs.degree)
+
+
+class TestLeadingMoments:
+    """The system keeps mu_0..mu_Q, the moments it reads, and no more."""
+
+    @pytest.mark.parametrize("family,n", family_cases(1, 20))
+    def test_store_ends_at_mu_q(self, family, n):
+        ns = nodeset(family, n)
+        fs = build_system(ns)
+        assert len(fs.leading_dd) == fs.degree + 2
+        assert bits(fs.leading_dd) == bits(_moments_dd(ns)[:fs.degree + 2])
+        h, l = fs.leading_dd[-1]
+        assert bits([fs.mu_Q]) == bits([h + l])
+        assert bits(fs.c) == bits([h + l for h, l in fs.leading_dd[:n]])
+        assert detect_degree(ns) == (fs.degree, fs.mu_Q)
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    @pytest.mark.parametrize("interval", [(-1.0, 1.0), (2.0, 4.0)], ids=["-1,1", "2,4"])
+    def test_bound_allows_the_early_stop_up_to_n64(self, family, interval):
+        # the sweep's rules all stop at mu_Q: on these intervals every value
+        # of the recurrence is at most 2 (1 + 1)^128, far below the limit
+        for n in range(MIN_N[family], 65):
+            assert q.system._profile_stays_finite(
+                q.generate(q.FamilySpec(family, n), Interval(*interval)))
+
+    @pytest.mark.parametrize("family,n,interval", [
+        (q.Family.GAUSS_LEGENDRE, 64, (0.0, 1000.0)),
+        (q.Family.NEWTON_COTES, 40, (0.0, 1e8)),
+    ])
+    def test_overflowing_profiles_are_not_cut_short(self, family, n, interval):
+        # the profile overflows past mu_Q: the bound must refuse the early
+        # stop, or the failure would turn into a wrong degree
+        ns = q.generate(q.FamilySpec(family, n), Interval(*interval))
+        assert not q.system._profile_stays_finite(ns)
+        assert _scan_outcome(ns) == _drained_scan(ns)
+        assert _scan_outcome(ns)[0] == "overflow"
+
+    def test_nodes_far_outside_a_short_interval(self):
+        # |c - t| alone beyond the split limit: the split of c - t itself
+        # would give nan, so the bound must refuse however small the moments
+        ns = NodeSet((-(2.0 ** 997), 2.0 ** 997), Interval(0.0, 2.0 ** -1000))
+        assert not q.system._profile_stays_finite(ns)
+        assert _scan_outcome(ns) == _drained_scan(ns)
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(),
+           family=st.sampled_from(FAMILIES + ("rational",)),
+           centre=st.floats(-1e4, 1e4, allow_nan=False),
+           log_half=st.floats(-3.0, 4.0, allow_nan=False))
+    def test_early_stop_matches_a_drained_scan(self, data, family, centre, log_half):
+        half = 10.0 ** log_half
+        iv = Interval(centre - half, centre + half)
+        if family == "rational":
+            n = data.draw(st.integers(1, 64), label="n")
+            us = data.draw(st.lists(st.fractions(-Fraction(1, 4), Fraction(5, 4),
+                                                 max_denominator=1000),
+                                    min_size=n, max_size=n, unique=True), label="us")
+            nodes = sorted({float(iv.a + float(u) * (iv.b - iv.a)) for u in us})
+            ns = NodeSet(tuple(nodes), iv)
+        else:
+            n = data.draw(st.integers(MIN_N[family], 64), label="n")
+            ns = q.generate(q.FamilySpec(family, n), iv)
+        want = _drained_scan(ns)
+        if q.system._profile_stays_finite(ns):
+            assert all(math.isfinite(h) and math.isfinite(l) for h, l in _moments_dd(ns))
+            assert want[0] != "overflow"
+        got = _scan_outcome(ns)
+        assert got[0] == want[0]
+        if want[0] == "ok":
+            assert bits(got[1]) == bits(want[1])
+            assert got[2:] == want[2:]
+        else:
+            assert got == want
+
+
+_PROFILE = ("moments", "moments_dd")
+
+
+class TestLazyProfile:
+    """The full profile mu_0..mu_2n is built only when read: no pipeline or
+    oracle path reads it, and once read it is the full recurrence's and
+    cached."""
+
+    @pytest.mark.parametrize("ns", [
+        SIMPSON,
+        nodeset(q.Family.CLENSHAW_CURTIS, 17),
+        nodeset(q.Family.NEWTON_COTES, 9),
+        NodeSet(tuple(float(t) for t in asymmetric_rational_nodes(1, 12)), Interval(0.0, 2.0)),
+    ], ids=["simpson", "cc-17", "nc-9", "rational-12"])
+    def test_built_on_first_read_and_cached(self, ns):
+        fs = build_system(ns)
+        assert not set(_PROFILE) & vars(fs).keys()
+        sol = q.solve_rule(fs)
+        q.build_report(ns, fs=fs, solution=sol)
+        q.lsq_normal_equations(fs)
+        q.direct_sis4_minimax(fs)
+        q.minimax_solution(fs, sol.omega)
+        residual(fs, sol.z_star)
+        fs.F, fs.c, fs.c_tilde
+        assert not set(_PROFILE) & vars(fs).keys()
+
+        mom_dd = fs.moments_dd
+        assert bits(mom_dd) == bits(_moments_dd(ns))
+        assert fs.moments_dd is mom_dd
+        moments = fs.moments
+        assert bits(moments) == bits([h + l for h, l in mom_dd])
+        assert fs.moments is moments
+        assert not moments.flags.writeable
+        assert bits(fs.leading_dd) == bits(mom_dd[:fs.degree + 2])
