@@ -400,8 +400,9 @@ class TestLeadingMoments:
         (q.Family.NEWTON_COTES, 40, (0.0, 1e8)),
     ])
     def test_overflowing_profiles_are_not_cut_short(self, family, n, interval):
-        # the profile overflows past mu_Q: the bound must refuse the early
-        # stop, or the failure would turn into a wrong degree
+        # both profiles overflow, GL-64 only at mu_110, after mu_64 has
+        # passed the threshold: the bound must refuse the early stop, or
+        # that failure would turn into a wrong degree
         ns = q.generate(q.FamilySpec(family, n), Interval(*interval))
         assert not q.system._profile_stays_finite(ns)
         assert _scan_outcome(ns) == _drained_scan(ns)
