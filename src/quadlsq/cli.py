@@ -14,6 +14,7 @@ import csv
 import functools
 import json
 import math
+import re
 import sys
 from collections import ChainMap
 
@@ -184,8 +185,32 @@ def _cmd_integrate(args, out):
     return 0
 
 
+#: A negative number literal, with an optional exponent, or -inf/-nan.
+_SIGNED_NUMBER = re.compile(
+    r"^-(?:(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?|inf(?:inity)?|nan)$", re.IGNORECASE)
+
+
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser that reads every signed number literal as a value.
+
+    argparse takes an argument that starts with ``-`` for an option unless
+    it looks like a negative number, and its test for that accepts neither
+    an exponent nor inf/nan on Python 3.10 and 3.11, so ``--interval -1e50
+    1e50`` would fail as "expected 2 arguments".  The parser has no option
+    that looks like a number, so widening the test is unambiguous; a
+    non-finite value then reaches the interval check and its exit code 2.
+    The test is argparse's ``_negative_number_matcher`` attribute, set per
+    parser under that name from Python 3.10 to 3.13; subparsers are built
+    by the same class, so each gets the wider pattern.
+    """
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = _SIGNED_NUMBER
+
+
 def build_parser():
-    common = argparse.ArgumentParser(add_help=False)
+    common = _Parser(add_help=False)
     common.add_argument("--format", choices=("text", "csv", "json"), default="text",
                         help="output format (default: text)")
     common.add_argument("--eps-deg", type=float, default=None, metavar="REAL",
@@ -193,7 +218,7 @@ def build_parser():
     common.add_argument("--interval", type=float, nargs=2, default=None,
                         metavar=("A", "B"), help="integration interval (default -1 1)")
 
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="quadlsq",
         description="Analyze interpolatory quadrature rules through their "
                     "fundamental system: weights, minimax solution, degree, "

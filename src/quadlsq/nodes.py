@@ -9,6 +9,9 @@ that is symmetric to the last bit.
 Clenshaw-Curtis is parameterized by the *total* node count so that all four
 families share one "number of nodes" axis (the classical practical-abscissa
 formula cos(k pi / m), k = 0..m, yields m+1 points).
+
+Gauss-Legendre nodes are the roots of P_n correctly rounded: Newton's
+iteration in doubles, then one Newton step in double-double.
 """
 
 import math
@@ -17,7 +20,7 @@ from enum import Enum
 from fractions import Fraction
 
 from .basis import NodeSet, _checked_nodes
-from .ddouble import dd_add, dd_div, dd_mul, dd_mul_d, from_fraction
+from .ddouble import dd_add, dd_div, dd_mul, dd_mul_d, two_sum
 from .errors import ConvergenceError
 from .poly import Interval
 
@@ -114,14 +117,57 @@ def _legendre_pair(k, x):
     return p1, dp
 
 
+def _dd_ratio(num, den):
+    """The integer ratio num/den as a double-double pair (hi, lo), with
+    |num| and den below 2**53 and num nonzero.
+
+    hi = fl(num/den).  The remainder num - den*hi is a double: den*hi is
+    split exactly by a two-product into p + e, num - p is exact by
+    Sterbenz's lemma (p is within a rounding of num), and subtracting e
+    leaves the representable remainder exactly.  So lo = fl(rem/den) is the
+    rest correctly rounded, the pair ``ddouble.from_fraction`` gives."""
+    hi = num / den
+    p, e = dd_mul_d(float(den), 0.0, hi)
+    return hi, ((num - p) - e) / den
+
+
 def _legendre_ratios(k):
     """Float pairs of (2j-1)/j and -(j-1)/j, j = 2..k, as (ah, al, bh, bl):
-    the recurrence's divisions, rounded to double-double once."""
+    the recurrence's divisions, rounded to double-double once by
+    :func:`_dd_ratio`."""
     out = []
     for j in range(2, k + 1):
-        a, b = from_fraction(Fraction(2 * j - 1, j)), from_fraction(Fraction(1 - j, j))
+        a, b = _dd_ratio(2 * j - 1, j), _dd_ratio(1 - j, j)
         out.append((a[0], a[1], b[0], b[1]))
     return out
+
+
+def _monic_coefficients(k):
+    """Float pairs of -4 beta_j, j = 2..k, with beta_j = (j-1)^2/(4(j-1)^2-1)
+    the monic Legendre recurrence coefficient, as (ch, cl)."""
+    return [_dd_ratio(-4 * (j - 1) ** 2, 4 * (j - 1) ** 2 - 1) for j in range(2, k + 1)]
+
+
+def _newton_step_dd(k, x, coeffs):
+    """One double-double Newton step for P_k from the double x.
+
+    Runs the scaled monic recurrence V_j = (2x) V_{j-1} - 4 beta_j V_{j-2},
+    V_0 = 1, V_1 = 2x, with ``coeffs`` from :func:`_monic_coefficients`.
+    V_k = P_k * 4^k (k!)^2 / (2k)!, about P_k * sqrt(pi k), so it neither
+    underflows nor overflows at any k.  V_k is carried in double-double;
+    the derivative, V'_k = k (V_{k-1} 2k/(2k-1) - x V_k) / (1 - x^2), only
+    scales the tiny correction and is formed in doubles.  Returns the new
+    iterate x - V_k/V'_k as (xh, xl)."""
+    x2 = 2.0 * x
+    v0h, v0l, v1h, v1l = 1.0, 0.0, x2, 0.0
+    for ch, cl in coeffs:
+        th, tl = dd_mul_d(v1h, v1l, x2)
+        uh, ul = dd_mul(v0h, v0l, ch, cl)
+        v0h, v0l = v1h, v1l
+        v1h, v1l = dd_add(th, tl, uh, ul)
+    v = v1h + v1l
+    dv = k * (v0h * (2 * k) / (2 * k - 1) - x * v) / (1.0 - x * x)
+    return two_sum(x, -(v / dv))
 
 
 def _legendre_pair_dd(k, xh, xl, ratios):
@@ -147,19 +193,22 @@ def _legendre_pair_dd(k, xh, xl, ratios):
 def legendre_nodes(n):
     """Zeros of the Legendre polynomial P_n, sorted ascending.
 
-    Newton iteration on the three-term recurrence from the asymptotic
-    guesses cos(pi (4k-1) / (4n+2)), polished with two double-double steps
+    Newton iteration in doubles on the three-term recurrence from the
+    asymptotic guesses cos(pi (4k-1) / (4n+2)), then one double-double
+    Newton step on the scaled monic recurrence (:func:`_newton_step_dd`),
     so every root is correctly rounded, then mirrored for exact symmetry.
-    The double-double recurrence multiplies by the ratios (2j-1)/j and
-    -(j-1)/j, rounded to double-double once per n and shared by all roots,
-    so it performs no division; it runs on float pairs through the
-    :mod:`quadlsq.ddouble` primitives, bit-identical to the same recurrence
-    written with ``DD`` operators.
+    Each root is accepted only if |P_n| < 1e-14 at the double-double
+    iterate, evaluated by :func:`_legendre_pair_dd`; that recurrence
+    multiplies by the ratios (2j-1)/j and -(j-1)/j, rounded to
+    double-double once per call and shared by all roots, so it performs no
+    division, and runs on float pairs through the :mod:`quadlsq.ddouble`
+    primitives, bit-identical to the same recurrence written with ``DD``
+    operators.
     Raises :class:`ConvergenceError` after 100 iterations on any root.
     """
     if n < 1:
         raise ValueError(f"unsupported count: need n >= 1, got {n}")
-    ratios = _legendre_ratios(n)
+    ratios, coeffs = _legendre_ratios(n), _monic_coefficients(n)
     half = []
     for k in range(1, n // 2 + 1):
         x = math.cos(math.pi * (4 * k - 1) / (4 * n + 2))
@@ -171,11 +220,7 @@ def legendre_nodes(n):
                 break
         else:
             raise ConvergenceError(f"no convergence for root {k} of P_{n}")
-        xh, xl = x, 0.0
-        for _ in range(2):
-            ph, pl, dh, dl = _legendre_pair_dd(n, xh, xl, ratios)
-            qh, ql = dd_div(ph, pl, dh, dl)
-            xh, xl = dd_add(xh, xl, -qh, -ql)
+        xh, xl = _newton_step_dd(n, x, coeffs)
         ph, pl, _, _ = _legendre_pair_dd(n, xh, xl, ratios)
         if not abs(ph + pl) < _NEWTON_PTOL:
             raise ConvergenceError(f"no convergence for root {k} of P_{n}")

@@ -461,7 +461,9 @@ def _ref_legendre_pair_dd(k, x, ratios):
     return p1, dp
 
 
+@lru_cache(maxsize=None)
 def _ref_legendre_ratios(k):
+    # cached: ref_legendre_pair is called at every node of a rule
     return [(_ref_from_fraction(Fraction(2 * j - 1, j)), _ref_from_fraction(Fraction(1 - j, j)))
             for j in range(2, k + 1)]
 

@@ -8,7 +8,7 @@ import warnings
 import numpy as np
 import pytest
 
-from quadlsq.cli import CSV_COLUMNS, main
+from quadlsq.cli import CSV_COLUMNS, build_parser, main
 
 
 def run(argv):
@@ -168,6 +168,50 @@ class TestAnalyze:
         obj = json.loads(text)
         # weights sum to the interval length
         assert obj["N_omega"] >= 4.0 - 1e-12
+
+    @pytest.mark.parametrize("command", [
+        ["analyze", "--family", "nc", "--n", "3"],
+        ["sweep", "--family", "nc", "--n-min", "2", "--n-max", "3", "--out", "x.csv"],
+        ["integrate", "--family", "nc", "--n", "3", "--integrand", "poly:1"],
+    ])
+    @pytest.mark.parametrize("a,b", [
+        ("-1e50", "1e50"), ("-1e-3", "1"), ("-1E+2", "-1e1"), ("-.5e0", ".5"),
+        ("-1.", "1"), ("-inf", "1"), ("-Infinity", "-nan"),
+    ])
+    def test_signed_endpoints_parse_as_numbers(self, command, a, b):
+        # argparse alone reads "-1e50" as an option and fails with
+        # "expected 2 arguments"; any signed number literal is a value here
+        args = build_parser().parse_args(command + ["--interval", a, b])
+        assert [str(v) for v in args.interval] == [str(float(a)), str(float(b))]
+
+    @pytest.mark.parametrize("a,b", [("-1e-3", "1"), ("-1e40", "1e40"), ("-5e-1", "5e-1")])
+    def test_exponent_endpoints_exit_0(self, capsys, a, b):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, text = run(["analyze", "--family", "nc", "--n", "3",
+                              "--interval", a, b, "--format", "json"])
+        assert code == 0, capsys.readouterr().err
+        row = json.loads(text)
+        assert row["degree"] == 3
+        assert row["N_omega"] == pytest.approx(float(b) - float(a), rel=1e-12)
+
+    @pytest.mark.parametrize("a,b,message", [
+        ("-inf", "1", "non-finite interval"),
+        ("-1e400", "0", "non-finite interval"),
+        ("-nan", "1", "non-finite interval"),
+        ("1", "-1e5", "invalid interval: need a < b"),
+        ("1e-3", "-1e-3", "invalid interval: need a < b"),
+    ])
+    def test_non_finite_or_reversed_signed_interval_exits_2(self, capsys, a, b, message):
+        code, _ = run(["analyze", "--family", "nc", "--n", "3", "--interval", a, b])
+        assert code == 2
+        assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["-1e-3", "-inf"])
+    def test_negative_eps_deg_in_exponent_notation_exits_2(self, capsys, value):
+        code, _ = run(["analyze", "--family", "nc", "--n", "3", "--eps-deg", value])
+        assert code == 2
+        assert "eps_deg must be a finite number >= 0" in capsys.readouterr().err
 
 
 class TestSweep:

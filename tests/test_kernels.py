@@ -11,6 +11,7 @@ import os
 import pathlib
 import subprocess
 import sys
+from fractions import Fraction
 from itertools import islice
 
 import pytest
@@ -19,9 +20,9 @@ from hypothesis import strategies as st
 
 import quadlsq as q
 from quadlsq import ddouble, system
-from quadlsq.ddouble import DD, dd_add, dd_add_d, dd_div, dd_mul, dd_mul_d
+from quadlsq.ddouble import DD, dd_add, dd_add_d, dd_div, dd_mul, dd_mul_d, from_fraction
 from quadlsq.minimax import solve_rule
-from quadlsq.nodes import _legendre_pair_dd, _legendre_ratios
+from quadlsq.nodes import _legendre_pair_dd, _legendre_ratios, _monic_coefficients
 from quadlsq.system import (
     _back_substitute, _iter_moments_dd, _moments_dd, _node_products_dd, _residual_dd,
 )
@@ -263,18 +264,45 @@ def test_lsq_normal_equations_bit_identical(ns):
     assert bits(q.lsq_normal_equations(fs)) == bits(want)
 
 
-@pytest.mark.parametrize("n", _NS)
+@pytest.mark.parametrize("n", range(1, 65))
 def test_gauss_legendre_nodes_bit_identical(n):
-    nodes = q.legendre_nodes(n)
-    assert bits(nodes) == bits(ref_legendre_nodes(n))
-    # the polish itself, not only the double it rounds to: P_n and P'_n
-    # at every root, and off it by a low part
+    assert bits(q.legendre_nodes(n)) == bits(ref_legendre_nodes(n))
+
+
+@pytest.mark.parametrize("n", _NS)
+def test_legendre_pair_dd_bit_identical(n):
+    # the check's recurrence itself, not only the node: P_n and P'_n at
+    # every root, and off it by a low part
     ratios = _legendre_ratios(n)
-    for t in nodes:
+    for t in q.legendre_nodes(n):
         for x in ((t, 0.0), (t, t * 2.0 ** -60), (0.5 * t, -(t * 2.0 ** -58))):
             got = _legendre_pair_dd(n, *x, ratios)
             p, dp = ref_legendre_pair(n, x)
             assert bits([got[:2], got[2:]]) == bits([p, dp])
+
+
+def test_recurrence_ratios_equal_from_fraction():
+    # the integer ratios are rounded to double-double without Fraction;
+    # each pair must be the one the exact route rounds to
+    k = 2000
+    want = [(from_fraction(Fraction(2 * j - 1, j)), from_fraction(Fraction(1 - j, j)))
+            for j in range(2, k + 1)]
+    assert bits(_legendre_ratios(k)) == bits([(*a, *b) for a, b in want])
+    want = [from_fraction(Fraction(-4 * (j - 1) ** 2, 4 * (j - 1) ** 2 - 1))
+            for j in range(2, k + 1)]
+    assert bits(_monic_coefficients(k)) == bits(want)
+
+
+def test_gauss_legendre_nodes_large_n():
+    # an unscaled monic recurrence underflows here (2^-n); the scaled one
+    # stays near P_n sqrt(pi n)
+    n = 1100
+    nodes = q.legendre_nodes(n)
+    assert len(nodes) == n
+    assert all(math.isfinite(t) for t in nodes)
+    assert all(a < b for a, b in zip(nodes, nodes[1:]))
+    assert -1.0 < nodes[0] and nodes[-1] < 1.0
+    assert bits(nodes) == bits([-t for t in reversed(nodes)])
 
 
 # -- the M_0 memo ----------------------------------------------------------

@@ -85,22 +85,26 @@ class TestGenerators:
             p, dp = _legendre_pair(n, t)
             assert abs(p) <= 1e-14 * max(1.0, abs(dp))
 
-    @pytest.mark.parametrize("n", [17, 33, 64])
+    @pytest.mark.parametrize("n", list(range(1, 65)) + [100, 128])
     def test_gauss_roots_correctly_rounded(self, n):
         # P_n, evaluated exactly, changes sign between the two midpoints of
         # each node and its neighbouring doubles: the root is within half an
-        # ulp, so the node is the root correctly rounded
-        def legendre_exact(x):
-            p0, p1 = Fraction(1), x
+        # ulp, so the node is the root correctly rounded.  At x = M / 2^k,
+        # R_j = j! 2^(kj) P_j(x) is an integer: R_0 = 1, R_1 = M and
+        # R_j = (2j-1) M R_{j-1} - (j-1)^2 2^(2k) R_{j-2}, so the sign of
+        # P_n(x) is that of R_n.
+        def legendre_sign(x):
+            m, k = x.numerator, x.denominator.bit_length() - 1
+            r0, r1 = 1, m
             for j in range(2, n + 1):
-                p0, p1 = p1, ((2 * j - 1) * x * p1 - (j - 1) * p0) / j
-            return p1
+                r0, r1 = r1, (2 * j - 1) * m * r1 - ((j - 1) ** 2 * r0 << 2 * k)
+            return (r1 > 0) - (r1 < 0)
 
         for t in legendre_nodes(n):
             x = Fraction(t)
             below = (x + Fraction(math.nextafter(t, -math.inf))) / 2
             above = (x + Fraction(math.nextafter(t, math.inf))) / 2
-            assert legendre_exact(below) * legendre_exact(above) < 0
+            assert legendre_sign(below) * legendre_sign(above) < 0
 
     @pytest.mark.parametrize("family", FAMILIES)
     @pytest.mark.parametrize("n", [2, 3, 7, 12, 17, 33])
