@@ -29,13 +29,7 @@ from .errors import (
     SingularDiagonalError,
     SingularSystemError,
 )
-from .minimax import (
-    epsilon_check,
-    equioscillation_residual,
-    minimax_solution,
-    solve_rule,
-    solve_tau,
-)
+from .minimax import epsilon_check, equioscillation_residual
 from .nodes import (
     Family,
     FamilySpec,
@@ -61,7 +55,7 @@ from .system import (
     detect_degree,
     residual,
     residual_norms,
-    solve_weights,
+    solve_rule,
 )
 
 __version__ = "0.1.0"
@@ -100,7 +94,6 @@ __all__ = [
     "generate",
     "legendre_nodes",
     "lsq_normal_equations",
-    "minimax_solution",
     "newton_cotes_nodes",
     "norm_params",
     "rational_pipeline",
@@ -109,6 +102,4 @@ __all__ = [
     "residual_norms",
     "rule_angle",
     "solve_rule",
-    "solve_tau",
-    "solve_weights",
 ]

@@ -24,8 +24,8 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .minimax import epsilon_from_residual, equioscillation_residual, solve_rule
-from .system import _checked_eps_deg, build_system, residual, residual_norms
+from .minimax import epsilon_from_residual, equioscillation_residual
+from .system import _checked_eps_deg, build_system, residual, residual_norms, solve_rule
 
 
 @dataclass(frozen=True, eq=False)

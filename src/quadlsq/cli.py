@@ -20,10 +20,9 @@ from collections import ChainMap
 
 from .analysis import build_report, error_coefficient
 from .errors import NumericalFailure
-from .minimax import solve_rule
 from .nodes import Family, FamilySpec, generate, read_nodes_file
 from .poly import Interval, Polynomial
-from .system import build_system
+from .system import build_system, solve_rule
 
 #: Fixed column order of sweep/analyze rows.
 CSV_COLUMNS = (

@@ -21,9 +21,11 @@ system with eps unknown; the two are algebraically identical and the tau
 route reuses the triangular solver.  The direct elimination lives in
 :mod:`quadlsq.oracle` as an independent check.
 
-The one backward pass that gives omega and tau together, ``solve_rule``
-and ``minimax_solution`` live in :mod:`quadlsq.system` next to the store
-they read, and are re-exported here.
+The one backward pass that gives omega, tau and z* together,
+``solve_rule``, lives in :mod:`quadlsq.system` next to the store it reads.
+This module keeps the checks on the minimax residual.  It stays a module
+of its own because the benchmark tracer (``perfbench/tracing.py``) looks
+``quadlsq.minimax`` up by name as one of its span layers.
 """
 
 import math
@@ -31,17 +33,10 @@ import math
 import numpy as np
 
 from .errors import SelfCheckError
-from .system import (  # minimax_solution and solve_rule are re-exported
-    RuleSolution, minimax_solution, residual, residual_norms, solve_rule,
-)
+from .system import RuleSolution, residual, residual_norms
 
 #: Relative tolerance of the eps = |mu_Q| self-check.
 EPS_CHECK_RTOL = 1e-10
-
-
-def solve_tau(fs):
-    """Correction vector: backward substitution on A tau = |mu_Q| v."""
-    return solve_rule(fs).tau
 
 
 def epsilon_check(fs, omega):

@@ -11,7 +11,8 @@ families share one "number of nodes" axis (the classical practical-abscissa
 formula cos(k pi / m), k = 0..m, yields m+1 points).
 
 Gauss-Legendre nodes are the roots of P_n correctly rounded: Newton's
-iteration in doubles, then one Newton step in double-double.
+iteration in doubles, then one Newton step in double-double, and an
+acceptance check on the same double-double recurrence.
 """
 
 import math
@@ -20,7 +21,7 @@ from enum import Enum
 from fractions import Fraction
 
 from .basis import NodeSet, _checked_nodes
-from .ddouble import dd_add, dd_div, dd_mul, dd_mul_d, two_sum
+from .ddouble import dd_add, dd_mul, dd_mul_d, two_sum
 from .errors import ConvergenceError
 from .poly import Interval
 
@@ -131,63 +132,46 @@ def _dd_ratio(num, den):
     return hi, ((num - p) - e) / den
 
 
-def _legendre_ratios(k):
-    """Float pairs of (2j-1)/j and -(j-1)/j, j = 2..k, as (ah, al, bh, bl):
-    the recurrence's divisions, rounded to double-double once by
-    :func:`_dd_ratio`."""
-    out = []
-    for j in range(2, k + 1):
-        a, b = _dd_ratio(2 * j - 1, j), _dd_ratio(1 - j, j)
-        out.append((a[0], a[1], b[0], b[1]))
-    return out
-
-
 def _monic_coefficients(k):
     """Float pairs of -4 beta_j, j = 2..k, with beta_j = (j-1)^2/(4(j-1)^2-1)
     the monic Legendre recurrence coefficient, as (ch, cl)."""
     return [_dd_ratio(-4 * (j - 1) ** 2, 4 * (j - 1) ** 2 - 1) for j in range(2, k + 1)]
 
 
-def _newton_step_dd(k, x, coeffs):
-    """One double-double Newton step for P_k from the double x.
+def _monic_dd(xh, xl, coeffs):
+    """(V_{k-1}, V_k) as (v0h, v0l, vh, vl) at the double-double point
+    x = xh + xl, with ``coeffs`` from :func:`_monic_coefficients` for k.
 
     Runs the scaled monic recurrence V_j = (2x) V_{j-1} - 4 beta_j V_{j-2},
-    V_0 = 1, V_1 = 2x, with ``coeffs`` from :func:`_monic_coefficients`.
-    V_k = P_k * 4^k (k!)^2 / (2k)!, about P_k * sqrt(pi k), so it neither
-    underflows nor overflows at any k.  V_k is carried in double-double;
-    the derivative, V'_k = k (V_{k-1} 2k/(2k-1) - x V_k) / (1 - x^2), only
-    scales the tiny correction and is formed in doubles.  Returns the new
-    iterate x - V_k/V'_k as (xh, xl)."""
-    x2 = 2.0 * x
-    v0h, v0l, v1h, v1l = 1.0, 0.0, x2, 0.0
+    V_0 = 1, V_1 = 2x, in double-double.  V_k = P_k kappa_k with
+    kappa_k = 4^k (k!)^2 / (2k)!, about sqrt(pi k), so it neither
+    underflows nor overflows at any k.  When x is a double, 2x multiplies
+    as a double (``dd_mul_d``), as in the moment recurrence of
+    :mod:`quadlsq.system`: the cheaper product, and the one the Newton
+    step has always taken, so its bits are kept."""
+    x2h, x2l = 2.0 * xh, 2.0 * xl
+    v0h, v0l, v1h, v1l = 1.0, 0.0, x2h, x2l
     for ch, cl in coeffs:
-        th, tl = dd_mul_d(v1h, v1l, x2)
+        if x2l == 0.0:
+            th, tl = dd_mul_d(v1h, v1l, x2h)
+        else:
+            th, tl = dd_mul(v1h, v1l, x2h, x2l)
         uh, ul = dd_mul(v0h, v0l, ch, cl)
         v0h, v0l = v1h, v1l
         v1h, v1l = dd_add(th, tl, uh, ul)
-    v = v1h + v1l
+    return v0h, v0l, v1h, v1l
+
+
+def _newton_step_dd(k, x, coeffs):
+    """One double-double Newton step for P_k from the double x, on
+    :func:`_monic_dd` at x.  V_k is carried in double-double; the
+    derivative, V'_k = k (V_{k-1} 2k/(2k-1) - x V_k) / (1 - x^2), only
+    scales the tiny correction and is formed in doubles.  Returns the new
+    iterate x - V_k/V'_k as (xh, xl)."""
+    v0h, _, vh, vl = _monic_dd(x, 0.0, coeffs)
+    v = vh + vl
     dv = k * (v0h * (2 * k) / (2 * k - 1) - x * v) / (1.0 - x * x)
     return two_sum(x, -(v / dv))
-
-
-def _legendre_pair_dd(k, xh, xl, ratios):
-    """Same recurrence carried in double-double on float pairs: x = xh + xl,
-    ``ratios`` from :func:`_legendre_ratios` for the same k.  Returns
-    (P_k, P'_k) as (ph, pl, dh, dl)."""
-    p0h, p0l, p1h, p1l = 1.0, 0.0, xh, xl
-    for ah, al, bh, bl in ratios:
-        th, tl = dd_mul(p1h, p1l, xh, xl)
-        th, tl = dd_mul(th, tl, ah, al)
-        uh, ul = dd_mul(p0h, p0l, bh, bl)
-        p0h, p0l = p1h, p1l
-        p1h, p1l = dd_add(th, tl, uh, ul)
-    th, tl = dd_mul(p1h, p1l, xh, xl)
-    th, tl = dd_add(p0h, p0l, -th, -tl)  # P_{k-1} - x P_k
-    th, tl = dd_mul_d(th, tl, float(k))
-    uh, ul = dd_mul(xh, xl, xh, xl)
-    uh, ul = dd_add(1.0, 0.0, -uh, -ul)  # 1 - x^2
-    dh, dl = dd_div(th, tl, uh, ul)
-    return p1h, p1l, dh, dl
 
 
 def legendre_nodes(n):
@@ -195,20 +179,20 @@ def legendre_nodes(n):
 
     Newton iteration in doubles on the three-term recurrence from the
     asymptotic guesses cos(pi (4k-1) / (4n+2)), then one double-double
-    Newton step on the scaled monic recurrence (:func:`_newton_step_dd`),
-    so every root is correctly rounded, then mirrored for exact symmetry.
-    Each root is accepted only if |P_n| < 1e-14 at the double-double
-    iterate, evaluated by :func:`_legendre_pair_dd`; that recurrence
-    multiplies by the ratios (2j-1)/j and -(j-1)/j, rounded to
-    double-double once per call and shared by all roots, so it performs no
-    division, and runs on float pairs through the :mod:`quadlsq.ddouble`
-    primitives, bit-identical to the same recurrence written with ``DD``
-    operators.
-    Raises :class:`ConvergenceError` after 100 iterations on any root.
+    Newton step (:func:`_newton_step_dd`), so every root is correctly
+    rounded, then mirrored for exact symmetry.  Both the step and the
+    acceptance check run the one double-double recurrence,
+    :func:`_monic_dd`, on float pairs through the :mod:`quadlsq.ddouble`
+    primitives.  Each root is accepted only if |P_n| < 1e-14 at the
+    double-double iterate, tested as |V_n| < 1e-14 kappa_n with
+    kappa_n = V_n / P_n = 4^n / C(2n, n) rounded once.
+    Raises :class:`ConvergenceError` after 100 iterations on any root, or
+    if a root fails that check.
     """
     if n < 1:
         raise ValueError(f"unsupported count: need n >= 1, got {n}")
-    ratios, coeffs = _legendre_ratios(n), _monic_coefficients(n)
+    coeffs = _monic_coefficients(n)
+    vtol = _NEWTON_PTOL * (4 ** n / math.comb(2 * n, n))
     half = []
     for k in range(1, n // 2 + 1):
         x = math.cos(math.pi * (4 * k - 1) / (4 * n + 2))
@@ -221,8 +205,8 @@ def legendre_nodes(n):
         else:
             raise ConvergenceError(f"no convergence for root {k} of P_{n}")
         xh, xl = _newton_step_dd(n, x, coeffs)
-        ph, pl, _, _ = _legendre_pair_dd(n, xh, xl, ratios)
-        if not abs(ph + pl) < _NEWTON_PTOL:
+        _, _, vh, vl = _monic_dd(xh, xl, coeffs)
+        if not abs(vh + vl) < vtol:
             raise ConvergenceError(f"no convergence for root {k} of P_{n}")
         half.append(xh + xl)
     half.sort(reverse=True)

@@ -415,15 +415,6 @@ def solve_rule(fs):
     )
 
 
-def solve_weights(fs):
-    """Weights of the rule: backward substitution on A w = c.
-
-    By construction this unique solution is also the least-squares solution
-    of the full (n+1)-row system.
-    """
-    return solve_rule(fs).omega
-
-
 def _vector(x, n):
     """A candidate vector as n (hi, lo) pairs: pairs (``DD`` values among
     them) are kept, doubles get lo = 0."""
@@ -433,15 +424,6 @@ def _vector(x, n):
     if len(xs) != n:
         raise ValueError(f"expected a vector of length {n}, got {len(xs)}")
     return [v if isinstance(v, tuple) else (float(v), 0.0) for v in xs]
-
-
-def minimax_solution(fs, omega):
-    """Minimax solution z* = omega + tau of the fundamental system.
-
-    ``omega`` is a vector of n doubles or (hi, lo) pairs, rounded to
-    doubles before tau is added.
-    """
-    return _freeze(_round(_vector(omega, fs.n)) + solve_rule(fs).tau)
 
 
 def _residual_dd(fs, x):

@@ -236,7 +236,9 @@ def ref_rational_pipeline(nodes, interval=(Fraction(-1), Fraction(1))):
 # into the float-pair primitives of ``quadlsq.ddouble``: the same operator
 # bodies, built on two-sum, fast two-sum and two-product helpers.  The
 # ``ref_*`` loops are the scalar-DD forms of the O(n^2) kernels in
-# ``quadlsq.system`` and of the Gauss-Legendre polish in ``quadlsq.nodes``.
+# ``quadlsq.system``, of the Gauss-Legendre polish in ``quadlsq.nodes`` as
+# it was with two Newton steps, and of the scaled monic recurrence that
+# the one-step polish and its acceptance check run.
 # The kernels must reproduce them bit for bit.
 # ---------------------------------------------------------------------------
 
@@ -463,14 +465,28 @@ def _ref_legendre_pair_dd(k, x, ratios):
 
 @lru_cache(maxsize=None)
 def _ref_legendre_ratios(k):
-    # cached: ref_legendre_pair is called at every node of a rule
     return [(_ref_from_fraction(Fraction(2 * j - 1, j)), _ref_from_fraction(Fraction(1 - j, j)))
             for j in range(2, k + 1)]
 
 
-def ref_legendre_pair(k, x):
-    """(P_k(x), P'_k(x)) by the scalar-DD recurrence; x is a (hi, lo) pair."""
-    return _ref_legendre_pair_dd(k, _ref(x), _ref_legendre_ratios(k))
+@lru_cache(maxsize=None)
+def _ref_monic_coefficients(k):
+    # -4 beta_j, beta_j = (j-1)^2 / (4(j-1)^2 - 1), j = 2..k, rounded from Fractions
+    return [_ref_from_fraction(Fraction(-4 * (j - 1) ** 2, 4 * (j - 1) ** 2 - 1))
+            for j in range(2, k + 1)]
+
+
+def ref_monic(k, x):
+    """(V_{k-1}, V_k) of the scaled monic Legendre recurrence
+    V_j = 2x V_{j-1} - 4 beta_j V_{j-2}, V_0 = 1, V_1 = 2x, by scalar RefDD
+    operators; x is a (hi, lo) pair.  2x multiplies as a plain double when
+    its low part is zero, as ``_ref_factor`` does for node differences."""
+    x2 = RefDD(2.0 * x[0], 2.0 * x[1])
+    factor = x2[0] if x2[1] == 0.0 else x2
+    v0, v1 = _REF_ONE, x2
+    for c in _ref_monic_coefficients(k):
+        v0, v1 = v1, v1 * factor + v0 * c
+    return v0, v1
 
 
 def ref_legendre_nodes(n):

@@ -21,10 +21,10 @@ from hypothesis import strategies as st
 import quadlsq as q
 from quadlsq import ddouble, system
 from quadlsq.ddouble import DD, dd_add, dd_add_d, dd_div, dd_mul, dd_mul_d, from_fraction
-from quadlsq.minimax import solve_rule
-from quadlsq.nodes import _legendre_pair_dd, _legendre_ratios, _monic_coefficients
+from quadlsq.nodes import _monic_coefficients, _monic_dd
 from quadlsq.system import (
     _back_substitute, _iter_moments_dd, _moments_dd, _node_products_dd, _residual_dd,
+    solve_rule,
 )
 
 from helpers import (
@@ -34,7 +34,7 @@ from helpers import (
     asymmetric_rational_nodes,
     bits,
     ref_legendre_nodes,
-    ref_legendre_pair,
+    ref_monic,
     ref_lsq_normal_equations,
     ref_moments,
     ref_node_products,
@@ -208,9 +208,6 @@ def test_pipeline_bit_identical(ns):
     assert bits(sol.omega) == bits(omega)
     assert bits(sol.tau) == bits(tau)
     assert bits(sol.z_star) == bits(z_star)
-    assert bits(q.solve_weights(fs)) == bits(omega)
-    assert bits(q.solve_tau(fs)) == bits(tau)
-    assert bits(q.minimax_solution(fs, sol.omega)) == bits(z_star)
     assert bits(q.residual(fs, sol._omega_dd)) == bits(_floats(ref_residual(ref_F, ref_c_tilde, w)))
     assert bits(q.residual(fs, sol.omega)) == bits(
         _floats(ref_residual(ref_F, ref_c_tilde, [(v, 0.0) for v in omega])))
@@ -270,24 +267,20 @@ def test_gauss_legendre_nodes_bit_identical(n):
 
 
 @pytest.mark.parametrize("n", _NS)
-def test_legendre_pair_dd_bit_identical(n):
-    # the check's recurrence itself, not only the node: P_n and P'_n at
-    # every root, and off it by a low part
-    ratios = _legendre_ratios(n)
+def test_monic_dd_bit_identical(n):
+    # the one recurrence of the Newton step and of the acceptance check:
+    # V_{n-1} and V_n at every root, where the step runs it on a double,
+    # and off the root by a low part, where the check runs it on a pair
+    coeffs = _monic_coefficients(n)
     for t in q.legendre_nodes(n):
         for x in ((t, 0.0), (t, t * 2.0 ** -60), (0.5 * t, -(t * 2.0 ** -58))):
-            got = _legendre_pair_dd(n, *x, ratios)
-            p, dp = ref_legendre_pair(n, x)
-            assert bits([got[:2], got[2:]]) == bits([p, dp])
+            assert bits([_monic_dd(*x, coeffs)]) == bits(ref_monic(n, x))
 
 
 def test_recurrence_ratios_equal_from_fraction():
     # the integer ratios are rounded to double-double without Fraction;
     # each pair must be the one the exact route rounds to
     k = 2000
-    want = [(from_fraction(Fraction(2 * j - 1, j)), from_fraction(Fraction(1 - j, j)))
-            for j in range(2, k + 1)]
-    assert bits(_legendre_ratios(k)) == bits([(*a, *b) for a, b in want])
     want = [from_fraction(Fraction(-4 * (j - 1) ** 2, 4 * (j - 1) ** 2 - 1))
             for j in range(2, k + 1)]
     assert bits(_monic_coefficients(k)) == bits(want)

@@ -11,12 +11,9 @@ from quadlsq import (
     build_system,
     epsilon_check,
     equioscillation_residual,
-    minimax_solution,
     residual,
     residual_norms,
     solve_rule,
-    solve_tau,
-    solve_weights,
 )
 
 from quadlsq.minimax import epsilon_from_residual
@@ -28,11 +25,11 @@ SIMPSON = NodeSet((-1.0, 0.0, 1.0))
 
 class TestSolveTau:
     def test_simpson(self):
-        tau = solve_tau(build_system(SIMPSON))
+        tau = solve_rule(build_system(SIMPSON)).tau
         np.testing.assert_allclose(tau, [2 / 15, 0.0, 2 / 15], rtol=0, atol=1e-16)
 
     def test_midpoint(self):
-        tau = solve_tau(build_system(NodeSet((0.0,))))
+        tau = solve_rule(build_system(NodeSet((0.0,)))).tau
         np.testing.assert_allclose(tau, [2 / 3], rtol=0, atol=1e-16)
 
     def test_scaling_linearity(self):
@@ -53,8 +50,7 @@ class TestMinimaxSolution:
         # omega + tau = [7/15, 4/3, 7/15]; the source example prints
         # [3/15, 4/3, 3/15], which contradicts its own tau and fails the
         # defining equation below, so the derived value is the one tested
-        fs = build_system(SIMPSON)
-        z = minimax_solution(fs, solve_weights(fs))
+        z = solve_rule(build_system(SIMPSON)).z_star
         np.testing.assert_allclose(z, [7 / 15, 4 / 3, 7 / 15], rtol=0, atol=1e-15)
 
     def test_defining_equation(self):
@@ -65,20 +61,20 @@ class TestMinimaxSolution:
             np.testing.assert_allclose(lhs, fs.c, rtol=1e-12, atol=1e-13)
 
     def test_midpoint(self):
-        fs = build_system(NodeSet((0.0,)))
-        z = minimax_solution(fs, solve_weights(fs))
+        z = solve_rule(build_system(NodeSet((0.0,)))).z_star
         np.testing.assert_allclose(z, [8 / 3], rtol=1e-15)
 
     @pytest.mark.parametrize("omega", [[0.5], [0.5, 0.5], [0.5] * 4, []])
     def test_length_mismatch(self, omega):
-        # a wrong length is refused, not broadcast against tau
+        # a candidate z* of the wrong length is refused, not broadcast
         fs = build_system(SIMPSON)
         with pytest.raises(ValueError, match=f"expected a vector of length 3, got {len(omega)}"):
-            minimax_solution(fs, omega)
+            equioscillation_residual(fs, omega)
 
     def test_accepts_double_double_pairs(self):
         _, fs, sol = solved(q.Family.GAUSS_LEGENDRE, 5)
-        np.testing.assert_array_equal(minimax_solution(fs, sol._omega_dd), sol.z_star)
+        np.testing.assert_array_equal(equioscillation_residual(fs, list(sol._z_dd)),
+                                      equioscillation_residual(fs, sol))
 
     def test_z_equals_omega_plus_tau_exactly(self):
         for family, n in family_cases(2, 8):
@@ -111,7 +107,7 @@ class TestEpsilonCheck:
 
     def test_accepts_plain_vector(self):
         fs = build_system(SIMPSON)
-        assert epsilon_check(fs, solve_weights(fs)) == pytest.approx(4 / 15, rel=1e-12)
+        assert epsilon_check(fs, solve_rule(fs).omega) == pytest.approx(4 / 15, rel=1e-12)
 
     def test_mismatch_raises(self):
         fs = build_system(SIMPSON)

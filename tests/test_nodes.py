@@ -133,6 +133,29 @@ class TestGenerators:
         with pytest.raises(ConvergenceError, match="no convergence"):
             legendre_nodes(6)
 
+    @pytest.mark.parametrize("n", [2, 17, 64])
+    @pytest.mark.parametrize("size,accepted", [(2e-14, False), (0.5e-14, True)])
+    def test_acceptance_check_is_on_p_n(self, monkeypatch, n, size, accepted):
+        # a double-double step that lands off the root by size / |P'_n|, so
+        # that |P_n| there is about size: the check on V_n / kappa_n must
+        # refuse it above 1e-14 and accept it below
+        import quadlsq.nodes as nodes_mod
+        from quadlsq.ddouble import dd_add
+        from quadlsq.nodes import _legendre_pair
+
+        step = nodes_mod._newton_step_dd
+
+        def off_root_step(k, x, coeffs):
+            xh, xl = step(k, x, coeffs)
+            return dd_add(xh, xl, size / abs(_legendre_pair(k, xh)[1]), 0.0)
+
+        monkeypatch.setattr(nodes_mod, "_newton_step_dd", off_root_step)
+        if accepted:
+            assert len(legendre_nodes(n)) == n
+        else:
+            with pytest.raises(ConvergenceError, match=f"no convergence for root 1 of P_{n}"):
+                legendre_nodes(n)
+
 
 class TestGenerate:
     def test_custom(self):

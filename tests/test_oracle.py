@@ -19,7 +19,7 @@ from quadlsq import (
     direct_sis4_minimax,
     lsq_normal_equations,
     rational_pipeline,
-    solve_weights,
+    solve_rule,
 )
 from quadlsq.oracle import _solve_dense
 
@@ -54,7 +54,7 @@ class TestNormalEquations:
     def test_cc4_matches_triangular_route(self):
         fs = build_system(NodeSet((-1.0, -0.5, 0.5, 1.0)))
         np.testing.assert_allclose(
-            lsq_normal_equations(fs), solve_weights(fs), rtol=1e-12
+            lsq_normal_equations(fs), solve_rule(fs).omega, rtol=1e-12
         )
 
     @pytest.mark.parametrize("family,n", family_cases(1, 12))
@@ -72,7 +72,7 @@ class TestNormalEquations:
 class TestDegreeByMonomials:
     def test_simpson(self):
         fs = build_system(SIMPSON)
-        assert degree_by_monomials(SIMPSON, solve_weights(fs)) == 3
+        assert degree_by_monomials(SIMPSON, solve_rule(fs).omega) == 3
 
     def test_gl2(self):
         ns, fs, sol = solved(q.Family.GAUSS_LEGENDRE, 2)
@@ -90,7 +90,7 @@ class TestDegreeByMonomials:
     @pytest.mark.parametrize("eps_deg", [-1.0, math.nan, math.inf, -math.inf])
     def test_invalid_threshold_is_an_input_error(self, eps_deg):
         # the same check, and message, as build_system's
-        w = solve_weights(build_system(SIMPSON))
+        w = solve_rule(build_system(SIMPSON)).omega
         with pytest.raises(ValueError, match="eps_deg must be a finite number >= 0"):
             degree_by_monomials(SIMPSON, w, eps_deg=eps_deg)
 

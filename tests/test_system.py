@@ -17,9 +17,9 @@ from quadlsq import (
     rational_pipeline,
     residual,
     residual_norms,
-    solve_weights,
+    solve_rule,
 )
-from quadlsq.system import _moments_dd, _node_products_dd
+from quadlsq.system import _default_eps_deg, _iter_moments_dd, _moments_dd, _node_products_dd
 
 from helpers import FAMILIES, MIN_N, asymmetric_rational_nodes, bits, family_cases, nodeset, solved
 
@@ -119,16 +119,16 @@ class TestDetectDegree:
 
 class TestSolveWeights:
     def test_simpson(self):
-        w = solve_weights(build_system(SIMPSON))
+        w = solve_rule(build_system(SIMPSON)).omega
         np.testing.assert_allclose(w, [1 / 3, 4 / 3, 1 / 3], rtol=0, atol=1e-16)
 
     def test_cc4(self):
-        w = solve_weights(build_system(NodeSet((-1.0, -0.5, 0.5, 1.0))))
+        w = solve_rule(build_system(NodeSet((-1.0, -0.5, 0.5, 1.0)))).omega
         np.testing.assert_allclose(w, [1 / 9, 8 / 9, 8 / 9, 1 / 9], rtol=0, atol=1e-15)
 
     def test_gl2(self):
         _, fs, _ = solved(q.Family.GAUSS_LEGENDRE, 2)
-        np.testing.assert_allclose(solve_weights(fs), [1.0, 1.0], rtol=0, atol=1e-15)
+        np.testing.assert_allclose(solve_rule(fs).omega, [1.0, 1.0], rtol=0, atol=1e-15)
 
     @pytest.mark.parametrize("family,n", family_cases(1, 12))
     def test_weights_sum_to_mu0(self, family, n):
@@ -139,15 +139,15 @@ class TestSolveWeights:
         nodes = list(nodeset(q.Family.GAUSS_LEGENDRE, 7).nodes)
         shuffled = nodes[:]
         random.Random(42).shuffle(shuffled)
-        w1 = solve_weights(build_system(NodeSet(tuple(nodes))))
-        w2 = solve_weights(build_system(NodeSet(tuple(sorted(shuffled)))))
+        w1 = solve_rule(build_system(NodeSet(tuple(nodes)))).omega
+        w2 = solve_rule(build_system(NodeSet(tuple(sorted(shuffled))))).omega
         assert w1.tolist() == w2.tolist()
 
 
 class TestResidual:
     def test_simpson_at_omega(self):
         fs = build_system(SIMPSON)
-        r = residual(fs, solve_weights(fs))
+        r = residual(fs, solve_rule(fs).omega)
         np.testing.assert_allclose(r[:3], 0.0, rtol=0, atol=1e-15)
         assert r[3] == pytest.approx(4.0 / 15.0, abs=1e-16)
 
@@ -408,6 +408,32 @@ class TestLeadingMoments:
         assert _scan_outcome(ns) == _drained_scan(ns)
         assert _scan_outcome(ns)[0] == "overflow"
 
+    @pytest.mark.parametrize("n,interval,index,wrong", [
+        (57, (0.0, 1000.0), 111, "mu_Q"),
+        (39, (-1e4, 1e4), 75, "degree"),
+    ])
+    def test_the_drain_guards_against_wrong_answers(self, n, interval, index, wrong):
+        # why the scan runs on to mu_2n where the bound refuses the early
+        # stop: on these Newton-Cotes rules every moment through the first
+        # one above the threshold is finite, but stopping there would
+        # report what the exact oracle refutes (mu_Q off by a factor of
+        # about 4 at n = 57; degree 38 instead of 39 at n = 39), while the
+        # full scan fails, typed, at its overflowing moment
+        ns = q.generate(q.FamilySpec(q.Family.NEWTON_COTES, n), Interval(*interval))
+        with pytest.raises(q.MomentOverflowError, match=f"mu_{index} is not finite"):
+            build_system(ns)
+        scan = list(enumerate(h + l for h, l in _iter_moments_dd(ns)))
+        eps = _default_eps_deg(scan[0][1])
+        j, mu = next((j, mu) for j, mu in scan[n:] if abs(mu) > eps)
+        assert all(math.isfinite(m) for _, m in scan[:j + 1])
+        rr = rational_pipeline(ns)
+        exact_mu = float(rr.mu_Q)
+        if wrong == "degree":
+            assert (j - 1, rr.degree) == (38, 39)
+        else:
+            assert j - 1 == rr.degree
+            assert abs(mu - exact_mu) > 1e-8 * abs(exact_mu)
+
     def test_nodes_far_outside_a_short_interval(self):
         # |c - t| alone beyond the split limit: the split of c - t itself
         # would give nan, so the bound must refuse however small the moments
@@ -467,7 +493,6 @@ class TestLazyProfile:
         q.build_report(ns, fs=fs, solution=sol)
         q.lsq_normal_equations(fs)
         q.direct_sis4_minimax(fs)
-        q.minimax_solution(fs, sol.omega)
         residual(fs, sol.z_star)
         fs.F, fs.c, fs.c_tilde
         assert not set(_PROFILE) & vars(fs).keys()
