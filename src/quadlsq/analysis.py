@@ -24,8 +24,10 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .minimax import epsilon_from_residual, equioscillation_residual
-from .system import _checked_eps_deg, build_system, residual, residual_norms, solve_rule
+from .minimax import _epsilon, equioscillation_residual
+from .system import (
+    _checked_eps_deg, _scaled_norms, _unscaled, build_system, residual, residual_norms, solve_rule,
+)
 
 
 @dataclass(frozen=True, eq=False)
@@ -59,11 +61,16 @@ def _unit_scaled(x):
 def rule_angle(omega, z_star, degrees=True):
     """Angle between the weight vector and the minimax solution.
 
-    The cosine |<z*, omega>| / (||z*||_2 ||omega||_2) is clamped to [-1, 1]
-    before arccos.  Each vector is first divided by the power of two of its
-    largest component, an exact scaling that leaves the cosine as it is
-    and keeps the norms from overflowing.  Reported in degrees by
-    convention; pass ``degrees=False`` for radians.
+    Each vector is first divided by the power of two of its largest
+    component, an exact scaling that keeps the norms from overflowing, and
+    then by its 2-norm, to the unit vectors u and v.  The angle is Kahan's
+    2 atan2(||u - v||, ||u + v||), with v negated when <u, v> < 0 so that
+    opposite directions fold together, as the |<z*, omega>| of the cosine
+    does.  Its error is about one rounding of the unit vectors, some
+    1e-16 rad, where arccos of the cosine resolves nothing below
+    sqrt(2 eps) ~ 1e-8 rad, so an angle of 1e-7 rad keeps about nine
+    digits.  Reported in degrees by convention; pass ``degrees=False``
+    for radians.
     """
     omega = _unit_scaled(omega)
     z_star = _unit_scaled(z_star)
@@ -71,8 +78,11 @@ def rule_angle(omega, z_star, degrees=True):
     nz = np.linalg.norm(z_star)
     if nw == 0.0 or nz == 0.0:
         raise ValueError("zero vector: the rule angle is undefined")
-    cos = min(1.0, max(-1.0, abs(float(np.dot(omega, z_star))) / (nw * nz)))
-    ang = math.acos(cos)
+    u = omega / nw
+    v = z_star / nz
+    if np.dot(u, v) < 0.0:
+        v = -v
+    ang = 2.0 * math.atan2(np.linalg.norm(u - v), np.linalg.norm(u + v))
     return math.degrees(ang) if degrees else ang
 
 
@@ -109,25 +119,30 @@ def cond_inf_upper(fs):
     node differences.  A product beyond the double range gives a zero or
     infinite term, so the result may be inf but never nan.
     """
+    return float(np.max(np.sum(np.abs(fs.A), axis=1))) * _norm_inf_inverse(fs)
+
+
+def _norm_inf_inverse(fs):
+    """||A^-1||_inf from the closed form of :func:`cond_inf_upper`."""
     t = np.asarray(fs.nodes.nodes, dtype=float)
     d = np.abs(t[:, None] - t[None, :])
     np.fill_diagonal(d, 1.0)
     with np.errstate(over="ignore", divide="ignore"):
-        norm_inv = float(np.max(np.sum(np.triu(1.0 / np.cumprod(d, axis=1)), axis=1)))
-    norm_a = float(np.max(np.sum(np.abs(fs.A), axis=1)))
-    return norm_a * norm_inv
+        return float(np.max(np.sum(np.triu(1.0 / np.cumprod(d, axis=1)), axis=1)))
 
 
 def bounds_omega_gamma(fs, omega, z_star):
-    """The bounds (Omega, Gamma, cond_inf_A) for a solved rule."""
+    """The bounds (Omega, Gamma, cond_inf_A) for a solved rule; |A| is
+    formed once, for its column sums, its row sums and cond_inf(A)."""
     omega = np.asarray(omega, dtype=float)
     z_star = np.asarray(z_star, dtype=float)
     diff = omega - z_star
-    norm_a1 = float(np.max(np.sum(np.abs(fs.A), axis=0)))
-    norm_ainf = float(np.max(np.sum(np.abs(fs.A), axis=1)))
+    abs_a = np.abs(fs.A)
+    norm_a1 = float(np.max(np.sum(abs_a, axis=0)))
+    norm_ainf = float(np.max(np.sum(abs_a, axis=1)))
     omega_bound = norm_a1 * float(np.sum(np.abs(diff))) / math.sqrt(fs.n)
     gamma = float(np.max(np.abs(diff))) * norm_ainf / abs(fs.mu_Q)
-    return omega_bound, gamma, cond_inf_upper(fs)
+    return omega_bound, gamma, norm_ainf * _norm_inf_inverse(fs)
 
 
 def build_report(ns, family="custom", eps_deg=None, fs=None, solution=None):
@@ -145,16 +160,17 @@ def build_report(ns, family="custom", eps_deg=None, fs=None, solution=None):
     if solution is None:
         solution = solve_rule(fs)
 
-    r_omega = residual(fs, solution._omega_dd)  # for the norms and the check
+    # r(omega) and its scaled norms once, for the norms and the check
+    e, scaled = _scaled_norms(residual(fs, solution._omega_dd), (1, 2, 3, math.inf))
+    norms_w = _unscaled(e, scaled)
     r_z = equioscillation_residual(fs, solution)
-    norms_w = residual_norms(r_omega, (1, 2, 3, math.inf))
     norms = {
         "r_omega_1": norms_w[1],
         "r_omega_2": norms_w[2],
         "r_omega_3": norms_w[3],
         "r_omega_inf": norms_w[math.inf],
         "r_z_inf": residual_norms(r_z, (math.inf,))[math.inf],
-        "epsilon": epsilon_from_residual(fs, r_omega),
+        "epsilon": _epsilon(fs, e, scaled),
     }
     n_omega, n_z = norm_params(solution.omega, solution.z_star)
     alpha, c_n = error_coefficient(fs.mu_Q, fs.degree)

@@ -9,12 +9,21 @@ ten orders of magnitude below the largest term.
 The arithmetic lives in float-pair primitives (``two_sum``, ``dd_add``,
 ``dd_add_d``, ``dd_mul``, ``dd_mul_d``, ``dd_div``) that take and return
 plain ``(hi, lo)`` doubles, with the two-sum and two-product steps written
-out (Dekker 1971; Hida, Li & Bailey, QD, 2001).  Whether the two-product uses
-``math.fma`` or Dekker splitting is fixed once, at import.  The ``DD``
-operators are thin wrappers over the primitives, so the O(n^2) loops in
-:mod:`quadlsq.system` and :mod:`quadlsq.nodes`, which call the primitives
-on unpacked pairs, produce the same bits as the same expression written
-with ``DD`` values, only without a method call and a tuple per operation.
+out (Dekker 1971; Hida, Li & Bailey, QD, 2001).  The two-product has one
+form on every interpreter: Dekker's split by 2^27 + 1, never ``math.fma``,
+so that a result does not depend on the Python version, and the overflow
+limit of :mod:`quadlsq.system` is derived for it.  The ``DD`` operators are
+thin wrappers over the primitives.
+
+The O(n^2) loops -- the moment recurrence and the running products of
+:mod:`quadlsq.system`, the Legendre recurrence of :mod:`quadlsq.nodes` --
+write the primitives out in place, and the row sums of the backward pass,
+the residual and the normal-equations oracle share one written-out row,
+:func:`dd_dot`.  An operand that a loop reuses is split once, outside it.
+Each such loop performs the operations of ``dd_mul`` then ``dd_add`` in
+their order (a product by a double included, see :func:`dd_mul_d`), so
+it produces the same bits as the primitives, and as the same expression
+written with ``DD`` values, only without a call per operation.
 
 Only the operations the moment/solve pipeline needs are implemented.
 """
@@ -23,8 +32,6 @@ import math
 from fractions import Fraction
 
 _SPLITTER = 134217729.0  # 2**27 + 1, exact in double
-
-_HAVE_FMA = hasattr(math, "fma")
 
 
 def two_sum(a, b):
@@ -37,13 +44,10 @@ def two_sum(a, b):
 # -- float-pair primitives -------------------------------------------------
 #
 # Each takes and returns plain doubles (hi, lo), with two-sum (Knuth), fast
-# two-sum (Dekker) and two-product (FMA when the interpreter has math.fma,
-# Dekker splitting otherwise) written out in place.  Loops that run O(n^2)
-# times call these directly on unpacked pairs, so they pay no method
-# dispatch and build no DD objects.  The order of the operations is part of
-# the contract: tests/test_kernels.py compares every primitive bit for bit
-# with a frozen copy of the scalar DD route, and every stored value of the
-# pipeline depends on it.
+# two-sum (Dekker) and two-product (Dekker splitting) written out in place.
+# The order of the operations is part of the contract: tests/test_kernels.py
+# compares every primitive bit for bit with a frozen copy of the scalar DD
+# route, and every stored value of the pipeline depends on it.
 
 
 def dd_add(ah, al, bh, bl):
@@ -72,54 +76,93 @@ def dd_add_d(ah, al, b):
     return h, e - (h - s)
 
 
-if _HAVE_FMA:
-    _fma = math.fma
+def dd_mul(ah, al, bh, bl):
+    """(ah + al) * (bh + bl), the al*bl term dropped."""
+    p = ah * bh
+    c = _SPLITTER * ah
+    xh = c - (c - ah)
+    xl = ah - xh
+    c = _SPLITTER * bh
+    yh = c - (c - bh)
+    yl = bh - yh
+    e = ((xh * yh - p) + xh * yl + xl * yh) + xl * yl
+    e += ah * bl + al * bh
+    h = p + e
+    return h, e - (h - p)
 
-    def dd_mul(ah, al, bh, bl):
-        """(ah + al) * (bh + bl), the al*bl term dropped."""
-        p = ah * bh
-        e = _fma(ah, bh, -p)
-        e += ah * bl + al * bh
-        h = p + e
-        return h, e - (h - p)
 
-    def dd_mul_d(ah, al, b):
-        """(ah + al) * b for a double b."""
-        p = ah * b
-        e = _fma(ah, b, -p)
-        e += al * b
-        h = p + e
-        return h, e - (h - p)
+def dd_mul_d(ah, al, b):
+    """(ah + al) * b for a double b.
 
-else:
+    The same bits as ``dd_mul(ah, al, b, 0.0)``, NaN payloads aside: the
+    error term e, summed before the cross terms are added, is never -0
+    (x - y is -0 only for x = -0, y = +0, and xh yh and p = ah b are zeros
+    of one sign), so adding ah * 0.0 + al * b instead of al * b cannot
+    change it.  The inlined loops rely on this and take the full product
+    whatever the low part of b.
+    """
+    p = ah * b
+    c = _SPLITTER * ah
+    xh = c - (c - ah)
+    xl = ah - xh
+    c = _SPLITTER * b
+    yh = c - (c - b)
+    yl = b - yh
+    e = ((xh * yh - p) + xh * yl + xl * yh) + xl * yl
+    e += al * b
+    h = p + e
+    return h, e - (h - p)
 
-    def dd_mul(ah, al, bh, bl):
-        """(ah + al) * (bh + bl), the al*bl term dropped."""
+
+def split_operand(h, l):
+    """(h, l, yh, yl): a pair with the Dekker split h = yh + yl appended,
+    the operand form of :func:`dd_dot`, so a row reusing it splits it once."""
+    c = _SPLITTER * h
+    yh = c - (c - h)
+    return h, l, yh, h - yh
+
+
+def split_operands(pairs):
+    """:func:`split_operand` of each (hi, lo) pair, as a list."""
+    return [split_operand(h, l) for h, l in pairs]
+
+
+def dd_dot(sh, sl, pairs, operands):
+    """(sh + sl) + sum of a * b over the (ah, al) pairs and the split
+    operands of :func:`split_operands`, in order, stopping at the shorter.
+
+    Each step is ``dd_mul(ah, al, bh, bl)`` then ``dd_add`` onto the
+    running sum, written out with the split of bh taken from the operand,
+    so the result has the bits of that loop.  A row that subtracts its
+    products passes the negated operands.  Rounding and the split are
+    symmetric in sign, so ``dd_mul(a, -b)`` is ``-dd_mul(a, b)`` except
+    that an exactly cancelled term may be a zero of the other sign, which
+    no sum in ``dd_add`` can pass on to its result; ``tests/test_kernels.py``
+    checks the rows bit for bit against ``dd_add(s, -dd_mul(a, b))``,
+    signed zeros included.
+    """
+    for (ah, al), (bh, bl, yh, yl) in zip(pairs, operands):
         p = ah * bh
         c = _SPLITTER * ah
         xh = c - (c - ah)
         xl = ah - xh
-        c = _SPLITTER * bh
-        yh = c - (c - bh)
-        yl = bh - yh
         e = ((xh * yh - p) + xh * yl + xl * yh) + xl * yl
         e += ah * bl + al * bh
-        h = p + e
-        return h, e - (h - p)
-
-    def dd_mul_d(ah, al, b):
-        """(ah + al) * b for a double b."""
-        p = ah * b
-        c = _SPLITTER * ah
-        xh = c - (c - ah)
-        xl = ah - xh
-        c = _SPLITTER * b
-        yh = c - (c - b)
-        yl = b - yh
-        e = ((xh * yh - p) + xh * yl + xl * yh) + xl * yl
-        e += al * b
-        h = p + e
-        return h, e - (h - p)
+        ph = p + e
+        pl = e - (ph - p)
+        s = sh + ph
+        v = s - sh
+        e = (sh - (s - v)) + (ph - v)
+        t = sl + pl
+        v = t - sl
+        f = (sl - (t - v)) + (pl - v)
+        e += t
+        h = s + e
+        e -= h - s
+        e += f
+        sh = h + e
+        sl = e - (sh - h)
+    return sh, sl
 
 
 def dd_div(ah, al, bh, bl):

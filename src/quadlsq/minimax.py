@@ -62,8 +62,12 @@ def epsilon_from_residual(fs, r):
     overflow while eps itself fits."""
     r = np.asarray(r, dtype=float)
     e = math.frexp(float(np.max(np.abs(r))))[1]
-    norms = residual_norms(np.ldexp(r, -e), (1, 2))
-    eps = math.ldexp(norms[2] ** 2 / norms[1], e)
+    return _epsilon(fs, e, residual_norms(np.ldexp(r, -e), (1, 2)))
+
+
+def _epsilon(fs, e, scaled):
+    """eps from the 1- and 2-norms of r / 2^e, checked against |mu_Q|."""
+    eps = math.ldexp(float(scaled[2]) ** 2 / float(scaled[1]), e)
     ref = abs(fs.mu_Q)
     if abs(eps - ref) > EPS_CHECK_RTOL * ref:
         raise SelfCheckError(

@@ -21,7 +21,7 @@ from enum import Enum
 from fractions import Fraction
 
 from .basis import NodeSet, _checked_nodes
-from .ddouble import dd_add, dd_mul, dd_mul_d, two_sum
+from .ddouble import _SPLITTER, dd_mul_d, two_sum
 from .errors import ConvergenceError
 from .poly import Interval
 
@@ -145,20 +145,48 @@ def _monic_dd(xh, xl, coeffs):
     Runs the scaled monic recurrence V_j = (2x) V_{j-1} - 4 beta_j V_{j-2},
     V_0 = 1, V_1 = 2x, in double-double.  V_k = P_k kappa_k with
     kappa_k = 4^k (k!)^2 / (2k)!, about sqrt(pi k), so it neither
-    underflows nor overflows at any k.  When x is a double, 2x multiplies
-    as a double (``dd_mul_d``), as in the moment recurrence of
-    :mod:`quadlsq.system`: the cheaper product, and the one the Newton
-    step has always taken, so its bits are kept."""
+    underflows nor overflows at any k.  Each step is
+    ``dd_add(dd_mul(V_{j-1}, 2x), dd_mul(V_{j-2}, -4 beta_j))`` written out:
+    2x is split once, and the split of V_{j-1} is kept for the next step,
+    where it is V_{j-2}.  When x is a double the full product by 2x has
+    the bits of ``dd_mul_d`` (see :func:`quadlsq.ddouble.dd_mul_d`), the
+    product the Newton step has always taken."""
     x2h, x2l = 2.0 * xh, 2.0 * xl
-    v0h, v0l, v1h, v1l = 1.0, 0.0, x2h, x2l
+    c = _SPLITTER * x2h
+    zh = c - (c - x2h)
+    zl = x2h - zh
+    v0h, v0l, a0h, a0l = 1.0, 0.0, 1.0, 0.0  # V_0 and its split
+    v1h, v1l = x2h, x2l
     for ch, cl in coeffs:
-        if x2l == 0.0:
-            th, tl = dd_mul_d(v1h, v1l, x2h)
-        else:
-            th, tl = dd_mul(v1h, v1l, x2h, x2l)
-        uh, ul = dd_mul(v0h, v0l, ch, cl)
-        v0h, v0l = v1h, v1l
-        v1h, v1l = dd_add(th, tl, uh, ul)
+        p = v1h * x2h
+        c = _SPLITTER * v1h
+        a1h = c - (c - v1h)
+        a1l = v1h - a1h
+        e = ((a1h * zh - p) + a1h * zl + a1l * zh) + a1l * zl
+        e += v1h * x2l + v1l * x2h
+        th = p + e
+        tl = e - (th - p)
+        p = v0h * ch
+        c = _SPLITTER * ch
+        bh = c - (c - ch)
+        bl = ch - bh
+        e = ((a0h * bh - p) + a0h * bl + a0l * bh) + a0l * bl
+        e += v0h * cl + v0l * ch
+        uh = p + e
+        ul = e - (uh - p)
+        v0h, v0l, a0h, a0l = v1h, v1l, a1h, a1l
+        s = th + uh
+        v = s - th
+        e = (th - (s - v)) + (uh - v)
+        t = tl + ul
+        v = t - tl
+        f = (tl - (t - v)) + (ul - v)
+        e += t
+        h = s + e
+        e -= h - s
+        e += f
+        v1h = h + e
+        v1l = e - (v1h - h)
     return v0h, v0l, v1h, v1l
 
 
@@ -182,9 +210,9 @@ def legendre_nodes(n):
     Newton step (:func:`_newton_step_dd`), so every root is correctly
     rounded, then mirrored for exact symmetry.  Both the step and the
     acceptance check run the one double-double recurrence,
-    :func:`_monic_dd`, on float pairs through the :mod:`quadlsq.ddouble`
-    primitives.  Each root is accepted only if |P_n| < 1e-14 at the
-    double-double iterate, tested as |V_n| < 1e-14 kappa_n with
+    :func:`_monic_dd`, on float pairs with the :mod:`quadlsq.ddouble`
+    arithmetic written out.  Each root is accepted only if |P_n| < 1e-14
+    at the double-double iterate, tested as |V_n| < 1e-14 kappa_n with
     kappa_n = V_n / P_n = 4^n / C(2n, n) rounded once.
     Raises :class:`ConvergenceError` after 100 iterations on any root, or
     if a root fails that check.

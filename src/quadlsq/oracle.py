@@ -26,7 +26,8 @@ Four deliberately different routes to the same quantities:
 
 The oracle reads the pipeline's double-double store (``A_dd``,
 ``leading_dd``) or its doubles; it shares only the float-pair primitives
-of :mod:`quadlsq.ddouble` and the NodeSet and Interval input checks.
+of :mod:`quadlsq.ddouble` (``dd_dot`` among them, the row sum the pipeline's
+solve and residual also run) and the NodeSet and Interval input checks.
 
 The exact route also computes its quantities by other formulas than the
 pipeline, so that a wrong derivation cannot show up on both sides: moments
@@ -47,7 +48,7 @@ from itertools import chain, islice
 import numpy as np
 
 from .basis import NodeSet, _checked_nodes
-from .ddouble import dd_add, dd_mul, dd_mul_d
+from .ddouble import dd_add, dd_dot, split_operands
 from .errors import SingularSystemError
 from .poly import _checked_interval
 from .system import _checked_eps_deg, _default_eps_deg
@@ -142,7 +143,8 @@ class RationalRule:
     """Exact analysis of a rule with rational nodes; all entries Fractions.
 
     ``interval`` is (a, b).  ``A``, ``c`` and ``moments`` (mu_0 .. mu_{2n})
-    are built from the nodes and the interval on first read, and cached;
+    are built from the nodes and the interval on first read, and cached,
+    from one pass of :func:`_scaled` and :func:`_basis` that they share;
     the degree, mu_Q and the weights do not need them.
     """
 
@@ -153,20 +155,27 @@ class RationalRule:
     weights: tuple
 
     @cached_property
+    def _scaled_basis(self):
+        """(D, L, S, basis): the scaled integers of :func:`_scaled` and all
+        of phi_0..phi_{n-1}, q_n..q_{2n}, built once for ``A`` and
+        ``moments``."""
+        D, T, L, S = _scaled(self.nodes, *self.interval)
+        return D, T, L, S, tuple(_basis(T))
+
+    @cached_property
     def A(self):
         """A[i][j] = phi_i(t_j), zero below the diagonal: Horner's rule on
         the coefficients of phi_i."""
-        D, T, _, _ = _scaled(self.nodes, *self.interval)
+        D, T, _, _, basis = self._scaled_basis
         n, zero = len(T), Fraction(0)
         return tuple(
             tuple(Fraction(_horner(phi, T[j]), D ** i) if j >= i else zero for j in range(n))
-            for i, phi in enumerate(islice(_basis(T), n)))
+            for i, phi in enumerate(basis[:n]))
 
     @cached_property
     def moments(self):
-        D, T, L, S = _scaled(self.nodes, *self.interval)
-        return tuple(Fraction(sum(map(operator.mul, p, S)), L * D ** len(p))
-                     for p in _basis(T))
+        D, _, L, S, basis = self._scaled_basis
+        return tuple(Fraction(sum(map(operator.mul, p, S)), L * D ** len(p)) for p in basis)
 
     @cached_property
     def c(self):
@@ -270,33 +279,35 @@ def lsq_normal_equations(fs):
     conditioning of the normal equations from eating the whole double
     mantissa near n = 12 (plain elimination lands around 1e-7 there).
     Column j of F is nonzero in rows 0..j only, so each dot product runs
-    over those terms, in row order.  Only the upper triangle of the Gram
-    matrix is computed and mirrored: the two-product of ``dd_mul`` is exact
-    on both of its branches, so x.y and y.x give the same bits.  Refinement
+    over those terms, in row order, as one :func:`quadlsq.ddouble.dd_dot`
+    row with each column split once.  Only the upper triangle of the Gram
+    matrix is computed and mirrored: the two-product of ``dd_mul`` is
+    exact, so x.y and y.x give the same bits.  The refinement residual
+    takes the iterate's doubles as pairs with lo = 0, whose product has the
+    bits of ``dd_mul_d``.  Refinement
     takes at most three steps and stops early at a fixed point, once a step
     leaves every bit of the iterate unchanged: each later step would
     compute the same residual and return the same iterate again.
     """
     n, rows = fs.n, fs.A_dd
     cols = [[rows[k][j - k] for k in range(j + 1)] for j in range(n)]
+    split_cols = [split_operands(cj) for cj in cols]
     gram_dd = [[None] * n for _ in range(n)]
     for i, ci in enumerate(cols):
         for j in range(i, n):
-            gram_dd[i][j] = gram_dd[j][i] = _dot(ci, cols[j])
-    rhs_dd = [_dot(ci, fs.leading_dd) for ci in cols]
+            gram_dd[i][j] = gram_dd[j][i] = dd_dot(0.0, 0.0, ci, split_cols[j])
+    lead = split_operands(fs.leading_dd)
+    rhs_dd = [dd_dot(0.0, 0.0, ci, lead) for ci in cols]
     gram = np.array([h + l for row in gram_dd for h, l in row]).reshape(n, n)
     rhs = np.array([h + l for h, l in rhs_dd])
 
     lu, piv = _lu_factor(gram)
     y = _lu_solve(lu, piv, rhs)
     for _ in range(3):
-        ys = y.tolist()
+        ys = split_operands((v, 0.0) for v in y.tolist())
         resid = []
         for (bh, bl), row in zip(rhs_dd, gram_dd):
-            sh, sl = 0.0, 0.0
-            for (gh, gl), v in zip(row, ys):
-                ph, pl = dd_mul_d(gh, gl, v)
-                sh, sl = dd_add(sh, sl, ph, pl)
+            sh, sl = dd_dot(0.0, 0.0, row, ys)
             rh, rl = dd_add(bh, bl, -sh, -sl)
             resid.append(rh + rl)
         resid = np.array(resid)
@@ -308,15 +319,6 @@ def lsq_normal_equations(fs):
         if y.tobytes() == y_prev.tobytes():
             break
     return y
-
-
-def _dot(xs, ys):
-    """Sum of x * y over the (hi, lo) pairs of two sequences, in order."""
-    sh, sl = 0.0, 0.0
-    for (xh, xl), (yh, yl) in zip(xs, ys):
-        ph, pl = dd_mul(xh, xl, yh, yl)
-        sh, sl = dd_add(sh, sl, ph, pl)
-    return sh, sl
 
 
 def direct_sis4_minimax(fs):

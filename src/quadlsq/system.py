@@ -48,12 +48,22 @@ of the extended-precision residual components.
 
 Every O(n^2) loop here -- the moment recurrence, the running products, the
 backward substitution and the residual -- runs on (hi, lo) float pairs
-through the primitives of :mod:`quadlsq.ddouble`.  Each loop performs the
-same operations in the same order as the same loop written with ``DD``
-operators, so every stored value is bit-identical to that form.  The exact
-M_0 moments depend on the interval alone and are memoised per interval (a
-small bounded cache, filled on first use); ``analysis.build_report`` forms
-r(omega) once for its norms and the epsilon self-check.
+with the double-double arithmetic of :mod:`quadlsq.ddouble` written out:
+the moment recurrence and the running products inline the two-product
+(Dekker's split, the one form on every interpreter) and the two-sum, with
+each level's factor split once, and the backward pass and the residual run
+their rows through :func:`quadlsq.ddouble.dd_dot` with each solution entry
+split once.  Each loop performs the operations of ``dd_mul`` then
+``dd_add`` in their order (the backward pass on the negated entry, whose
+product is the negated product up to the sign of an exact zero, which no
+sum passes on), so every stored value is bit-identical to the same loop
+written with the primitives or with ``DD`` operators.  A product by a
+double takes the full ``dd_mul``, which has the bits of ``dd_mul_d``.
+
+The exact M_0 moments depend on the interval alone and are memoised per
+interval (a small bounded cache, filled on first use);
+``analysis.build_report`` forms r(omega) and its scaled norms once, for
+its norms and the epsilon self-check.
 
 Moments that overflow the double range (M_0 grows like the half-length to
 the power 2n+1) raise :class:`MomentOverflowError` rather than feeding inf
@@ -76,7 +86,9 @@ from functools import cached_property
 import numpy as np
 
 from .basis import NodeSet
-from .ddouble import dd_add, dd_div, dd_mul, dd_mul_d, from_fraction, two_sum
+from .ddouble import (
+    _SPLITTER, dd_add, dd_div, dd_dot, from_fraction, split_operand, split_operands, two_sum,
+)
 from .errors import DegreeOverflowError, MomentOverflowError, SingularDiagonalError
 
 #: Relative zero threshold for degree detection, scaled by max(1, |mu_0|).
@@ -203,20 +215,43 @@ def _iter_moments_dd(ns):
     from level 0 (M_0[J]) upward.  Every M_j[m] is formed by the same
     product and sum as in a row-by-row pass, so each moment is the same
     pair whichever way, and however far, the recurrence is run.
+
+    Each step is ``dd_mul`` of the level's pair by its factor c - r_{j+1},
+    then ``dd_add``, written out; the factor is split once per level.  A
+    factor that is a double (lo = 0) takes the same full product, which
+    has the bits of ``dd_mul_d`` (see :func:`quadlsq.ddouble.dd_mul_d`).
     """
     nodes, iv = ns.nodes, ns.interval
     c = 0.5 * iv.a + 0.5 * iv.b
-    factors = [two_sum(c, -t) for t in nodes + nodes]
+    factors = split_operands(two_sum(c, -t) for t in nodes + nodes)
     H, L = [], []  # level j: M_j on the latest anti-diagonal
     for h, l in _centred_monomial_moments(iv.a, iv.b, len(factors) + 1):
-        for j, (fh, fl) in enumerate(factors[:len(H)]):
-            oh, ol = H[j], L[j]
-            H[j], L[j] = h, l
-            if fl == 0.0:  # the difference is a double: the cheaper product
-                ph, pl = dd_mul_d(oh, ol, fh)
-            else:
-                ph, pl = dd_mul(oh, ol, fh, fl)
-            h, l = dd_add(h, l, ph, pl)
+        for j, (fh, fl, yh, yl) in enumerate(factors[:len(H)]):
+            oh = H[j]
+            ol = L[j]
+            H[j] = h
+            L[j] = l
+            p = oh * fh
+            c = _SPLITTER * oh
+            xh = c - (c - oh)
+            xl = oh - xh
+            e = ((xh * yh - p) + xh * yl + xl * yh) + xl * yl
+            e += oh * fl + ol * fh
+            ph = p + e
+            pl = e - (ph - p)
+            s = h + ph
+            v = s - h
+            e = (h - (s - v)) + (ph - v)
+            t = l + pl
+            v = t - l
+            f = (l - (t - v)) + (pl - v)
+            e += t
+            h = s + e
+            e -= h - s
+            e += f
+            s = h + e
+            l = e - (s - h)
+            h = s
         H.append(h)
         L.append(l)
         yield h, l
@@ -266,18 +301,36 @@ def _profile_stays_finite(ns):
 
 def _node_products_dd(nodes):
     """Rows of A, phi_i(t_j) for j >= i, as running products of exact node
-    differences; row i holds the (hi, lo) pairs of columns i..n-1."""
+    differences; row i holds the (hi, lo) pairs of columns i..n-1.
+
+    Each step is ``two_sum(t_j, -t_{i-1})`` then ``dd_mul`` of the running
+    product by it, written out; a difference that is a double takes the
+    same full product (see :func:`quadlsq.ddouble.dd_mul_d`).
+    """
     n = len(nodes)
     H, L = [1.0] * n, [0.0] * n
     rows = [((1.0, 0.0),) * n]
     for i in range(1, n):
-        s = nodes[i - 1]
+        s = -nodes[i - 1]
         for j in range(i, n):
-            dh, dl = two_sum(nodes[j], -s)
-            if dl == 0.0:
-                H[j], L[j] = dd_mul_d(H[j], L[j], dh)
-            else:
-                H[j], L[j] = dd_mul(H[j], L[j], dh, dl)
+            t = nodes[j]
+            dh = t + s
+            v = dh - t
+            dl = (t - (dh - v)) + (s - v)
+            oh = H[j]
+            ol = L[j]
+            p = oh * dh
+            c = _SPLITTER * oh
+            xh = c - (c - oh)
+            xl = oh - xh
+            c = _SPLITTER * dh
+            yh = c - (c - dh)
+            yl = dh - yh
+            e = ((xh * yh - p) + xh * yl + xl * yh) + xl * yl
+            e += oh * dl + ol * dh
+            h = p + e
+            H[j] = h
+            L[j] = e - (h - p)
         rows.append(tuple(zip(H[i:], L[i:])))
     return tuple(rows)
 
@@ -373,22 +426,23 @@ def build_system(ns, eps_deg=None):
 def _back_substitute(rows, rhss):
     """Backward substitution on upper-triangular rows (row i holds columns
     i..n-1) for several right-hand sides in one pass, all in (hi, lo) pairs.
-    Each right-hand side sees the operations it would see if solved alone.
+    Each right-hand side sees the operations it would see if solved alone:
+    s - a x_j for j = i+1..n-1 in order, as ``dd_add(s, -dd_mul(a, x_j))``,
+    which :func:`quadlsq.ddouble.dd_dot` forms from the split of -x_j.
     """
     n = len(rows)
     xs = [[None] * n for _ in rhss]
+    negs = [[None] * n for _ in rhss]  # split_operand(-x_j) for j > i
     for i in range(n - 1, -1, -1):
         row = rows[i]
         dh, dl = row[0]
         if dh + dl == 0.0:
             raise SingularDiagonalError(f"singular diagonal at row {i + 1}")
         tail = row[1:]
-        for x, rhs in zip(xs, rhss):
-            sh, sl = rhs[i]
-            for (ah, al), (xh, xl) in zip(tail, x[i + 1:]):
-                ph, pl = dd_mul(ah, al, xh, xl)
-                sh, sl = dd_add(sh, sl, -ph, -pl)
-            x[i] = dd_div(sh, sl, dh, dl)
+        for x, neg, rhs in zip(xs, negs, rhss):
+            sh, sl = dd_dot(*rhs[i], tail, neg[i + 1:])
+            xh, xl = x[i] = dd_div(sh, sl, dh, dl)
+            neg[i] = split_operand(-xh, -xl)
     return xs
 
 
@@ -434,12 +488,10 @@ def _residual_dd(fs, x):
     n, lead = fs.n, fs.leading_dd
     rows = fs.A_dd + ((),)
     c_tilde = lead[:n] + lead[-1:]
+    xs = split_operands(x)
     r = []
     for i, (row, (ch, cl)) in enumerate(zip(rows, c_tilde)):
-        sh, sl = 0.0, 0.0
-        for (ah, al), (xh, xl) in zip(row, x[i:]):
-            ph, pl = dd_mul(ah, al, xh, xl)
-            sh, sl = dd_add(sh, sl, ph, pl)
+        sh, sl = dd_dot(0.0, 0.0, row, xs[i:])
         r.append(dd_add(sh, sl, -ch, -cl))
     return r
 
@@ -463,16 +515,27 @@ def residual_norms(r, p_list=(1, 2, 3, math.inf)):
     Returns a dict keyed by the requested p (use ``math.inf`` for the max
     norm).
     """
+    return _unscaled(*_scaled_norms(r, p_list))
+
+
+def _scaled_norms(r, p_list):
+    """(e, {p: ||r / 2^e||_p}) with 2^e the power of two of max |r|, so
+    every |r_i| / 2^e <= 1, exactly, and no p-th power can overflow."""
     r = np.abs(np.asarray(r, dtype=float))
     top = float(np.max(r)) if r.size else 0.0
-    e = math.frexp(top)[1]  # |r| / 2^e <= 1, so |r|^p cannot overflow
+    e = math.frexp(top)[1]
     scaled = np.ldexp(r, -e)
     out = {}
     for p in p_list:
         if p == math.inf:
-            out[p] = top
+            out[p] = math.ldexp(top, -e)
         elif p == 2:  # math.sqrt is correctly rounded, s ** 0.5 (libm pow) is not
-            out[p] = float(np.ldexp(math.sqrt(np.sum(scaled ** 2)), e))
+            out[p] = math.sqrt(np.sum(scaled ** 2))
         else:
-            out[p] = float(np.ldexp(np.sum(scaled ** p) ** (1.0 / p), e))
-    return out
+            out[p] = np.sum(scaled ** p) ** (1.0 / p)
+    return e, out
+
+
+def _unscaled(e, scaled):
+    """The norms of :func:`_scaled_norms` times 2^e, as floats."""
+    return {p: float(np.ldexp(v, e)) for p, v in scaled.items()}

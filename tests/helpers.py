@@ -79,6 +79,25 @@ def exact_angle(ns):
     return rr.degree, math.degrees(math.asin(math.sqrt(sin2)))
 
 
+def exact_vector_angle(u, v):
+    """The angle of :func:`quadlsq.rule_angle` between two double vectors,
+    in degrees, from their exact values.
+
+    cos^2 = <u, v>^2 / (||u||^2 ||v||^2) and sin^2 = 1 - cos^2 are
+    Fractions; the angle is asin(sqrt(sin^2)) up to 45 degrees and
+    acos(sqrt(cos^2)) above, each from a correctly rounded argument, so
+    it is accurate to a few units in the last place at any size.
+    """
+    u = [Fraction(float(x)) for x in u]
+    v = [Fraction(float(x)) for x in v]
+    uv = sum(x * y for x, y in zip(u, v))
+    cos2 = uv * uv / (sum(x * x for x in u) * sum(y * y for y in v))
+    sin2 = 1 - cos2
+    if sin2 <= cos2:
+        return math.degrees(math.asin(math.sqrt(sin2)))
+    return math.degrees(math.acos(math.sqrt(cos2)))
+
+
 def closed_form_inverse(ts):
     """A^-1 of the Newton block in Fractions, from the divided-difference
     weights: A^-1[k][i] = 1 / prod_{m <= i, m != k} (t_k - t_m) for i >= k."""
@@ -257,9 +276,8 @@ def _ref_fast_two_sum(a, b):
 
 
 def _ref_two_prod(a, b):
+    # Dekker's split on every interpreter, as in quadlsq.ddouble
     p = a * b
-    if hasattr(math, "fma"):
-        return p, math.fma(a, b, -p)
     c = _SPLITTER * a
     ah = c - (c - a)
     al = a - ah

@@ -10,14 +10,14 @@ sub-checks that targeted them now assert against the exact rational oracle
 * criterion 4, Fejer-17 angle.  Published: 0.00711 deg.  The equations give
   0.071085 deg, exactly ten times the published cell, so the cell is a
   decimal slip.  Now asserted: ``angle_deg`` of the 17-node rule equals the
-  exact angle of the same double nodes to rel 1e-6.
+  exact angle of the same double nodes to rel 1e-9.
 * criterion 4, Clenshaw-Curtis angle.  Published: 0.0380 deg.  The
   published mu_Q (1.26e-8) and alpha (1.97e-24) fit the 18-abscissa rule
   and no other; its angle is 0.012921 deg (0.015879 deg at 17 abscissas).
   The nearest match to 0.0380 deg is the 13-abscissa rule (0.03853 deg),
   whose mu_Q 1.21e-6 and alpha 1.39e-17 match neither published cell.
   Now asserted: ``angle_deg`` of the 18-abscissa rule equals the exact
-  angle to rel 1e-6.
+  angle to rel 1e-9.
 * criterion 9, Newton-Cotes norm growth.  Published: N_omega does not
   decrease over consecutive n = 11..15.  Exact arithmetic contradicts it:
   closed Newton-Cotes norms oscillate between odd and even counts,
@@ -181,8 +181,8 @@ def test_criterion_04_table_regression_17_nodes():
         got = reports[fam].angle_deg
         c.check(degree == reports[fam].degree,
                 f"{fam.value} exact degree {degree} != reported {reports[fam].degree}")
-        c.check(_rel_ok(got, want, 1e-6),
-                f"{fam.value} angle {got:.8f} not within 1e-6 of exact {want:.8f}")
+        c.check(_rel_ok(got, want, 1e-9),
+                f"{fam.value} angle {got:.8f} not within 1e-9 of exact {want:.8f}")
 
     c.check(_rel_ok(reports[CC].alpha, 1.97e-24, 0.05),
             f"CC alpha {reports[CC].alpha:.4e} not within 5% of 1.97e-24")

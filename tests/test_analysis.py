@@ -21,10 +21,12 @@ from quadlsq import (
 
 from helpers import (
     FAMILIES,
+    MIN_N,
     asymmetric_rational_nodes,
     closed_form_inverse,
     exact_angle,
     exact_cond_inf,
+    exact_vector_angle,
     family_cases,
     nodeset,
     solved,
@@ -90,9 +92,23 @@ class TestRuleAngle:
                         assert got == ref, (k, j)
 
     def test_antiparallel_is_zero(self):
-        # the absolute value in the cosine folds opposite directions
-        # together; resolution near cos = 1 is sqrt(2 eps) ~ 2e-6 degrees
-        assert rule_angle([1.0, 2.0], [-1.0, -2.0]) == pytest.approx(0.0, abs=2e-6)
+        # opposite directions fold together, and the half-angle form
+        # resolves the difference of two unit vectors down to its last bit
+        assert rule_angle([1.0, 2.0], [-1.0, -2.0]) == pytest.approx(0.0, abs=1e-13)
+
+    @pytest.mark.parametrize("family", FAMILIES, ids=lambda f: f.value)
+    def test_matches_the_exact_angle_of_the_same_vectors(self, family):
+        # against sin^2 or cos^2 of the same double vectors as Fractions;
+        # arccos of a cosine near 1 was off by up to 1.8e-3 (GL n = 20),
+        # the half-angle form stays below 1e-10 on all four families
+        for n in range(max(2, MIN_N[family]), 65):
+            try:
+                _, _, sol = solved(family, n)
+            except q.NumericalFailure:
+                continue
+            want = exact_vector_angle(sol.omega, sol.z_star)
+            got = rule_angle(sol.omega, sol.z_star)
+            assert got == pytest.approx(want, rel=1e-9), n
 
     def test_zero_vector_rejected(self):
         with pytest.raises(ValueError, match="zero vector"):

@@ -6,6 +6,7 @@ and loops they replaced (kept in ``helpers`` as ``RefDD`` and ``ref_*``).
 Every comparison here is on bit patterns, so signed zeros count.
 """
 
+import itertools
 import math
 import os
 import pathlib
@@ -20,7 +21,10 @@ from hypothesis import strategies as st
 
 import quadlsq as q
 from quadlsq import ddouble, system
-from quadlsq.ddouble import DD, dd_add, dd_add_d, dd_div, dd_mul, dd_mul_d, from_fraction
+from quadlsq.ddouble import (
+    DD, dd_add, dd_add_d, dd_div, dd_dot, dd_mul, dd_mul_d, from_fraction, split_operand,
+    split_operands,
+)
 from quadlsq.nodes import _monic_coefficients, _monic_dd
 from quadlsq.system import (
     _back_substitute, _iter_moments_dd, _moments_dd, _node_products_dd, _residual_dd,
@@ -127,10 +131,44 @@ class TestPrimitives:
         _same(abs(DD(*a)), abs(ra))
         _same_or_both_raise(lambda: dd_div(*a, *b), lambda: ra / rb)
 
+    @settings(max_examples=400, deadline=None)
+    @given(a=_pairs(), f=st.one_of(_finite.filter(lambda x: abs(x) < 1e150), _signed_zero),
+           zero=_signed_zero)
+    def test_product_by_a_double(self, a, f, zero):
+        # the inlined loops take the full product whatever the low part:
+        # with a zero low part of either sign it has dd_mul_d's bits
+        _same(dd_mul(*a, f, zero), dd_mul_d(*a, f))
+
+    @settings(max_examples=400, deadline=None)
+    @given(s=_pairs(), terms=st.lists(st.tuples(_pairs(), _pairs()), max_size=6))
+    def test_dd_dot(self, s, terms):
+        # the written-out row equals the dd_mul/dd_add loop, and with the
+        # operands negated it equals the loop that subtracts each product,
+        # which is how the backward pass uses it
+        rows = [a for a, _ in terms]
+        xs = [x for _, x in terms]
+        add = sub = s
+        for a, x in terms:
+            ph, pl = dd_mul(*a, *x)
+            add = dd_add(*add, ph, pl)
+            sub = dd_add(*sub, -ph, -pl)
+        _same(dd_dot(*s, rows, split_operands(xs)), add)
+        _same(dd_dot(*s, rows, split_operands((-h, -l) for h, l in xs)), sub)
+        _same(dd_dot(*s, rows, [split_operand(-h, -l) for h, l in xs]), sub)
+
+    def test_dd_dot_signed_zeros(self):
+        # every combination of signed zeros and exact products, where a
+        # negated operand gives a zero of the other sign inside the product
+        cases = [(0.0, 0.0), (-0.0, -0.0), (-0.0, 0.0), (1.0, -0.0), (-3.0, 0.0), (1.5, -0.0)]
+        for s, a, x in itertools.product(cases, repeat=3):
+            ph, pl = dd_mul(*a, *x)
+            _same(dd_dot(*s, [a], split_operands([x])), dd_add(*s, ph, pl))
+            _same(dd_dot(*s, [a], [split_operand(-x[0], -x[1])]), dd_add(*s, -ph, -pl))
+
 
 # -- kernels ---------------------------------------------------------------
 
-_NS = (1, 2, 3, 16, 17, 33, 64)
+_NS = (1, 2, 3, 16, 17, 33, 48, 57, 64)
 _INTERVALS = ((-1.0, 1.0), (2.0, 4.0))
 
 PIPELINE_CASES = [

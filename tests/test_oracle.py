@@ -18,6 +18,7 @@ from quadlsq import (
     degree_by_monomials,
     direct_sis4_minimax,
     lsq_normal_equations,
+    oracle,
     rational_pipeline,
     solve_rule,
 )
@@ -352,6 +353,23 @@ class TestLazyFields:
             assert getattr(rr, field) is got, field
         assert rr.c == rr.moments[:len(rr.nodes)]
         assert rr.mu_Q == rr.moments[rr.degree + 1]
+
+    @pytest.mark.parametrize("order", (_LAZY, _LAZY[::-1]), ids=["A-first", "moments-first"])
+    def test_fields_share_one_basis_pass(self, order, monkeypatch):
+        # the call builds the basis only as far as mu_Q; reading every lazy
+        # field afterwards scales the nodes and builds the full basis once
+        calls = {"_basis": 0, "_scaled": 0}
+        for name in calls:
+            def counted(*args, _fn=getattr(oracle, name), _name=name):
+                calls[_name] += 1
+                return _fn(*args)
+            monkeypatch.setattr(oracle, name, counted)
+        rr = rational_pipeline(asymmetric_rational_nodes(2, 8), (0, 2))
+        assert calls == {"_basis": 1, "_scaled": 1}
+        for field in order:
+            getattr(rr, field)
+        assert calls == {"_basis": 2, "_scaled": 2}
+        assert rr.moments == ref_rational_pipeline(asymmetric_rational_nodes(2, 8), (0, 2)).moments
 
 
 _PERFBENCH_REFERENCE = Path(__file__).resolve().parent.parent / "perfbench" / "reference.py"
