@@ -1,9 +1,11 @@
 """quadlsq: interpolatory quadrature rules as least-squares/minimax problems.
 
-From any ordered node set the package builds the node-dependent canonical
-basis, assembles the fundamental system F w = c (whose top block is upper
-triangular), solves for the weights by backward substitution -- the
-least-squares solution of the full system -- derives the minimax solution
+From any ordered node set the package assembles the fundamental system
+F w = c of the node-dependent canonical basis (whose top block is upper
+triangular) in double-double, from running products of node differences
+and a moment recurrence, without forming the basis polynomials.  It
+solves for the weights by backward substitution -- the least-squares
+solution of the full system -- derives the minimax solution
 through the triangular correction A tau = |mu_Q| v, detects the degree of
 exactness and principal moment, and reports the diagnostic parameters that
 compare rule families: residual norms, the rule angle, norm parameters,

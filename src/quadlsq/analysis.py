@@ -26,7 +26,8 @@ import numpy as np
 
 from .minimax import _epsilon, equioscillation_residual
 from .system import (
-    _checked_eps_deg, _scaled_norms, _unscaled, build_system, residual, residual_norms, solve_rule,
+    _checked_eps_deg, _pow2_scaled, _scaled_norms, _unscaled, build_system, residual,
+    residual_norms, solve_rule,
 )
 
 
@@ -50,14 +51,6 @@ class RuleReport:
     residual_norms: MappingProxyType
 
 
-def _unit_scaled(x):
-    """x / 2^e as doubles, 2^e the power of two of max |x|, so that
-    max |x / 2^e| lies in [1/2, 1)."""
-    x = np.asarray(x, dtype=float)
-    top = float(np.max(np.abs(x))) if x.size else 0.0
-    return np.ldexp(x, -math.frexp(top)[1])
-
-
 def rule_angle(omega, z_star, degrees=True):
     """Angle between the weight vector and the minimax solution.
 
@@ -72,8 +65,8 @@ def rule_angle(omega, z_star, degrees=True):
     digits.  Reported in degrees by convention; pass ``degrees=False``
     for radians.
     """
-    omega = _unit_scaled(omega)
-    z_star = _unit_scaled(z_star)
+    _, omega = _pow2_scaled(omega)
+    _, z_star = _pow2_scaled(z_star)
     nw = np.linalg.norm(omega)
     nz = np.linalg.norm(z_star)
     if nw == 0.0 or nz == 0.0:

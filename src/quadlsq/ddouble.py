@@ -7,13 +7,16 @@ the catastrophic cancellation that plain doubles suffer when the result is
 ten orders of magnitude below the largest term.
 
 The arithmetic lives in float-pair primitives (``two_sum``, ``dd_add``,
-``dd_add_d``, ``dd_mul``, ``dd_mul_d``, ``dd_div``) that take and return
-plain ``(hi, lo)`` doubles, with the two-sum and two-product steps written
-out (Dekker 1971; Hida, Li & Bailey, QD, 2001).  The two-product has one
-form on every interpreter: Dekker's split by 2^27 + 1, never ``math.fma``,
-so that a result does not depend on the Python version, and the overflow
-limit of :mod:`quadlsq.system` is derived for it.  The ``DD`` operators are
-thin wrappers over the primitives.
+``dd_mul``, ``dd_div`` and the written-out row :func:`dd_dot`) that take
+and return plain ``(hi, lo)`` doubles, with the two-sum and two-product
+steps written out (Dekker 1971; Hida, Li & Bailey, QD, 2001).  Each
+operation has one primitive: a double b is the pair (b, 0.0), with the
+bits of the shorter double-operand forms (see :func:`dd_add` and
+:func:`dd_mul`).  The two-product has one form on every interpreter:
+Dekker's split by 2^27 + 1, never ``math.fma``, so that a result does not
+depend on the Python version, and the overflow limit of
+:mod:`quadlsq.system` is derived for it.  Each ``DD`` operator is one call
+of a primitive.
 
 The O(n^2) loops -- the moment recurrence and the running products of
 :mod:`quadlsq.system`, the Legendre recurrence of :mod:`quadlsq.nodes` --
@@ -21,7 +24,7 @@ write the primitives out in place, and the row sums of the backward pass,
 the residual and the normal-equations oracle share one written-out row,
 :func:`dd_dot`.  An operand that a loop reuses is split once, outside it.
 Each such loop performs the operations of ``dd_mul`` then ``dd_add`` in
-their order (a product by a double included, see :func:`dd_mul_d`), so
+their order (a product by a double included, see :func:`dd_mul`), so
 it produces the same bits as the primitives, and as the same expression
 written with ``DD`` values, only without a call per operation.
 
@@ -51,7 +54,14 @@ def two_sum(a, b):
 
 
 def dd_add(ah, al, bh, bl):
-    """(ah + al) + (bh + bl): two two-sums, renormalised twice."""
+    """(ah + al) + (bh + bl): two two-sums, renormalised twice.
+
+    A double b is added as (b, +-0.0), with the bits of the one-sum form
+    (two_sum(ah, b), e += al, one renormalisation) on a normalised pair:
+    al + 0.0 adds to e as al does, the second renormalisation returns the
+    first's pair, and that lo is never -0, so adding the zero f keeps it.
+    ``tests/test_kernels.py`` checks it bit for bit.
+    """
     s = ah + bh
     v = s - ah
     e = (ah - (s - v)) + (bh - v)
@@ -66,18 +76,16 @@ def dd_add(ah, al, bh, bl):
     return s, e - (s - h)
 
 
-def dd_add_d(ah, al, b):
-    """(ah + al) + b for a double b."""
-    s = ah + b
-    v = s - ah
-    e = (ah - (s - v)) + (b - v)
-    e += al
-    h = s + e
-    return h, e - (h - s)
-
-
 def dd_mul(ah, al, bh, bl):
-    """(ah + al) * (bh + bl), the al*bl term dropped."""
+    """(ah + al) * (bh + bl), the al*bl term dropped.
+
+    A double b is multiplied as (b, +-0.0), with the bits of the product
+    by a double, whose cross term is al * b alone, NaN payloads aside: the
+    error term e, summed before the cross terms are added, is never -0
+    (x - y is -0 only for x = -0, y = +0, and xh yh and p = ah b are zeros
+    of one sign), so adding ah * 0.0 + al * b instead of al * b cannot
+    change it.  The inlined loops take the full product for this reason.
+    """
     p = ah * bh
     c = _SPLITTER * ah
     xh = c - (c - ah)
@@ -87,29 +95,6 @@ def dd_mul(ah, al, bh, bl):
     yl = bh - yh
     e = ((xh * yh - p) + xh * yl + xl * yh) + xl * yl
     e += ah * bl + al * bh
-    h = p + e
-    return h, e - (h - p)
-
-
-def dd_mul_d(ah, al, b):
-    """(ah + al) * b for a double b.
-
-    The same bits as ``dd_mul(ah, al, b, 0.0)``, NaN payloads aside: the
-    error term e, summed before the cross terms are added, is never -0
-    (x - y is -0 only for x = -0, y = +0, and xh yh and p = ah b are zeros
-    of one sign), so adding ah * 0.0 + al * b instead of al * b cannot
-    change it.  The inlined loops rely on this and take the full product
-    whatever the low part of b.
-    """
-    p = ah * b
-    c = _SPLITTER * ah
-    xh = c - (c - ah)
-    xl = ah - xh
-    c = _SPLITTER * b
-    yh = c - (c - b)
-    yl = b - yh
-    e = ((xh * yh - p) + xh * yl + xl * yh) + xl * yl
-    e += al * b
     h = p + e
     return h, e - (h - p)
 
@@ -168,10 +153,10 @@ def dd_dot(sh, sl, pairs, operands):
 def dd_div(ah, al, bh, bl):
     """(ah + al) / (bh + bl): long division with two refinement steps."""
     q1 = ah / bh
-    ph, pl = dd_mul_d(bh, bl, q1)
+    ph, pl = dd_mul(bh, bl, q1, 0.0)
     rh, rl = dd_add(ah, al, -ph, -pl)
     q2 = rh / bh
-    ph, pl = dd_mul_d(bh, bl, q2)
+    ph, pl = dd_mul(bh, bl, q2, 0.0)
     rh, rl = dd_add(rh, rl, -ph, -pl)
     q3 = rh / bh
     s = q1 + q2
@@ -185,12 +170,17 @@ def _dd(pair):
     return tuple.__new__(DD, pair)
 
 
+def _parts(x):
+    """A DD as its (hi, lo), any other real as (x, 0.0)."""
+    return x if isinstance(x, DD) else (float(x), 0.0)
+
+
 class DD(tuple):
     """Immutable double-double scalar, stored as the tuple (hi, lo).
 
-    The operators are thin wrappers over the float-pair primitives above,
-    so a DD expression and the same primitives applied to its parts give
-    the same bits.
+    Each operator is one call of a float-pair primitive above, with a
+    plain real taken as the pair (x, 0.0), so a DD expression and the same
+    primitives applied to its parts give the same bits.
     """
 
     __slots__ = ()
@@ -216,34 +206,27 @@ class DD(tuple):
         return self
 
     def __add__(self, other):
-        if isinstance(other, DD):
-            return _dd(dd_add(self[0], self[1], other[0], other[1]))
-        return _dd(dd_add_d(self[0], self[1], float(other)))
+        return _dd(dd_add(*self, *_parts(other)))
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        if isinstance(other, DD):
-            return _dd(dd_add(self[0], self[1], -other[0], -other[1]))
-        return _dd(dd_add_d(self[0], self[1], -float(other)))
+        bh, bl = _parts(other)
+        return _dd(dd_add(*self, -bh, -bl))
 
     def __rsub__(self, other):
-        return _dd(dd_add_d(-self[0], -self[1], float(other)))
+        return _dd(dd_add(-self[0], -self[1], *_parts(other)))
 
     def __mul__(self, other):
-        if isinstance(other, DD):
-            return _dd(dd_mul(self[0], self[1], other[0], other[1]))
-        return _dd(dd_mul_d(self[0], self[1], float(other)))
+        return _dd(dd_mul(*self, *_parts(other)))
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        if isinstance(other, DD):
-            return _dd(dd_div(self[0], self[1], other[0], other[1]))
-        return _dd(dd_div(self[0], self[1], float(other), 0.0))
+        return _dd(dd_div(*self, *_parts(other)))
 
     def __rtruediv__(self, other):
-        return _dd(dd_div(float(other), 0.0, self[0], self[1]))
+        return _dd(dd_div(*_parts(other), *self))
 
 
 ZERO = DD(0.0)

@@ -14,26 +14,26 @@ At z* every residual component has the same magnitude |mu_Q|: components
 
 must equal |mu_Q| as well; ``epsilon_check`` computes it from the actual
 residual and faults if the identity is violated, since that would mean the
-residual computation itself is broken.
+residual computation itself is broken.  ``analysis.build_report`` takes
+the same route on the r(omega) it forms for its norms.
 
 z* is always derived through tau rather than by eliminating the (n+1)x(n+1)
 system with eps unknown; the two are algebraically identical and the tau
 route reuses the triangular solver.  The direct elimination lives in
 :mod:`quadlsq.oracle` as an independent check.
 
-The one backward pass that gives omega, tau and z* together,
-``solve_rule``, lives in :mod:`quadlsq.system` next to the store it reads.
-This module keeps the checks on the minimax residual.  It stays a module
-of its own because the benchmark tracer (``perfbench/tracing.py``) looks
-``quadlsq.minimax`` up by name as one of its span layers.
+The one backward pass that gives omega and tau, ``solve_rule``, lives in
+:mod:`quadlsq.system` next to the store it reads, and z* is derived from
+them there.  This module keeps the checks on the minimax residual.  It
+stays a module of its own because the benchmark tracer
+(``perfbench/tracing.py``) looks ``quadlsq.minimax`` up by name as one of
+its span layers.
 """
 
 import math
 
-import numpy as np
-
 from .errors import SelfCheckError
-from .system import RuleSolution, residual, residual_norms
+from .system import RuleSolution, _scaled_norms, residual
 
 #: Relative tolerance of the eps = |mu_Q| self-check.
 EPS_CHECK_RTOL = 1e-10
@@ -45,24 +45,13 @@ def epsilon_check(fs, omega):
     Computes eps = ||r(omega)||_2^2 / ||r(omega)||_1 and cross-checks it
     against |mu_Q|; a relative mismatch beyond ``EPS_CHECK_RTOL`` raises
     :class:`SelfCheckError`.  ``omega`` may be a plain vector or a
-    :class:`RuleSolution`.
+    :class:`RuleSolution`.  The norms are taken of r / 2^e, with 2^e the
+    power of two of max |r|, and eps is scaled back by 2^e: an exact
+    scaling, so ||r||_2^2 cannot overflow while eps itself fits.
     """
     if isinstance(omega, RuleSolution):
         omega = omega._omega_dd
-    return epsilon_from_residual(fs, residual(fs, omega))
-
-
-def epsilon_from_residual(fs, r):
-    """The check of :func:`epsilon_check` on a residual r(omega) already
-    formed (as :func:`quadlsq.system.residual` returns it), so a caller
-    that needs r(omega) anyway forms it only once.
-
-    The norms are taken of r / 2^e, with 2^e the power of two of max |r|,
-    and eps is scaled back by 2^e: an exact scaling, so ||r||_2^2 cannot
-    overflow while eps itself fits."""
-    r = np.asarray(r, dtype=float)
-    e = math.frexp(float(np.max(np.abs(r))))[1]
-    return _epsilon(fs, e, residual_norms(np.ldexp(r, -e), (1, 2)))
+    return _epsilon(fs, *_scaled_norms(residual(fs, omega), (1, 2)))
 
 
 def _epsilon(fs, e, scaled):
@@ -81,7 +70,7 @@ def equioscillation_residual(fs, z_star):
     """Residual at the minimax solution; every component has size |mu_Q|.
 
     ``z_star`` may be a plain vector or a :class:`RuleSolution` (preferred:
-    its double-double copy keeps the components equal to |mu_Q| at full
+    its double-double pairs keep the components equal to |mu_Q| at full
     accuracy).  Components 1..n come out as +|mu_Q|, component n+1 as
     -mu_Q.
     """

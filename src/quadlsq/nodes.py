@@ -21,7 +21,7 @@ from enum import Enum
 from fractions import Fraction
 
 from .basis import NodeSet, _checked_nodes
-from .ddouble import _SPLITTER, dd_mul_d, two_sum
+from .ddouble import _SPLITTER, dd_mul, two_sum
 from .errors import ConvergenceError
 from .poly import Interval
 
@@ -128,7 +128,7 @@ def _dd_ratio(num, den):
     leaves the representable remainder exactly.  So lo = fl(rem/den) is the
     rest correctly rounded, the pair ``ddouble.from_fraction`` gives."""
     hi = num / den
-    p, e = dd_mul_d(float(den), 0.0, hi)
+    p, e = dd_mul(float(den), 0.0, hi, 0.0)
     return hi, ((num - p) - e) / den
 
 
@@ -148,9 +148,8 @@ def _monic_dd(xh, xl, coeffs):
     underflows nor overflows at any k.  Each step is
     ``dd_add(dd_mul(V_{j-1}, 2x), dd_mul(V_{j-2}, -4 beta_j))`` written out:
     2x is split once, and the split of V_{j-1} is kept for the next step,
-    where it is V_{j-2}.  When x is a double the full product by 2x has
-    the bits of ``dd_mul_d`` (see :func:`quadlsq.ddouble.dd_mul_d`), the
-    product the Newton step has always taken."""
+    where it is V_{j-2}.  When x is a double, 2x is taken with lo = 0 (see
+    :func:`quadlsq.ddouble.dd_mul`)."""
     x2h, x2l = 2.0 * xh, 2.0 * xl
     c = _SPLITTER * x2h
     zh = c - (c - x2h)
@@ -253,7 +252,8 @@ def generate(spec, interval=None):
     """NodeSet for a family spec, optionally mapped onto another interval.
 
     The families are defined on [-1, 1]; for a different interval the nodes
-    are mapped affinely.  Custom nodes are taken verbatim.
+    are mapped affinely, by a midpoint and half-length formed from the
+    halved endpoints, which cannot overflow.  Custom nodes are taken verbatim.
     """
     interval = interval or Interval()
     if spec.family == Family.CUSTOM:
@@ -262,8 +262,8 @@ def generate(spec, interval=None):
         return NodeSet(spec.custom_nodes, interval)
     nodes = _GENERATORS[spec.family](spec.n)
     if (interval.a, interval.b) != (-1.0, 1.0):
-        mid = (interval.a + interval.b) / 2.0
-        rad = (interval.b - interval.a) / 2.0
+        mid = 0.5 * interval.a + 0.5 * interval.b
+        rad = 0.5 * interval.b - 0.5 * interval.a
         nodes = [mid + rad * t for t in nodes]
     return NodeSet(tuple(nodes), interval)
 

@@ -283,8 +283,7 @@ def lsq_normal_equations(fs):
     row with each column split once.  Only the upper triangle of the Gram
     matrix is computed and mirrored: the two-product of ``dd_mul`` is
     exact, so x.y and y.x give the same bits.  The refinement residual
-    takes the iterate's doubles as pairs with lo = 0, whose product has the
-    bits of ``dd_mul_d``.  Refinement
+    takes the iterate's doubles as pairs with lo = 0.  Refinement
     takes at most three steps and stops early at a fixed point, once a step
     leaves every bit of the iterate unchanged: each later step would
     compute the same residual and return the same iterate again.

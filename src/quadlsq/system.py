@@ -33,18 +33,19 @@ terms of the moment recurrence as small as the interval allows, so a
 shifted interval loses no more digits than one of the same length
 centred at 0.
 
-One double-double store holds the system: ``A_dd``, the rows of A as
-(hi, lo) float pairs without their structural zeros (row i holds columns
-i..n-1), and ``leading_dd``, mu_0..mu_{d+1} as pairs, which is all the
-system reads (c = mu_0..mu_{n-1} and mu_Q = mu_{d+1}, d the degree).  The
-public doubles ``A``, ``c`` and ``mu_Q`` are hi + lo of the store, the IEEE
-addition ``float(DD)`` performs, and ``F`` and ``c_tilde`` are derived from
-them.  The full profile mu_0..mu_2n (``moments_dd`` and its doubles
+Each result type is its double-double store.  The system keeps ``A_dd``,
+the rows of A as (hi, lo) float pairs without their structural zeros (row
+i holds columns i..n-1), and ``leading_dd``, mu_0..mu_{d+1} as pairs, which
+is all the system reads (c = mu_0..mu_{n-1} and mu_Q = mu_{d+1}, d the
+degree); a solution keeps omega and tau.  The public doubles are hi + lo of
+the store, the IEEE addition ``float(DD)`` performs, or derived from those
+(``F``, ``c_tilde``, ``z_star = omega + tau``).  The full profile mu_0..mu_2n (``moments_dd`` and its doubles
 ``moments``) is computed by the same recurrence when first read; no
 pipeline or oracle path reads it.  One backward pass solves omega and tau
 together, one routine forms the residual and one coercion turns a
 candidate vector into pairs.  Residual norms are plain-double reductions
-of the extended-precision residual components.
+of the extended-precision residual components, scaled by a power of two
+by the helper that also scales ``analysis.rule_angle``'s vectors.
 
 Every O(n^2) loop here -- the moment recurrence, the running products, the
 backward substitution and the residual -- runs on (hi, lo) float pairs
@@ -58,7 +59,7 @@ split once.  Each loop performs the operations of ``dd_mul`` then
 product is the negated product up to the sign of an exact zero, which no
 sum passes on), so every stored value is bit-identical to the same loop
 written with the primitives or with ``DD`` operators.  A product by a
-double takes the full ``dd_mul``, which has the bits of ``dd_mul_d``.
+double is the full ``dd_mul`` with lo = 0, as everywhere.
 
 The exact M_0 moments depend on the interval alone and are memoised per
 interval (a small bounded cache, filled on first use);
@@ -79,7 +80,7 @@ raises ``ValueError``.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
@@ -113,29 +114,48 @@ def _round(pairs):
     return _freeze([h + l for h, l in pairs])
 
 
-@dataclass(frozen=True, eq=False)
+def _repr(obj, names):
+    """``Type(name=value, ...)`` over the named attributes, stored or derived."""
+    args = ", ".join(f"{name}={getattr(obj, name)!r}" for name in names)
+    return f"{type(obj).__name__}({args})"
+
+
+@dataclass(frozen=True, eq=False, repr=False)
 class FundamentalSystem:
     """F w = c_tilde for one node set, kept as its double-double store.
 
-    ``A_dd`` and ``leading_dd`` (mu_0..mu_{d+1}, the moments the system
-    reads: c = mu_0..mu_{n-1} and mu_Q = mu_{d+1}) are the store; the
-    read-only double arrays are rounded from it or derived from those.
-    The full profile mu_0..mu_{2n}, ``moments_dd`` and its doubles
-    ``moments``, is computed by the same recurrence when first read, for
-    reports that show it; nothing in the pipeline or the oracles reads it.
+    The fields are the store: ``A_dd`` and ``leading_dd`` (mu_0..mu_{d+1},
+    the moments the system reads), with the nodes, the zero threshold and
+    the degree.  ``A``, ``mu_Q`` and the other read-only doubles are rounded
+    from it or derived from those.  The full profile mu_0..mu_{2n},
+    ``moments_dd`` and its doubles ``moments``, is computed by the same
+    recurrence when first read, for reports that show it.
     """
 
-    A: np.ndarray
-    mu_Q: float
-    degree: int
     nodes: NodeSet
     eps_deg: float
-    A_dd: tuple = field(repr=False)
-    leading_dd: tuple = field(repr=False)
+    degree: int
+    A_dd: tuple
+    leading_dd: tuple
+
+    def __repr__(self):
+        return _repr(self, ("A", "mu_Q", "degree", "nodes", "eps_deg"))
 
     @property
     def n(self):
-        return self.A.shape[0]
+        return len(self.A_dd)
+
+    @property
+    def mu_Q(self):  # mu_{d+1}
+        h, l = self.leading_dd[-1]
+        return h + l
+
+    @cached_property
+    def A(self):  # upper triangular, zero below the diagonal
+        A = np.zeros((self.n, self.n))
+        for i, row in enumerate(self.A_dd):
+            A[i, i:] = [h + l for h, l in row]
+        return _freeze(A)
 
     @cached_property
     def moments_dd(self):  # mu_0..mu_2n as pairs
@@ -158,21 +178,38 @@ class FundamentalSystem:
         return _freeze(np.append(self.c, self.mu_Q))
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, repr=False)
 class RuleSolution:
     """Least-squares weights, minimax vector and the correction between them.
 
-    ``z_star == omega + tau`` holds exactly at the double level by
-    construction; the private (hi, lo) pair copies preserve the solves'
-    full accuracy for residual formation.
+    The fields are the store: omega and tau as (hi, lo) pairs, at the
+    solves' full accuracy for residual formation.  The read-only doubles
+    ``omega`` and ``tau`` are hi + lo of the pairs, and ``z_star`` is
+    ``omega + tau`` in doubles, so that identity holds exactly; ``_z_dd``
+    is the pairs' double-double sum.
     """
 
-    omega: np.ndarray
-    z_star: np.ndarray
-    tau: np.ndarray
-    _omega_dd: tuple = field(repr=False, default=())
-    _tau_dd: tuple = field(repr=False, default=())
-    _z_dd: tuple = field(repr=False, default=())
+    _omega_dd: tuple
+    _tau_dd: tuple
+
+    def __repr__(self):
+        return _repr(self, ("omega", "z_star", "tau"))
+
+    @cached_property
+    def omega(self):
+        return _round(self._omega_dd)
+
+    @cached_property
+    def tau(self):
+        return _round(self._tau_dd)
+
+    @cached_property
+    def z_star(self):
+        return _freeze(self.omega + self.tau)
+
+    @cached_property
+    def _z_dd(self):
+        return tuple(dd_add(*w, *t) for w, t in zip(self._omega_dd, self._tau_dd))
 
 
 #: Intervals whose exact centred monomial moments are kept (oldest evicted).
@@ -218,8 +255,8 @@ def _iter_moments_dd(ns):
 
     Each step is ``dd_mul`` of the level's pair by its factor c - r_{j+1},
     then ``dd_add``, written out; the factor is split once per level.  A
-    factor that is a double (lo = 0) takes the same full product, which
-    has the bits of ``dd_mul_d`` (see :func:`quadlsq.ddouble.dd_mul_d`).
+    factor that is a double takes the same full product with lo = 0 (see
+    :func:`quadlsq.ddouble.dd_mul`).
     """
     nodes, iv = ns.nodes, ns.interval
     c = 0.5 * iv.a + 0.5 * iv.b
@@ -305,7 +342,7 @@ def _node_products_dd(nodes):
 
     Each step is ``two_sum(t_j, -t_{i-1})`` then ``dd_mul`` of the running
     product by it, written out; a difference that is a double takes the
-    same full product (see :func:`quadlsq.ddouble.dd_mul_d`).
+    same full product with lo = 0 (see :func:`quadlsq.ddouble.dd_mul`).
     """
     n = len(nodes)
     H, L = [1.0] * n, [0.0] * n
@@ -367,7 +404,7 @@ def _moments_and_degree(ns, eps_deg):
             raise MomentOverflowError(
                 f"moment mu_{j} is not finite: the centred monomial moments "
                 f"overflow the double range on an interval of half-length "
-                f"{0.5 * (iv.b - iv.a):g} at n = {n}, so neither the degree "
+                f"{0.5 * iv.b - 0.5 * iv.a:g} at n = {n}, so neither the degree "
                 "nor mu_Q can be read"
             )
         if j == 0 and eps is None:
@@ -405,22 +442,8 @@ def build_system(ns, eps_deg=None):
     :class:`DegreeOverflowError` if degree detection fails (only possible
     with a misconfigured ``eps_deg``).
     """
-    n = ns.n
     lead, eps, degree = _moments_and_degree(ns, eps_deg)
-    A_dd = _node_products_dd(ns.nodes)
-    A = np.zeros((n, n))
-    for i, row in enumerate(A_dd):
-        A[i, i:] = [h + l for h, l in row]
-    h, l = lead[-1]
-    return FundamentalSystem(
-        A=_freeze(A),
-        mu_Q=h + l,
-        degree=degree,
-        nodes=ns,
-        eps_deg=eps,
-        A_dd=A_dd,
-        leading_dd=lead,
-    )
+    return FundamentalSystem(ns, eps, degree, _node_products_dd(ns.nodes), lead)
 
 
 def _back_substitute(rows, rhss):
@@ -450,23 +473,16 @@ def solve_rule(fs):
     """Solve one rule end to end, keeping extended precision internally.
 
     One backward pass solves A w = c and A tau = |mu_Q| v.  Returns a
-    :class:`RuleSolution` whose public vectors are doubles while the
-    attached (hi, lo) pair copies feed residual formation, so the
-    equioscillation structure survives down to |mu_Q| values near 1e-10.
+    :class:`RuleSolution` that keeps omega and tau as (hi, lo) pairs, which
+    feed residual formation, so the equioscillation structure survives
+    down to |mu_Q| values near 1e-10; its public vectors are doubles
+    rounded from them.
     """
     mh, ml = fs.leading_dd[-1]
     if mh < 0.0 or (mh == 0.0 and ml < 0.0):  # |mu_Q|, as abs(DD) forms it
         mh, ml = -mh, -ml
     w, t = _back_substitute(fs.A_dd, (fs.leading_dd, ((mh, ml),) * fs.n))
-    omega, tau = _round(w), _round(t)
-    return RuleSolution(
-        omega=omega,
-        z_star=_freeze(omega + tau),
-        tau=tau,
-        _omega_dd=tuple(w),
-        _tau_dd=tuple(t),
-        _z_dd=tuple(dd_add(wh, wl, th, tl) for (wh, wl), (th, tl) in zip(w, t)),
-    )
+    return RuleSolution(tuple(w), tuple(t))
 
 
 def _vector(x, n):
@@ -518,17 +534,24 @@ def residual_norms(r, p_list=(1, 2, 3, math.inf)):
     return _unscaled(*_scaled_norms(r, p_list))
 
 
+def _pow2_scaled(x):
+    """(e, x / 2^e) as doubles, 2^e the power of two of max |x| (e = 0 for
+    a zero or empty x), so that max |x / 2^e| lies in [1/2, 1).  The
+    scaling is exact wherever no quotient is subnormal."""
+    x = np.asarray(x, dtype=float)
+    e = math.frexp(float(np.abs(x).max(initial=0.0)))[1]
+    return e, np.ldexp(x, -e)
+
+
 def _scaled_norms(r, p_list):
     """(e, {p: ||r / 2^e||_p}) with 2^e the power of two of max |r|, so
     every |r_i| / 2^e <= 1, exactly, and no p-th power can overflow."""
-    r = np.abs(np.asarray(r, dtype=float))
-    top = float(np.max(r)) if r.size else 0.0
-    e = math.frexp(top)[1]
-    scaled = np.ldexp(r, -e)
+    e, scaled = _pow2_scaled(r)
+    scaled = np.abs(scaled)
     out = {}
     for p in p_list:
         if p == math.inf:
-            out[p] = math.ldexp(top, -e)
+            out[p] = float(scaled.max(initial=0.0))
         elif p == 2:  # math.sqrt is correctly rounded, s ** 0.5 (libm pow) is not
             out[p] = math.sqrt(np.sum(scaled ** 2))
         else:

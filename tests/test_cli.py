@@ -137,6 +137,19 @@ class TestAnalyze:
         assert message in err
         assert "self-check" not in err and "degree overflow" not in err
 
+    def test_interval_whose_length_overflows_exits_3(self, capsys):
+        # b - a overflows: the generated nodes are finite, and the run stops
+        # at the moment check, mu_0 = b - a, with a finite half-length
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, _ = run(["analyze", "--family", "nc", "--n", "3",
+                           "--interval", "-1e308", "1e308"])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert "moment mu_0 is not finite" in err
+        assert "half-length 1e+308 " in err
+        assert "non-finite node" not in err
+
     def test_wide_interval_exits_0(self, capsys):
         # the squared 2-norms of the report overflowed on (0, 1e40)
         with warnings.catch_warnings():

@@ -22,8 +22,7 @@ from hypothesis import strategies as st
 import quadlsq as q
 from quadlsq import ddouble, system
 from quadlsq.ddouble import (
-    DD, dd_add, dd_add_d, dd_div, dd_dot, dd_mul, dd_mul_d, from_fraction, split_operand,
-    split_operands,
+    DD, dd_add, dd_div, dd_dot, dd_mul, from_fraction, split_operand, split_operands,
 )
 from quadlsq.nodes import _monic_coefficients, _monic_dd
 from quadlsq.system import (
@@ -106,8 +105,8 @@ class TestPrimitives:
     @given(a=_pairs(), f=st.one_of(_finite.filter(lambda x: abs(x) < 1e150), _signed_zero))
     def test_dd_by_double(self, a, f):
         ra, da = RefDD(*a), DD(*a)
-        _same(dd_add_d(*a, f), ra + f)
-        _same(dd_mul_d(*a, f), ra * f)
+        _same(dd_add(*a, f, 0.0), ra + f)
+        _same(dd_mul(*a, f, 0.0), ra * f)
         _same(da + f, ra + f)
         _same(f + da, f + ra)
         _same(da - f, ra - f)
@@ -126,8 +125,10 @@ class TestPrimitives:
         ra, rb = RefDD(*a), RefDD(*b)
         _same(dd_add(*a, *b), ra + rb)
         _same(dd_mul(*a, *b), ra * rb)
-        _same(dd_mul_d(*a, b[0]), ra * b[0])
-        _same(dd_add_d(*a, b[0]), ra + b[0])
+        _same(dd_mul(*a, b[0], 0.0), ra * b[0])
+        _same(dd_add(*a, b[0], 0.0), ra + b[0])
+        _same(dd_mul(*a, b[0], -0.0), ra * b[0])
+        _same(dd_add(*a, b[0], -0.0), ra + b[0])
         _same(abs(DD(*a)), abs(ra))
         _same_or_both_raise(lambda: dd_div(*a, *b), lambda: ra / rb)
 
@@ -136,8 +137,17 @@ class TestPrimitives:
            zero=_signed_zero)
     def test_product_by_a_double(self, a, f, zero):
         # the inlined loops take the full product whatever the low part:
-        # with a zero low part of either sign it has dd_mul_d's bits
-        _same(dd_mul(*a, f, zero), dd_mul_d(*a, f))
+        # with a zero low part of either sign it has the bits of the
+        # reference product by a double, whose cross term is al * f alone
+        _same(dd_mul(*a, f, zero), RefDD(*a) * f)
+
+    @settings(max_examples=400, deadline=None)
+    @given(a=_pairs(), f=st.one_of(_finite.filter(lambda x: abs(x) < 1e150), _signed_zero),
+           zero=_signed_zero)
+    def test_sum_with_a_double(self, a, f, zero):
+        # the full sum with a zero low part of either sign has the bits of
+        # the reference sum with a double: one two-sum, one renormalisation
+        _same(dd_add(*a, f, zero), RefDD(*a) + f)
 
     @settings(max_examples=400, deadline=None)
     @given(s=_pairs(), terms=st.lists(st.tuples(_pairs(), _pairs()), max_size=6))

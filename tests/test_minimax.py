@@ -16,7 +16,8 @@ from quadlsq import (
     solve_rule,
 )
 
-from quadlsq.minimax import epsilon_from_residual
+from quadlsq.minimax import _epsilon
+from quadlsq.system import _scaled_norms
 
 from helpers import family_cases, solved
 
@@ -125,14 +126,17 @@ class TestEpsilonCheck:
     def test_scaling_by_a_power_of_two_is_exact(self, family, n):
         # r and mu_Q scaled by 2^k give eps scaled by 2^k, bit for bit, for
         # every k that keeps each nonzero component a normal double: the
-        # squared 2-norm, up to 2^2048 unscaled, never overflows
+        # squared 2-norm, up to 2^2048 unscaled, never overflows.  eps is
+        # taken on the one route of epsilon_check and build_report.
         _, fs, sol = solved(family, n)
         r = residual(fs, sol._omega_dd)
-        eps = epsilon_from_residual(fs, r)
+        eps = _epsilon(fs, *_scaled_norms(r, (1, 2)))
+        assert eps == epsilon_check(fs, sol)
         exps = [math.frexp(v)[1] for v in np.abs(r) if v != 0.0]
         for k in range(-1021 - min(exps), 1024 - max(exps) + 1, 7):
             scaled = SimpleNamespace(mu_Q=math.ldexp(fs.mu_Q, k))
-            assert epsilon_from_residual(scaled, np.ldexp(r, k)) == math.ldexp(eps, k), k
+            eps_k = _epsilon(scaled, *_scaled_norms(np.ldexp(r, k), (1, 2)))
+            assert eps_k == math.ldexp(eps, k), k
 
 
 class TestEquioscillation:

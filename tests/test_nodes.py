@@ -18,7 +18,7 @@ from quadlsq import (
     read_nodes_file,
 )
 
-from helpers import FAMILIES, solved
+from helpers import FAMILIES, bits, solved
 
 
 class TestFamilyParsing:
@@ -170,6 +170,23 @@ class TestGenerate:
         ns = generate(FamilySpec(Family.NEWTON_COTES, 3), Interval(0.0, 4.0))
         assert ns.nodes == (0.0, 2.0, 4.0)
         assert ns.interval == Interval(0.0, 4.0)
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_interval_whose_length_overflows(self, family):
+        # b - a overflows on (-1e308, 1e308); the halved endpoints do not
+        ns = generate(FamilySpec(family, 3), Interval(-1e308, 1e308))
+        ref = generate(FamilySpec(family, 3)).nodes
+        assert bits(ns.nodes) == bits(1e308 * t for t in ref)
+
+    @pytest.mark.parametrize("a,b", [(0.0, 4.0), (2.0, 4.0), (-3.0, 1000.0), (0.0, 1e-5)])
+    def test_mapping_by_halved_endpoints_keeps_its_bits(self, a, b):
+        # 0.5 a + 0.5 b and 0.5 b - 0.5 a are (a + b) / 2 and (b - a) / 2
+        # whenever no half is subnormal and b - a is finite
+        mid, rad = (a + b) / 2.0, (b - a) / 2.0
+        for family in FAMILIES:
+            ref = generate(FamilySpec(family, 9)).nodes
+            ns = generate(FamilySpec(family, 9), Interval(a, b))
+            assert bits(ns.nodes) == bits(mid + rad * t for t in ref)
 
     def test_custom_nodes_not_mapped(self):
         ns = generate(

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random
 from fractions import Fraction
@@ -10,8 +11,10 @@ from hypothesis import strategies as st
 import quadlsq as q
 from quadlsq import (
     DegreeOverflowError,
+    FundamentalSystem,
     Interval,
     NodeSet,
+    RuleSolution,
     build_system,
     detect_degree,
     rational_pipeline,
@@ -19,6 +22,7 @@ from quadlsq import (
     residual_norms,
     solve_rule,
 )
+from quadlsq.ddouble import dd_add
 from quadlsq.system import _default_eps_deg, _iter_moments_dd, _moments_dd, _node_products_dd
 
 from helpers import FAMILIES, MIN_N, asymmetric_rational_nodes, bits, family_cases, nodeset, solved
@@ -78,6 +82,54 @@ class TestBuildSystem:
         fs = build_system(SIMPSON)
         with pytest.raises(ValueError):
             fs.A[0, 0] = 7.0
+
+
+class TestStore:
+    """Both result types hold only their double-double store; every double
+    is derived from it."""
+
+    def test_fields_are_the_store(self):
+        assert [f.name for f in dataclasses.fields(FundamentalSystem)] == [
+            "nodes", "eps_deg", "degree", "A_dd", "leading_dd"]
+        assert [f.name for f in dataclasses.fields(RuleSolution)] == ["_omega_dd", "_tau_dd"]
+
+    def test_solution_needs_its_pairs(self):
+        sol = solve_rule(build_system(SIMPSON))
+        with pytest.raises(TypeError):
+            RuleSolution(omega=sol.omega, z_star=sol.z_star, tau=sol.tau)
+        with pytest.raises(TypeError):
+            RuleSolution()
+        with pytest.raises(TypeError):
+            RuleSolution(sol._omega_dd)
+
+    @pytest.mark.parametrize("family,n", [(q.Family.NEWTON_COTES, 3), (q.Family.FEJER1, 8),
+                                          (q.Family.CLENSHAW_CURTIS, 17),
+                                          (q.Family.GAUSS_LEGENDRE, 12)])
+    def test_doubles_are_hi_plus_lo(self, family, n):
+        _, fs, sol = solved(family, n)
+        assert fs.n == n == len(fs.nodes.nodes)
+        h, l = fs.leading_dd[-1]
+        assert bits([fs.mu_Q]) == bits([h + l])
+        for i, row in enumerate(fs.A_dd):
+            assert bits(fs.A[i, :i]) == bits([0.0] * i)
+            assert bits(fs.A[i, i:]) == bits([h + l for h, l in row])
+        assert bits(sol.omega) == bits([h + l for h, l in sol._omega_dd])
+        assert bits(sol.tau) == bits([h + l for h, l in sol._tau_dd])
+        assert bits(sol.z_star) == bits(sol.omega + sol.tau)
+        assert bits(sol._z_dd) == bits(
+            dd_add(*w, *t) for w, t in zip(sol._omega_dd, sol._tau_dd))
+        for v in (fs.A, sol.omega, sol.tau, sol.z_star):
+            assert not v.flags.writeable
+        assert fs.A is fs.A and sol.z_star is sol.z_star  # cached
+
+    def test_reprs_show_the_derived_values(self):
+        fs = build_system(SIMPSON)
+        sol = solve_rule(fs)
+        assert repr(fs) == (f"FundamentalSystem(A={fs.A!r}, mu_Q={fs.mu_Q!r}, degree=3, "
+                            f"nodes={SIMPSON!r}, eps_deg={fs.eps_deg!r})")
+        assert repr(sol) == (f"RuleSolution(omega={sol.omega!r}, z_star={sol.z_star!r}, "
+                             f"tau={sol.tau!r})")
+        assert "mu_Q=-0.26666666666666666" in repr(fs)
 
 
 class TestDetectDegree:
