@@ -28,6 +28,12 @@ their order (a product by a double included, see :func:`dd_mul`), so
 it produces the same bits as the primitives, and as the same expression
 written with ``DD`` values, only without a call per operation.
 
+The primitives are plain operator code, so on numpy float64 arrays they
+run elementwise, with broadcasting, and give every element the bits of
+the scalar call, signed zeros included (``tests/test_kernels.py`` checks
+``dd_add`` and ``dd_mul``): the normal-equations oracle forms its Gram
+matrix this way, with no second arithmetic written for arrays.
+
 Only the operations the moment/solve pipeline needs are implemented.
 """
 

@@ -33,7 +33,8 @@ class SingularDiagonalError(NumericalFailure):
 
 
 class SingularSystemError(NumericalFailure):
-    """A dense elimination hit a pivot too small to be trusted."""
+    """A dense elimination met a zero pivot, or a system lies outside the
+    range in which an oracle can solve it."""
 
 
 class ConvergenceError(NumericalFailure):

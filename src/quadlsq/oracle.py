@@ -3,10 +3,9 @@
 Four deliberately different routes to the same quantities:
 
 * ``lsq_normal_equations`` -- least squares through the explicit normal
-  system F^T F y = F^T c, solved by dense elimination.  Verification only:
-  it squares the conditioning of A, which is exactly why the triangular
-  route is the production path.  The Gram matrix is symmetric, so only its
-  upper triangle is formed, and iterative refinement stops at a fixed point.
+  system F^T F y = F^T c, eliminated in double-double.  Verification only:
+  it squares the conditioning of A, which is why the triangular route is
+  the production path, and it declines where that leaves no accuracy.
 * ``degree_by_monomials`` -- degree of exactness straight from the
   definition, testing the rule against 1, x, x^2, ... monomial by monomial.
 * ``rational_pipeline`` -- the entire basis/system/weights/degree pipeline
@@ -22,12 +21,13 @@ Four deliberately different routes to the same quantities:
   when first read.
 * ``direct_sis4_minimax`` -- the minimax solution from eliminating the full
   (n+1) x (n+1) system with the residual magnitude as an extra unknown,
-  instead of the correction-vector route.
+  instead of the correction-vector route, in doubles by LAPACK.
 
 The oracle reads the pipeline's double-double store (``A_dd``,
 ``leading_dd``) or its doubles; it shares only the float-pair primitives
 of :mod:`quadlsq.ddouble` (``dd_dot`` among them, the row sum the pipeline's
-solve and residual also run) and the NodeSet and Interval input checks.
+solve and residual also run), the NodeSet and Interval input checks and
+:func:`quadlsq.analysis.cond_inf_upper`.
 
 The exact route also computes its quantities by other formulas than the
 pipeline, so that a wrong derivation cannot show up on both sides: moments
@@ -48,7 +48,8 @@ from itertools import chain, islice
 import numpy as np
 
 from .basis import NodeSet, _checked_nodes
-from .ddouble import dd_add, dd_dot, split_operands
+from .analysis import cond_inf_upper
+from .ddouble import dd_add, dd_div, dd_dot, dd_mul, split_operand
 from .errors import SingularSystemError
 from .poly import _checked_interval
 from .system import _checked_eps_deg, _default_eps_deg
@@ -234,90 +235,87 @@ def rational_pipeline(nodes, interval=(Fraction(-1), Fraction(1))):
 # dense eliminations
 # ---------------------------------------------------------------------------
 
-_PIVOT_FLOOR = 1e-30
-
-
-def _lu_factor(M):
-    """In-place LU with partial pivoting; returns (LU, pivot indices)."""
-    M = np.array(M, dtype=float)
-    n = M.shape[0]
-    piv = np.arange(n)
-    for k in range(n):
-        p = k + int(np.argmax(np.abs(M[k:, k])))
-        if abs(M[p, k]) < _PIVOT_FLOOR:
-            raise SingularSystemError(f"numerically singular: pivot {M[p, k]!r}")
-        if p != k:
-            M[[k, p]] = M[[p, k]]
-            piv[[k, p]] = piv[[p, k]]
-        M[k + 1:, k] /= M[k, k]
-        M[k + 1:, k + 1:] -= np.outer(M[k + 1:, k], M[k, k + 1:])
-    return M, piv
-
-
-def _lu_solve(lu, piv, b):
-    n = lu.shape[0]
-    x = np.asarray(b, dtype=float)[piv].copy()
-    for i in range(1, n):
-        x[i] -= lu[i, :i] @ x[:i]
-    for i in range(n - 1, -1, -1):
-        x[i] = (x[i] - lu[i, i + 1:] @ x[i + 1:]) / lu[i, i]
-    return x
+#: u_DD = 7 u^2, one double-double operation's error (``system._profile_stays_finite``)
+_U_DD = 7.0 * 2.0 ** -106
 
 
 def _solve_dense(M, rhs):
-    """Gaussian elimination with partial pivoting on a copy of (M, rhs)."""
-    lu, piv = _lu_factor(M)
-    return _lu_solve(lu, piv, rhs)
+    """M x = rhs by LAPACK's backward-stable LU with partial pivoting, so x is
+    within about cond(M) u of the solution (Higham, 2nd ed., ch. 9).  With no
+    pivot floor, only an exactly zero pivot raises SingularSystemError."""
+    try:
+        return np.linalg.solve(M, rhs)
+    except np.linalg.LinAlgError as exc:
+        raise SingularSystemError(f"numerically singular: {exc}") from None
+
+
+def _normal_system(fs):
+    """[G | b] = F^T [F | c_tilde] = A^T [A | c] (F's last row is zero) as
+    (hi, lo) arrays of shape (n, n + 1): ``dd_mul`` on broadcast n x n x
+    (n + 1) arrays of the products over k, then a pairwise tree of
+    ``dd_add`` that adds the upper half of the k rows onto the lower half
+    until one is left.  Elementwise, the primitives give the scalar bits."""
+    n = fs.n
+    fc = np.zeros((2, n, n + 1))
+    for i, row in enumerate(fs.A_dd):
+        fc[:, i, i:n] = np.transpose(row)
+    fc[:, :, n] = np.transpose(fs.leading_dd[:n])
+    with np.errstate(over="ignore", invalid="ignore"):
+        ph, pl = dd_mul(fc[0, :, :n, None], fc[1, :, :n, None], fc[0, :, None], fc[1, :, None])
+        m = n
+        while m > 1:
+            h = m // 2
+            ph[:h], pl[:h] = dd_add(ph[:h], pl[:h], ph[m - h:m], pl[m - h:m])
+            m -= h
+    return ph[0], pl[0]
 
 
 def lsq_normal_equations(fs):
-    """Least-squares weights through the normal system F^T F y = F^T c.
+    """Least-squares weights through the normal system F^T F y = F^T c_tilde.
 
-    The Gram system is formed in double-double, eliminated with partial
-    pivoting in doubles, then polished by iterative refinement against the
-    extended-precision system.  Refinement is what keeps the squared
-    conditioning of the normal equations from eating the whole double
-    mantissa near n = 12 (plain elimination lands around 1e-7 there).
-    Column j of F is nonzero in rows 0..j only, so each dot product runs
-    over those terms, in row order, as one :func:`quadlsq.ddouble.dd_dot`
-    row with each column split once.  Only the upper triangle of the Gram
-    matrix is computed and mirrored: the two-product of ``dd_mul`` is
-    exact, so x.y and y.x give the same bits.  The refinement residual
-    takes the iterate's doubles as pairs with lo = 0.  Refinement
-    takes at most three steps and stops early at a fixed point, once a step
-    leaves every bit of the iterate unchanged: each later step would
-    compute the same residual and return the same iterate again.
+    Declines with :class:`SingularSystemError` where cond_inf(A)^2 u_DD >= 1
+    (:func:`quadlsq.analysis.cond_inf_upper`), beyond which double-double
+    cannot tell the Gram matrix G from a singular one, or where [G | b]
+    (:func:`_normal_system`) is not finite.  G is SPD, so it is eliminated
+    in double-double without pivoting: each entry of U, right-hand column
+    included, is one :func:`quadlsq.ddouble.dd_dot` row, the multipliers
+    take one double-double reciprocal per pivot, back-substitution runs
+    one ``dd_dot`` row per unknown, and each weight is rounded once.
+
+    Error bound: forming G and eliminating it perturb G by n gamma_n and
+    3 n gamma_n times ||G||_2 (gamma_k = k u_DD / (1 - k u_DD); Higham,
+    2nd ed., Thm 9.4 and ch. 10: || |L||U| ||_2 <= n ||G||_2), so with
+    eps = 4 n^2 u_DD cond_2(A)^2 <= 4 n^4 u_DD cond_inf(A)^2, y is within
+    eps / (1 - eps) of the stored system's solution relative to its 2-norm,
+    plus u per weight.  The stored A_dd and mu_0..mu_{n-1} add their own
+    errors through A^-1.
     """
-    n, rows = fs.n, fs.A_dd
-    cols = [[rows[k][j - k] for k in range(j + 1)] for j in range(n)]
-    split_cols = [split_operands(cj) for cj in cols]
-    gram_dd = [[None] * n for _ in range(n)]
-    for i, ci in enumerate(cols):
-        for j in range(i, n):
-            gram_dd[i][j] = gram_dd[j][i] = dd_dot(0.0, 0.0, ci, split_cols[j])
-    lead = split_operands(fs.leading_dd)
-    rhs_dd = [dd_dot(0.0, 0.0, ci, lead) for ci in cols]
-    gram = np.array([h + l for row in gram_dd for h, l in row]).reshape(n, n)
-    rhs = np.array([h + l for h, l in rhs_dd])
+    n = fs.n
+    cond = cond_inf_upper(fs)
+    if not cond * cond * _U_DD < 1.0:
+        raise SingularSystemError(f"outside the normal equations' range: cond_inf(A) = {cond:.3g}")
+    gh, gl = _normal_system(fs)
+    if not (np.isfinite(gh).all() and np.isfinite(gl).all()):
+        raise SingularSystemError("outside the normal equations' range: Gram matrix not finite")
 
-    lu, piv = _lu_factor(gram)
-    y = _lu_solve(lu, piv, rhs)
-    for _ in range(3):
-        ys = split_operands((v, 0.0) for v in y.tolist())
-        resid = []
-        for (bh, bl), row in zip(rhs_dd, gram_dd):
-            sh, sl = dd_dot(0.0, 0.0, row, ys)
-            rh, rl = dd_add(bh, bl, -sh, -sl)
-            resid.append(rh + rl)
-        resid = np.array(resid)
-        if not np.any(resid):
-            break
-        # tobytes, not ==: a step that only flips the sign of a zero is
-        # not a fixed point
-        y, y_prev = y + _lu_solve(lu, piv, resid), y
-        if y.tobytes() == y_prev.tobytes():
-            break
-    return y
+    # U row by row; cols[j] holds -U[k][j] of the rows k done, split
+    upper, recips = [], []
+    cols = [[] for _ in range(n + 1)]
+    for i, (g, e) in enumerate(zip(gh.tolist(), gl.tolist())):
+        mult = [dd_mul(*upper[k][i - k], *recips[k]) for k in range(i)]
+        row = [dd_dot(g[j], e[j], mult, cols[j]) for j in range(i, n + 1)]
+        recips.append(dd_div(1.0, 0.0, *row[0]))
+        upper.append(row)
+        for j, (h, l) in enumerate(row, start=i):
+            cols[j].append(split_operand(-h, -l))
+
+    # U y = b; ys holds -y[i+1..n-1], split
+    y, ys = [], []
+    for i in range(n - 1, -1, -1):
+        yh, yl = dd_mul(*dd_dot(*upper[i][-1], upper[i][1:n - i], ys), *recips[i])
+        y.append(yh + yl)
+        ys.insert(0, split_operand(-yh, -yl))
+    return np.array(y[::-1])
 
 
 def direct_sis4_minimax(fs):

@@ -10,9 +10,13 @@ from fractions import Fraction
 from functools import lru_cache
 from types import SimpleNamespace
 
+import numpy as np
+
 import quadlsq as q
+from quadlsq.analysis import _norm_inf_inverse
 from quadlsq.basis import NodeSet
 from quadlsq.oracle import _as_fraction
+from quadlsq.system import _centred_monomial_moments
 
 FAMILIES = (
     q.Family.NEWTON_COTES,
@@ -435,42 +439,69 @@ def ref_residual(F, c_tilde, x):
     return r
 
 
-def _ref_dd_dot(xs, ys):
-    acc = _REF_ZERO
-    for x, v in zip(xs, ys):
-        acc = acc + x * v
-    return acc
-
-
-def ref_lsq_normal_equations(F, c_tilde):
-    """``oracle.lsq_normal_equations`` on the padded system: F is all n+1
-    rows of (hi, lo) pairs, structural zeros included, and c_tilde the n+1
-    right-hand sides.  The Gram system, its right-hand side and the
-    refinement residuals use scalar RefDD operators over every entry; the
-    elimination is the oracle's own."""
-    import numpy as np
-    from quadlsq.oracle import _lu_factor, _lu_solve
-
+def ref_normal_products(F, c_tilde):
+    """The products of the normal system [G | b] = F^T [F | c_tilde] by
+    scalar RefDD operators: entry (i, j) lists F[k][i] (F | c_tilde)[k][j]
+    over the rows k.  F is all n+1 rows of (hi, lo) pairs, structural zeros
+    included, and c_tilde the n+1 right-hand sides."""
     F = [[_ref(e) for e in row] for row in F]
-    c_tilde = [_ref(e) for e in c_tilde]
-    n = len(F[0])
     cols = list(zip(*F))
-    gram_dd = [[_ref_dd_dot(cols[i], cols[j]) for j in range(n)] for i in range(n)]
-    rhs_dd = [_ref_dd_dot(cols[i], c_tilde) for i in range(n)]
-    gram = np.array([[float(e) for e in row] for row in gram_dd])
-    rhs = np.array([float(e) for e in rhs_dd])
+    cols_c = cols + [tuple(_ref(e) for e in c_tilde)]
+    return [[[x * v for x, v in zip(ci, cj)] for cj in cols_c] for ci in cols]
 
-    lu, piv = _lu_factor(gram)
-    y = _lu_solve(lu, piv, rhs)
-    for _ in range(3):
-        resid = np.array([
-            float(rhs_dd[i] - _ref_dd_dot(gram_dd[i], [float(v) for v in y]))
-            for i in range(n)
-        ])
-        if not np.any(resid):
-            break
-        y = y + _lu_solve(lu, piv, resid)
-    return y
+
+def ref_normal_system(F, c_tilde):
+    """[G | b] of ``oracle.lsq_normal_equations`` as it was formed before the
+    normal equations moved to a pairwise sum: each entry the RefDD sum of
+    its :func:`ref_normal_products` from zero, in row order."""
+    out = []
+    for row in ref_normal_products(F, c_tilde):
+        sums = []
+        for terms in row:
+            acc = _REF_ZERO
+            for p in terms:
+                acc = acc + p
+            sums.append(acc)
+        out.append(sums)
+    return out
+
+
+def lsq_error_bound(fs, weights):
+    """A bound on max |y_i - w_i| for y = ``lsq_normal_equations(fs)`` and
+    the exact weights w of the system's nodes, derived from the error of
+    each double-double operation, u_DD = 7 u^2.
+
+    * The stored system: a moment mu_j, j < n, of the centred recurrence is
+      off by at most (2j + 1) u_DD (1 + R)^j max_m |M_0[m]| (the growth bound of
+      ``system._profile_stays_finite``, one product and one sum per step),
+      and an entry of A, a product of at most n - 1 exact node differences,
+      by a relative n u_DD; through A^-1 that moves the weights by at most
+      ||A^-1||_inf (dc + n u_DD ||A||_inf ||w||_inf).
+    * The normal equations in double-double: forming G adds n gamma_n ||G||_2
+      and eliminating the SPD system without pivoting 3 n gamma_n ||G||_2
+      (Higham, 2nd ed., Thm 9.4 and Sec. 10.1, || |L||U| ||_2 <= n ||G||_2),
+      so with eps = 4 n^2 u_DD kappa_2(A)^2 the relative error is at most
+      eps / (1 - eps) in the 2-norm, which bounds the inf-norm; kappa_2(A)
+      is taken from the SVD of the rounded A.
+    * One rounding to double, u |y_i|.
+
+    The factor 1.01 covers forming the bound itself in doubles.
+    """
+    u, u_dd = 2.0 ** -53, 7.0 * 2.0 ** -106
+    n, iv = fs.n, fs.nodes.interval
+    w = np.asarray([float(v) for v in weights])
+    norm_w2, norm_winf = float(np.linalg.norm(w)), float(np.max(np.abs(w)))
+    c = 0.5 * iv.a + 0.5 * iv.b
+    R = max(abs(c - t) for t in fs.nodes.nodes)
+    m0 = max(abs(h) + abs(l) for h, l in _centred_monomial_moments(iv.a, iv.b, n))
+    dc = (2 * n - 1) * u_dd * (1.0 + R) ** (n - 1) * m0
+    norm_a = float(np.max(np.sum(np.abs(fs.A), axis=1)))
+    stored = _norm_inf_inverse(fs) * (dc + n * u_dd * norm_a * norm_winf)
+    eps = 4 * n * n * u_dd * float(np.linalg.cond(fs.A)) ** 2
+    if not eps < 1.0:
+        return math.inf
+    rel = eps / (1.0 - eps)
+    return 1.01 * (stored + rel * norm_w2 + u * (norm_winf + rel * norm_w2))
 
 
 def _ref_legendre_pair_dd(k, x, ratios):

@@ -15,12 +15,13 @@ import sys
 from fractions import Fraction
 from itertools import islice
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import quadlsq as q
-from quadlsq import ddouble, system
+from quadlsq import ddouble, oracle, system
 from quadlsq.ddouble import (
     DD, dd_add, dd_div, dd_dot, dd_mul, from_fraction, split_operand, split_operands,
 )
@@ -38,9 +39,11 @@ from helpers import (
     bits,
     ref_legendre_nodes,
     ref_monic,
-    ref_lsq_normal_equations,
+    lsq_error_bound,
     ref_moments,
     ref_node_products,
+    ref_normal_products,
+    ref_normal_system,
     ref_residual,
     ref_solve_upper,
 )
@@ -165,6 +168,18 @@ class TestPrimitives:
         _same(dd_dot(*s, rows, split_operands(xs)), add)
         _same(dd_dot(*s, rows, split_operands((-h, -l) for h, l in xs)), sub)
         _same(dd_dot(*s, rows, [split_operand(-h, -l) for h, l in xs]), sub)
+
+    @settings(max_examples=300, deadline=None)
+    @given(pairs=st.lists(st.tuples(_pairs(), _pairs()), min_size=1, max_size=8))
+    def test_on_arrays_equal_scalar_calls(self, pairs):
+        # elementwise on numpy arrays the primitives are the scalar calls,
+        # bit for bit, signed zeros included: the normal equations build
+        # their Gram matrix this way
+        (ah, al), (bh, bl) = (np.array(part).T for part in zip(*pairs))
+        for fn in (dd_add, dd_mul):
+            got = fn(ah, al, bh, bl)
+            want = [fn(*a, *b) for a, b in pairs]
+            assert bits(zip(*(v.tolist() for v in got))) == bits(want), fn.__name__
 
     def test_dd_dot_signed_zeros(self):
         # every combination of signed zeros and exact products, where a
@@ -292,21 +307,60 @@ ORACLE_CASES = [
 ] + PIPELINE_CASES[-3:]
 
 
+def _ref_pairwise(terms):
+    """The RefDD sum of the normal system's pairwise tree: the upper half
+    of the terms added onto the lower half until one is left."""
+    terms = list(terms)
+    m = len(terms)
+    while m > 1:
+        h = m // 2
+        terms[:h] = [x + y for x, y in zip(terms[:h], terms[m - h:m])]
+        m -= h
+    return terms[0]
+
+
+def _dd_value(pair):
+    return Fraction(pair[0]) + Fraction(pair[1])
+
+
+#: u_DD = 7 u^2, the relative error of one double-double sum
+_U_DD = Fraction(7, 2 ** 106)
+
+
 @pytest.mark.parametrize("ns", ORACLE_CASES)
 def test_lsq_normal_equations_bit_identical(ns):
-    # the float-pair oracle skips the structural zeros of F; the frozen
-    # scalar route reads every entry of F padded back to n + 1 full rows
+    # [G | b] = F^T [F | c_tilde] of the oracle, built on arrays, against
+    # scalar RefDD products: bit for bit when they are summed in the
+    # oracle's pairwise tree (F's zero last row dropped), and within the
+    # error of two summation orders of the frozen row-order sum.  Any tree
+    # of m - 1 double-double sums is within (m - 1) u_DD / (1 - (m - 1) u_DD)
+    # of sum |p_k|, so two of them differ by at most twice that.
     fs = _system(ns)
     n = fs.n
     F = _padded(fs.A_dd, n)
     c_tilde = fs.moments_dd[:n] + (fs.moments_dd[fs.degree + 1],)
-    try:
-        want = ref_lsq_normal_equations(F, c_tilde)
-    except q.SingularSystemError:
-        with pytest.raises(q.SingularSystemError):
-            q.lsq_normal_equations(fs)
-        return
-    assert bits(q.lsq_normal_equations(fs)) == bits(want)
+    gh, gl = oracle._normal_system(fs)
+    got = [list(zip(h, l)) for h, l in zip(gh.tolist(), gl.tolist())]
+    products = ref_normal_products(F, c_tilde)
+    want = [[_ref_pairwise(terms[:n]) for terms in row] for row in products]
+    assert bits(v for row in got for v in row) == bits(tuple(v) for row in want for v in row)
+
+    frozen = ref_normal_system(F, c_tilde)
+    slack = 2 * n * _U_DD / (1 - n * _U_DD)
+    for i in range(n):
+        for j in range(n + 1):
+            size = sum(abs(_dd_value(p)) for p in products[i][j])
+            assert abs(_dd_value(got[i][j]) - _dd_value(frozen[i][j])) <= slack * size, (i, j)
+
+
+@pytest.mark.parametrize("ns", ORACLE_CASES)
+def test_lsq_normal_equations_within_bound(ns):
+    # the solution against the exact weights of the same double nodes
+    fs = _system(ns)
+    w = q.rational_pipeline(ns).weights
+    y = q.lsq_normal_equations(fs)
+    err = max(abs(Fraction(float(a)) - b) for a, b in zip(y, w))
+    assert err <= lsq_error_bound(fs, w)
 
 
 @pytest.mark.parametrize("n", range(1, 65))

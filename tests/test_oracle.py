@@ -27,6 +27,7 @@ from quadlsq.oracle import _solve_dense
 from helpers import (
     asymmetric_rational_nodes,
     family_cases,
+    lsq_error_bound,
     nodeset,
     ref_rational_pipeline,
     solved,
@@ -68,6 +69,44 @@ class TestNormalEquations:
     def test_singular_pivot_detected(self):
         with pytest.raises(SingularSystemError, match="numerically singular"):
             _solve_dense([[1.0, 1.0], [1.0, 1.0]], [1.0, 2.0])
+
+    @pytest.mark.parametrize("family,n", [(q.Family.NEWTON_COTES, 40),
+                                          (q.Family.CLENSHAW_CURTIS, 33)])
+    def test_declines_beyond_its_range(self, family, n):
+        # cond_inf(A)^2 u_DD is 6.6e7 and 26 here: a Gram matrix that
+        # double-double cannot tell from a singular one, where a double LU
+        # with refinement returned relative errors of 1.5 and 3.9e8
+        fs = build_system(nodeset(family, n))
+        with pytest.raises(SingularSystemError, match="outside the normal equations' range"):
+            lsq_normal_equations(fs)
+
+    def test_custom_pool_matches_cached_weights(self):
+        # every set of the benchmark's pool, n = 3..24 on (0, 2), within
+        # 1e-8 of the cached exact weights, relative to the largest
+        ref, cached = _benchmark_reference()
+        for key, nodes in ref.custom_pool().items():
+            want = np.array(cached[key]["weights"])
+            y = lsq_normal_equations(build_system(ref.custom_nodeset(q, nodes)))
+            assert np.max(np.abs(y - want)) <= 1e-8 * np.max(np.abs(want)), key
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        nodes=st.lists(st.fractions(-12, 12, max_denominator=1000), min_size=1, max_size=10,
+                       unique=True),
+        a=st.fractions(-8, 8, max_denominator=60),
+        length=st.fractions(Fraction(1, 8), 6, max_denominator=60),
+    )
+    def test_declines_or_meets_its_bound(self, nodes, a, length):
+        ns = NodeSet(tuple(sorted(float(t) for t in nodes)),
+                     q.Interval(float(a), float(a + length)))
+        fs = build_system(ns, eps_deg=0.0)
+        try:
+            y = lsq_normal_equations(fs)
+        except SingularSystemError:
+            return
+        w = rational_pipeline(ns).weights
+        err = max(abs(Fraction(float(v)) - t) for v, t in zip(y, w))
+        assert err <= lsq_error_bound(fs, w)
 
 
 class TestDegreeByMonomials:
@@ -417,6 +456,17 @@ class TestDirectMinimax:
         z, eps = direct_sis4_minimax(fs)
         np.testing.assert_allclose(z, [8 / 3], rtol=1e-14)
         assert eps == pytest.approx(2 / 3, rel=1e-14)
+
+    @pytest.mark.parametrize("family,n,b", [(q.Family.NEWTON_COTES, 9, 1e-5),
+                                            (q.Family.CLENSHAW_CURTIS, 12, 1e-3)])
+    def test_short_interval_is_not_singular(self, family, n, b):
+        # well posed, with pivots near 1e-33: an absolute pivot floor of
+        # 1e-30 called these systems numerically singular
+        fs = build_system(q.generate(q.FamilySpec(family, n), q.Interval(0.0, b)), eps_deg=0)
+        sol = solve_rule(fs)
+        z, eps = direct_sis4_minimax(fs)
+        assert eps == pytest.approx(abs(fs.mu_Q), rel=1e-10)
+        assert np.max(np.abs(z - sol.z_star)) <= 1e-10 * np.max(np.abs(sol.z_star))
 
     @pytest.mark.parametrize("family,n", family_cases(1, 12))
     def test_agreement_with_tau_route(self, family, n):
