@@ -54,7 +54,6 @@ from .system import (
     FundamentalSystem,
     RuleSolution,
     build_system,
-    detect_degree,
     residual,
     residual_norms,
     solve_rule,
@@ -87,7 +86,6 @@ __all__ = [
     "clenshaw_curtis_nodes",
     "cond_inf_upper",
     "degree_by_monomials",
-    "detect_degree",
     "direct_sis4_minimax",
     "epsilon_check",
     "equioscillation_residual",

@@ -7,7 +7,7 @@ Given ordered nodes t_1 < ... < t_n, the canonical basis is
 so the zeros of phi_j are exactly t_1..t_j.  The basis is extended with
 
     q_n = phi_{n-1}(x) * (x - t_n),
-    q_j = q_{j-1}(x) * (x - t_r),     r = j (mod n), residue taken in 1..n,
+    q_j = q_{j-1}(x) * (x - t_{j-n}),   n < j <= 2n,
 
 through degree 2n.  Every q_j vanishes at all n nodes, and since the degree
 of exactness of an interpolatory rule is at most 2n-1, the first nonzero
@@ -80,23 +80,13 @@ class CanonicalBasis:
         return self.qs[j - self.n]
 
 
-def _cyclic_node(nodes, j):
-    """Node index r = j (mod n) mapped into 1..n, then the node t_r."""
-    n = len(nodes)
-    r = j % n
-    if r == 0:
-        r = n
-    return nodes[r - 1]
-
-
 def build_basis(ns):
-    """Construct the canonical basis and its extension for a node set."""
-    nodes = ns.nodes
-    n = len(nodes)
-    phis = [Polynomial([1.0])]
-    for j in range(1, n):
-        phis.append(phis[-1].mul_linear(nodes[j - 1]))
-    qs = [phis[-1].mul_linear(nodes[n - 1])]
-    for j in range(n + 1, 2 * n + 1):
-        qs.append(qs[-1].mul_linear(_cyclic_node(nodes, j)))
-    return CanonicalBasis(phis=tuple(phis), qs=tuple(qs))
+    """Construct the canonical basis and its extension for a node set.
+
+    The j-th factor is x - t for the j-th node of ``ns.nodes + ns.nodes``,
+    the root order of the moment scan in :mod:`quadlsq.system`."""
+    n = ns.n
+    polys = [Polynomial([1.0])]
+    for t in ns.nodes + ns.nodes:
+        polys.append(polys[-1].mul_linear(t))
+    return CanonicalBasis(phis=tuple(polys[:n]), qs=tuple(polys[n:]))

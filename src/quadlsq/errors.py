@@ -38,7 +38,10 @@ class SingularSystemError(NumericalFailure):
 
 
 class ConvergenceError(NumericalFailure):
-    """An iteration (Newton root polishing) failed to converge."""
+    """Gauss-Legendre nodes could not be computed: LAPACK's eigensolver for
+    the starting values did not converge, or a root failed its acceptance
+    check after the one double-double Newton step.  No iteration budget is
+    involved; the Newton step is taken once."""
 
 
 class SelfCheckError(NumericalFailure):

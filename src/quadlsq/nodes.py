@@ -10,9 +10,12 @@ Clenshaw-Curtis is parameterized by the *total* node count so that all four
 families share one "number of nodes" axis (the classical practical-abscissa
 formula cos(k pi / m), k = 0..m, yields m+1 points).
 
-Gauss-Legendre nodes are the roots of P_n correctly rounded: Newton's
-iteration in doubles, then one Newton step in double-double, and an
-acceptance check on the same double-double recurrence.
+Gauss-Legendre nodes are the roots of P_n correctly rounded: the
+eigenvalues of the symmetric tridiagonal Jacobi matrix as starting values
+(Golub & Welsch, "Calculation of Gauss quadrature rules", 1969), which
+LAPACK computes on a dense O(n^2) array, then one Newton step in
+double-double, and an acceptance check on the same double-double
+recurrence.
 """
 
 import math
@@ -20,13 +23,13 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 
+import numpy as np
+
 from .basis import NodeSet, _checked_nodes
 from .ddouble import _SPLITTER, dd_mul, two_sum
 from .errors import ConvergenceError
 from .poly import Interval
 
-_NEWTON_MAX_ITER = 100
-_NEWTON_XTOL = 1e-15
 _NEWTON_PTOL = 1e-14
 
 
@@ -105,17 +108,6 @@ def clenshaw_curtis_nodes(n):
     m = n - 1
     half = [1.0] + [math.cos(k * math.pi / m) for k in range(1, n // 2)]
     return _mirrored(half, n)
-
-
-def _legendre_pair(k, x):
-    """(P_k(x), P'_k(x)) by the three-term recurrence, plain doubles."""
-    p0, p1 = 1.0, x
-    for j in range(2, k + 1):
-        p0, p1 = p1, ((2 * j - 1) * x * p1 - (j - 1) * p0) / j
-    if k == 0:
-        return 1.0, 0.0
-    dp = k * (p0 - x * p1) / (1.0 - x * x)
-    return p1, dp
 
 
 def _dd_ratio(num, den):
@@ -204,39 +196,46 @@ def _newton_step_dd(k, x, coeffs):
 def legendre_nodes(n):
     """Zeros of the Legendre polynomial P_n, sorted ascending.
 
-    Newton iteration in doubles on the three-term recurrence from the
-    asymptotic guesses cos(pi (4k-1) / (4n+2)), then one double-double
-    Newton step (:func:`_newton_step_dd`), so every root is correctly
-    rounded, then mirrored for exact symmetry.  Both the step and the
-    acceptance check run the one double-double recurrence,
+    The zeros start from the eigenvalues of the Jacobi matrix of the
+    Legendre weight, the symmetric tridiagonal matrix with zero diagonal
+    and off-diagonal b_k = k / sqrt(4k^2 - 1), k = 1..n-1 (Golub & Welsch,
+    Math. Comp. 23, 1969; LAPACK reads only the lower triangle).  These
+    are within 2.1e-15 of the zeros over n = 1..400 and n = 1100.  After
+    one Newton step the error is about |x| / (1 - x^2) times the square of
+    the start error, since P''_n / P'_n = 2x / (1 - x^2) at a zero; that
+    is at most 6.8e-27 on the same n, far below half an ulp of every zero.
+    So one double-double Newton step (:func:`_newton_step_dd`) makes every
+    zero correctly rounded, and the zeros are then mirrored for exact
+    symmetry.  Both the
+    step and the acceptance check run the one double-double recurrence,
     :func:`_monic_dd`, on float pairs with the :mod:`quadlsq.ddouble`
     arithmetic written out.  Each root is accepted only if |P_n| < 1e-14
     at the double-double iterate, tested as |V_n| < 1e-14 kappa_n with
     kappa_n = V_n / P_n = 4^n / C(2n, n) rounded once.
-    Raises :class:`ConvergenceError` after 100 iterations on any root, or
-    if a root fails that check.
+    Raises :class:`ConvergenceError` if the eigensolver does not converge
+    or if a root fails that check.
+
+    The eigensolver takes the dense n x n matrix, so the start costs
+    O(n^2) memory (about 19 MB at n = 1100, 0.07 MB at n <= 64) and O(n^3)
+    flops in LAPACK, a small share of the time of the n/2 double-double
+    recurrences of length n up to n = 1100 at least.
     """
     if n < 1:
         raise ValueError(f"unsupported count: need n >= 1, got {n}")
+    j = np.arange(1.0, n)
+    try:
+        start = np.linalg.eigvalsh(np.diag(j / np.sqrt(4.0 * j * j - 1.0), -1))
+    except np.linalg.LinAlgError as exc:
+        raise ConvergenceError(f"no convergence for the zeros of P_{n}: {exc}") from None
     coeffs = _monic_coefficients(n)
     vtol = _NEWTON_PTOL * (4 ** n / math.comb(2 * n, n))
     half = []
     for k in range(1, n // 2 + 1):
-        x = math.cos(math.pi * (4 * k - 1) / (4 * n + 2))
-        for _ in range(_NEWTON_MAX_ITER):
-            p, dp = _legendre_pair(n, x)
-            dx = p / dp
-            x -= dx
-            if abs(dx) < _NEWTON_XTOL:
-                break
-        else:
-            raise ConvergenceError(f"no convergence for root {k} of P_{n}")
-        xh, xl = _newton_step_dd(n, x, coeffs)
+        xh, xl = _newton_step_dd(n, float(start[n - k]), coeffs)
         _, _, vh, vl = _monic_dd(xh, xl, coeffs)
         if not abs(vh + vl) < vtol:
             raise ConvergenceError(f"no convergence for root {k} of P_{n}")
         half.append(xh + xl)
-    half.sort(reverse=True)
     return _mirrored(half, n)
 
 

@@ -423,18 +423,6 @@ def _moments_and_degree(ns, eps_deg):
     return tuple(lead), eps, j_q - 1
 
 
-def detect_degree(ns, eps_deg=None):
-    """Degree of exactness and principal moment of the rule on ``ns``.
-
-    Scans mu_j = I(q_j) for j = n..2n and returns (j-1, mu_j) at the first
-    moment whose magnitude exceeds the zero threshold.  ``eps_deg`` must
-    be a finite number >= 0 (``ValueError`` otherwise).
-    """
-    lead, _, degree = _moments_and_degree(ns, eps_deg)
-    h, l = lead[-1]
-    return degree, h + l
-
-
 def build_system(ns, eps_deg=None):
     """Assemble the fundamental system for a node set.
 

@@ -538,21 +538,45 @@ def ref_monic(k, x):
     return v0, v1
 
 
-def ref_legendre_nodes(n):
-    """Gauss-Legendre nodes: the double Newton iteration of ``quadlsq.nodes``
-    followed by the scalar-DD polish."""
-    from quadlsq import nodes as qn
+def ref_legendre_pair(k, x):
+    """(P_k(x), P'_k(x)) by the three-term recurrence in plain doubles: the
+    frozen copy of the recurrence that ``quadlsq.nodes`` iterated on before
+    it took its starting values from the Jacobi matrix."""
+    p0, p1 = 1.0, x
+    for j in range(2, k + 1):
+        p0, p1 = p1, ((2 * j - 1) * x * p1 - (j - 1) * p0) / j
+    if k == 0:
+        return 1.0, 0.0
+    dp = k * (p0 - x * p1) / (1.0 - x * x)
+    return p1, dp
 
-    ratios = _ref_legendre_ratios(n)
-    half = []
+
+def ref_newton_starts(n):
+    """The n // 2 positive zeros of P_n in decreasing order, by Newton's
+    iteration in doubles on :func:`ref_legendre_pair` from the asymptotic
+    guesses cos(pi (4k-1) / (4n+2)): the old route to the starting values
+    of the double-double step."""
+    starts = []
     for k in range(1, n // 2 + 1):
         x = math.cos(math.pi * (4 * k - 1) / (4 * n + 2))
         for _ in range(100):
-            p, dp = qn._legendre_pair(n, x)
+            p, dp = ref_legendre_pair(n, x)
             dx = p / dp
             x -= dx
             if abs(dx) < 1e-15:
                 break
+        starts.append(x)
+    return starts
+
+
+def ref_legendre_nodes(n):
+    """Gauss-Legendre nodes: :func:`ref_newton_starts` followed by the
+    scalar-DD polish."""
+    from quadlsq import nodes as qn
+
+    ratios = _ref_legendre_ratios(n)
+    half = []
+    for x in ref_newton_starts(n):
         x_dd = RefDD(x)
         for _ in range(2):
             p_dd, dp_dd = _ref_legendre_pair_dd(n, x_dd, ratios)

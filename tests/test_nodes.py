@@ -18,7 +18,7 @@ from quadlsq import (
     read_nodes_file,
 )
 
-from helpers import FAMILIES, bits, solved
+from helpers import FAMILIES, bits, ref_legendre_pair, solved
 
 
 class TestFamilyParsing:
@@ -79,10 +79,8 @@ class TestGenerators:
 
     @pytest.mark.parametrize("n", [1, 2, 3, 8, 17, 40, 64])
     def test_gauss_roots_annihilate_legendre(self, n):
-        from quadlsq.nodes import _legendre_pair
-
         for t in legendre_nodes(n):
-            p, dp = _legendre_pair(n, t)
+            p, dp = ref_legendre_pair(n, t)
             assert abs(p) <= 1e-14 * max(1.0, abs(dp))
 
     @pytest.mark.parametrize("n", list(range(1, 65)) + [100, 128])
@@ -126,12 +124,19 @@ class TestGenerators:
         with pytest.raises(ValueError, match="unsupported count"):
             legendre_nodes(0)
 
-    def test_newton_budget_is_enforced(self, monkeypatch):
-        import quadlsq.nodes as nodes_mod
+    def test_eigensolver_failure_is_a_convergence_error(self, monkeypatch, capsys):
+        # the starting values come from LAPACK; its failure is a typed
+        # numerical failure, and the CLI exits 3 on it
+        from quadlsq.cli import main
 
-        monkeypatch.setattr(nodes_mod, "_NEWTON_MAX_ITER", 0)
-        with pytest.raises(ConvergenceError, match="no convergence"):
+        def no_convergence(a, UPLO="L"):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", no_convergence)
+        with pytest.raises(ConvergenceError, match="no convergence for the zeros of P_6"):
             legendre_nodes(6)
+        assert main(["analyze", "--family", "gl", "--n", "6"]) == 3
+        assert "numerical failure: no convergence" in capsys.readouterr().err
 
     @pytest.mark.parametrize("n", [2, 17, 64])
     @pytest.mark.parametrize("size,accepted", [(2e-14, False), (0.5e-14, True)])
@@ -141,13 +146,12 @@ class TestGenerators:
         # refuse it above 1e-14 and accept it below
         import quadlsq.nodes as nodes_mod
         from quadlsq.ddouble import dd_add
-        from quadlsq.nodes import _legendre_pair
 
         step = nodes_mod._newton_step_dd
 
         def off_root_step(k, x, coeffs):
             xh, xl = step(k, x, coeffs)
-            return dd_add(xh, xl, size / abs(_legendre_pair(k, xh)[1]), 0.0)
+            return dd_add(xh, xl, size / abs(ref_legendre_pair(k, xh)[1]), 0.0)
 
         monkeypatch.setattr(nodes_mod, "_newton_step_dd", off_root_step)
         if accepted:

@@ -16,7 +16,6 @@ from quadlsq import (
     NodeSet,
     RuleSolution,
     build_system,
-    detect_degree,
     rational_pipeline,
     residual,
     residual_norms,
@@ -133,40 +132,41 @@ class TestStore:
 
 
 class TestDetectDegree:
+    """Degree detection, read from the system that :func:`build_system`
+    builds."""
+
     def test_simpson(self):
-        ns = SIMPSON
-        d, mu = detect_degree(ns)
-        assert d == 3
-        assert mu == pytest.approx(-4.0 / 15.0, abs=1e-16)
+        fs = build_system(SIMPSON)
+        assert fs.degree == 3
+        assert fs.mu_Q == pytest.approx(-4.0 / 15.0, abs=1e-16)
 
     def test_gl2(self):
         # nodes +-1/sqrt(3): mu_2 = mu_3 = 0, mu_4 = int (x^2-1/3)^2 = 8/45
-        ns = nodeset(q.Family.GAUSS_LEGENDRE, 2)
-        d, mu = detect_degree(ns)
-        assert d == 3
-        assert mu == pytest.approx(8.0 / 45.0, abs=1e-13)
+        fs = build_system(nodeset(q.Family.GAUSS_LEGENDRE, 2))
+        assert fs.degree == 3
+        assert fs.mu_Q == pytest.approx(8.0 / 45.0, abs=1e-13)
 
     def test_fejer3(self):
-        ns = nodeset(q.Family.FEJER1, 3)
-        d, mu = detect_degree(ns)
-        assert d == 3
-        assert mu == pytest.approx(-0.1, abs=1e-14)
+        fs = build_system(nodeset(q.Family.FEJER1, 3))
+        assert fs.degree == 3
+        assert fs.mu_Q == pytest.approx(-0.1, abs=1e-14)
 
     def test_degree_overflow_with_bad_threshold(self):
-        ns = SIMPSON
         with pytest.raises(DegreeOverflowError, match="degree overflow"):
-            detect_degree(ns, eps_deg=1e6)
+            build_system(SIMPSON, eps_deg=1e6)
 
     def test_threshold_knob_passes_through_build(self):
+        # a given threshold is the one the system keeps and scans with:
+        # mu_4 = -4/15 of Simpson's rule is below 0.3 but not below 0.2
+        assert build_system(SIMPSON, eps_deg=0.2).eps_deg == 0.2
         with pytest.raises(DegreeOverflowError):
-            build_system(SIMPSON, eps_deg=1e6)
+            build_system(SIMPSON, eps_deg=0.3)
 
     @pytest.mark.parametrize("eps_deg", [-1.0, -1e-300, math.nan, math.inf, -math.inf])
     def test_invalid_threshold_is_an_input_error(self, eps_deg):
         # an input error, not a numerical failure further down the pipeline
-        for call in (build_system, detect_degree):
-            with pytest.raises(ValueError, match="eps_deg must be a finite number >= 0"):
-                call(SIMPSON, eps_deg=eps_deg)
+        with pytest.raises(ValueError, match="eps_deg must be a finite number >= 0"):
+            build_system(SIMPSON, eps_deg=eps_deg)
 
 
 class TestSolveWeights:
@@ -364,7 +364,6 @@ class TestKernelAgainstExact:
     @pytest.mark.parametrize("n,degree", [(16, 31), (20, 39)])
     def test_gauss_legendre_on_shifted_interval(self, n, degree):
         ns = q.generate(q.FamilySpec(q.Family.GAUSS_LEGENDRE, n), Interval(2.0, 4.0))
-        assert detect_degree(ns)[0] == degree
         assert build_system(ns).degree == degree
 
     @settings(max_examples=60, deadline=None)
@@ -436,7 +435,6 @@ class TestLeadingMoments:
         h, l = fs.leading_dd[-1]
         assert bits([fs.mu_Q]) == bits([h + l])
         assert bits(fs.c) == bits([h + l for h, l in fs.leading_dd[:n]])
-        assert detect_degree(ns) == (fs.degree, fs.mu_Q)
 
     @pytest.mark.parametrize("family", FAMILIES)
     @pytest.mark.parametrize("interval", [(-1.0, 1.0), (2.0, 4.0)], ids=["-1,1", "2,4"])
