@@ -24,6 +24,7 @@ from types import MappingProxyType
 
 import numpy as np
 
+from .ddouble import dd_mul
 from .minimax import _epsilon, equioscillation_residual
 from .system import (
     _checked_eps_deg, _pow2_scaled, _scaled_norms, _unscaled, build_system, residual,
@@ -62,7 +63,8 @@ def rule_angle(omega, z_star, degrees=True):
     does.  Its error is about one rounding of the unit vectors, some
     1e-16 rad, where arccos of the cosine resolves nothing below
     sqrt(2 eps) ~ 1e-8 rad, so an angle of 1e-7 rad keeps about nine
-    digits.  Reported in degrees by convention; pass ``degrees=False``
+    digits.  Exactly parallel or opposite vectors (:func:`_exactly_parallel`)
+    give 0.  Reported in degrees by convention; pass ``degrees=False``
     for radians.
     """
     _, omega = _pow2_scaled(omega)
@@ -71,12 +73,38 @@ def rule_angle(omega, z_star, degrees=True):
     nz = np.linalg.norm(z_star)
     if nw == 0.0 or nz == 0.0:
         raise ValueError("zero vector: the rule angle is undefined")
+    if _exactly_parallel(omega, z_star):
+        return 0.0
     u = omega / nw
     v = z_star / nz
     if np.dot(u, v) < 0.0:
         v = -v
     ang = 2.0 * math.atan2(np.linalg.norm(u - v), np.linalg.norm(u + v))
     return math.degrees(ang) if degrees else ang
+
+
+#: Dekker's two-product of a and b is exact when their exponents sum to at
+#: least e_min + p - 1 = -970, which |fl(a b)| >= 2^-968 ensures.
+_EXACT_PRODUCT_MIN = 2.0 ** -968
+
+
+def _exactly_parallel(x, y):
+    """True if x_k y_i = x_i y_k exactly for every i, k the index of the
+    largest |x_k|, on arrays below 1 in magnitude.  Equal products round
+    equal, so the two-products (:func:`quadlsq.ddouble.dd_mul` on the
+    arrays) are compared only where the rounded ones agree; a nonzero
+    product that may have lost bits to underflow counts as not parallel."""
+    k = int(np.argmax(np.abs(x)))
+    if not (x[k] * y == x * y[k]).all():
+        return False
+    sides = []
+    for a, b in ((x[k], y), (x, y[k])):
+        h, l = dd_mul(a, 0.0, b, 0.0)
+        if np.any((a != 0.0) & (b != 0.0) & (np.abs(h) < _EXACT_PRODUCT_MIN)):
+            return False
+        sides.append((h, l))
+    (ph, pl), (qh, ql) = sides
+    return bool((ph == qh).all() and (pl == ql).all())
 
 
 def norm_params(omega, z_star):

@@ -159,6 +159,9 @@ def _parse_integrand(spec):
             coeffs = [float(s) for s in spec[len("poly:"):].split(",")]
         except ValueError:
             raise ValueError(f"unknown integrand: bad coefficients in {spec!r}") from None
+        if not all(map(math.isfinite, coeffs)):
+            raise ValueError(f"unknown integrand: {spec!r} has a coefficient "
+                             "that is not a finite double")
         return Polynomial(coeffs).eval
     return _builtin_integrand(spec)
 
@@ -168,7 +171,20 @@ def _cmd_integrate(args, out):
     f = _parse_integrand(args.integrand)
     fs = build_system(ns, eps_deg=args.eps_deg)
     sol = solve_rule(fs)
-    value = math.fsum(w * f(t) for w, t in zip(sol.omega, ns.nodes))
+    # Q_n(f) fails at the first node whose value, term or running sum is not
+    # a finite double: an inf or nan term is the fsum, and a sum out of range
+    # raises OverflowError (n running fsums, O(n^2) additions in all).
+    terms = []
+    for w, t in zip(sol.omega.tolist(), ns.nodes):
+        try:
+            terms.append(w * f(t))
+            if not math.isfinite(math.fsum(terms)):
+                raise OverflowError
+        except OverflowError:
+            raise NumericalFailure(
+                f"the integrand's weighted sum is not a finite double at node {_fmt(t)}"
+            ) from None
+    value = math.fsum(terms)
     _, c_n = error_coefficient(fs.mu_Q, fs.degree)
     pairs = [("family", label), ("n", ns.n), ("integrand", args.integrand),
              ("value", value), ("degree", fs.degree), ("c_n", c_n)]

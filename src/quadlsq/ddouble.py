@@ -34,11 +34,13 @@ the scalar call, signed zeros included (``tests/test_kernels.py`` checks
 ``dd_add`` and ``dd_mul``): the normal-equations oracle forms its Gram
 matrix this way, with no second arithmetic written for arrays.
 
+Exact rationals enter as integer ratios, each rounded once by
+:func:`dd_ratio`.
+
 Only the operations the moment/solve pipeline needs are implemented.
 """
 
 import math
-from fractions import Fraction
 
 _SPLITTER = 134217729.0  # 2**27 + 1, exact in double
 
@@ -245,14 +247,14 @@ def as_dd(x):
     return DD(x)
 
 
-def from_fraction(x):
-    """The DD nearest a rational: hi correctly rounded, lo the rounded rest.
-
-    A value beyond the double range gives +-inf, as a double operation
-    would.
-    """
+def dd_ratio(num, den):
+    """The integer ratio num / den, den > 0, as a (hi, lo) pair: hi = num / den
+    and, with hi = p / q, lo = (num q - den p) / (den q), both integer true
+    divisions, which CPython rounds correctly, subnormals included.  A
+    ratio beyond the double range gives (+-inf, 0.0)."""
     try:
-        hi = float(x)
+        hi = num / den
     except OverflowError:
-        return DD(math.inf if x > 0 else -math.inf)
-    return DD(hi, float(x - Fraction(hi)))
+        return (math.inf if num > 0 else -math.inf), 0.0
+    p, q = hi.as_integer_ratio()
+    return hi, (num * q - den * p) / (den * q)

@@ -26,7 +26,7 @@ from fractions import Fraction
 import numpy as np
 
 from .basis import NodeSet, _checked_nodes
-from .ddouble import _SPLITTER, dd_mul, two_sum
+from .ddouble import _SPLITTER, dd_ratio, two_sum
 from .errors import ConvergenceError
 from .poly import Interval
 
@@ -110,24 +110,11 @@ def clenshaw_curtis_nodes(n):
     return _mirrored(half, n)
 
 
-def _dd_ratio(num, den):
-    """The integer ratio num/den as a double-double pair (hi, lo), with
-    |num| and den below 2**53 and num nonzero.
-
-    hi = fl(num/den).  The remainder num - den*hi is a double: den*hi is
-    split exactly by a two-product into p + e, num - p is exact by
-    Sterbenz's lemma (p is within a rounding of num), and subtracting e
-    leaves the representable remainder exactly.  So lo = fl(rem/den) is the
-    rest correctly rounded, the pair ``ddouble.from_fraction`` gives."""
-    hi = num / den
-    p, e = dd_mul(float(den), 0.0, hi, 0.0)
-    return hi, ((num - p) - e) / den
-
-
 def _monic_coefficients(k):
     """Float pairs of -4 beta_j, j = 2..k, with beta_j = (j-1)^2/(4(j-1)^2-1)
-    the monic Legendre recurrence coefficient, as (ch, cl)."""
-    return [_dd_ratio(-4 * (j - 1) ** 2, 4 * (j - 1) ** 2 - 1) for j in range(2, k + 1)]
+    the monic Legendre recurrence coefficient, as (ch, cl), each the
+    integer ratio rounded once by :func:`quadlsq.ddouble.dd_ratio`."""
+    return [dd_ratio(-4 * (j - 1) ** 2, 4 * (j - 1) ** 2 - 1) for j in range(2, k + 1)]
 
 
 def _monic_dd(xh, xl, coeffs):

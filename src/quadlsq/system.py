@@ -20,10 +20,10 @@ a double at or next to the interval midpoint (0 on (-1, 1)):
 
 * moments (modified moments: Sack & Donovan 1972; Gautschi, *Orthogonal
   Polynomials: Computation and Approximation*, 2004, sec. 2.1): with
-  M_j[m] = integral of P_j(x) (x - c)^m, M_0[m] is computed exactly and
-  rounded once, then M_j[m] = M_{j-1}[m+1] - (r_j - c) M_{j-1}[m], and
-  mu_j = M_j[0].  mu_J needs only the anti-diagonal M_j[J - j], j <= J,
-  so the recurrence yields the moments one at a time, in O(J) per moment,
+  M_j[m] = integral of P_j(x) (x - c)^m, M_0[m] is computed exactly from
+  integers and rounded once, then M_j[m] = M_{j-1}[m+1] - (r_j - c)
+  M_{j-1}[m], and mu_j = M_j[0].  mu_J needs only the anti-diagonal
+  M_j[J - j], j <= J, so the recurrence yields the moments one at a time, in O(J) per moment,
   and degree detection pulls them only as far as mu_Q;
 * A: phi_i(t_j) = phi_{i-1}(t_j) (t_j - t_i), a running product down each
   column of A from phi_0 = 1.
@@ -61,8 +61,7 @@ sum passes on), so every stored value is bit-identical to the same loop
 written with the primitives or with ``DD`` operators.  A product by a
 double is the full ``dd_mul`` with lo = 0, as everywhere.
 
-The exact M_0 moments depend on the interval alone and are memoised per
-interval (a small bounded cache, filled on first use);
+The starts M_0[m] are computed as the scan pulls them and kept nowhere;
 ``analysis.build_report`` forms r(omega) and its scaled norms once, for
 its norms and the epsilon self-check.
 
@@ -70,10 +69,11 @@ Moments that overflow the double range (M_0 grows like the half-length to
 the power 2n+1) raise :class:`MomentOverflowError` rather than feeding inf
 or nan into degree detection, and they do so whether or not the overflow
 lies past mu_Q: the scan stops at mu_Q only where an a-priori bound,
-|M_j[m]| <= (1 + R)^j max_m |M_0[m]| with R = max |c - t_i| and a rounding
-factor per step (derived at :func:`_profile_stays_finite`), keeps every
-later value of the recurrence below 2^996, where the Dekker split of the
-two-product still cannot overflow.  Elsewhere it runs on to mu_2n, so a
+|M_j[m]| <= (1 + R)^j 2 max(R0, 1)^{2n+1} with R = max |c - t_i|,
+R0 = max(|a - c|, |b - c|) and a rounding factor per step (derived at
+:func:`_profile_stays_finite`), keeps every later value of the recurrence
+below 2^996, where the Dekker split of the two-product still cannot
+overflow.  Elsewhere it runs on to mu_2n, so a
 profile that overflows fails at the same index whether its degree shows
 early or not.  A negative or non-finite ``eps_deg`` is an input error and
 raises ``ValueError``.
@@ -81,14 +81,14 @@ raises ``ValueError``.
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
+from itertools import count, islice
 
 import numpy as np
 
 from .basis import NodeSet
 from .ddouble import (
-    _SPLITTER, dd_add, dd_div, dd_dot, from_fraction, split_operand, split_operands, two_sum,
+    _SPLITTER, dd_add, dd_div, dd_dot, dd_ratio, split_operand, split_operands, two_sum,
 )
 from .errors import DegreeOverflowError, MomentOverflowError, SingularDiagonalError
 
@@ -212,34 +212,27 @@ class RuleSolution:
         return tuple(dd_add(*w, *t) for w, t in zip(self._omega_dd, self._tau_dd))
 
 
-#: Intervals whose exact centred monomial moments are kept (oldest evicted).
-_M0_CACHE_SIZE = 16
-_m0_cache = {}
+def _centred_monomial_moments(a, b):
+    """M_0[m] = integral over (a, b) of (x - c)^m, c = 0.5 a + 0.5 b, for
+    m = 0, 1, 2, ... as (hi, lo) pairs, each computed when it is pulled.
 
-
-def _centred_monomial_moments(a, b, count):
-    """M_0[m] = integral over (a, b) of (x - c)^m, m = 0..count-1, as DD.
-
-    Exact as Fractions, rounded once.  The values depend on the endpoints
-    alone, so they are memoised per (a, b) and extended when a longer list
-    is asked for; every rule on one interval shares them.
+    With d the common power-of-two denominator of a, b and c, A = d (a - c)
+    and B = d (b - c) are integers, and M_0[m] = (B^{m+1} - A^{m+1}) /
+    ((m + 1) d^{m+1}) is rounded once by :func:`quadlsq.ddouble.dd_ratio`.
     """
-    key = (a, b)
-    M = _m0_cache.pop(key, ())
-    if len(M) < count:
-        c = Fraction(0.5 * a + 0.5 * b)
-        ua, ub = Fraction(a) - c, Fraction(b) - c
-        pa, pb = ua ** len(M), ub ** len(M)
-        ext = []
-        for m in range(len(M) + 1, count + 1):
-            pa *= ua
-            pb *= ub
-            ext.append(from_fraction((pb - pa) / m))
-        M += tuple(ext)
-    if len(_m0_cache) >= _M0_CACHE_SIZE:
-        del _m0_cache[next(iter(_m0_cache))]
-    _m0_cache[key] = M  # re-inserted last: the least recently used goes first
-    return M[:count]
+    (na, da), (nb, db), (nc, dc) = (
+        x.as_integer_ratio() for x in (a, b, 0.5 * a + 0.5 * b))
+    d = max(da, db, dc)
+    c = nc * (d // dc)
+    A = na * (d // da) - c
+    B = nb * (d // db) - c
+    pa, pb, dm = A, B, d
+    for m in count(1):
+        num = pb - pa
+        yield dd_ratio(num, m * dm) if num else (0.0, 0.0)
+        pa *= A
+        pb *= B
+        dm *= d
 
 
 def _iter_moments_dd(ns):
@@ -260,9 +253,10 @@ def _iter_moments_dd(ns):
     """
     nodes, iv = ns.nodes, ns.interval
     c = 0.5 * iv.a + 0.5 * iv.b
-    factors = split_operands(two_sum(c, -t) for t in nodes + nodes)
+    factors = split_operands(two_sum(c, -t) for t in nodes)
+    factors += factors  # the roots r are t_1..t_n twice
     H, L = [], []  # level j: M_j on the latest anti-diagonal
-    for h, l in _centred_monomial_moments(iv.a, iv.b, len(factors) + 1):
+    for h, l in islice(_centred_monomial_moments(iv.a, iv.b), len(factors) + 1):
         for j, (fh, fl, yh, yl) in enumerate(factors[:len(H)]):
             oh = H[j]
             ol = L[j]
@@ -303,16 +297,21 @@ def _moments_dd(ns):
 #: it by 2^27 + 1 (2^996 (2^27 + 1) is within a factor 2^-0.99 of 2^1024).
 _SPLIT_LIMIT = 2.0 ** 996
 
-#: Relative slack per step of the moment bound, 2^-40 = 2^13 u with
+#: Relative slack per factor of the moment bound, 2^-40 = 2^13 u with
 #: u = 2^-53.  A step needs about 12 u: 8 u for one DD product and one DD
 #: sum, u for c - t_i rounded to a double, and the roundings of forming the
-#: bound in doubles.
+#: bound in doubles; a factor R0 of the bound on M_0 needs about 6 u.
 _BOUND_SLACK = 1.0 + 2.0 ** -40
 
 
 def _profile_stays_finite(ns):
     """True if no value of the moment recurrence through mu_{2n} can exceed
     ``_SPLIT_LIMIT``, so that every one of them is finite.
+
+    Let R0 = max(|a - c|, |b - c|), the largest |x - c| on the interval;
+    then b - a <= 2 R0, and every start the scan reads, m <= 2n, has
+    |M_0[m]| <= (b - a) R0^m <= 2 max(R0, 1)^{2n+1}, with |hi| + |lo|
+    within (1 + 3 u) of it once rounded.
 
     Let R = max |c - t_i| and write |x| = |hi| + |lo| for a pair.  Exactly,
     |M_j[m]| <= |M_{j-1}[m+1]| + R |M_{j-1}[m]| <= (1 + R) max_m |M_{j-1}[m]|,
@@ -321,18 +320,20 @@ def _profile_stays_finite(ns):
     (Joldes, Muller & Popescu, ACM TOMS 44, 2017; an underflow adds at
     most an absolute 2^-1074 instead, which cannot move a value toward the
     limit), and |lo| <= u |hi|, so a computed step grows |x| by at most
-    (1 + R)(1 + 8 u).  The factor ``_BOUND_SLACK`` per step covers that and
-    the roundings below, and once more the lo parts of M_0.  Every operand
-    the split sees, M_j[m] and c - t_i, then lies below the limit.
+    (1 + R)(1 + 8 u).  ``_BOUND_SLACK`` on each factor max(R0, 1) and
+    1 + R covers that, the rounding of M_0 and the roundings of forming the
+    bound in doubles.  Every operand the split sees, M_j[m] and c - t_i,
+    then lies below the limit.  A loose bound only sends more scans on to
+    mu_{2n}, which changes no result.
     """
     nodes, iv = ns.nodes, ns.interval
     c = 0.5 * iv.a + 0.5 * iv.b
-    steps = 2 * len(nodes)
+    r0 = max(abs(iv.a - c), abs(iv.b - c), 1.0) * _BOUND_SLACK
     growth = (1.0 + max(abs(c - t) for t in nodes)) * _BOUND_SLACK
-    bound = max(abs(h) for h, _ in _centred_monomial_moments(iv.a, iv.b, steps + 1))
-    bound *= _BOUND_SLACK
-    for _ in range(steps):
-        bound *= growth
+    step = r0 * growth
+    bound = 2.0 * r0
+    for _ in range(2 * len(nodes)):
+        bound *= step
     return max(bound, growth) < _SPLIT_LIMIT
 
 

@@ -16,7 +16,6 @@ import quadlsq as q
 from quadlsq.analysis import _norm_inf_inverse
 from quadlsq.basis import NodeSet
 from quadlsq.oracle import _as_fraction
-from quadlsq.system import _centred_monomial_moments
 
 FAMILIES = (
     q.Family.NEWTON_COTES,
@@ -382,17 +381,26 @@ def _ref_factor(a, b):
     return d[0] if d[1] == 0.0 else RefDD(*d)
 
 
-def ref_moments(ns):
-    """mu_0..mu_2n by the centred moment recurrence, M_0 computed cold."""
-    nodes, iv = ns.nodes, ns.interval
-    c = 0.5 * iv.a + 0.5 * iv.b
-    ua, ub = Fraction(iv.a) - Fraction(c), Fraction(iv.b) - Fraction(c)
+def ref_centred_moments(a, b, count):
+    """M_0[m] = integral over (a, b) of (x - c)^m, m = 0..count-1, with
+    c = 0.5 a + 0.5 b, as exact Fractions: the frozen Fraction route."""
+    c = Fraction(0.5 * a + 0.5 * b)
+    ua, ub = Fraction(a) - c, Fraction(b) - c
     pa = pb = Fraction(1)
     M = []
-    for m in range(1, 2 * len(nodes) + 2):
+    for m in range(1, count + 1):
         pa *= ua
         pb *= ub
-        M.append(_ref_from_fraction((pb - pa) / m))
+        M.append((pb - pa) / m)
+    return M
+
+
+def ref_moments(ns):
+    """mu_0..mu_2n by the centred moment recurrence, M_0 rounded from the
+    frozen Fraction route."""
+    nodes, iv = ns.nodes, ns.interval
+    c = 0.5 * iv.a + 0.5 * iv.b
+    M = [_ref_from_fraction(x) for x in ref_centred_moments(iv.a, iv.b, 2 * len(nodes) + 1)]
     mom = [M[0]]
     for t in nodes + nodes:
         f = _ref_factor(c, t)
@@ -493,7 +501,7 @@ def lsq_error_bound(fs, weights):
     norm_w2, norm_winf = float(np.linalg.norm(w)), float(np.max(np.abs(w)))
     c = 0.5 * iv.a + 0.5 * iv.b
     R = max(abs(c - t) for t in fs.nodes.nodes)
-    m0 = max(abs(h) + abs(l) for h, l in _centred_monomial_moments(iv.a, iv.b, n))
+    m0 = float(max(map(abs, ref_centred_moments(iv.a, iv.b, n))))
     dc = (2 * n - 1) * u_dd * (1.0 + R) ** (n - 1) * m0
     norm_a = float(np.max(np.sum(np.abs(fs.A), axis=1)))
     stored = _norm_inf_inverse(fs) * (dc + n * u_dd * norm_a * norm_winf)

@@ -18,6 +18,7 @@ from quadlsq import (
     rule_angle,
     solve_rule,
 )
+from quadlsq.analysis import _exactly_parallel
 
 from helpers import (
     FAMILIES,
@@ -95,6 +96,37 @@ class TestRuleAngle:
         # opposite directions fold together, and the half-angle form
         # resolves the difference of two unit vectors down to its last bit
         assert rule_angle([1.0, 2.0], [-1.0, -2.0]) == pytest.approx(0.0, abs=1e-13)
+
+    @pytest.mark.parametrize("omega,z_star", [
+        ([1.0, 1.0], [1.6666666666666665, 1.6666666666666665]),  # NC and CC at n = 2
+        ([1.0, 5.0, 0.0, 7.0], [3.0, 15.0, 0.0, 21.0]),
+        ([1.0, -5.0, 7.0], [-3.0, 15.0, -21.0]),
+    ], ids=["nc2", "ints", "opposite"])
+    def test_exactly_parallel_is_exactly_zero(self, omega, z_star):
+        # the unit vectors of exactly parallel vectors may round apart
+        assert rule_angle(omega, z_star) == 0.0
+
+    @pytest.mark.parametrize("family", [q.Family.NEWTON_COTES, q.Family.CLENSHAW_CURTIS],
+                             ids=lambda f: f.value)
+    @pytest.mark.parametrize("interval", [(-1.0, 1.0), (2.0, 4.0)])
+    def test_two_node_reports_have_angle_zero(self, family, interval):
+        # omega = (1, 1) and z* = (5/3, 5/3) rounded: exactly parallel
+        ns = q.generate(q.FamilySpec(family, 2), q.Interval(*interval))
+        assert q.build_report(ns).angle_deg == 0.0
+
+    def test_nearly_parallel_keeps_the_kahan_angle(self):
+        # 3 fl(1/3) != 1: not exactly parallel
+        assert not _exactly_parallel(np.array([0.25, 0.75]), np.array([1 / 3, 1.0]) / 2)
+        assert rule_angle([1.0, 3.0], [1 / 3, 1.0]) > 0.0
+
+    def test_underflowing_products_are_not_parallel(self):
+        # 2^-1 2^-1000 is below 2^-968, where a two-product may lose bits
+        x = np.array([0.5, 2.0 ** -1000])
+        assert not _exactly_parallel(x, x)
+        x = np.array([0.5, 2.0 ** -900])
+        assert _exactly_parallel(x, x)
+        # 0.5 * 2^-1074 rounds to 0, which is not the exact zero 0.5 * 0
+        assert not _exactly_parallel(np.array([0.5, 2.0 ** -1074]), np.array([0.5, 0.0]))
 
     @pytest.mark.parametrize("family", FAMILIES, ids=lambda f: f.value)
     def test_matches_the_exact_angle_of_the_same_vectors(self, family):

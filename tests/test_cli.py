@@ -348,6 +348,26 @@ class TestIntegrate:
         assert code == 2
         assert "unknown integrand" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("spec", ["poly:nan", "poly:inf", "poly:1e400", "poly:1,-inf"])
+    def test_non_finite_coefficient_exits_2(self, spec, capsys):
+        code, _ = run(["integrate", "--family", "nc", "--n", "3", "--integrand", spec])
+        assert code == 2
+        assert "not a finite double" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("args,node", [
+        # exp(710) overflows in math.exp at the middle node
+        (["--family", "gl", "--integrand", "expx", "--interval", "700", "720"], "710"),
+        # every term is finite; the running sum leaves the range at the last
+        (["--family", "nc", "--integrand", "poly:1e308"], "1"),
+        # the weighted term (4/3) 1.7e308 overflows at the middle node
+        (["--family", "nc", "--integrand", "poly:1.7e308"], "0"),
+    ], ids=["value", "sum", "term"])
+    def test_overflow_exits_3_naming_the_node(self, args, node, capsys):
+        code, text = run(["integrate", "--n", "3"] + args)
+        assert code == 3
+        assert text == ""
+        assert capsys.readouterr().err.rstrip().endswith(f"at node {node}")
+
     def test_error_constant_matches_analyze(self):
         # degree + 1 = 34 > 20: the log-gamma branch of error_coefficient
         args = ["--family", "gl", "--n", "17", "--format", "json"]

@@ -8,22 +8,18 @@ Every comparison here is on bit patterns, so signed zeros count.
 
 import itertools
 import math
-import os
-import pathlib
-import subprocess
-import sys
 from fractions import Fraction
 from itertools import islice
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import quadlsq as q
 from quadlsq import ddouble, oracle, system
 from quadlsq.ddouble import (
-    DD, dd_add, dd_div, dd_dot, dd_mul, from_fraction, split_operand, split_operands,
+    DD, dd_add, dd_div, dd_dot, dd_mul, dd_ratio, split_operand, split_operands,
 )
 from quadlsq.nodes import _mirrored, _monic_coefficients, _monic_dd, _newton_step_dd
 from quadlsq.system import (
@@ -35,12 +31,14 @@ from helpers import (
     FAMILIES,
     MIN_N,
     RefDD,
+    _ref_from_fraction,
     asymmetric_rational_nodes,
     bits,
     ref_legendre_nodes,
     ref_monic,
     ref_newton_starts,
     lsq_error_bound,
+    ref_centred_moments,
     ref_moments,
     ref_node_products,
     ref_normal_products,
@@ -284,15 +282,13 @@ def test_pipeline_bit_identical(ns):
 @pytest.mark.parametrize("ns", PIPELINE_CASES)
 def test_moment_scan_prefixes_bit_identical(ns):
     # each moment as it is pulled, so every prefix of the scan; then scans
-    # stopped early, from a cold and from a warm memo
+    # stopped early, each twice
     mom = ref_moments(ns)
-    system._m0_cache.clear()
     scan = _iter_moments_dd(ns)
     for k, want in enumerate(mom):
         assert bits([next(scan)]) == bits([want]), k
     assert next(scan, None) is None
     for k in sorted({0, 1, ns.n, ns.n + 1, ns.n + 2, 2 * ns.n}):
-        system._m0_cache.clear()
         assert bits(islice(_iter_moments_dd(ns), k)) == bits(mom[:k])
         assert bits(islice(_iter_moments_dd(ns), k)) == bits(mom[:k])
 
@@ -381,10 +377,10 @@ def test_monic_dd_bit_identical(n):
 
 
 def test_recurrence_ratios_equal_from_fraction():
-    # the integer ratios are rounded to double-double without Fraction;
-    # each pair must be the one the exact route rounds to
+    # the integer ratios are rounded to double-double by dd_ratio; each
+    # pair must be the one the frozen Fraction route rounds to
     k = 2000
-    want = [from_fraction(Fraction(-4 * (j - 1) ** 2, 4 * (j - 1) ** 2 - 1))
+    want = [_ref_from_fraction(Fraction(-4 * (j - 1) ** 2, 4 * (j - 1) ** 2 - 1))
             for j in range(2, k + 1)]
     assert bits(_monic_coefficients(k)) == bits(want)
 
@@ -417,58 +413,91 @@ def test_gauss_legendre_nodes_large_n():
     assert bits(nodes) == bits([-t for t in reversed(nodes)])
 
 
-# -- the M_0 memo ----------------------------------------------------------
-
-def _cold(ns):
-    system._m0_cache.clear()
-    return bits(_moments_dd(ns))
-
+# -- the M_0 starts ---------------------------------------------------------
 
 def _rule(family, n, a, b):
     return q.generate(q.FamilySpec(family, n), q.Interval(a, b))
 
 
 class TestMomentMemo:
+    # the profile of a rule does not depend on which rules ran before it
     def test_other_interval_after_a_warm_one(self):
         first = _rule(q.Family.CLENSHAW_CURTIS, 9, -1.0, 1.0)
         second = _rule(q.Family.CLENSHAW_CURTIS, 9, 0.0, 2.0)
-        cold = _cold(second)
-        _cold(first)
+        cold = bits(_moments_dd(second))
+        _moments_dd(first)
         assert bits(_moments_dd(second)) == cold
         assert cold == bits(ref_moments(second))
 
     def test_same_midpoint_other_half_length(self):
-        # (-1, 1) and (-2, 2) share c = 0, so the key must hold both ends
+        # (-1, 1) and (-2, 2) share c = 0
         wide = _rule(q.Family.FEJER1, 5, -2.0, 2.0)
-        cold = _cold(wide)
-        _cold(_rule(q.Family.FEJER1, 5, -1.0, 1.0))
+        cold = bits(_moments_dd(wide))
+        _moments_dd(_rule(q.Family.FEJER1, 5, -1.0, 1.0))
         assert bits(_moments_dd(wide)) == cold
 
     def test_short_after_long(self):
         short = _rule(q.Family.NEWTON_COTES, 3, -1.0, 1.0)
-        cold = _cold(short)
-        _cold(_rule(q.Family.NEWTON_COTES, 33, -1.0, 1.0))
+        cold = bits(_moments_dd(short))
+        _moments_dd(_rule(q.Family.NEWTON_COTES, 33, -1.0, 1.0))
         assert bits(_moments_dd(short)) == cold
 
     def test_long_after_short_extends(self):
         long = _rule(q.Family.GAUSS_LEGENDRE, 33, 2.0, 4.0)
-        cold = _cold(long)
-        _cold(_rule(q.Family.GAUSS_LEGENDRE, 3, 2.0, 4.0))
+        cold = bits(_moments_dd(long))
+        _moments_dd(_rule(q.Family.GAUSS_LEGENDRE, 3, 2.0, 4.0))
         assert bits(_moments_dd(long)) == cold
-        assert len(system._m0_cache[(2.0, 4.0)]) == 2 * 33 + 1
 
-    def test_bounded(self):
-        system._m0_cache.clear()
-        for k in range(system._M0_CACHE_SIZE + 5):
-            _moments_dd(_rule(q.Family.FEJER1, 3, float(k), float(k) + 1.0))
-        assert len(system._m0_cache) == system._M0_CACHE_SIZE
-        assert (0.0, 1.0) not in system._m0_cache
 
-    def test_empty_after_import(self):
-        code = "import quadlsq.system as s; assert not s._m0_cache"
-        src = str(pathlib.Path(q.__file__).resolve().parent.parent)
-        subprocess.run([sys.executable, "-c", code], check=True, timeout=60,
-                       env=dict(os.environ, PYTHONPATH=src))
+#: Endpoints off-centre, subnormal, huge and of mixed exponent: any finite
+#: double, with the extremes of the range weighted up.
+_endpoint = st.one_of(
+    _finite,
+    st.floats(-1e-300, 1e-300),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.0 ** -1022, 1e300, -1e300,
+                     1.7976931348623157e308, -1.7976931348623157e308]),
+)
+
+
+class TestCentredMonomialMoments:
+    """The integer starts against the frozen Fraction route, bit for bit."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(ends=st.lists(_endpoint, min_size=2, max_size=2, unique=True), n=st.integers(0, 40))
+    @example(ends=[0.1, 0.7], n=40)
+    @example(ends=[0.0, 1e-60], n=40)
+    @example(ends=[-3e-310, 5e-310], n=40)
+    @example(ends=[-1e50, 1e50], n=40)
+    @example(ends=[-1e300, 1e-300], n=40)
+    @example(ends=[-1.7976931348623157e308, 1.7976931348623157e308], n=2)
+    def test_equal_to_fraction_route(self, ends, n):
+        a, b = sorted(ends)
+        want = [tuple(_ref_from_fraction(x)) for x in ref_centred_moments(a, b, 2 * n + 1)]
+        got = list(islice(system._centred_monomial_moments(a, b), 2 * n + 1))
+        assert bits(got) == bits(want)
+
+    def test_overflow_is_signed_infinity_at_the_same_index(self):
+        big = 1.7976931348623157e308
+        got = list(islice(system._centred_monomial_moments(-big, big), 3))
+        assert got[0] == (math.inf, 0.0)
+        assert bits(got[1:]) == bits([(0.0, 0.0), (math.inf, 0.0)])
+
+
+class TestDDRatio:
+    """``dd_ratio`` against the frozen Fraction route, on integers beyond
+    2^53 and beyond the double range, signed zeros and infinities included."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(num=st.one_of(st.integers(-(2 ** 1200), 2 ** 1200), st.integers(-(2 ** 60), 2 ** 60)),
+           den=st.one_of(st.integers(1, 2 ** 1200), st.integers(1, 2 ** 60)))
+    @example(num=2 ** 1100, den=3)
+    @example(num=-(2 ** 1100), den=3)
+    @example(num=1, den=2 ** 1100)
+    @example(num=-1, den=2 ** 1100)
+    @example(num=-3, den=2 ** 1075)
+    @example(num=2 ** 54 + 1, den=1)
+    def test_equal_to_fraction_route(self, num, den):
+        assert bits([dd_ratio(num, den)]) == bits([tuple(_ref_from_fraction(Fraction(num, den)))])
 
 
 # -- moment overflow -------------------------------------------------------
