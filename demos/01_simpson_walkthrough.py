@@ -15,12 +15,12 @@ ns = q.NodeSet((-1.0, 0.0, 1.0))
 print("nodes:", ns.nodes)
 
 # The canonical basis attaches one new root per step, so its evaluation
-# matrix at the nodes is upper triangular.
-cb = q.build_basis(ns)
-for j, phi in enumerate(cb.phis):
-    print(f"phi_{j} coefficients (low->high):", phi.coeffs)
-for j in range(3, 7):
-    print(f"q_{j} coefficients:", cb.q(j).coeffs)
+# matrix at the nodes is upper triangular.  P[j] is phi_j for j < 3 and
+# q_j for 3 <= j <= 6, with exact Fraction coefficients, low to high.
+P = q.build_basis(ns)
+for j, p in enumerate(P):
+    name = "phi" if j < ns.n else "q"
+    print(f"P[{j}] = {name}_{j} coefficients (low->high):", ", ".join(map(str, p)))
 
 fs = q.build_system(ns)
 print("\nfundamental system F w = c:")

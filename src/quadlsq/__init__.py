@@ -21,7 +21,7 @@ from .analysis import (
     norm_params,
     rule_angle,
 )
-from .basis import CanonicalBasis, NodeSet, build_basis
+from .basis import NodeSet, build_basis
 from .errors import (
     ConvergenceError,
     DegreeOverflowError,
@@ -62,7 +62,6 @@ from .system import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "CanonicalBasis",
     "ConvergenceError",
     "DegreeOverflowError",
     "Family",

@@ -140,12 +140,13 @@ def cond_inf_upper(fs):
     node differences.  A product beyond the double range gives a zero or
     infinite term, so the result may be inf but never nan.
     """
-    return float(np.max(np.sum(np.abs(fs.A), axis=1))) * _norm_inf_inverse(fs)
+    return float(np.max(np.sum(np.abs(fs.A), axis=1))) * _norm_inf_inverse(fs.nodes.nodes)
 
 
-def _norm_inf_inverse(fs):
-    """||A^-1||_inf from the closed form of :func:`cond_inf_upper`."""
-    t = np.asarray(fs.nodes.nodes, dtype=float)
+def _norm_inf_inverse(nodes):
+    """||A^-1||_inf of the nodes' A, from the closed form of
+    :func:`cond_inf_upper`."""
+    t = np.asarray(nodes, dtype=float)
     d = np.abs(t[:, None] - t[None, :])
     np.fill_diagonal(d, 1.0)
     with np.errstate(over="ignore", divide="ignore"):
@@ -163,7 +164,7 @@ def bounds_omega_gamma(fs, omega, z_star):
     norm_ainf = float(np.max(np.sum(abs_a, axis=1)))
     omega_bound = norm_a1 * float(np.sum(np.abs(diff))) / math.sqrt(fs.n)
     gamma = float(np.max(np.abs(diff))) * norm_ainf / abs(fs.mu_Q)
-    return omega_bound, gamma, norm_ainf * _norm_inf_inverse(fs)
+    return omega_bound, gamma, norm_ainf * _norm_inf_inverse(fs.nodes.nodes)
 
 
 def build_report(ns, family="custom", eps_deg=None, fs=None, solution=None):

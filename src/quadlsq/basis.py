@@ -14,9 +14,10 @@ of exactness of an interpolatory rule is at most 2n-1, the first nonzero
 moment among I(q_n)..I(q_2n) always exists, so carrying the extension one
 index past 2n-1 guarantees degree detection terminates.
 
-:func:`build_basis` gives these polynomials with explicit coefficients, as a
-view for inspection and tests.  The fundamental system does not use it:
-``system`` works from the node differences and never forms coefficients.
+:func:`_basis` is the one construction of these polynomials, on exact
+integers in X = D x; the exact oracle runs on it, and :func:`build_basis`
+gives them as ``Fraction`` coefficients in x, for inspection and tests.
+``system`` never forms coefficients: it works from the node differences.
 
 The one node check lives here: :class:`NodeSet` runs it on doubles, the
 exact oracle and the node-file reader on exact values.
@@ -24,8 +25,10 @@ exact oracle and the node-file reader on exact values.
 
 import math
 from dataclasses import dataclass, field
+from fractions import Fraction
+from itertools import chain
 
-from .poly import Interval, Polynomial, _as_double
+from .poly import Interval, _as_double
 
 
 def _checked_nodes(nodes):
@@ -64,29 +67,35 @@ class NodeSet:
         return len(self.nodes)
 
 
-@dataclass(frozen=True)
-class CanonicalBasis:
-    """phis holds phi_0..phi_{n-1}; qs holds q_n..q_{2n}."""
+def _mul_linear(coeffs, root):
+    """Ascending integer coefficients of p(X) * (X - root)."""
+    out = [0, *coeffs]
+    for k, c in enumerate(coeffs):
+        out[k] -= root * c
+    return out
 
-    phis: tuple
-    qs: tuple
 
-    @property
-    def n(self):
-        return len(self.phis)
+def _basis(T):
+    """Integer coefficients in X of phi_0..phi_{n-1}, then q_n..q_{2n}.
 
-    def q(self, j):
-        """The extended polynomial q_j, n <= j <= 2n."""
-        return self.qs[j - self.n]
+    Each polynomial is the one before times (X - T_r), r running through
+    the nodes twice, and is built only when the caller asks for it.
+    """
+    p = [1]
+    yield p
+    for t in chain(T, T):
+        p = _mul_linear(p, t)
+        yield p
 
 
 def build_basis(ns):
-    """Construct the canonical basis and its extension for a node set.
-
-    The j-th factor is x - t for the j-th node of ``ns.nodes + ns.nodes``,
-    the root order of the moment scan in :mod:`quadlsq.system`."""
-    n = ns.n
-    polys = [Polynomial([1.0])]
-    for t in ns.nodes + ns.nodes:
-        polys.append(polys[-1].mul_linear(t))
-    return CanonicalBasis(phis=tuple(polys[:n]), qs=tuple(polys[n:]))
+    """P_0..P_{2n} (phi_0..phi_{n-1}, then q_n..q_{2n}; P_j integrates to
+    mu_j in :mod:`quadlsq.system`) as tuples of exact ``Fraction``
+    coefficients, lowest degree first.  With D the lcm of the nodes'
+    denominators, :func:`_basis` on T_i = D t_i gives D^j P_j(X / D), so
+    coefficient k of P_j is an integer over D^(j - k)."""
+    ts = [Fraction(t) for t in ns.nodes]
+    D = math.lcm(*(t.denominator for t in ts))
+    T = [t.numerator * (D // t.denominator) for t in ts]
+    return tuple(tuple(Fraction(c, D ** (j - k)) for k, c in enumerate(p))
+                 for j, p in enumerate(_basis(T)))

@@ -17,11 +17,12 @@ import math
 import re
 import sys
 from collections import ChainMap
+from fractions import Fraction
 
 from .analysis import build_report, error_coefficient
 from .errors import NumericalFailure
 from .nodes import Family, FamilySpec, generate, read_nodes_file
-from .poly import Interval, Polynomial
+from .poly import Interval
 from .system import build_system, solve_rule
 
 #: Fixed column order of sweep/analyze rows.
@@ -162,7 +163,15 @@ def _parse_integrand(spec):
         if not all(map(math.isfinite, coeffs)):
             raise ValueError(f"unknown integrand: {spec!r} has a coefficient "
                              "that is not a finite double")
-        return Polynomial(coeffs).eval
+        exact = [Fraction(c) for c in reversed(coeffs)]
+
+        def poly(x):  # exact, rounded once: OverflowError past the double range
+            x, acc = Fraction(x), 0
+            for c in exact:
+                acc = acc * x + c
+            return float(acc)
+
+        return poly
     return _builtin_integrand(spec)
 
 

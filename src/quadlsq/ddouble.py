@@ -16,7 +16,7 @@ bits of the shorter double-operand forms (see :func:`dd_add` and
 Dekker's split by 2^27 + 1, never ``math.fma``, so that a result does not
 depend on the Python version, and the overflow limit of
 :mod:`quadlsq.system` is derived for it.  Each ``DD`` operator is one call
-of a primitive.
+of a primitive; the class serves only :class:`quadlsq.poly.Polynomial`.
 
 The O(n^2) loops -- the moment recurrence and the running products of
 :mod:`quadlsq.system`, the Legendre recurrence of :mod:`quadlsq.nodes` --

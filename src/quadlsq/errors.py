@@ -13,8 +13,14 @@ class NumericalFailure(ArithmeticError):
 class DegreeOverflowError(NumericalFailure):
     """No extended moment exceeded the zero threshold up to index 2n.
 
-    Degree detection is guaranteed to terminate by index 2n, so hitting this
-    signals a misconfigured zero threshold, not a property of the rule.
+    The exact mu_2n, the integral of the squared node polynomial, is
+    positive, so some exact extended moment is nonzero, but no computed
+    |mu_j|, n <= j <= 2n, rose above the threshold.  That happens with an
+    ``eps_deg`` set too high, and also with the default threshold, 1e-12
+    times max(1, |mu_0|), wherever the genuine |mu_Q| lies below it:
+    Gauss-Legendre n = 21 on (-1, 1) has mu_Q = 7.1e-13 against 2e-12, and
+    a short interval scales every moment down.  The failure is typed, not
+    a wrong degree; the message still calls the threshold misconfigured.
     """
 
 

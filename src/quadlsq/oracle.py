@@ -11,14 +11,14 @@ Four deliberately different routes to the same quantities:
 * ``rational_pipeline`` -- the entire basis/system/weights/degree pipeline
   re-run in exact rational arithmetic, carried on Python integers: with D
   the lcm of the node and endpoint denominators, X = D x puts every node on
-  an integer T_i, so the basis polynomials have integer coefficients in X,
-  each moment is an integer over L D^(j+1) (L = lcm(1..2n+1)), each entry
-  of A an integer over D^i, and each weight an integer over
-  L D prod_{m != k}(T_k - T_m).  The degree and mu_Q come from zero tests
-  on integer numerators, so the extension q_n, q_{n+1}, ... is built only
-  up to the first nonzero moment, and only mu_Q and the weights are reduced
-  to Fractions, one gcd each.  A, c and the moments are built, and reduced,
-  when first read.
+  an integer T_i, so the basis polynomials (:func:`quadlsq.basis._basis`)
+  have integer coefficients in X, each moment is an integer over L D^(j+1)
+  (L = lcm(1..2n+1)), each entry of A an integer over D^i, and each weight
+  an integer over L D prod_{m != k}(T_k - T_m).  The degree and mu_Q come
+  from zero tests on integer numerators, so the extension q_n, q_{n+1}, ...
+  is built only up to the first nonzero moment, and only mu_Q and the
+  weights are reduced to Fractions, one gcd each.  A, c and the moments are
+  built, and reduced, when first read.
 * ``direct_sis4_minimax`` -- the minimax solution from eliminating the full
   (n+1) x (n+1) system with the residual magnitude as an extra unknown,
   instead of the correction-vector route, in doubles by LAPACK.
@@ -26,8 +26,9 @@ Four deliberately different routes to the same quantities:
 The oracle reads the pipeline's double-double store (``A_dd``,
 ``leading_dd``) or its doubles; it shares only the float-pair primitives
 of :mod:`quadlsq.ddouble` (``dd_dot`` among them, the row sum the pipeline's
-solve and residual also run), the NodeSet and Interval input checks and
-:func:`quadlsq.analysis.cond_inf_upper`.
+solve and residual also run), the NodeSet and Interval input checks, the
+integer basis, which the pipeline never forms, and the closed-form
+||A^-1||_inf of :mod:`quadlsq.analysis`.
 
 The exact route also computes its quantities by other formulas than the
 pipeline, so that a wrong derivation cannot show up on both sides: moments
@@ -47,8 +48,8 @@ from itertools import chain, islice
 
 import numpy as np
 
-from .basis import NodeSet, _checked_nodes
-from .analysis import cond_inf_upper
+from .basis import NodeSet, _basis, _checked_nodes
+from .analysis import _norm_inf_inverse
 from .ddouble import dd_add, dd_div, dd_dot, dd_mul, split_operand
 from .errors import SingularSystemError
 from .poly import _checked_interval
@@ -88,14 +89,6 @@ def _as_fraction(value):
     raise ValueError(f"irrational nodes: unsupported node spec {value!r}")
 
 
-def _mul_linear(coeffs, root):
-    """Ascending integer coefficients of p(X) * (X - root)."""
-    out = [0, *coeffs]
-    for k, c in enumerate(coeffs):
-        out[k] -= root * c
-    return out
-
-
 def _horner(coeffs, x):
     acc = 0
     for c in reversed(coeffs):
@@ -124,19 +117,6 @@ def _scaled(nodes, a, b):
         pb *= hi
         S.append(L // k * (pb - pa))
     return D, T, L, S
-
-
-def _basis(T):
-    """Integer coefficients in X of phi_0..phi_{n-1}, then q_n..q_{2n}.
-
-    Each polynomial is the one before times (X - T_r), r running through
-    the nodes twice, and is built only when the caller asks for it.
-    """
-    p = [1]
-    yield p
-    for t in chain(T, T):
-        p = _mul_linear(p, t)
-        yield p
 
 
 @dataclass(frozen=True, eq=False)
@@ -249,18 +229,33 @@ def _solve_dense(M, rhs):
         raise SingularSystemError(f"numerically singular: {exc}") from None
 
 
+def _scale_exponent(interval):
+    """e with 2^e the smallest power of two >= the half-length (b - a) / 2."""
+    m, e = math.frexp(0.5 * interval.b - 0.5 * interval.a)
+    return e - 1 if m == 0.5 else e
+
+
 def _normal_system(fs):
-    """[G | b] = F^T [F | c_tilde] = A^T [A | c] (F's last row is zero) as
-    (hi, lo) arrays of shape (n, n + 1): ``dd_mul`` on broadcast n x n x
-    (n + 1) arrays of the products over k, then a pairwise tree of
-    ``dd_add`` that adds the upper half of the k rows onto the lower half
-    until one is left.  Elementwise, the primitives give the scalar bits."""
+    """[G | b] = (SA)^T [SA | Sc] as (hi, lo) arrays of shape (n, n + 1),
+    with S = diag(2^(-e i)) and e from :func:`_scale_exponent`.
+
+    F^T [F | c_tilde] = A^T [A | c] (F's last row is zero).  Row i of A
+    is of the order of the half-length to the power i, and mu_i one power
+    more, so the scaled rows are of one order and G's conditioning does not
+    grow like (b - a)^(-2(n-1)) on a short interval.  The scaling is exact (``ldexp``)
+    and leaves the solution of SA w = Sc, the weights, as it is.  Then
+    ``dd_mul`` on broadcast n x n x (n + 1) arrays of the products over k,
+    and a pairwise tree of ``dd_add`` that adds the upper half of the k
+    rows onto the lower half until one is left.  Elementwise, the
+    primitives give the scalar bits."""
     n = fs.n
     fc = np.zeros((2, n, n + 1))
     for i, row in enumerate(fs.A_dd):
         fc[:, i, i:n] = np.transpose(row)
     fc[:, :, n] = np.transpose(fs.leading_dd[:n])
+    e = _scale_exponent(fs.nodes.interval)
     with np.errstate(over="ignore", invalid="ignore"):
+        fc = np.ldexp(fc, -e * np.arange(n)[:, None])
         ph, pl = dd_mul(fc[0, :, :n, None], fc[1, :, :n, None], fc[0, :, None], fc[1, :, None])
         m = n
         while m > 1:
@@ -271,12 +266,15 @@ def _normal_system(fs):
 
 
 def lsq_normal_equations(fs):
-    """Least-squares weights through the normal system F^T F y = F^T c_tilde.
+    """Least-squares weights through the normal system F^T F y = F^T c_tilde,
+    on the scaled rows of :func:`_normal_system`.
 
-    Declines with :class:`SingularSystemError` where cond_inf(A)^2 u_DD >= 1
-    (:func:`quadlsq.analysis.cond_inf_upper`), beyond which double-double
-    cannot tell the Gram matrix G from a singular one, or where [G | b]
-    (:func:`_normal_system`) is not finite.  G is SPD, so it is eliminated
+    Declines with :class:`SingularSystemError` where cond_inf(SA)^2 u_DD >= 1,
+    beyond which double-double cannot tell the Gram matrix G from a
+    singular one, or where [G | b] is not finite.  SA is the A of the nodes
+    2^(-e) t, so its ||(SA)^-1||_inf has the closed form of
+    :func:`quadlsq.analysis.cond_inf_upper`, and with e = 0 the guard is
+    that function's cond_inf(A).  G is SPD, so it is eliminated
     in double-double without pivoting: each entry of U, right-hand column
     included, is one :func:`quadlsq.ddouble.dd_dot` row, the multipliers
     take one double-double reciprocal per pivot, back-substitution runs
@@ -285,15 +283,20 @@ def lsq_normal_equations(fs):
     Error bound: forming G and eliminating it perturb G by n gamma_n and
     3 n gamma_n times ||G||_2 (gamma_k = k u_DD / (1 - k u_DD); Higham,
     2nd ed., Thm 9.4 and ch. 10: || |L||U| ||_2 <= n ||G||_2), so with
-    eps = 4 n^2 u_DD cond_2(A)^2 <= 4 n^4 u_DD cond_inf(A)^2, y is within
+    eps = 4 n^2 u_DD cond_2(SA)^2 <= 4 n^4 u_DD cond_inf(SA)^2, y is within
     eps / (1 - eps) of the stored system's solution relative to its 2-norm,
     plus u per weight.  The stored A_dd and mu_0..mu_{n-1} add their own
     errors through A^-1.
     """
     n = fs.n
-    cond = cond_inf_upper(fs)
+    e = _scale_exponent(fs.nodes.interval)
+    with np.errstate(over="ignore", invalid="ignore"):
+        scaled = np.ldexp(np.abs(fs.A), -e * np.arange(n)[:, None])
+        cond = (float(np.max(np.sum(scaled, axis=1)))
+                * _norm_inf_inverse(np.ldexp(fs.nodes.nodes, -e)))
     if not cond * cond * _U_DD < 1.0:
-        raise SingularSystemError(f"outside the normal equations' range: cond_inf(A) = {cond:.3g}")
+        raise SingularSystemError(
+            f"outside the normal equations' range: cond_inf(SA) = {cond:.3g}")
     gh, gl = _normal_system(fs)
     if not (np.isfinite(gh).all() and np.isfinite(gl).all()):
         raise SingularSystemError("outside the normal equations' range: Gram matrix not finite")

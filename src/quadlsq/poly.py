@@ -1,15 +1,18 @@
-"""Dense polynomial arithmetic and exact-on-monomials definite integration.
+"""The integration interval, its input check, and dense polynomials.
+
+:class:`Interval` and its check are what the rest of the package uses of
+this module.  :class:`Polynomial` has no caller in the package: the basis
+polynomials are built exactly in :mod:`quadlsq.basis` and the CLI's
+``poly:`` integrand is evaluated on ``Fraction``s.  It is kept for the
+public API, and because the benchmark's tracer looks up its double-double
+methods and the ``DD`` operators it runs on by name.
 
 Polynomials are immutable sequences of coefficients in the monomial basis,
 lowest degree first.  Coefficients are carried internally as double-double
-pairs so that repeated root multiplication and moment integration keep far
-more accuracy than the doubles exposed by the public accessors: the extended
-node basis reaches degree 2n, and its moments can sit ten or more orders of
-magnitude below the individual terms of the accumulation.
+pairs, and the public accessors return doubles.
 
-The weight function is fixed to w(x) = 1.  A general nonnegative weight
-would only change :meth:`Polynomial.integrate`; every worked rule in scope
-uses the unweighted integral, so the extension is documented but not built.
+:meth:`Polynomial.integrate` integrates with the weight w(x) = 1, the one
+weight of every rule in scope.
 """
 
 import math

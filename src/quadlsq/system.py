@@ -428,8 +428,8 @@ def build_system(ns, eps_deg=None):
     """Assemble the fundamental system for a node set.
 
     Raises ``ValueError`` for a negative or non-finite ``eps_deg``, and
-    :class:`DegreeOverflowError` if degree detection fails (only possible
-    with a misconfigured ``eps_deg``).
+    :class:`DegreeOverflowError` if no extended moment exceeds the zero
+    threshold (one above the rule's |mu_Q|, given or by default).
     """
     lead, eps, degree = _moments_and_degree(ns, eps_deg)
     return FundamentalSystem(ns, eps, degree, _node_products_dd(ns.nodes), lead)

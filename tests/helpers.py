@@ -15,7 +15,7 @@ import numpy as np
 import quadlsq as q
 from quadlsq.analysis import _norm_inf_inverse
 from quadlsq.basis import NodeSet
-from quadlsq.oracle import _as_fraction
+from quadlsq.oracle import _as_fraction, _scale_exponent
 
 FAMILIES = (
     q.Family.NEWTON_COTES,
@@ -249,6 +249,18 @@ def ref_rational_pipeline(nodes, interval=(Fraction(-1), Fraction(1))):
         degree=degree,
         weights=tuple(w),
     )
+
+
+def ref_basis(nodes):
+    """P_0..P_2n of the nodes, P_j the product of (x - r) over the first j
+    roots r of t_1..t_n, t_1..t_n, as tuples of Fraction coefficients,
+    lowest degree first: Fraction products alone, without the integer
+    scaling of ``quadlsq.basis``."""
+    ts = [Fraction(t) for t in nodes]
+    polys = [[Fraction(1)]]
+    for r in ts + ts:
+        polys.append(_ref_rat_mul_linear(polys[-1], r))
+    return tuple(map(tuple, polys))
 
 
 # ---------------------------------------------------------------------------
@@ -488,9 +500,11 @@ def lsq_error_bound(fs, weights):
     * The normal equations in double-double: forming G adds n gamma_n ||G||_2
       and eliminating the SPD system without pivoting 3 n gamma_n ||G||_2
       (Higham, 2nd ed., Thm 9.4 and Sec. 10.1, || |L||U| ||_2 <= n ||G||_2),
-      so with eps = 4 n^2 u_DD kappa_2(A)^2 the relative error is at most
-      eps / (1 - eps) in the 2-norm, which bounds the inf-norm; kappa_2(A)
-      is taken from the SVD of the rounded A.
+      so with eps = 4 n^2 u_DD kappa_2(SA)^2 the relative error is at most
+      eps / (1 - eps) in the 2-norm, which bounds the inf-norm; S is the
+      oracle's exact power-of-two row scaling, which leaves the solution
+      as it is, and kappa_2(SA) is taken from the SVD of the rounded A so
+      scaled.
     * One rounding to double, u |y_i|.
 
     The factor 1.01 covers forming the bound itself in doubles.
@@ -504,8 +518,9 @@ def lsq_error_bound(fs, weights):
     m0 = float(max(map(abs, ref_centred_moments(iv.a, iv.b, n))))
     dc = (2 * n - 1) * u_dd * (1.0 + R) ** (n - 1) * m0
     norm_a = float(np.max(np.sum(np.abs(fs.A), axis=1)))
-    stored = _norm_inf_inverse(fs) * (dc + n * u_dd * norm_a * norm_winf)
-    eps = 4 * n * n * u_dd * float(np.linalg.cond(fs.A)) ** 2
+    stored = _norm_inf_inverse(fs.nodes.nodes) * (dc + n * u_dd * norm_a * norm_winf)
+    e = _scale_exponent(iv)
+    eps = 4 * n * n * u_dd * float(np.linalg.cond(np.ldexp(fs.A, -e * np.arange(n)[:, None]))) ** 2
     if not eps < 1.0:
         return math.inf
     rel = eps / (1.0 - eps)

@@ -3,17 +3,35 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from quadlsq import NodeSet, build_basis
 
-from helpers import FAMILIES, MIN_N, nodeset
-
-EPS = 2.0 ** -52
+from helpers import FAMILIES, MIN_N, nodeset, ref_basis
 
 
-def horner_bound(p, x):
-    """Magnitude of the largest intermediate of a Horner evaluation."""
-    return sum(abs(c) * abs(x) ** k for k, c in enumerate(p.coeffs))
+def value(p, x):
+    """p(x) by Horner's rule on Fractions: exact."""
+    x, acc = Fraction(x), Fraction(0)
+    for c in reversed(p):
+        acc = acc * x + c
+    return acc
+
+
+def times_linear(p, r):
+    """The coefficients of p(x) (x - r), exactly."""
+    return tuple(a - r * b for a, b in zip((0, *p), (*p, 0)))
+
+
+#: Nodes near the default interval, off-centre, tiny or subnormal, and
+#: anywhere in the double range, huge included
+_NODE_VALUES = st.one_of(
+    st.floats(-2.0, 2.0),
+    st.floats(1e6, 1e6 + 8.0),
+    st.floats(-1e-300, 1e-300),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
 
 
 class TestNodeSet:
@@ -62,45 +80,64 @@ class TestNodeSet:
 
 class TestBuildBasis:
     def test_simpson(self):
-        cb = build_basis(NodeSet((-1.0, 0.0, 1.0)))
-        assert [p.coeffs for p in cb.phis] == [
-            (1.0,),
-            (1.0, 1.0),          # x + 1
-            (0.0, 1.0, 1.0),     # (x + 1) x
-        ]
+        P = build_basis(NodeSet((-1.0, 0.0, 1.0)))
+        assert P[:3] == (
+            (1,),
+            (1, 1),          # x + 1
+            (0, 1, 1),       # (x + 1) x
+        )
         # q_3 = (x+1) x (x-1) = x^3 - x ; q_4 = q_3 (x+1) = x^4 + x^3 - x^2 - x
-        assert cb.q(3).coeffs == (0.0, -1.0, 0.0, 1.0)
-        assert cb.q(4).coeffs == (0.0, -1.0, -1.0, 1.0, 1.0)
-        assert len(cb.qs) == 4  # q_3 .. q_6
+        assert P[3] == (0, -1, 0, 1)
+        assert P[4] == (0, -1, -1, 1, 1)
+        assert len(P) == 7  # phi_0 .. phi_2, q_3 .. q_6
+
+    def test_coefficients_are_fractions(self):
+        P = build_basis(NodeSet((-1.0, 0.25, 1.0)))
+        assert all(type(c) is Fraction for p in P for c in p)
 
     def test_midpoint_cyclic_index(self):
         # n = 1: the cyclic residue always lands on the single node
-        cb = build_basis(NodeSet((0.0,)))
-        assert [p.coeffs for p in cb.phis] == [(1.0,)]
-        assert cb.q(1).coeffs == (0.0, 1.0)       # x
-        assert cb.q(2).coeffs == (0.0, 0.0, 1.0)  # x^2
+        P = build_basis(NodeSet((0.0,)))
+        assert P[0] == (1,)
+        assert P[1] == (0, 1)       # x
+        assert P[2] == (0, 0, 1)    # x^2
 
     def test_cc4_top_polynomials(self):
-        cb = build_basis(NodeSet((-1.0, -0.5, 0.5, 1.0)))
+        P = build_basis(NodeSet((-1.0, -0.5, 0.5, 1.0)))
         # phi_3 = (x+1)(x+1/2)(x-1/2) = x^3 + x^2 - x/4 - 1/4
-        assert cb.phis[3].coeffs == (-0.25, -0.25, 1.0, 1.0)
-        # q_4 = phi_3 (x - 1) = (x^2-1)(x^2-1/4) = x^4 - 5/4 x^2 + 1/4
-        assert cb.q(4).coeffs == (0.25, 0.0, -1.25, 0.0, 1.0)
+        assert P[3] == (Fraction(-1, 4), Fraction(-1, 4), 1, 1)
+        # q_4 = phi_3 (x - 1) = (x^2-1)(x^2-1/4) = x^4 - 5/4 x^2 + 1/4,
+        # with its zero coefficients exactly zero
+        assert P[4] == (Fraction(1, 4), 0, Fraction(-5, 4), 0, 1)
 
     def test_degrees(self):
-        cb = build_basis(NodeSet(tuple(np.linspace(-1.0, 1.0, 6))))
-        for j, p in enumerate(cb.phis):
-            assert p.degree() == j
-        for j in range(6, 13):
-            assert cb.q(j).degree() == j
+        P = build_basis(NodeSet(tuple(np.linspace(-1.0, 1.0, 6))))
+        for j, p in enumerate(P):
+            assert len(p) - 1 == j
+            assert p[-1] == 1
+        assert len(P) == 13
 
     def test_cyclic_extension_order(self):
         # n = 3: q_4 multiplies by (x - t_1), q_5 by (x - t_2), q_6 by (x - t_3)
         t = (-0.75, 0.25, 0.875)
-        cb = build_basis(NodeSet(t))
-        assert cb.q(4) == cb.q(3).mul_linear(t[0])
-        assert cb.q(5) == cb.q(4).mul_linear(t[1])
-        assert cb.q(6) == cb.q(5).mul_linear(t[2])
+        P = build_basis(NodeSet(t))
+        assert P[4] == times_linear(P[3], Fraction(t[0]))
+        assert P[5] == times_linear(P[4], Fraction(t[1]))
+        assert P[6] == times_linear(P[5], Fraction(t[2]))
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.lists(_NODE_VALUES, min_size=1, max_size=6, unique=True))
+    def test_equals_the_exact_product(self, nodes):
+        nodes = sorted(nodes)
+        assert build_basis(NodeSet(nodes)) == ref_basis(nodes)
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 8, 12, 17])
+    def test_families_equal_the_exact_product(self, family, n):
+        if n < MIN_N[family]:
+            pytest.skip("family needs more nodes")
+        ns = nodeset(family, n)
+        assert build_basis(ns) == ref_basis(ns.nodes)
 
 
 class TestVanishing:
@@ -110,11 +147,10 @@ class TestVanishing:
         if n < MIN_N[family]:
             pytest.skip("family needs more nodes")
         ns = nodeset(family, n)
-        cb = build_basis(ns)
+        P = build_basis(ns)
         for j in range(1, n):
             for k in range(j):
-                t = ns.nodes[k]
-                assert abs(cb.phis[j].eval(t)) <= 16 * EPS * horner_bound(cb.phis[j], t)
+                assert value(P[j], ns.nodes[k]) == 0
 
     @pytest.mark.parametrize("family", FAMILIES)
     @pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 12])
@@ -122,10 +158,10 @@ class TestVanishing:
         if n < MIN_N[family]:
             pytest.skip("family needs more nodes")
         ns = nodeset(family, n)
-        cb = build_basis(ns)
+        P = build_basis(ns)
         for j in range(n, 2 * n + 1):
             for t in ns.nodes:
-                assert abs(cb.q(j).eval(t)) <= 16 * EPS * horner_bound(cb.q(j), t)
+                assert value(P[j], t) == 0
 
     @pytest.mark.parametrize("family", FAMILIES)
     @pytest.mark.parametrize("n", [2, 3, 5, 8, 12])
@@ -134,6 +170,6 @@ class TestVanishing:
         if n < MIN_N[family]:
             pytest.skip("family needs more nodes")
         ns = nodeset(family, n)
-        cb = build_basis(ns)
+        P = build_basis(ns)
         for i in range(n - 1):
-            assert cb.phis[i].eval(ns.nodes[i + 1]) != 0.0
+            assert value(P[i], ns.nodes[i + 1]) != 0

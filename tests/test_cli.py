@@ -137,6 +137,14 @@ class TestAnalyze:
         assert message in err
         assert "self-check" not in err and "degree overflow" not in err
 
+    def test_underflowing_diagonal_exits_3(self, tmp_path, capsys):
+        path = tmp_path / "clustered.txt"
+        path.write_text("0\n1e-200\n2e-200\n", encoding="utf-8")
+        code, text = run(["analyze", "--family", "custom", "--nodes-file", str(path)])
+        assert code == 3
+        assert text == ""
+        assert "singular diagonal at row 3" in capsys.readouterr().err
+
     def test_interval_whose_length_overflows_exits_3(self, capsys):
         # b - a overflows: the generated nodes are finite, and the run stops
         # at the moment check, mu_0 = b - a, with a finite half-length
@@ -367,6 +375,14 @@ class TestIntegrate:
         assert code == 3
         assert text == ""
         assert capsys.readouterr().err.rstrip().endswith(f"at node {node}")
+
+    def test_poly_is_evaluated_exactly(self):
+        # p(-1) = p(1) = 0 and p(0) = 1e308 are doubles, so the rule's
+        # value (4/3) 1e308 is finite too
+        code, text = run(["integrate", "--family", "nc", "--n", "3",
+                          "--integrand", "poly:1e308,0,-1e308"])
+        assert code == 0
+        assert text.splitlines()[0] == "Q_3(f) = 1.3333333333333333e+308"
 
     def test_error_constant_matches_analyze(self):
         # degree + 1 = 34 > 20: the log-gamma branch of error_coefficient

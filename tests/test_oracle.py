@@ -80,6 +80,20 @@ class TestNormalEquations:
         with pytest.raises(SingularSystemError, match="outside the normal equations' range"):
             lsq_normal_equations(fs)
 
+    @pytest.mark.parametrize("family,n,b", [(q.Family.NEWTON_COTES, 9, 1e-5),
+                                            (q.Family.NEWTON_COTES, 17, 1e-5),
+                                            (q.Family.CLENSHAW_CURTIS, 12, 1e-3)])
+    def test_short_interval_is_in_range(self, family, n, b):
+        # cond_inf(A) is 2.6e45, 1.9e91 and 2.3e39 on the unscaled rows;
+        # row i scaled by 2^(-e i), 2^e >= (b - a)/2, puts it in range
+        ns = q.generate(q.FamilySpec(family, n), q.Interval(0.0, b))
+        fs = build_system(ns, eps_deg=0)
+        y = lsq_normal_equations(fs)
+        w = rational_pipeline(ns).weights
+        err = max(abs(Fraction(float(v)) - t) for v, t in zip(y, w))
+        assert err <= lsq_error_bound(fs, w)
+        assert err <= 1e-15 * max(map(abs, w))
+
     def test_custom_pool_matches_cached_weights(self):
         # every set of the benchmark's pool, n = 3..24 on (0, 2), within
         # 1e-8 of the cached exact weights, relative to the largest

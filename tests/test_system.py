@@ -15,6 +15,7 @@ from quadlsq import (
     Interval,
     NodeSet,
     RuleSolution,
+    SingularDiagonalError,
     build_system,
     rational_pipeline,
     residual,
@@ -194,6 +195,15 @@ class TestSolveWeights:
         w1 = solve_rule(build_system(NodeSet(tuple(nodes)))).omega
         w2 = solve_rule(build_system(NodeSet(tuple(sorted(shuffled))))).omega
         assert w1.tolist() == w2.tolist()
+
+    def test_underflowing_diagonal_is_a_typed_failure(self):
+        # the system builds (degree 3), but phi_2(t_3) = 2e-400 underflows
+        # to (0.0, 0.0), so A has a zero pivot
+        fs = build_system(NodeSet((0.0, 1e-200, 2e-200)))
+        assert fs.degree == 3
+        assert fs.A_dd[2] == ((0.0, 0.0),)
+        with pytest.raises(SingularDiagonalError, match="singular diagonal at row 3"):
+            solve_rule(fs)
 
 
 class TestResidual:
