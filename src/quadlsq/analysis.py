@@ -170,10 +170,12 @@ def bounds_omega_gamma(fs, omega, z_star):
 def build_report(ns, family="custom", eps_deg=None, fs=None, solution=None):
     """Run the full pipeline on a node set and collect every diagnostic.
 
-    ``fs`` and ``solution`` may be passed in when already computed; an
-    ``fs`` built on other nodes or another ``eps_deg`` is a ``ValueError``.
+    ``fs`` and ``solution`` may be passed in when already computed; an ``fs``
+    on other nodes or another ``eps_deg``, or a lone ``solution``, is a ``ValueError``.
     """
     if fs is None:
+        if solution is not None:
+            raise ValueError("build_report: a solution needs the fs it solves")
         fs = build_system(ns, eps_deg=eps_deg)
     elif fs.nodes is not ns and fs.nodes != ns:
         raise ValueError("build_report: fs was built on other nodes than ns")

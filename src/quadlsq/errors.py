@@ -20,7 +20,7 @@ class DegreeOverflowError(NumericalFailure):
     times max(1, |mu_0|), wherever the genuine |mu_Q| lies below it:
     Gauss-Legendre n = 21 on (-1, 1) has mu_Q = 7.1e-13 against 2e-12, and
     a short interval scales every moment down.  The failure is typed, not
-    a wrong degree; the message still calls the threshold misconfigured.
+    a wrong degree; the message names the largest |mu_j| and the threshold.
     """
 
 
@@ -51,4 +51,4 @@ class ConvergenceError(NumericalFailure):
 
 
 class SelfCheckError(NumericalFailure):
-    """An internal cross-check failed, indicating a broken computation."""
+    """Two routes to one value disagree beyond the cross-check's tolerance."""

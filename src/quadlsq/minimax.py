@@ -60,8 +60,8 @@ def _epsilon(fs, e, scaled):
     ref = abs(fs.mu_Q)
     if abs(eps - ref) > EPS_CHECK_RTOL * ref:
         raise SelfCheckError(
-            f"epsilon self-check failed: ||r||_2^2/||r||_1 = {eps!r} "
-            f"but |mu_Q| = {ref!r}; the residual computation is broken"
+            f"epsilon self-check failed: ||r||_2^2/||r||_1 = {eps!r} but |mu_Q| = {ref!r}, "
+            f"a relative gap of {abs(eps - ref) / ref:.2g} > EPS_CHECK_RTOL = {EPS_CHECK_RTOL:g}"
         )
     return eps
 

@@ -68,12 +68,12 @@ its norms and the epsilon self-check.
 Moments that overflow the double range (M_0 grows like the half-length to
 the power 2n+1) raise :class:`MomentOverflowError` rather than feeding inf
 or nan into degree detection, and they do so whether or not the overflow
-lies past mu_Q: the scan stops at mu_Q only where an a-priori bound,
-|M_j[m]| <= (1 + R)^j 2 max(R0, 1)^{2n+1} with R = max |c - t_i|,
-R0 = max(|a - c|, |b - c|) and a rounding factor per step (derived at
-:func:`_profile_stays_finite`), keeps every later value of the recurrence
-below 2^996, where the Dekker split of the two-product still cannot
-overflow.  Elsewhere it runs on to mu_2n, so a
+lies past mu_Q: the scan stops at mu_Q only where the a-priori bound
+|M_j[m]| <= 2 max(R0, 1) max(R0 + R, 1)^{2n} for j + m <= 2n, with
+R0 = max(|a - c|, |b - c|) and R = max |c - t_i| (derived, with its
+roundings, at :func:`_profile_stays_finite`), keeps every value of the
+recurrence below 2^996, where the Dekker split of the two-product still
+cannot overflow.  Elsewhere it runs on to mu_2n, so a
 profile that overflows fails at the same index whether its degree shows
 early or not.  A negative or non-finite ``eps_deg`` is an input error and
 raises ``ValueError``.
@@ -293,48 +293,43 @@ def _moments_dd(ns):
     return list(_iter_moments_dd(ns))
 
 
-#: An operand above this turns into nan in the Dekker split, which scales
+#: An operand above 2^996 turns into nan in the Dekker split, which scales
 #: it by 2^27 + 1 (2^996 (2^27 + 1) is within a factor 2^-0.99 of 2^1024).
-_SPLIT_LIMIT = 2.0 ** 996
+_SPLIT_EXPONENT = 996
 
-#: Relative slack per factor of the moment bound, 2^-40 = 2^13 u with
-#: u = 2^-53.  A step needs about 12 u: 8 u for one DD product and one DD
-#: sum, u for c - t_i rounded to a double, and the roundings of forming the
-#: bound in doubles; a factor R0 of the bound on M_0 needs about 6 u.
-_BOUND_SLACK = 1.0 + 2.0 ** -40
+
+def _ceil_log2(x):
+    """The least integer k with x <= 2^k, for a finite double x > 0."""
+    m, e = math.frexp(x)
+    return e - 1 if m == 0.5 else e
 
 
 def _profile_stays_finite(ns):
     """True if no value of the moment recurrence through mu_{2n} can exceed
-    ``_SPLIT_LIMIT``, so that every one of them is finite.
+    2^996 (``_SPLIT_EXPONENT``), so that every one of them is finite.
 
-    Let R0 = max(|a - c|, |b - c|), the largest |x - c| on the interval;
-    then b - a <= 2 R0, and every start the scan reads, m <= 2n, has
-    |M_0[m]| <= (b - a) R0^m <= 2 max(R0, 1)^{2n+1}, with |hi| + |lo|
-    within (1 + 3 u) of it once rounded.
-
-    Let R = max |c - t_i| and write |x| = |hi| + |lo| for a pair.  Exactly,
-    |M_j[m]| <= |M_{j-1}[m+1]| + R |M_{j-1}[m]| <= (1 + R) max_m |M_{j-1}[m]|,
-    so |M_j[m]| <= (1 + R)^j max_m |M_0[m]|.  A DD product and a DD sum
-    each return hi + lo within a relative 7 u^2 of their exact result
-    (Joldes, Muller & Popescu, ACM TOMS 44, 2017; an underflow adds at
-    most an absolute 2^-1074 instead, which cannot move a value toward the
-    limit), and |lo| <= u |hi|, so a computed step grows |x| by at most
-    (1 + R)(1 + 8 u).  ``_BOUND_SLACK`` on each factor max(R0, 1) and
-    1 + R covers that, the rounding of M_0 and the roundings of forming the
-    bound in doubles.  Every operand the split sees, M_j[m] and c - t_i,
-    then lies below the limit.  A loose bound only sends more scans on to
-    mu_{2n}, which changes no result.
+    With R0 = max(|a - c|, |b - c|) (so b - a <= 2 R0 and |M_0[m]| <=
+    2 R0^{m+1}) and R = max |c - t_i|, expanding P_j = prod (x - c + c - r_k)
+    over the subsets of its roots bounds every value the scan reads,
+    j + m <= 2n, every product and sum of a step and every c - t_i by
+    |M_j[m]| <= 2 R0^{m+1} (R0 + R)^j <= B = 2 max(R0, 1) max(R0 + R, 1)^{2n}.
+    The computed values exceed B by at most (1 + 15 u^2)^{2n} (1 + 3 u),
+    u = 2^-53: c - t_i is an exact two-sum, a DD product and a DD sum are
+    each within a relative 7 u^2 (Joldes, Muller & Popescu, ACM TOMS 44,
+    2017; an underflow adds a few 2^-1074 instead), M_0 is rounded once and
+    a split operand hi is within u of its pair; R0, R and R0 + R are
+    rounded within (1 + u)^2.  One spare bit of the exponent absorbs all of
+    this for n < 2^40, hence the test in integer exponents.  A loose bound
+    only sends more scans on to mu_{2n}, which changes no result.
     """
     nodes, iv = ns.nodes, ns.interval
     c = 0.5 * iv.a + 0.5 * iv.b
-    r0 = max(abs(iv.a - c), abs(iv.b - c), 1.0) * _BOUND_SLACK
-    growth = (1.0 + max(abs(c - t) for t in nodes)) * _BOUND_SLACK
-    step = r0 * growth
-    bound = 2.0 * r0
-    for _ in range(2 * len(nodes)):
-        bound *= step
-    return max(bound, growth) < _SPLIT_LIMIT
+    r0 = max(abs(iv.a - c), abs(iv.b - c))
+    spread = r0 + max(abs(c - t) for t in nodes)
+    if not math.isfinite(spread):
+        return False
+    e = 2 + _ceil_log2(max(r0, 1.0)) + 2 * len(nodes) * _ceil_log2(max(spread, 1.0))
+    return e <= _SPLIT_EXPONENT
 
 
 def _node_products_dd(nodes):
@@ -416,10 +411,11 @@ def _moments_and_degree(ns, eps_deg):
                 j_q = j
                 if j == 2 * n or _profile_stays_finite(ns):
                     break
-    if j_q is None:
+    if j_q is None:  # lead holds mu_0..mu_2n
+        mu, k = max((abs(h + l), j) for j, (h, l) in enumerate(lead[n:], n))
         raise DegreeOverflowError(
-            f"degree overflow: no extended moment above {eps:g} through index {2 * n}; "
-            "the zero threshold is misconfigured (degree <= 2n-1 is guaranteed)"
+            f"degree overflow: no extended moment mu_{n}..mu_{2 * n} is above the zero "
+            f"threshold {eps:g}; the largest is |mu_{k}| = {mu:g}"
         )
     return tuple(lead), eps, j_q - 1
 

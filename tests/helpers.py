@@ -492,8 +492,8 @@ def lsq_error_bound(fs, weights):
     each double-double operation, u_DD = 7 u^2.
 
     * The stored system: a moment mu_j, j < n, of the centred recurrence is
-      off by at most (2j + 1) u_DD (1 + R)^j max_m |M_0[m]| (the growth bound of
-      ``system._profile_stays_finite``, one product and one sum per step),
+      off by at most (2j + 1) u_DD (1 + R)^j max_m |M_0[m]| (|M_j[m]| grows by
+      at most 1 + R a step; one product and one sum per step),
       and an entry of A, a product of at most n - 1 exact node differences,
       by a relative n u_DD; through A^-1 that moves the weights by at most
       ||A^-1||_inf (dc + n u_DD ||A||_inf ||w||_inf).

@@ -373,6 +373,16 @@ class TestBuildReport:
         with pytest.raises(ValueError, match="other nodes"):
             build_report(NodeSet((-1.0, 0.0, 1.0)), fs=build_system(other_interval))
 
+    def test_solution_without_its_fs_rejected(self):
+        # fs was rebuilt from ns and never checked against the solution:
+        # CC-5's weights on the NC-5 nodes failed the epsilon self-check
+        nc5 = q.generate(q.FamilySpec(q.Family.NEWTON_COTES, 5))
+        cc5 = solve_rule(build_system(q.generate(q.FamilySpec(q.Family.CLENSHAW_CURTIS, 5))))
+        with pytest.raises(ValueError, match="a solution needs the fs it solves"):
+            build_report(nc5, solution=cc5)
+        fs = build_system(nc5)
+        assert build_report(nc5, fs=fs, solution=solve_rule(fs)).degree == 5
+
     def test_eps_deg_contradicting_fs_rejected(self):
         # eps_deg = 1.0 on its own overflows; with fs it was ignored
         simpson = NodeSet((-1.0, 0.0, 1.0))

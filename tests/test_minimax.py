@@ -115,6 +115,14 @@ class TestEpsilonCheck:
         with pytest.raises(SelfCheckError, match="epsilon self-check"):
             epsilon_check(fs, [1.0, 1.0, 1.0])  # not the least-squares solution
 
+    def test_mismatch_names_the_relative_gap(self):
+        # NC-57's residual is right; its omega is too inaccurate for the check
+        ns = q.generate(q.FamilySpec(q.Family.NEWTON_COTES, 57))
+        fs = build_system(ns)
+        with pytest.raises(SelfCheckError,
+                           match=r"a relative gap of 2\.6e-10 > EPS_CHECK_RTOL = 1e-10$"):
+            epsilon_check(fs, solve_rule(fs))
+
     @pytest.mark.parametrize("family,n", family_cases(1, 12))
     def test_equals_principal_moment(self, family, n):
         _, fs, sol = solved(family, n)

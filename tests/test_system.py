@@ -2,6 +2,7 @@ import dataclasses
 import math
 import random
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -25,7 +26,10 @@ from quadlsq import (
 from quadlsq.ddouble import dd_add
 from quadlsq.system import _default_eps_deg, _iter_moments_dd, _moments_dd, _node_products_dd
 
-from helpers import FAMILIES, MIN_N, asymmetric_rational_nodes, bits, family_cases, nodeset, solved
+from helpers import (
+    FAMILIES, MIN_N, asymmetric_rational_nodes, bits, family_cases, nodeset, ref_centred_moments,
+    solved,
+)
 
 SIMPSON = NodeSet((-1.0, 0.0, 1.0))
 
@@ -155,6 +159,14 @@ class TestDetectDegree:
     def test_degree_overflow_with_bad_threshold(self):
         with pytest.raises(DegreeOverflowError, match="degree overflow"):
             build_system(SIMPSON, eps_deg=1e6)
+
+    def test_degree_overflow_names_the_largest_moment(self):
+        # the default threshold lies above GL-21's |mu_Q| = |mu_42|
+        ns = nodeset(q.Family.GAUSS_LEGENDRE, 21)
+        with pytest.raises(DegreeOverflowError, match=(
+                r"^degree overflow: no extended moment mu_21\.\.mu_42 is above the zero "
+                r"threshold 2e-12; the largest is \|mu_42\| = 7\.06\d*e-13$")):
+            build_system(ns)
 
     def test_threshold_knob_passes_through_build(self):
         # a given threshold is the one the system keeps and scans with:
@@ -423,6 +435,32 @@ def _drained_scan(ns):
     return ("ok", full[:j + 1], eps, j - 1)
 
 
+def _exact_recurrence_max(ns):
+    """max |x| over every value of the centred recurrence through mu_2n,
+    M_j[m] for j + m <= 2n, its products (c - r_j) M_{j-1}[m] and its
+    factors c - t_i, run in ``Fraction``s from the exact starts."""
+    iv = ns.interval
+    c = Fraction(0.5 * iv.a + 0.5 * iv.b)
+    M = ref_centred_moments(iv.a, iv.b, 2 * ns.n + 1)
+    factors = [c - Fraction(t) for t in ns.nodes] * 2
+    top = max(map(abs, M + factors))
+    for f in factors:
+        products = [f * x for x in M[:-1]]
+        M = [x + p for x, p in zip(M[1:], products)]
+        top = max(top, *map(abs, products + M))
+    return top
+
+
+def _ceil_log2_exact(x):
+    """The least integer k with x <= 2^k, for a Fraction x > 0."""
+    k = x.numerator.bit_length() - x.denominator.bit_length()
+    while x > Fraction(2) ** k:
+        k += 1
+    while x <= Fraction(2) ** (k - 1):
+        k -= 1
+    return k
+
+
 def _scan_outcome(ns):
     try:
         fs = build_system(ns)
@@ -493,6 +531,52 @@ class TestLeadingMoments:
         else:
             assert j - 1 == rr.degree
             assert abs(mu - exact_mu) > 1e-8 * abs(exact_mu)
+
+    @pytest.mark.parametrize("interval", [(0.0, 50.0), (0.0, 100.0)], ids=["0,50", "0,100"])
+    def test_bound_allows_the_early_stop_on_shifted_intervals(self, interval):
+        # on (0, 100) every value is at most 2 * 50 * 100^128 < 2^858, and
+        # the test in exponents is 2 + 6 + 128 * 7 = 904 <= 996; the padded
+        # product max(R0, 1)^(2n+1) (1 + R)^(2n) refused 84 of these rules
+        for family in FAMILIES:
+            for n in range(2, 65):
+                assert q.system._profile_stays_finite(
+                    q.generate(q.FamilySpec(family, n), Interval(*interval))), (family, n)
+
+    @pytest.mark.parametrize("n", [5, 17, 33, 48, 64])
+    @pytest.mark.parametrize("family", FAMILIES)
+    @pytest.mark.parametrize("interval", [(0.0, 1000.0), (0.0, 1e40), (-300.0, 300.0)],
+                             ids=["0,1000", "0,1e40", "-300,300"])
+    def test_early_stop_matches_a_drained_scan_on_wide_intervals(self, interval, family, n):
+        ns = q.generate(q.FamilySpec(family, n), Interval(*interval))
+        got, want = _scan_outcome(ns), _drained_scan(ns)
+        if want[0] == "ok":
+            got, want = (got[0], bits(got[1]), *got[2:]), (want[0], bits(want[1]), *want[2:])
+        assert got == want
+
+    @settings(max_examples=100, deadline=None)
+    @given(log_half=st.floats(-20.0, 20.0),
+           centre=st.floats(-2.0 ** 20, 2.0 ** 20),
+           us=st.lists(st.fractions(-8, 9, max_denominator=1000), min_size=1, max_size=12,
+                       unique=True))
+    def test_exponent_bound_covers_the_exact_recurrence(self, log_half, centre, us):
+        # with the limit at k, the least k with every exact value at most
+        # 2^k (1 + 2^-40), the early stop must be refused: the exponent E of
+        # the bound exceeds k, so 2^(E - 1), the bound without its spare
+        # bit, is never below the exact values, up to the roundings of R0,
+        # R and R0 + R
+        half = 2.0 ** log_half
+        iv = Interval(centre - half, centre + half)
+        nodes = sorted({iv.a + float(u) * (iv.b - iv.a) for u in us})
+        ns = NodeSet(tuple(nodes), iv)
+        k = _ceil_log2_exact(_exact_recurrence_max(ns) / (1 + Fraction(1, 2 ** 40)))
+        with mock.patch.object(q.system, "_SPLIT_EXPONENT", k):
+            assert not q.system._profile_stays_finite(ns)
+
+    def test_an_overflowing_spread_refuses(self):
+        # R = 1.25e308 + 4.5e307 is a double, R0 + R = 2.5e307 + 1.7e308 is not
+        ns = NodeSet((-4.5e307, 1.6e308), Interval(1e308, 1.5e308))
+        assert not q.system._profile_stays_finite(ns)
+        assert _scan_outcome(ns) == _drained_scan(ns)
 
     def test_nodes_far_outside_a_short_interval(self):
         # |c - t| alone beyond the split limit: the split of c - t itself
