@@ -184,8 +184,10 @@ def build_report(ns, family="custom", eps_deg=None, fs=None, solution=None):
     if solution is None:
         solution = solve_rule(fs)
 
-    # r(omega) and its scaled norms once, for the norms and the check
+    # r(omega) and its scaled norms once, for the check and the norms; the
+    # check comes first, so a rule that fails it forms nothing more
     e, scaled = _scaled_norms(residual(fs, solution._omega_dd), (1, 2, 3, math.inf))
+    epsilon = _epsilon(fs, e, scaled)
     norms_w = _unscaled(e, scaled)
     r_z = equioscillation_residual(fs, solution)
     norms = {
@@ -194,7 +196,7 @@ def build_report(ns, family="custom", eps_deg=None, fs=None, solution=None):
         "r_omega_3": norms_w[3],
         "r_omega_inf": norms_w[math.inf],
         "r_z_inf": residual_norms(r_z, (math.inf,))[math.inf],
-        "epsilon": _epsilon(fs, e, scaled),
+        "epsilon": epsilon,
     }
     n_omega, n_z = norm_params(solution.omega, solution.z_star)
     alpha, c_n = error_coefficient(fs.mu_Q, fs.degree)

@@ -18,11 +18,13 @@ depend on the Python version, and the overflow limit of
 :mod:`quadlsq.system` is derived for it.  Each ``DD`` operator is one call
 of a primitive; the class serves only :class:`quadlsq.poly.Polynomial`.
 
-The O(n^2) loops -- the moment recurrence and the running products of
-:mod:`quadlsq.system`, the Legendre recurrence of :mod:`quadlsq.nodes` --
-write the primitives out in place, and the row sums of the backward pass,
-the residual and the normal-equations oracle share one written-out row,
-:func:`dd_dot`.  An operand that a loop reuses is split once, outside it.
+The O(n^2) loops share one written-out row, :func:`dd_dot`, which returns
+the list of its running sums: the row sums of the backward pass, the
+residual and the normal-equations oracle take the last, and the moment
+recurrence of :mod:`quadlsq.system` takes the whole list as its next
+anti-diagonal.  The running products of :mod:`quadlsq.system` and the
+Legendre recurrence of :mod:`quadlsq.nodes` write the primitives out in
+place.  An operand that a loop reuses is split once, outside it.
 Each such loop performs the operations of ``dd_mul`` then ``dd_add`` in
 their order (a product by a double included, see :func:`dd_mul`), so
 it produces the same bits as the primitives, and as the same expression
@@ -121,19 +123,22 @@ def split_operands(pairs):
 
 
 def dd_dot(sh, sl, pairs, operands):
-    """(sh + sl) + sum of a * b over the (ah, al) pairs and the split
-    operands of :func:`split_operands`, in order, stopping at the shorter.
+    """The running sums of (sh + sl) + sum of a * b over the (ah, al) pairs
+    and the split operands of :func:`split_operands`, in order, stopping at
+    the shorter: the list [s_0, s_1, ..., s_k] of (hi, lo) pairs, s_0 =
+    (sh, sl) and s_k the whole sum, which a row sum takes as ``[-1]``.
 
     Each step is ``dd_mul(ah, al, bh, bl)`` then ``dd_add`` onto the
     running sum, written out with the split of bh taken from the operand,
-    so the result has the bits of that loop.  A row that subtracts its
+    so every s_i has the bits of that loop.  A row that subtracts its
     products passes the negated operands.  Rounding and the split are
     symmetric in sign, so ``dd_mul(a, -b)`` is ``-dd_mul(a, b)`` except
     that an exactly cancelled term may be a zero of the other sign, which
     no sum in ``dd_add`` can pass on to its result; ``tests/test_kernels.py``
-    checks the rows bit for bit against ``dd_add(s, -dd_mul(a, b))``,
+    checks every running sum bit for bit against ``dd_add(s, -dd_mul(a, b))``,
     signed zeros included.
     """
+    sums = [(sh, sl)]
     for (ah, al), (bh, bl, yh, yl) in zip(pairs, operands):
         p = ah * bh
         c = _SPLITTER * ah
@@ -155,7 +160,8 @@ def dd_dot(sh, sl, pairs, operands):
         e += f
         sh = h + e
         sl = e - (sh - h)
-    return sh, sl
+        sums.append((sh, sl))
+    return sums
 
 
 def dd_div(ah, al, bh, bl):

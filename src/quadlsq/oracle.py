@@ -25,10 +25,10 @@ Four deliberately different routes to the same quantities:
 
 The oracle reads the pipeline's double-double store (``A_dd``,
 ``leading_dd``) or its doubles; it shares only the float-pair primitives
-of :mod:`quadlsq.ddouble` (``dd_dot`` among them, the row sum the pipeline's
-solve and residual also run), the NodeSet and Interval input checks, the
-integer basis, which the pipeline never forms, and the closed-form
-||A^-1||_inf of :mod:`quadlsq.analysis`.
+of :mod:`quadlsq.ddouble` (``dd_dot`` among them, the row the pipeline's
+moment recurrence, solve and residual also run), the NodeSet and Interval
+input checks, the integer basis, which the pipeline never forms, and the
+closed-form ||A^-1||_inf of :mod:`quadlsq.analysis`.
 
 The exact route also computes its quantities by other formulas than the
 pipeline, so that a wrong derivation cannot show up on both sides: moments
@@ -307,7 +307,7 @@ def lsq_normal_equations(fs):
     cols = [[] for _ in range(n + 1)]
     for i, (g, e) in enumerate(zip(gh.tolist(), gl.tolist())):
         mult = [dd_mul(*upper[k][i - k], *recips[k]) for k in range(i)]
-        row = [dd_dot(g[j], e[j], mult, cols[j]) for j in range(i, n + 1)]
+        row = [dd_dot(g[j], e[j], mult, cols[j])[-1] for j in range(i, n + 1)]
         recips.append(dd_div(1.0, 0.0, *row[0]))
         upper.append(row)
         for j, (h, l) in enumerate(row, start=i):
@@ -316,7 +316,7 @@ def lsq_normal_equations(fs):
     # U y = b; ys holds -y[i+1..n-1], split
     y, ys = [], []
     for i in range(n - 1, -1, -1):
-        yh, yl = dd_mul(*dd_dot(*upper[i][-1], upper[i][1:n - i], ys), *recips[i])
+        yh, yl = dd_mul(*dd_dot(*upper[i][-1], upper[i][1:n - i], ys)[-1], *recips[i])
         y.append(yh + yl)
         ys.insert(0, split_operand(-yh, -yl))
     return np.array(y[::-1])

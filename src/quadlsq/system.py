@@ -49,17 +49,19 @@ by the helper that also scales ``analysis.rule_angle``'s vectors.
 
 Every O(n^2) loop here -- the moment recurrence, the running products, the
 backward substitution and the residual -- runs on (hi, lo) float pairs
-with the double-double arithmetic of :mod:`quadlsq.ddouble` written out:
-the moment recurrence and the running products inline the two-product
-(Dekker's split, the one form on every interpreter) and the two-sum, with
-each level's factor split once, and the backward pass and the residual run
-their rows through :func:`quadlsq.ddouble.dd_dot` with each solution entry
-split once.  Each loop performs the operations of ``dd_mul`` then
-``dd_add`` in their order (the backward pass on the negated entry, whose
-product is the negated product up to the sign of an exact zero, which no
-sum passes on), so every stored value is bit-identical to the same loop
-written with the primitives or with ``DD`` operators.  A product by a
-double is the full ``dd_mul`` with lo = 0, as everywhere.
+with the double-double arithmetic of :mod:`quadlsq.ddouble` written out.
+The moment recurrence, the backward pass and the residual run one row,
+:func:`quadlsq.ddouble.dd_dot`, with each factor or solution entry split
+once: each anti-diagonal of the recurrence is the list of running sums of
+one ``dd_dot`` over the one before, and each row sum is the last of its
+list.  The running products inline the two-product (Dekker's split, the
+one form on every interpreter).  Each loop performs the operations of
+``dd_mul`` then ``dd_add`` in their order (the backward pass on the
+negated entry, whose product is the negated product up to the sign of an
+exact zero, which no sum passes on), so every stored value is
+bit-identical to the same loop written with the primitives or with ``DD``
+operators.  A product by a double is the full ``dd_mul`` with lo = 0, as
+everywhere.
 
 The starts M_0[m] are computed as the scan pulls them and kept nowhere;
 ``analysis.build_report`` forms r(omega) and its scaled norms once, for
@@ -239,15 +241,15 @@ def _iter_moments_dd(ns):
     """mu_0, mu_1, ..., mu_{2n} as (hi, lo) pairs, one per anti-diagonal of
     the centred moment recurrence, each computed when it is pulled.
 
-    mu_J = M_J[0] needs only M_j[J - j] for j <= J, so one pair per level
-    is kept: on reaching anti-diagonal J, level j still holds M_j[J-1-j],
-    and M_{j+1}[J-1-j] = M_j[J-j] + (c - r_{j+1}) M_j[J-1-j] replaces it
-    from level 0 (M_0[J]) upward.  Every M_j[m] is formed by the same
-    product and sum as in a row-by-row pass, so each moment is the same
-    pair whichever way, and however far, the recurrence is run.
-
-    Each step is ``dd_mul`` of the level's pair by its factor c - r_{j+1},
-    then ``dd_add``, written out; the factor is split once per level.  A
+    mu_J = M_J[0] needs only the anti-diagonal M_j[J - j], j <= J, and
+    that anti-diagonal is the running sums of one dot product over the
+    one before: M_{j+1}[J-1-j] = M_j[J-j] + (c - r_{j+1}) M_j[J-1-j], so
+    from s_0 = M_0[J] the sums s_{j+1} = s_j + M_j[J-1-j] (c - r_{j+1}) are
+    M_0[J], M_1[J-1], ..., M_J[0].  :func:`quadlsq.ddouble.dd_dot` returns
+    exactly those sums, each step ``dd_mul`` of the level's pair by its
+    factor, split once, then ``dd_add``.  Every M_j[m] is formed by the
+    same product and sum as in a row-by-row pass, so each moment is the
+    same pair whichever way, and however far, the recurrence is run.  A
     factor that is a double takes the same full product with lo = 0 (see
     :func:`quadlsq.ddouble.dd_mul`).
     """
@@ -255,37 +257,10 @@ def _iter_moments_dd(ns):
     c = 0.5 * iv.a + 0.5 * iv.b
     factors = split_operands(two_sum(c, -t) for t in nodes)
     factors += factors  # the roots r are t_1..t_n twice
-    H, L = [], []  # level j: M_j on the latest anti-diagonal
-    for h, l in islice(_centred_monomial_moments(iv.a, iv.b), len(factors) + 1):
-        for j, (fh, fl, yh, yl) in enumerate(factors[:len(H)]):
-            oh = H[j]
-            ol = L[j]
-            H[j] = h
-            L[j] = l
-            p = oh * fh
-            c = _SPLITTER * oh
-            xh = c - (c - oh)
-            xl = oh - xh
-            e = ((xh * yh - p) + xh * yl + xl * yh) + xl * yl
-            e += oh * fl + ol * fh
-            ph = p + e
-            pl = e - (ph - p)
-            s = h + ph
-            v = s - h
-            e = (h - (s - v)) + (ph - v)
-            t = l + pl
-            v = t - l
-            f = (l - (t - v)) + (pl - v)
-            e += t
-            h = s + e
-            e -= h - s
-            e += f
-            s = h + e
-            l = e - (s - h)
-            h = s
-        H.append(h)
-        L.append(l)
-        yield h, l
+    level = []  # M_j on the latest anti-diagonal, level j at index j
+    for start in islice(_centred_monomial_moments(iv.a, iv.b), len(factors) + 1):
+        level = dd_dot(*start, level, factors)
+        yield level[-1]
 
 
 def _moments_dd(ns):
@@ -448,7 +423,7 @@ def _back_substitute(rows, rhss):
             raise SingularDiagonalError(f"singular diagonal at row {i + 1}")
         tail = row[1:]
         for x, neg, rhs in zip(xs, negs, rhss):
-            sh, sl = dd_dot(*rhs[i], tail, neg[i + 1:])
+            sh, sl = dd_dot(*rhs[i], tail, neg[i + 1:])[-1]
             xh, xl = x[i] = dd_div(sh, sl, dh, dl)
             neg[i] = split_operand(-xh, -xl)
     return xs
@@ -492,7 +467,7 @@ def _residual_dd(fs, x):
     xs = split_operands(x)
     r = []
     for i, (row, (ch, cl)) in enumerate(zip(rows, c_tilde)):
-        sh, sl = dd_dot(0.0, 0.0, row, xs[i:])
+        sh, sl = dd_dot(0.0, 0.0, row, xs[i:])[-1]
         r.append(dd_add(sh, sl, -ch, -cl))
     return r
 

@@ -399,6 +399,24 @@ class TestBuildReport:
         assert (rep.n, rep.degree) == (3, 3)
         assert build_report(fs.nodes, fs=fs).degree == 3
 
+    def test_epsilon_is_checked_before_the_rest_of_the_report(self, monkeypatch):
+        # NC-57 fails the self-check (as NC 57..64 of every sweep do): the
+        # report must stop at the check, before r(z*), the norms, the
+        # bounds or the angle are formed
+        ns = q.generate(q.FamilySpec(q.Family.NEWTON_COTES, 57))
+        with pytest.raises(q.SelfCheckError) as unpatched:
+            build_report(ns)
+
+        def formed(*args, **kwargs):
+            raise AssertionError("formed after a failed epsilon self-check")
+
+        for name in ("equioscillation_residual", "norm_params", "error_coefficient",
+                     "bounds_omega_gamma", "rule_angle"):
+            monkeypatch.setattr(q.analysis, name, formed)
+        with pytest.raises(q.SelfCheckError, match="epsilon self-check") as patched:
+            build_report(ns)
+        assert str(patched.value) == str(unpatched.value)
+
     def test_report_is_frozen(self):
         rep = build_report(NodeSet((-1.0, 0.0, 1.0)))
         with pytest.raises(AttributeError):

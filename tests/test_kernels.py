@@ -75,6 +75,14 @@ def _same(got, want):
     assert bits([tuple(got)]) == bits([tuple(want)]), (got, want)
 
 
+def _same_sums(got, want):
+    """A list of (hi, lo) pairs equal to ``want`` in length and in the bits
+    of every entry, signed zeros included."""
+    assert isinstance(got, list) and len(got) == len(want), (got, want)
+    for g, w in zip(got, want):
+        _same(g, w)
+
+
 def _same_or_both_raise(fn_got, fn_want):
     try:
         want = fn_want()
@@ -154,19 +162,23 @@ class TestPrimitives:
     @settings(max_examples=400, deadline=None)
     @given(s=_pairs(), terms=st.lists(st.tuples(_pairs(), _pairs()), max_size=6))
     def test_dd_dot(self, s, terms):
-        # the written-out row equals the dd_mul/dd_add loop, and with the
-        # operands negated it equals the loop that subtracts each product,
-        # which is how the backward pass uses it
+        # every running sum of the written-out row equals the one of the
+        # dd_mul/dd_add loop, and with the operands negated the one of the
+        # loop that subtracts each product, which is how the backward pass
+        # uses it; the moment recurrence reads them all
         rows = [a for a, _ in terms]
         xs = [x for _, x in terms]
-        add = sub = s
+        add, sub = [s], [s]
         for a, x in terms:
             ph, pl = dd_mul(*a, *x)
-            add = dd_add(*add, ph, pl)
-            sub = dd_add(*sub, -ph, -pl)
-        _same(dd_dot(*s, rows, split_operands(xs)), add)
-        _same(dd_dot(*s, rows, split_operands((-h, -l) for h, l in xs)), sub)
-        _same(dd_dot(*s, rows, [split_operand(-h, -l) for h, l in xs]), sub)
+            add.append(dd_add(*add[-1], ph, pl))
+            sub.append(dd_add(*sub[-1], -ph, -pl))
+        _same_sums(dd_dot(*s, rows, split_operands(xs)), add)
+        _same_sums(dd_dot(*s, rows, split_operands((-h, -l) for h, l in xs)), sub)
+        _same_sums(dd_dot(*s, rows, [split_operand(-h, -l) for h, l in xs]), sub)
+        # a row stops at the shorter of its pairs and operands
+        _same_sums(dd_dot(*s, rows, split_operands(xs + xs)), add)
+        _same_sums(dd_dot(*s, rows + rows, split_operands(xs)), add)
 
     @settings(max_examples=300, deadline=None)
     @given(pairs=st.lists(st.tuples(_pairs(), _pairs()), min_size=1, max_size=8))
@@ -186,8 +198,17 @@ class TestPrimitives:
         cases = [(0.0, 0.0), (-0.0, -0.0), (-0.0, 0.0), (1.0, -0.0), (-3.0, 0.0), (1.5, -0.0)]
         for s, a, x in itertools.product(cases, repeat=3):
             ph, pl = dd_mul(*a, *x)
-            _same(dd_dot(*s, [a], split_operands([x])), dd_add(*s, ph, pl))
-            _same(dd_dot(*s, [a], [split_operand(-x[0], -x[1])]), dd_add(*s, -ph, -pl))
+            _same_sums(dd_dot(*s, [a], split_operands([x])), [s, dd_add(*s, ph, pl)])
+            _same_sums(dd_dot(*s, [a], [split_operand(-x[0], -x[1])]),
+                       [s, dd_add(*s, -ph, -pl)])
+        # two steps: the second starts from the first's running sum
+        for s, a, x, b, y in itertools.product(cases, repeat=5):
+            mid = dd_add(*s, *dd_mul(*a, *x))
+            _same_sums(dd_dot(*s, [a, b], split_operands([x, y])),
+                       [s, mid, dd_add(*mid, *dd_mul(*b, *y))])
+            mid = dd_add(*s, *(-v for v in dd_mul(*a, *x)))
+            _same_sums(dd_dot(*s, [a, b], [split_operand(-v[0], -v[1]) for v in (x, y)]),
+                       [s, mid, dd_add(*mid, *(-v for v in dd_mul(*b, *y)))])
 
 
 # -- kernels ---------------------------------------------------------------

@@ -506,18 +506,23 @@ class TestLeadingMoments:
         assert _scan_outcome(ns) == _drained_scan(ns)
         assert _scan_outcome(ns)[0] == "overflow"
 
-    @pytest.mark.parametrize("n,interval,index,wrong", [
-        (57, (0.0, 1000.0), 111, "mu_Q"),
-        (39, (-1e4, 1e4), 75, "degree"),
+    @pytest.mark.parametrize("family,n,interval,index,wrong", [
+        (q.Family.NEWTON_COTES, 57, (0.0, 1000.0), 111, "mu_Q"),
+        (q.Family.NEWTON_COTES, 39, (-1e4, 1e4), 75, "degree"),
+        (q.Family.FEJER1, 57, (0.0, 1000.0), 110, "mu_Q"),
+        (q.Family.CLENSHAW_CURTIS, 61, (0.0, 1000.0), 110, "mu_Q"),
+        (q.Family.GAUSS_LEGENDRE, 58, (0.0, 1000.0), 110, "mu_Q"),
+        (q.Family.NEWTON_COTES, 59, (0.0, 1024.0), 110, "mu_Q"),
     ])
-    def test_the_drain_guards_against_wrong_answers(self, n, interval, index, wrong):
+    def test_the_drain_guards_against_wrong_answers(self, family, n, interval, index, wrong):
         # why the scan runs on to mu_2n where the bound refuses the early
-        # stop: on these Newton-Cotes rules every moment through the first
-        # one above the threshold is finite, but stopping there would
-        # report what the exact oracle refutes (mu_Q off by a factor of
-        # about 4 at n = 57; degree 38 instead of 39 at n = 39), while the
-        # full scan fails, typed, at its overflowing moment
-        ns = q.generate(q.FamilySpec(q.Family.NEWTON_COTES, n), Interval(*interval))
+        # stop: on these rules every moment through the first one above
+        # the threshold is finite, but stopping there would report what
+        # the exact oracle refutes (mu_Q off by a factor of about 4 for
+        # NC-57, and by 1.5 to 12 orders of magnitude for the other four;
+        # degree 38 instead of 39 for NC-39), while the full scan fails,
+        # typed, at its overflowing moment
+        ns = q.generate(q.FamilySpec(family, n), Interval(*interval))
         with pytest.raises(q.MomentOverflowError, match=f"mu_{index} is not finite"):
             build_system(ns)
         scan = list(enumerate(h + l for h, l in _iter_moments_dd(ns)))
