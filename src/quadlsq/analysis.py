@@ -64,15 +64,15 @@ def rule_angle(omega, z_star, degrees=True):
     1e-16 rad, where arccos of the cosine resolves nothing below
     sqrt(2 eps) ~ 1e-8 rad, so an angle of 1e-7 rad keeps about nine
     digits.  Exactly parallel or opposite vectors (:func:`_exactly_parallel`)
-    give 0.  Reported in degrees by convention; pass ``degrees=False``
-    for radians.
+    give 0, and a zero vector or a non-finite entry is a ``ValueError``.
+    Reported in degrees by convention; pass ``degrees=False`` for radians.
     """
     _, omega = _pow2_scaled(omega)
     _, z_star = _pow2_scaled(z_star)
     nw = np.linalg.norm(omega)
     nz = np.linalg.norm(z_star)
-    if nw == 0.0 or nz == 0.0:
-        raise ValueError("zero vector: the rule angle is undefined")
+    if not (0.0 < nw < math.inf and 0.0 < nz < math.inf):
+        raise ValueError("zero vector or non-finite entry: the rule angle is undefined")
     if _exactly_parallel(omega, z_star):
         return 0.0
     u = omega / nw
@@ -154,8 +154,8 @@ def _norm_inf_inverse(nodes):
 
 
 def bounds_omega_gamma(fs, omega, z_star):
-    """The bounds (Omega, Gamma, cond_inf_A) for a solved rule; |A| is
-    formed once, for its column sums, its row sums and cond_inf(A)."""
+    """The bounds (Omega, Gamma, cond_inf_A) for a solved rule, the last
+    :func:`cond_inf_upper`; |A| is formed once for its column and row sums."""
     omega = np.asarray(omega, dtype=float)
     z_star = np.asarray(z_star, dtype=float)
     diff = omega - z_star
@@ -164,7 +164,7 @@ def bounds_omega_gamma(fs, omega, z_star):
     norm_ainf = float(np.max(np.sum(abs_a, axis=1)))
     omega_bound = norm_a1 * float(np.sum(np.abs(diff))) / math.sqrt(fs.n)
     gamma = float(np.max(np.abs(diff))) * norm_ainf / abs(fs.mu_Q)
-    return omega_bound, gamma, norm_ainf * _norm_inf_inverse(fs.nodes.nodes)
+    return omega_bound, gamma, cond_inf_upper(fs)
 
 
 def build_report(ns, family="custom", eps_deg=None, fs=None, solution=None):

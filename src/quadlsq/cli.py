@@ -20,6 +20,7 @@ from collections import ChainMap
 from fractions import Fraction
 
 from .analysis import build_report, error_coefficient
+from .basis import NodeSet
 from .errors import NumericalFailure
 from .nodes import Family, FamilySpec, generate, read_nodes_file
 from .poly import Interval
@@ -73,8 +74,7 @@ def _resolve_nodeset(args):
     if family is Family.CUSTOM:
         if not args.nodes_file:
             raise ValueError("custom family needs --nodes-file")
-        nodes = tuple(read_nodes_file(args.nodes_file))
-        return generate(FamilySpec(family, custom_nodes=nodes), interval), "custom"
+        return NodeSet(read_nodes_file(args.nodes_file), interval), "custom"
     if args.nodes_file:
         raise ValueError("--nodes-file only applies to --family custom")
     if args.n is None:

@@ -43,8 +43,8 @@ def epsilon_check(fs, omega):
     """Minimax residual magnitude from the least-squares residual.
 
     Computes eps = ||r(omega)||_2^2 / ||r(omega)||_1 and cross-checks it
-    against |mu_Q|; a relative mismatch beyond ``EPS_CHECK_RTOL`` raises
-    :class:`SelfCheckError`.  ``omega`` may be a plain vector or a
+    against |mu_Q|; a relative mismatch beyond ``EPS_CHECK_RTOL`` (or a nan
+    eps) raises :class:`SelfCheckError`.  ``omega`` may be a plain vector or a
     :class:`RuleSolution`.  The norms are taken of r / 2^e, with 2^e the
     power of two of max |r|, and eps is scaled back by 2^e: an exact
     scaling, so ||r||_2^2 cannot overflow while eps itself fits.
@@ -58,7 +58,7 @@ def _epsilon(fs, e, scaled):
     """eps from the 1- and 2-norms of r / 2^e, checked against |mu_Q|."""
     eps = math.ldexp(float(scaled[2]) ** 2 / float(scaled[1]), e)
     ref = abs(fs.mu_Q)
-    if abs(eps - ref) > EPS_CHECK_RTOL * ref:
+    if not abs(eps - ref) <= EPS_CHECK_RTOL * ref:  # a nan eps fails too
         raise SelfCheckError(
             f"epsilon self-check failed: ||r||_2^2/||r||_1 = {eps!r} but |mu_Q| = {ref!r}, "
             f"a relative gap of {abs(eps - ref) / ref:.2g} > EPS_CHECK_RTOL = {EPS_CHECK_RTOL:g}"

@@ -1,6 +1,9 @@
 """Node families on [-1, 1]: Newton-Cotes, Fejer (first rule),
 Clenshaw-Curtis practical abscissas, Gauss-Legendre.
 
+Given nodes are not generated: they go to :class:`NodeSet` directly,
+exact ones from a file through :func:`read_nodes_file`.
+
 Every generator returns strictly increasing nodes whose multiset is exactly
 invariant under x -> -x: the positive half is computed and mirrored, so the
 odd extended-basis moments that vanish by symmetry are computed from data
@@ -42,34 +45,24 @@ class Family(str, Enum):
 
     @classmethod
     def parse(cls, text):
-        """Accept the usual short names (nc, f, cc, gl) as well."""
+        """A member from its value or a short name of ``_SHORT_NAMES``."""
         key = str(text).strip().lower().replace("-", "_")
-        aliases = {
-            "nc": cls.NEWTON_COTES,
-            "newton_cotes": cls.NEWTON_COTES,
-            "f": cls.FEJER1,
-            "fejer": cls.FEJER1,
-            "fejer1": cls.FEJER1,
-            "cc": cls.CLENSHAW_CURTIS,
-            "clenshaw_curtis": cls.CLENSHAW_CURTIS,
-            "gl": cls.GAUSS_LEGENDRE,
-            "gauss": cls.GAUSS_LEGENDRE,
-            "gauss_legendre": cls.GAUSS_LEGENDRE,
-            "custom": cls.CUSTOM,
-        }
         try:
-            return aliases[key]
-        except KeyError:
+            return cls(_SHORT_NAMES.get(key, key))
+        except ValueError:
             raise ValueError(f"unknown family: {text!r}") from None
+
+
+_SHORT_NAMES = {"nc": "newton_cotes", "f": "fejer1", "fejer": "fejer1",
+                "cc": "clenshaw_curtis", "gl": "gauss_legendre", "gauss": "gauss_legendre"}
 
 
 @dataclass(frozen=True)
 class FamilySpec:
-    """Which rule family to generate and how many nodes in total."""
+    """A family to generate and its total node count (given nodes go to NodeSet)."""
 
     family: Family
-    n: int = 0
-    custom_nodes: tuple = None
+    n: int
 
 
 def _mirrored(positive_desc, n):
@@ -235,23 +228,18 @@ _GENERATORS = {
 
 
 def generate(spec, interval=None):
-    """NodeSet for a family spec, optionally mapped onto another interval.
+    """NodeSet of a family spec on ``interval`` (default [-1, 1]).
 
-    The families are defined on [-1, 1]; for a different interval the nodes
-    are mapped affinely, by a midpoint and half-length formed from the
-    halved endpoints, which cannot overflow.  Custom nodes are taken verbatim.
+    Each node t of the family on [-1, 1] goes to mid + rad t, with mid and
+    rad formed from the halved endpoints, which cannot overflow; on [-1, 1]
+    the map is the identity, bit for bit, as no generator returns -0.0.
     """
     interval = interval or Interval()
-    if spec.family == Family.CUSTOM:
-        if not spec.custom_nodes:
-            raise ValueError("custom family needs custom_nodes")
-        return NodeSet(spec.custom_nodes, interval)
-    nodes = _GENERATORS[spec.family](spec.n)
-    if (interval.a, interval.b) != (-1.0, 1.0):
-        mid = 0.5 * interval.a + 0.5 * interval.b
-        rad = 0.5 * interval.b - 0.5 * interval.a
-        nodes = [mid + rad * t for t in nodes]
-    return NodeSet(tuple(nodes), interval)
+    if spec.family is Family.CUSTOM:
+        raise ValueError("custom nodes are not generated: pass them to NodeSet")
+    mid = 0.5 * interval.a + 0.5 * interval.b
+    rad = 0.5 * interval.b - 0.5 * interval.a
+    return NodeSet(tuple(mid + rad * t for t in _GENERATORS[spec.family](spec.n)), interval)
 
 
 def read_nodes_file(path):

@@ -18,12 +18,13 @@ from quadlsq import (
     rule_angle,
     solve_rule,
 )
-from quadlsq.analysis import _exactly_parallel
+from quadlsq.analysis import _exactly_parallel, _norm_inf_inverse
 
 from helpers import (
     FAMILIES,
     MIN_N,
     asymmetric_rational_nodes,
+    bits,
     closed_form_inverse,
     exact_angle,
     exact_cond_inf,
@@ -145,6 +146,16 @@ class TestRuleAngle:
     def test_zero_vector_rejected(self):
         with pytest.raises(ValueError, match="zero vector"):
             rule_angle([0.0, 0.0], [1.0, 1.0])
+
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    def test_non_finite_vector_rejected(self, bad):
+        # an inf or nan entry leaves no unit vector: a ValueError, not nan,
+        # and no numpy warning on the way
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for u, v in (([bad, 1.0], [1.0, 1.0]), ([1.0, 1.0], [bad, 1.0])):
+                with pytest.raises(ValueError, match="non-finite entry"):
+                    rule_angle(u, v)
 
     def test_range(self):
         for family, n in family_cases(1, 10):
@@ -296,6 +307,18 @@ class TestCondInf:
         exact = exact_cond_inf(ns.nodes)
         err = abs(Fraction(cond_inf_upper(fs)) - exact)
         assert err <= (4 * fs.n + 1) * Fraction(1, 2 ** 53) * exact
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_bounds_read_the_one_formula(self, family):
+        # cond_inf_A of bounds_omega_gamma is cond_inf_upper, bit for bit
+        # the product ||A||_inf ||A^-1||_inf of the row sums of |A|
+        for n in range(2, 65):
+            fs = build_system(nodeset(family, n), eps_deg=0.0)
+            zero = np.zeros(n)
+            norm_ainf = float(np.max(np.sum(np.abs(fs.A), axis=1)))
+            product = norm_ainf * _norm_inf_inverse(fs.nodes.nodes)
+            cond = bounds_omega_gamma(fs, zero, zero)[2]
+            assert bits([cond]) == bits([cond_inf_upper(fs)]) == bits([product]), n
 
     def test_underflowing_products_give_inf_without_warnings(self):
         # 40 nodes 1e-10 apart: the products of node differences underflow,

@@ -145,6 +145,26 @@ class TestAnalyze:
         assert text == ""
         assert "singular diagonal at row 3" in capsys.readouterr().err
 
+    def test_nan_weights_exit_3(self, tmp_path, capsys):
+        # the weights of nodes 1e-155 apart are nan: the epsilon self-check
+        # refuses them rather than printing a report of nan
+        path = tmp_path / "clustered.txt"
+        path.write_text("0\n1e-155\n2e-155\n", encoding="utf-8")
+        code, text = run(["analyze", "--family", "custom", "--nodes-file", str(path)])
+        assert code == 3
+        assert text == ""
+        assert "epsilon self-check failed: ||r||_2^2/||r||_1 = nan" in capsys.readouterr().err
+
+    def test_custom_nodes_not_mapped(self, tmp_path):
+        # given nodes stay where they are; --interval only sets the interval
+        path = tmp_path / "quarter-half.txt"
+        path.write_text("0.25\n0.5\n", encoding="utf-8")
+        code, text = run(["analyze", "--family", "custom", "--nodes-file", str(path),
+                          "--interval", "0", "4"])
+        assert code == 0
+        assert "nodes:  0.25 0.5\n" in text
+        assert "interval: (0, 4)" in text
+
     def test_interval_whose_length_overflows_exits_3(self, capsys):
         # b - a overflows: the generated nodes are finite, and the run stops
         # at the moment check, mu_0 = b - a, with a finite half-length

@@ -123,6 +123,13 @@ class TestEpsilonCheck:
                            match=r"a relative gap of 2\.6e-10 > EPS_CHECK_RTOL = 1e-10$"):
             epsilon_check(fs, solve_rule(fs))
 
+    def test_nan_eps_raises(self):
+        # nodes 1e-155 apart on (-1, 1): the weights, the residual and eps
+        # are nan, and a nan eps fails the check as a wrong one does
+        fs = build_system(NodeSet((0.0, 1e-155, 2e-155)))
+        with pytest.raises(SelfCheckError, match=r"\|\|r\|\|_1 = nan but \|mu_Q\| = 0\.4,"):
+            epsilon_check(fs, solve_rule(fs))
+
     @pytest.mark.parametrize("family,n", family_cases(1, 12))
     def test_equals_principal_moment(self, family, n):
         _, fs, sol = solved(family, n)

@@ -18,7 +18,7 @@ from quadlsq import (
     read_nodes_file,
 )
 
-from helpers import FAMILIES, bits, ref_legendre_pair, solved
+from helpers import FAMILIES, MIN_N, bits, ref_legendre_pair, solved
 
 
 class TestFamilyParsing:
@@ -31,13 +31,25 @@ class TestFamilyParsing:
         ("GL", Family.GAUSS_LEGENDRE),
         ("gauss_legendre", Family.GAUSS_LEGENDRE),
         ("custom", Family.CUSTOM),
+        ("newton_cotes", Family.NEWTON_COTES),
+        ("fejer", Family.FEJER1),
+        ("clenshaw_curtis", Family.CLENSHAW_CURTIS),
+        ("gauss", Family.GAUSS_LEGENDRE),
     ])
     def test_aliases(self, alias, member):
-        assert Family.parse(alias) is member
+        for spelling in (alias, alias.upper(), alias.replace("_", "-"),
+                         alias.upper().replace("_", "-")):
+            assert Family.parse(spelling) is member
 
     def test_unknown(self):
         with pytest.raises(ValueError, match="unknown family"):
             Family.parse("simpson")
+
+    @pytest.mark.parametrize("text", ["", "newton", "fejer2", "clenshaw", "legendre",
+                                      "g", "n", "gausslegendre", "family.custom"])
+    def test_only_the_eleven_spellings(self, text):
+        with pytest.raises(ValueError, match="unknown family"):
+            Family.parse(text)
 
 
 class TestGenerators:
@@ -162,13 +174,25 @@ class TestGenerators:
 
 
 class TestGenerate:
-    def test_custom(self):
-        ns = generate(FamilySpec(Family.CUSTOM, custom_nodes=(-1.0, 0.0, 1.0)))
-        assert ns.nodes == (-1.0, 0.0, 1.0)
+    @pytest.mark.parametrize("family,generator", [
+        (Family.NEWTON_COTES, newton_cotes_nodes),
+        (Family.FEJER1, fejer1_nodes),
+        (Family.CLENSHAW_CURTIS, clenshaw_curtis_nodes),
+        (Family.GAUSS_LEGENDRE, legendre_nodes),
+    ])
+    def test_reference_interval_keeps_the_generators_bits(self, family, generator):
+        # on (-1, 1) the map is t -> 0.0 + 1.0 t, the identity on every
+        # node but -0.0, which no generator returns
+        for n in range(1, 65):
+            if n < MIN_N[family]:
+                with pytest.raises(ValueError, match="unsupported count"):
+                    generate(FamilySpec(family, n))
+                continue
+            assert bits(generate(FamilySpec(family, n)).nodes) == bits(generator(n)), n
 
-    def test_custom_without_nodes(self):
-        with pytest.raises(ValueError):
-            generate(FamilySpec(Family.CUSTOM))
+    def test_custom_is_not_generated(self):
+        with pytest.raises(ValueError, match="pass them to NodeSet"):
+            generate(FamilySpec(Family.CUSTOM, 3))
 
     def test_interval_mapping(self):
         ns = generate(FamilySpec(Family.NEWTON_COTES, 3), Interval(0.0, 4.0))
@@ -191,20 +215,6 @@ class TestGenerate:
             ref = generate(FamilySpec(family, 9)).nodes
             ns = generate(FamilySpec(family, 9), Interval(a, b))
             assert bits(ns.nodes) == bits(mid + rad * t for t in ref)
-
-    def test_custom_nodes_not_mapped(self):
-        ns = generate(
-            FamilySpec(Family.CUSTOM, custom_nodes=(0.25, 0.5)), Interval(0.0, 4.0)
-        )
-        assert ns.nodes == (0.25, 0.5)
-
-    def test_custom_exact_nodes_become_doubles(self):
-        ns = generate(FamilySpec(Family.CUSTOM, custom_nodes=(Fraction(-1), Fraction(1, 3))))
-        assert ns.nodes == (-1.0, 1 / 3)
-
-    def test_custom_node_beyond_double_range_is_a_value_error(self):
-        with pytest.raises(ValueError, match=r"node 1\.00000e\+400 is outside the double range"):
-            generate(FamilySpec(Family.CUSTOM, custom_nodes=(Fraction(0), Fraction(10 ** 400))))
 
     @pytest.mark.parametrize("n", range(1, 13))
     def test_gauss_rules_link_to_system(self, n):
