@@ -155,7 +155,7 @@ def _norm_inf_inverse(nodes):
 
 def bounds_omega_gamma(fs, omega, z_star):
     """The bounds (Omega, Gamma, cond_inf_A) for a solved rule, the last
-    :func:`cond_inf_upper`; |A| is formed once for its column and row sums."""
+    :func:`cond_inf_upper`'s product; |A| and its row-sum norm are formed once."""
     omega = np.asarray(omega, dtype=float)
     z_star = np.asarray(z_star, dtype=float)
     diff = omega - z_star
@@ -164,7 +164,7 @@ def bounds_omega_gamma(fs, omega, z_star):
     norm_ainf = float(np.max(np.sum(abs_a, axis=1)))
     omega_bound = norm_a1 * float(np.sum(np.abs(diff))) / math.sqrt(fs.n)
     gamma = float(np.max(np.abs(diff))) * norm_ainf / abs(fs.mu_Q)
-    return omega_bound, gamma, cond_inf_upper(fs)
+    return omega_bound, gamma, norm_ainf * _norm_inf_inverse(fs.nodes.nodes)
 
 
 def build_report(ns, family="custom", eps_deg=None, fs=None, solution=None):

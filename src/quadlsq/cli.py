@@ -1,5 +1,8 @@
 """Command-line front end: analyze single rules, sweep families, integrate.
 
+``analyze`` and ``integrate`` share their rule options and reach the rule
+one way; ``integrate`` applies its weights only when they are finite.
+
 Exit codes are a stable contract: 0 on success, 2 on usage/input errors,
 3 on numerical failures (degree overflow, Newton non-convergence, singular
 systems).
@@ -55,31 +58,44 @@ def _report_row(report, error=""):
 
 def _json_object(pairs):
     """Flat JSON object with floats at 17 significant digits."""
-    parts = []
-    for key, value in pairs:
-        if isinstance(value, float):
-            text = _fmt(value)
-        elif isinstance(value, (int,)) and not isinstance(value, bool):
-            text = str(value)
-        else:
-            text = json.dumps(value)
-        parts.append(f"{json.dumps(key)}: {text}")
+    parts = (f"{json.dumps(k)}: {_fmt(v) if isinstance(v, float) else json.dumps(v)}"
+             for k, v in pairs)
     return "{" + ", ".join(parts) + "}"
+
+
+def _write_csv(out, rows, columns=CSV_COLUMNS):
+    """The header ``columns``, then each row's ``columns`` through :func:`_fmt`."""
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(columns)
+    writer.writerows([_fmt(row[c]) for c in columns] for row in rows)
+
+
+def _interval(args):
+    return Interval(*args.interval) if args.interval else Interval()
 
 
 def _resolve_nodeset(args):
     """NodeSet from --family/--n or --nodes-file, honoring --interval."""
-    interval = Interval(*args.interval) if args.interval else Interval()
+    interval = _interval(args)
     family = Family.parse(args.family)
     if family is Family.CUSTOM:
         if not args.nodes_file:
             raise ValueError("custom family needs --nodes-file")
+        if args.n is not None:
+            raise ValueError("--n does not apply to --family custom: the node file sets n")
         return NodeSet(read_nodes_file(args.nodes_file), interval), "custom"
     if args.nodes_file:
         raise ValueError("--nodes-file only applies to --family custom")
     if args.n is None:
         raise ValueError(f"--n is required for family {family.value}")
     return generate(FamilySpec(family, args.n), interval), family.value
+
+
+def _solved(args):
+    """(ns, label, fs, solution) of the rule that the rule options name."""
+    ns, label = _resolve_nodeset(args)
+    fs = build_system(ns, eps_deg=args.eps_deg)
+    return ns, label, fs, solve_rule(fs)
 
 
 def _print_analyze_text(report, ns, sol, out):
@@ -89,30 +105,22 @@ def _print_analyze_text(report, ns, sol, out):
     print("omega:  " + " ".join(_fmt(w) for w in sol.omega), file=out)
     print("z_star: " + " ".join(_fmt(z) for z in sol.z_star), file=out)
     print("tau:    " + " ".join(_fmt(t) for t in sol.tau), file=out)
-    print(f"degree: {report.degree}", file=out)
-    print(f"mu_Q: {_fmt(report.mu_Q)}", file=out)
-    for name in ("N_omega", "N_z", "angle_deg", "tau_inf", "alpha", "c_n",
-                 "Omega", "Gamma", "cond_inf_A"):
-        print(f"{name}: {_fmt(getattr(report, name))}", file=out)
-    for name in ("r_omega_1", "r_omega_2", "r_omega_3", "r_omega_inf", "r_z_inf"):
-        print(f"{name}: {_fmt(report.residual_norms[name])}", file=out)
+    fields = ChainMap(vars(report), report.residual_norms)
+    for name in ("degree", "mu_Q", "N_omega", "N_z", "angle_deg", "tau_inf", "alpha",
+                 "c_n", "Omega", "Gamma", "cond_inf_A", "r_omega_1", "r_omega_2",
+                 "r_omega_3", "r_omega_inf", "r_z_inf"):
+        print(f"{name}: {_fmt(fields[name])}", file=out)
 
 
 def _cmd_analyze(args, out):
-    ns, label = _resolve_nodeset(args)
-    fs = build_system(ns, eps_deg=args.eps_deg)
-    sol = solve_rule(fs)
+    ns, label, fs, sol = _solved(args)
     report = build_report(ns, family=label, fs=fs, solution=sol)
     if args.format == "text":
         _print_analyze_text(report, ns, sol, out)
     elif args.format == "csv":
-        writer = csv.writer(out, lineterminator="\n")
-        writer.writerow(CSV_COLUMNS)
-        row = _report_row(report)
-        writer.writerow([_fmt(row[c]) if row[c] != "" else "" for c in CSV_COLUMNS])
+        _write_csv(out, [_report_row(report)])
     else:
-        row = _report_row(report)
-        print(_json_object([(c, row[c]) for c in CSV_COLUMNS]), file=out)
+        print(_json_object(_report_row(report).items()), file=out)
     return 0
 
 
@@ -125,7 +133,7 @@ def _cmd_sweep(args, out):
             f"need 1 <= n-min <= n-max <= {MAX_SWEEP_N}, "
             f"got {args.n_min}..{args.n_max}"
         )
-    interval = Interval(*args.interval) if args.interval else Interval()
+    interval = _interval(args)
     rows = []
     for n in range(args.n_min, args.n_max + 1):
         try:
@@ -133,25 +141,14 @@ def _cmd_sweep(args, out):
             report = build_report(ns, family=family.value, eps_deg=args.eps_deg)
             rows.append(_report_row(report))
         except (ValueError, NumericalFailure) as exc:
-            row = _report_row(None, error=str(exc))
-            row["family"] = family.value
-            row["n"] = n
-            rows.append(row)
+            rows.append({**_report_row(None, error=str(exc)), "family": family.value, "n": n})
     with open(args.out, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(CSV_COLUMNS)
-        for row in rows:
-            writer.writerow([_fmt(row[c]) if row[c] != "" else "" for c in CSV_COLUMNS])
+        _write_csv(fh, rows)
     print(f"wrote {len(rows)} rows to {args.out}", file=out)
     return 0
 
 
-def _builtin_integrand(name):
-    if name == "runge":
-        return lambda x: 1.0 / (1.0 + 25.0 * x * x)
-    if name == "expx":
-        return math.exp
-    raise ValueError(f"unknown integrand: {name!r} (use poly:c0,c1,... , runge, expx)")
+_BUILTIN_INTEGRANDS = {"runge": lambda x: 1.0 / (1.0 + 25.0 * x * x), "expx": math.exp}
 
 
 def _parse_integrand(spec):
@@ -172,19 +169,22 @@ def _parse_integrand(spec):
             return float(acc)
 
         return poly
-    return _builtin_integrand(spec)
+    if spec not in _BUILTIN_INTEGRANDS:
+        raise ValueError(f"unknown integrand: {spec!r} (use poly:c0,c1,... , runge, expx)")
+    return _BUILTIN_INTEGRANDS[spec]
 
 
 def _cmd_integrate(args, out):
-    ns, label = _resolve_nodeset(args)
     f = _parse_integrand(args.integrand)
-    fs = build_system(ns, eps_deg=args.eps_deg)
-    sol = solve_rule(fs)
+    ns, label, fs, sol = _solved(args)
+    omega = sol.omega.tolist()
+    if not all(map(math.isfinite, omega)):
+        raise NumericalFailure("the rule's weights are not finite doubles")
     # Q_n(f) fails at the first node whose value, term or running sum is not
     # a finite double: an inf or nan term is the fsum, and a sum out of range
     # raises OverflowError (n running fsums, O(n^2) additions in all).
     terms = []
-    for w, t in zip(sol.omega.tolist(), ns.nodes):
+    for w, t in zip(omega, ns.nodes):
         try:
             terms.append(w * f(t))
             if not math.isfinite(math.fsum(terms)):
@@ -195,17 +195,15 @@ def _cmd_integrate(args, out):
             ) from None
     value = math.fsum(terms)
     _, c_n = error_coefficient(fs.mu_Q, fs.degree)
-    pairs = [("family", label), ("n", ns.n), ("integrand", args.integrand),
-             ("value", value), ("degree", fs.degree), ("c_n", c_n)]
+    row = {"family": label, "n": ns.n, "integrand": args.integrand,
+           "value": value, "degree": fs.degree, "c_n": c_n}
     if args.format == "text":
         print(f"Q_{ns.n}(f) = {_fmt(value)}", file=out)
         print(f"degree: {fs.degree}   error constant c_n: {_fmt(c_n)}", file=out)
     elif args.format == "csv":
-        writer = csv.writer(out, lineterminator="\n")
-        writer.writerow([k for k, _ in pairs])
-        writer.writerow([_fmt(v) for _, v in pairs])
+        _write_csv(out, [row], columns=tuple(row))
     else:
-        print(_json_object(pairs), file=out)
+        print(_json_object(row.items()), file=out)
     return 0
 
 
@@ -250,13 +248,12 @@ def build_parser():
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_analyze = sub.add_parser("analyze", parents=[common],
-                               help="full report for one rule")
-    p_analyze.add_argument("--family", required=True,
-                           help="nc, fejer1, cc, gl, or custom")
-    p_analyze.add_argument("--n", type=int, default=None, help="total node count")
-    p_analyze.add_argument("--nodes-file", default=None,
-                           help="node file for --family custom")
+    rule = _Parser(add_help=False)
+    rule.add_argument("--family", required=True, help="nc, fejer1, cc, gl, or custom")
+    rule.add_argument("--n", type=int, default=None, help="total node count")
+    rule.add_argument("--nodes-file", default=None, help="node file for --family custom")
+
+    sub.add_parser("analyze", parents=[common, rule], help="full report for one rule")
 
     p_sweep = sub.add_parser("sweep", parents=[common],
                              help="CSV of reports over a range of n")
@@ -265,11 +262,8 @@ def build_parser():
     p_sweep.add_argument("--n-max", type=int, required=True)
     p_sweep.add_argument("--out", required=True, help="output CSV path")
 
-    p_int = sub.add_parser("integrate", parents=[common],
+    p_int = sub.add_parser("integrate", parents=[common, rule],
                            help="apply a rule to an integrand")
-    p_int.add_argument("--family", required=True)
-    p_int.add_argument("--n", type=int, default=None)
-    p_int.add_argument("--nodes-file", default=None)
     p_int.add_argument("--integrand", required=True,
                        help="poly:c0,c1,...  or a built-in name (runge, expx)")
 
@@ -290,10 +284,7 @@ def main(argv=None, out=None):
                 "integrate": _cmd_integrate}
     try:
         return handlers[args.command](args, out)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except NumericalFailure as exc:

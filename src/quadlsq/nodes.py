@@ -230,15 +230,14 @@ _GENERATORS = {
 def generate(spec, interval=None):
     """NodeSet of a family spec on ``interval`` (default [-1, 1]).
 
-    Each node t of the family on [-1, 1] goes to mid + rad t, with mid and
-    rad formed from the halved endpoints, which cannot overflow; on [-1, 1]
-    the map is the identity, bit for bit, as no generator returns -0.0.
+    Each node t of the family on [-1, 1] goes to mid + rad t, with the
+    interval's ``mid`` and ``rad``; on [-1, 1] the map is the identity, bit
+    for bit, as no generator returns -0.0.
     """
     interval = interval or Interval()
     if spec.family is Family.CUSTOM:
         raise ValueError("custom nodes are not generated: pass them to NodeSet")
-    mid = 0.5 * interval.a + 0.5 * interval.b
-    rad = 0.5 * interval.b - 0.5 * interval.a
+    mid, rad = interval.mid, interval.rad
     return NodeSet(tuple(mid + rad * t for t in _GENERATORS[spec.family](spec.n)), interval)
 
 

@@ -233,7 +233,7 @@ def _scale_exponent(interval):
     """e with 2^e the smallest power of two >= the half-length (b - a) / 2;
     2^e >= max |t_i - c| as well raised cond(SA) on 166 of 300 random node
     sets, whose weights then erred by up to 2.6e-9 relative (1.1e-16 here)."""
-    return _ceil_log2(0.5 * interval.b - 0.5 * interval.a)
+    return _ceil_log2(interval.rad)
 
 
 def _normal_system(fs):

@@ -65,6 +65,16 @@ class Interval:
     def length(self):
         return self.b - self.a
 
+    @property
+    def mid(self):
+        """The centre, from the halved endpoints: it cannot overflow."""
+        return 0.5 * self.a + 0.5 * self.b
+
+    @property
+    def rad(self):
+        """The half-length, from the halved endpoints: it cannot overflow."""
+        return 0.5 * self.b - 0.5 * self.a
+
 
 class Polynomial:
     """Immutable dense polynomial; trailing zero coefficients are trimmed.

@@ -93,6 +93,7 @@ from .ddouble import (
     _SPLITTER, dd_add, dd_div, dd_dot, dd_ratio, split_operand, split_operands, two_sum,
 )
 from .errors import DegreeOverflowError, MomentOverflowError, SingularDiagonalError
+from .poly import Interval
 
 #: Relative zero threshold for degree detection, scaled by max(1, |mu_0|).
 #: It must sit below the smallest genuine principal moment in scope
@@ -215,15 +216,15 @@ class RuleSolution:
 
 
 def _centred_monomial_moments(a, b):
-    """M_0[m] = integral over (a, b) of (x - c)^m, c = 0.5 a + 0.5 b, for
-    m = 0, 1, 2, ... as (hi, lo) pairs, each computed when it is pulled.
+    """M_0[m] = integral over (a, b) of (x - c)^m, c = ``Interval(a, b).mid``,
+    for m = 0, 1, 2, ... as (hi, lo) pairs, each computed when it is pulled.
 
     With d the common power-of-two denominator of a, b and c, A = d (a - c)
     and B = d (b - c) are integers, and M_0[m] = (B^{m+1} - A^{m+1}) /
     ((m + 1) d^{m+1}) is rounded once by :func:`quadlsq.ddouble.dd_ratio`.
     """
     (na, da), (nb, db), (nc, dc) = (
-        x.as_integer_ratio() for x in (a, b, 0.5 * a + 0.5 * b))
+        x.as_integer_ratio() for x in (a, b, Interval(a, b).mid))
     d = max(da, db, dc)
     c = nc * (d // dc)
     A = na * (d // da) - c
@@ -254,7 +255,7 @@ def _iter_moments_dd(ns):
     :func:`quadlsq.ddouble.dd_mul`).
     """
     nodes, iv = ns.nodes, ns.interval
-    c = 0.5 * iv.a + 0.5 * iv.b
+    c = iv.mid
     factors = split_operands(two_sum(c, -t) for t in nodes)
     factors += factors  # the roots r are t_1..t_n twice
     level = []  # M_j on the latest anti-diagonal, level j at index j
@@ -298,7 +299,7 @@ def _profile_stays_finite(ns):
     only sends more scans on to mu_{2n}, which changes no result.
     """
     nodes, iv = ns.nodes, ns.interval
-    c = 0.5 * iv.a + 0.5 * iv.b
+    c = iv.mid
     r0 = max(abs(iv.a - c), abs(iv.b - c))
     spread = r0 + max(abs(c - t) for t in nodes)
     if not math.isfinite(spread):
@@ -371,11 +372,10 @@ def _moments_and_degree(ns, eps_deg):
     for j, (h, l) in enumerate(_iter_moments_dd(ns)):
         mu = h + l
         if not math.isfinite(mu):
-            iv = ns.interval
             raise MomentOverflowError(
                 f"moment mu_{j} is not finite: the centred monomial moments "
                 f"overflow the double range on an interval of half-length "
-                f"{0.5 * iv.b - 0.5 * iv.a:g} at n = {n}, so neither the degree "
+                f"{ns.interval.rad:g} at n = {n}, so neither the degree "
                 "nor mu_Q can be read"
             )
         if j == 0 and eps is None:

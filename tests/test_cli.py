@@ -155,6 +155,18 @@ class TestAnalyze:
         assert text == ""
         assert "epsilon self-check failed: ||r||_2^2/||r||_1 = nan" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", [
+        ["analyze"], ["integrate", "--integrand", "poly:1"],
+    ])
+    def test_n_with_custom_exits_2(self, simpson_file, capsys, command):
+        # the node file sets n: a --n beside it is refused, not ignored
+        code, text = run(command + ["--family", "custom", "--n", "7",
+                                    "--nodes-file", simpson_file])
+        assert code == 2
+        assert text == ""
+        assert ("--n does not apply to --family custom: the node file sets n"
+                in capsys.readouterr().err)
+
     def test_custom_nodes_not_mapped(self, tmp_path):
         # given nodes stay where they are; --interval only sets the interval
         path = tmp_path / "quarter-half.txt"
@@ -396,6 +408,27 @@ class TestIntegrate:
         assert text == ""
         assert capsys.readouterr().err.rstrip().endswith(f"at node {node}")
 
+    def test_nan_weights_exit_3(self, tmp_path, capsys):
+        # the weights of nodes 1e-155 apart are nan: the rule is refused
+        # before the integrand is applied, so no node is blamed
+        path = tmp_path / "clustered.txt"
+        path.write_text("0\n1e-155\n2e-155\n", encoding="utf-8")
+        code, text = run(["integrate", "--family", "custom", "--nodes-file", str(path),
+                          "--integrand", "poly:1"])
+        assert code == 3
+        assert text == ""
+        err = capsys.readouterr().err
+        assert "the rule's weights are not finite doubles" in err
+        assert "at node" not in err
+
+    def test_finite_weights_are_applied_unchecked(self):
+        # integrate checks only that the weights are finite, not the epsilon
+        # self-check that analyze runs: Newton-Cotes n = 60 integrates
+        code, text = run(["integrate", "--family", "nc", "--n", "60",
+                          "--integrand", "poly:1", "--format", "json"])
+        assert code == 0
+        assert math.isfinite(json.loads(text)["value"])
+
     def test_poly_is_evaluated_exactly(self):
         # p(-1) = p(1) = 0 and p(0) = 1e308 are doubles, so the rule's
         # value (4/3) 1e308 is finite too
@@ -448,6 +481,18 @@ class TestParser:
             gc.set_debug(flags)
             gc.garbage.clear()
         assert garbage == []
+
+    def test_analyze_and_integrate_share_the_rule_options(self):
+        subparsers = build_parser()._subparsers._group_actions[0].choices
+
+        def rule_options(command):
+            return [(a.option_strings, a.required, a.type, a.default, a.help)
+                    for a in subparsers[command]._actions
+                    if {"--family", "--n", "--nodes-file"} & set(a.option_strings)]
+
+        assert len(rule_options("analyze")) == 3
+        assert rule_options("integrate") == rule_options("analyze")
+        assert all(help_ for *_, help_ in rule_options("integrate"))
 
     def test_usage_error_exits_2(self):
         with pytest.raises(SystemExit) as exc:

@@ -171,6 +171,12 @@ class TestInterval:
         with pytest.raises(ValueError):
             Interval(2.0, -2.0)
 
+    def test_mid_and_rad_do_not_overflow(self):
+        # from the halved endpoints: b - a overflows, b/2 - a/2 does not
+        iv = Interval(-1e308, 1e308)
+        assert iv.length == math.inf
+        assert (iv.mid, iv.rad) == (0.0, 1e308)
+
     @pytest.mark.parametrize("a,b", [
         (0.0, math.inf), (-math.inf, 0.0), (math.nan, 1.0), (0.0, math.nan),
     ])
