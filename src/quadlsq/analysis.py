@@ -24,7 +24,7 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .ddouble import dd_mul
+from .basis import _on_grid
 from .minimax import _epsilon, equioscillation_residual
 from .system import (
     _checked_eps_deg, _pow2_scaled, _scaled_norms, _unscaled, build_system, residual,
@@ -83,28 +83,18 @@ def rule_angle(omega, z_star, degrees=True):
     return math.degrees(ang) if degrees else ang
 
 
-#: Dekker's two-product of a and b is exact when their exponents sum to at
-#: least e_min + p - 1 = -970, which |fl(a b)| >= 2^-968 ensures.
-_EXACT_PRODUCT_MIN = 2.0 ** -968
-
-
 def _exactly_parallel(x, y):
     """True if x_k y_i = x_i y_k exactly for every i, k the index of the
     largest |x_k|, on arrays below 1 in magnitude.  Equal products round
-    equal, so the two-products (:func:`quadlsq.ddouble.dd_mul` on the
-    arrays) are compared only where the rounded ones agree; a nonzero
-    product that may have lost bits to underflow counts as not parallel."""
+    equal, so the exact products, on one integer grid of both vectors
+    (:func:`quadlsq.basis._on_grid`), are compared only where the rounded
+    ones agree."""
     k = int(np.argmax(np.abs(x)))
     if not (x[k] * y == x * y[k]).all():
         return False
-    sides = []
-    for a, b in ((x[k], y), (x, y[k])):
-        h, l = dd_mul(a, 0.0, b, 0.0)
-        if np.any((a != 0.0) & (b != 0.0) & (np.abs(h) < _EXACT_PRODUCT_MIN)):
-            return False
-        sides.append((h, l))
-    (ph, pl), (qh, ql) = sides
-    return bool((ph == qh).all() and (pl == ql).all())
+    _, grid = _on_grid([*x.tolist(), *y.tolist()])
+    X, Y = grid[:len(x)], grid[len(x):]
+    return all(X[k] * Yi == Xi * Y[k] for Xi, Yi in zip(X, Y))
 
 
 def norm_params(omega, z_star):

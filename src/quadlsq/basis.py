@@ -18,6 +18,9 @@ index past 2n-1 guarantees degree detection terminates.
 integers in X = D x; the exact oracle runs on it, and :func:`build_basis`
 gives them as ``Fraction`` coefficients in x, for inspection and tests.
 ``system`` never forms coefficients: it works from the node differences.
+Exact values have their one integer form here too: every exact
+computation reads the grid X = D x of :func:`_on_grid`, the power chain
+:func:`_power_differences` and exact :func:`_horner`.
 
 The one node check lives here: :class:`NodeSet` runs it on doubles, the
 exact oracle and the node-file reader on exact values.
@@ -67,6 +70,30 @@ class NodeSet:
         return len(self.nodes)
 
 
+def _on_grid(values):
+    """(D, [D v for v in values]), D the least common denominator of Python
+    ints, floats or Fractions (a power of two for doubles)."""
+    ratios = [v.as_integer_ratio() for v in values]
+    D = math.lcm(*(d for _, d in ratios))
+    return D, [p * (D // d) for p, d in ratios]
+
+
+def _power_differences(lo, hi):
+    """hi^k - lo^k, k = 1, 2, ...: k times the integral of X^(k-1) over (lo, hi)."""
+    pa, pb = lo, hi
+    while True:
+        yield pb - pa
+        pa *= lo
+        pb *= hi
+
+
+def _horner(coeffs, x):
+    acc = 0
+    for c in reversed(coeffs):
+        acc = acc * x + c
+    return acc
+
+
 def _mul_linear(coeffs, root):
     """Ascending integer coefficients of p(X) * (X - root)."""
     out = [0, *coeffs]
@@ -91,11 +118,9 @@ def _basis(T):
 def build_basis(ns):
     """P_0..P_{2n} (phi_0..phi_{n-1}, then q_n..q_{2n}; P_j integrates to
     mu_j in :mod:`quadlsq.system`) as tuples of exact ``Fraction``
-    coefficients, lowest degree first.  With D the lcm of the nodes'
-    denominators, :func:`_basis` on T_i = D t_i gives D^j P_j(X / D), so
+    coefficients, lowest degree first.  With the nodes on the grid
+    T_i = D t_i of :func:`_on_grid`, :func:`_basis` gives D^j P_j(X / D), so
     coefficient k of P_j is an integer over D^(j - k)."""
-    ts = [Fraction(t) for t in ns.nodes]
-    D = math.lcm(*(t.denominator for t in ts))
-    T = [t.numerator * (D // t.denominator) for t in ts]
+    D, T = _on_grid(ns.nodes)
     return tuple(tuple(Fraction(c, D ** (j - k)) for k, c in enumerate(p))
                  for j, p in enumerate(_basis(T)))

@@ -23,7 +23,7 @@ from collections import ChainMap
 from fractions import Fraction
 
 from .analysis import build_report, error_coefficient
-from .basis import NodeSet
+from .basis import NodeSet, _horner
 from .errors import NumericalFailure
 from .nodes import Family, FamilySpec, generate, read_nodes_file
 from .poly import Interval
@@ -160,15 +160,9 @@ def _parse_integrand(spec):
         if not all(map(math.isfinite, coeffs)):
             raise ValueError(f"unknown integrand: {spec!r} has a coefficient "
                              "that is not a finite double")
-        exact = [Fraction(c) for c in reversed(coeffs)]
-
-        def poly(x):  # exact, rounded once: OverflowError past the double range
-            x, acc = Fraction(x), 0
-            for c in exact:
-                acc = acc * x + c
-            return float(acc)
-
-        return poly
+        exact = [Fraction(c) for c in coeffs]
+        # exact, rounded once: OverflowError past the double range
+        return lambda x: float(_horner(exact, Fraction(x)))
     if spec not in _BUILTIN_INTEGRANDS:
         raise ValueError(f"unknown integrand: {spec!r} (use poly:c0,c1,... , runge, expx)")
     return _BUILTIN_INTEGRANDS[spec]

@@ -27,8 +27,9 @@ The oracle reads the pipeline's double-double store (``A_dd``,
 ``leading_dd``) or its doubles; it shares only the float-pair primitives
 of :mod:`quadlsq.ddouble` (``dd_dot`` among them, the row the pipeline's
 moment recurrence, solve and residual also run), the NodeSet and Interval
-input checks, the integer basis, which the pipeline never forms, and the
-closed-form ||A^-1||_inf of :mod:`quadlsq.analysis`.
+input checks, the integer basis, which the pipeline never forms, the grid
+X = D x and power chain of its moment starts, and the closed-form
+||A^-1||_inf of :mod:`quadlsq.analysis`.
 
 The exact route also computes its quantities by other formulas than the
 pipeline, so that a wrong derivation cannot show up on both sides: moments
@@ -48,10 +49,10 @@ from itertools import chain, islice
 
 import numpy as np
 
-from .basis import NodeSet, _basis, _checked_nodes
+from .basis import NodeSet, _basis, _checked_nodes, _horner, _on_grid, _power_differences
 from .analysis import _norm_inf_inverse
 from .ddouble import dd_add, dd_div, dd_dot, dd_mul, split_operand
-from .errors import SingularSystemError
+from .errors import MomentOverflowError, SingularSystemError
 from .poly import _checked_interval
 from .system import _ceil_log2, _checked_eps_deg, _default_eps_deg
 
@@ -89,33 +90,18 @@ def _as_fraction(value):
     raise ValueError(f"irrational nodes: unsupported node spec {value!r}")
 
 
-def _horner(coeffs, x):
-    acc = 0
-    for c in reversed(coeffs):
-        acc = acc * x + c
-    return acc
-
-
 def _scaled(nodes, a, b):
     """(D, T, L, S) for rational nodes on (a, b).
 
-    X = D x puts every node and endpoint on the integers: D is the lcm of
-    their denominators and T_i = D t_i.  S[k] = L/(k+1) (hi^(k+1) -
-    lo^(k+1)) with L = lcm(1..2n+1) and lo, hi = D a, D b, so that for an
-    integer polynomial p of degree j in X, the integral of p(Dx) over
-    (a, b) is sum_k p_k S[k] / (L D^(j+1)); p(Dx) = D^j phi_j(x) for the
-    basis.
+    X = D x (:func:`quadlsq.basis._on_grid`) puts every node and endpoint
+    on the integers, T_i = D t_i.  S[k] = L/(k+1) (hi^(k+1) - lo^(k+1))
+    with L = lcm(1..2n+1) and lo, hi = D a, D b, so that for an integer
+    polynomial p of degree j in X, the integral of p(Dx) over (a, b) is
+    sum_k p_k S[k] / (L D^(j+1)); p(Dx) = D^j phi_j(x) for the basis.
     """
-    D = math.lcm(a.denominator, b.denominator, *(t.denominator for t in nodes))
-    T = [t.numerator * (D // t.denominator) for t in nodes]
-    lo, hi = a.numerator * (D // a.denominator), b.numerator * (D // b.denominator)
+    D, (lo, hi, *T) = _on_grid((a, b, *nodes))
     L = math.lcm(*range(1, 2 * len(T) + 2))
-    S = []
-    pa = pb = 1
-    for k in range(1, 2 * len(T) + 2):
-        pa *= lo
-        pb *= hi
-        S.append(L // k * (pb - pa))
+    S = [L // k * dk for k, dk in zip(range(1, 2 * len(T) + 2), _power_differences(lo, hi))]
     return D, T, L, S
 
 
@@ -163,23 +149,28 @@ class RationalRule:
         return self.moments[:len(self.nodes)]
 
 
-def rational_pipeline(nodes, interval=(Fraction(-1), Fraction(1))):
+def rational_pipeline(nodes, interval=None):
     """Run basis construction, degree detection and the weight solve exactly.
 
-    ``nodes`` may be a :class:`NodeSet` (its doubles are interpreted as the
-    exact binary rationals they are) or a sequence of ints, Fractions,
-    ``num/den`` / decimal strings, ``(num, den)`` pairs of integers, floats,
-    or numpy integer and floating scalars; the interval endpoints take the
-    same forms.  Degree detection uses exact zero tests, so feeding rounded
-    nodes of an irrational family verifies the floating pipeline on those
-    exact inputs, not the ideal rule.  The nodes and the interval pass the
-    checks of :class:`NodeSet` and :class:`quadlsq.Interval`, so an input
-    those reject raises the same ``ValueError``; a value of none of these
-    forms raises an "irrational nodes" ``ValueError``.
+    ``nodes`` may be a :class:`NodeSet` (its doubles are interpreted as the exact
+    binary rationals they are, on its interval, which an ``interval`` passed
+    beside it must equal exactly) or a sequence of ints, Fractions, ``num/den`` /
+    decimal strings, ``(num, den)`` pairs of integers, floats, or numpy integer
+    and floating scalars, on (-1, 1) by default; the endpoints take the same
+    forms.  Degree detection uses exact zero tests, so feeding rounded nodes of
+    an irrational family verifies the floating pipeline on those exact inputs,
+    not the ideal rule.  The nodes and the interval pass the checks of
+    :class:`NodeSet` and :class:`quadlsq.Interval`, so an input those reject
+    raises the same ``ValueError``; a value of none of these forms raises an
+    "irrational nodes" ``ValueError``.
     """
     if isinstance(nodes, NodeSet):
-        interval = (nodes.interval.a, nodes.interval.b)
-        nodes = nodes.nodes
+        own = (nodes.interval.a, nodes.interval.b)
+        if interval is not None and tuple(map(_as_fraction, interval)) != own:
+            raise ValueError(f"interval {tuple(interval)} differs from the node set's {own}")
+        nodes, interval = nodes.nodes, own
+    elif interval is None:
+        interval = (-1, 1)
     ts = _checked_nodes(map(_as_fraction, nodes))
     a, b = _checked_interval(*interval, convert=_as_fraction)
     n = len(ts)
@@ -344,25 +335,32 @@ def direct_sis4_minimax(fs):
 def degree_by_monomials(ns, weights, eps_deg=None):
     """Largest d <= 2n with Q(x^k) matching the exact moment for all k <= d.
 
-    The exact monomial moments are computed from the interval endpoints as
-    exact rationals, so on (-1, 1) odd k compares against 0 and even k
-    against 2/(k+1).  ``eps_deg`` must be a finite number >= 0
+    The exact monomial moments come from the endpoints on the grid of
+    :func:`quadlsq.basis._on_grid`, so on (-1, 1) odd k compares against 0 and
+    even k against 2/(k+1); one beyond the double range raises
+    :class:`quadlsq.MomentOverflowError`, and a weighted sum that is not a
+    finite double is a mismatch.  ``eps_deg`` must be a finite number >= 0
     (``ValueError`` otherwise), as for :func:`quadlsq.build_system`.
     """
     ts = np.asarray(ns.nodes, dtype=float)
     w = np.asarray(weights, dtype=float)
     n = len(ts)
-    a = Fraction(ns.interval.a)
-    b = Fraction(ns.interval.b)
+    D, (lo, hi) = _on_grid((ns.interval.a, ns.interval.b))
     eps = _checked_eps_deg(eps_deg)
     if eps is None:
-        eps = _default_eps_deg(float(b - a))
+        eps = _default_eps_deg((hi - lo) / D)
     powers = np.ones_like(ts)
-    for k in range(2 * n + 1):
-        if k > 0:
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k, num in enumerate(islice(_power_differences(lo, hi), 2 * n + 1)):
+            try:
+                exact = num / ((k + 1) * D ** (k + 1))
+            except OverflowError:
+                raise MomentOverflowError(f"the exact moment of x^{k} overflows") from None
+            try:
+                approx = math.fsum(w * powers)
+            except (ValueError, OverflowError):  # inf - inf, or a sum past the double range
+                approx = math.nan
+            if not abs(approx - exact) <= eps:
+                return k - 1
             powers = powers * ts
-        approx = math.fsum(w * powers)
-        exact = float((b ** (k + 1) - a ** (k + 1)) / (k + 1))
-        if abs(approx - exact) > eps:
-            return k - 1
     return 2 * n

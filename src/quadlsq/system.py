@@ -84,16 +84,15 @@ raises ``ValueError``.
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import count, islice
+from itertools import islice
 
 import numpy as np
 
-from .basis import NodeSet
+from .basis import NodeSet, _on_grid, _power_differences
 from .ddouble import (
     _SPLITTER, dd_add, dd_div, dd_dot, dd_ratio, split_operand, split_operands, two_sum,
 )
 from .errors import DegreeOverflowError, MomentOverflowError, SingularDiagonalError
-from .poly import Interval
 
 #: Relative zero threshold for degree detection, scaled by max(1, |mu_0|).
 #: It must sit below the smallest genuine principal moment in scope
@@ -215,27 +214,19 @@ class RuleSolution:
         return tuple(dd_add(*w, *t) for w, t in zip(self._omega_dd, self._tau_dd))
 
 
-def _centred_monomial_moments(a, b):
-    """M_0[m] = integral over (a, b) of (x - c)^m, c = ``Interval(a, b).mid``,
-    for m = 0, 1, 2, ... as (hi, lo) pairs, each computed when it is pulled.
+def _centred_monomial_moments(interval):
+    """M_0[m] = integral over (a, b) of (x - c)^m, c = ``interval.mid``, for
+    m = 0, 1, 2, ... as (hi, lo) pairs, each computed when it is pulled.
 
-    With d the common power-of-two denominator of a, b and c, A = d (a - c)
-    and B = d (b - c) are integers, and M_0[m] = (B^{m+1} - A^{m+1}) /
-    ((m + 1) d^{m+1}) is rounded once by :func:`quadlsq.ddouble.dd_ratio`.
+    On the grid X = D x of :func:`quadlsq.basis._on_grid`, A = D (a - c) and
+    B = D (b - c) are integers, and M_0[m] = (B^{m+1} - A^{m+1}) /
+    ((m + 1) D^{m+1}) is rounded once by :func:`quadlsq.ddouble.dd_ratio`.
     """
-    (na, da), (nb, db), (nc, dc) = (
-        x.as_integer_ratio() for x in (a, b, Interval(a, b).mid))
-    d = max(da, db, dc)
-    c = nc * (d // dc)
-    A = na * (d // da) - c
-    B = nb * (d // db) - c
-    pa, pb, dm = A, B, d
-    for m in count(1):
-        num = pb - pa
+    D, (a, b, c) = _on_grid((interval.a, interval.b, interval.mid))
+    dm = D
+    for m, num in enumerate(_power_differences(a - c, b - c), start=1):
         yield dd_ratio(num, m * dm) if num else (0.0, 0.0)
-        pa *= A
-        pb *= B
-        dm *= d
+        dm *= D
 
 
 def _iter_moments_dd(ns):
@@ -259,7 +250,7 @@ def _iter_moments_dd(ns):
     factors = split_operands(two_sum(c, -t) for t in nodes)
     factors += factors  # the roots r are t_1..t_n twice
     level = []  # M_j on the latest anti-diagonal, level j at index j
-    for start in islice(_centred_monomial_moments(iv.a, iv.b), len(factors) + 1):
+    for start in islice(_centred_monomial_moments(iv), len(factors) + 1):
         level = dd_dot(*start, level, factors)
         yield level[-1]
 

@@ -4,6 +4,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import quadlsq as q
 from quadlsq import (
@@ -35,6 +37,29 @@ from helpers import (
 )
 
 SIMPSON_OMEGA = np.array([1 / 3, 4 / 3, 1 / 3])
+
+
+#: Entries below 1 in magnitude, with subnormals and signed zeros weighted up
+_ENTRY = st.one_of(
+    st.floats(-1.0, 1.0, exclude_min=True, exclude_max=True),
+    st.floats(-1e-300, 1e-300),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.0 ** -1022, 2.0 ** -1000]),
+)
+
+
+@st.composite
+def _vector_pairs(draw):
+    """(x, y) with x nonzero and y equal to x, x scaled by a power of two
+    (inexact where it underflows), x times an entry, or drawn freely."""
+    x = np.array(draw(st.lists(_ENTRY, min_size=1, max_size=6).filter(any)))
+    how = draw(st.sampled_from(["same", "pow2", "scaled", "free"]))
+    if how == "same":
+        return x, x.copy()
+    if how == "pow2":
+        return x, np.ldexp(x, -draw(st.integers(0, 80)))
+    if how == "scaled":
+        return x, x * draw(_ENTRY)
+    return x, np.array(draw(st.lists(_ENTRY, min_size=len(x), max_size=len(x))))
 
 
 class TestRuleAngle:
@@ -120,14 +145,23 @@ class TestRuleAngle:
         assert not _exactly_parallel(np.array([0.25, 0.75]), np.array([1 / 3, 1.0]) / 2)
         assert rule_angle([1.0, 3.0], [1 / 3, 1.0]) > 0.0
 
-    def test_underflowing_products_are_not_parallel(self):
-        # 2^-1 2^-1000 is below 2^-968, where a two-product may lose bits
+    def test_underflowing_products_get_the_exact_answer(self):
+        # 2^-1 2^-1000 underflows a two-product, not the exact integer one
         x = np.array([0.5, 2.0 ** -1000])
-        assert not _exactly_parallel(x, x)
+        assert _exactly_parallel(x, x)
         x = np.array([0.5, 2.0 ** -900])
         assert _exactly_parallel(x, x)
         # 0.5 * 2^-1074 rounds to 0, which is not the exact zero 0.5 * 0
         assert not _exactly_parallel(np.array([0.5, 2.0 ** -1074]), np.array([0.5, 0.0]))
+
+    @settings(max_examples=200, deadline=None)
+    @given(xy=_vector_pairs())
+    def test_exactly_parallel_equals_the_fraction_cross_products(self, xy):
+        # every 2 x 2 minor x_i y_j - x_j y_i is exactly zero
+        x, y = xy
+        X, Y = [Fraction(v) for v in x], [Fraction(v) for v in y]
+        want = all(X[i] * Y[j] == X[j] * Y[i] for i in range(len(X)) for j in range(i))
+        assert _exactly_parallel(x, y) == want
 
     @pytest.mark.parametrize("family", FAMILIES, ids=lambda f: f.value)
     def test_matches_the_exact_angle_of_the_same_vectors(self, family):

@@ -1,5 +1,6 @@
 import math
 from fractions import Fraction
+from itertools import islice
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from quadlsq import NodeSet, build_basis
+from quadlsq.basis import _on_grid, _power_differences
 
 from helpers import FAMILIES, MIN_N, nodeset, ref_basis
 
@@ -32,6 +34,43 @@ _NODE_VALUES = st.one_of(
     st.floats(-1e-300, 1e-300),
     st.floats(allow_nan=False, allow_infinity=False),
 )
+
+#: Any finite double, with subnormals, the extremes and signed zeros weighted up
+_DOUBLES = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.floats(-1e-300, 1e-300),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e308, -1e308, 1.7976931348623157e308]),
+)
+
+
+class TestOnGrid:
+    """X = D x on the least common denominator, exactly."""
+
+    @staticmethod
+    def _check(values, D, X):
+        exact = [Fraction(v) for v in values]
+        assert D == math.lcm(*(v.denominator for v in exact))
+        assert [Fraction(x) for x in X] == [D * v for v in exact]
+        assert all(type(x) is int for x in X)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(_DOUBLES, max_size=8))
+    def test_doubles_on_a_power_of_two(self, values):
+        D, X = _on_grid(values)
+        self._check(values, D, X)
+        assert D & (D - 1) == 0
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.one_of(st.integers(), st.fractions(), _DOUBLES), max_size=8))
+    def test_ints_fractions_and_doubles(self, values):
+        self._check(values, *_on_grid(values))
+
+
+@settings(max_examples=100, deadline=None)
+@given(lo=st.integers(), hi=st.integers(), m=st.integers(0, 40))
+def test_power_differences_are_hi_k_minus_lo_k(lo, hi, m):
+    got = list(islice(_power_differences(lo, hi), m))
+    assert got == [hi ** k - lo ** k for k in range(1, m + 1)]
 
 
 class TestNodeSet:

@@ -152,6 +152,23 @@ class TestDegreeByMonomials:
         # the midpoint rule integrates 1 and x exactly, even at threshold 0
         assert degree_by_monomials(NodeSet((0.0,)), [2.0], eps_deg=0.0) == 1
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_exact_moment_beyond_double_range_is_typed(self):
+        # the exact moment of x^2 on (0, 1e150) is 1e450 / 3
+        ns = NodeSet((0.0, 1e150), q.Interval(0.0, 1e150))
+        with pytest.raises(q.MomentOverflowError, match=r"x\^2 "):
+            degree_by_monomials(ns, [5e149, 5e149])
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("nodes,degree", [
+        ((-1e200, 1e200), 1),        # the x^2 terms are both inf
+        ((-1e120, 0.0, 1e120), 2),   # the x^3 terms are -inf and inf
+    ])
+    def test_weighted_sum_beyond_double_range_is_a_mismatch(self, nodes, degree):
+        ns = NodeSet(nodes)
+        w = [float(v) for v in rational_pipeline(ns).weights]
+        assert degree_by_monomials(ns, w) == degree
+
 
 class TestRationalPipeline:
     def test_simpson_exact(self):
@@ -295,6 +312,14 @@ class TestRationalPipeline:
         rr = rational_pipeline([0, 1, 2], interval=(0, 2))
         assert sum(rr.weights) == 2
         assert rr.weights == (Fraction(1, 3), Fraction(4, 3), Fraction(1, 3))
+
+    def test_a_node_set_brings_its_own_interval(self):
+        ns = NodeSet((0.0, 1.0, 2.0), q.Interval(0.0, 2.0))
+        assert rational_pipeline(ns).interval == (0, 2)
+        # the same exact pair, in any form, is accepted
+        assert rational_pipeline(ns, ("0", (2, 1))).weights == rational_pipeline(ns).weights
+        with pytest.raises(ValueError, match="differs from the node set's"):
+            rational_pipeline(SIMPSON, (0, 2))
 
 
 def _message(fn, *args):
