@@ -2,6 +2,9 @@
 
 ``analyze`` and ``integrate`` share their rule options and reach the rule
 one way; ``integrate`` applies its weights only when they are finite.
+Every command refuses an n beyond the graded range, ``MAX_SWEEP_N``, as an
+input error.  Only ``analyze`` and ``integrate`` take ``--format``;
+``sweep`` always writes CSV.
 
 Exit codes are a stable contract: 0 on success, 2 on usage/input errors,
 3 on numerical failures (degree overflow, Newton non-convergence, singular
@@ -36,6 +39,8 @@ CSV_COLUMNS = (
     "r_omega_1", "r_omega_2", "r_omega_inf", "r_z_inf", "error",
 )
 
+#: The largest n that every command accepts: the n whose degree and mu_Q
+#: are graded against the exact references (four families, n = 2..64).
 MAX_SWEEP_N = 64
 
 
@@ -70,6 +75,14 @@ def _write_csv(out, rows, columns=CSV_COLUMNS):
     writer.writerows([_fmt(row[c]) for c in columns] for row in rows)
 
 
+def _graded(n, what):
+    """n, if it is at most ``MAX_SWEEP_N``; else ``ValueError`` naming the
+    limit.  The least n is the family's to check (its "unsupported count")."""
+    if n > MAX_SWEEP_N:
+        raise ValueError(f"{what} is {n}, beyond the graded range: n <= {MAX_SWEEP_N}")
+    return n
+
+
 def _interval(args):
     return Interval(*args.interval) if args.interval else Interval()
 
@@ -83,12 +96,14 @@ def _resolve_nodeset(args):
             raise ValueError("custom family needs --nodes-file")
         if args.n is not None:
             raise ValueError("--n does not apply to --family custom: the node file sets n")
-        return NodeSet(read_nodes_file(args.nodes_file), interval), "custom"
+        nodes = read_nodes_file(args.nodes_file)
+        _graded(len(nodes), "the node file's node count")
+        return NodeSet(nodes, interval), "custom"
     if args.nodes_file:
         raise ValueError("--nodes-file only applies to --family custom")
     if args.n is None:
         raise ValueError(f"--n is required for family {family.value}")
-    return generate(FamilySpec(family, args.n), interval), family.value
+    return generate(FamilySpec(family, _graded(args.n, "--n")), interval), family.value
 
 
 def _solved(args):
@@ -128,11 +143,9 @@ def _cmd_sweep(args, out):
     family = Family.parse(args.family)
     if family is Family.CUSTOM:
         raise ValueError("sweep needs a generated family, not custom")
-    if not (1 <= args.n_min <= args.n_max <= MAX_SWEEP_N):
-        raise ValueError(
-            f"need 1 <= n-min <= n-max <= {MAX_SWEEP_N}, "
-            f"got {args.n_min}..{args.n_max}"
-        )
+    if not 1 <= args.n_min <= args.n_max:
+        raise ValueError(f"need 1 <= n-min <= n-max, got {args.n_min}..{args.n_max}")
+    _graded(args.n_max, "--n-max")
     interval = _interval(args)
     rows = []
     for n in range(args.n_min, args.n_max + 1):
@@ -226,9 +239,10 @@ class _Parser(argparse.ArgumentParser):
 
 
 def build_parser():
-    common = _Parser(add_help=False)
-    common.add_argument("--format", choices=("text", "csv", "json"), default="text",
+    output = _Parser(add_help=False)
+    output.add_argument("--format", choices=("text", "csv", "json"), default="text",
                         help="output format (default: text)")
+    common = _Parser(add_help=False)
     common.add_argument("--eps-deg", type=float, default=None, metavar="REAL",
                         help="zero threshold override for degree detection")
     common.add_argument("--interval", type=float, nargs=2, default=None,
@@ -247,7 +261,7 @@ def build_parser():
     rule.add_argument("--n", type=int, default=None, help="total node count")
     rule.add_argument("--nodes-file", default=None, help="node file for --family custom")
 
-    sub.add_parser("analyze", parents=[common, rule], help="full report for one rule")
+    sub.add_parser("analyze", parents=[output, common, rule], help="full report for one rule")
 
     p_sweep = sub.add_parser("sweep", parents=[common],
                              help="CSV of reports over a range of n")
@@ -256,7 +270,7 @@ def build_parser():
     p_sweep.add_argument("--n-max", type=int, required=True)
     p_sweep.add_argument("--out", required=True, help="output CSV path")
 
-    p_int = sub.add_parser("integrate", parents=[common, rule],
+    p_int = sub.add_parser("integrate", parents=[output, common, rule],
                            help="apply a rule to an integrand")
     p_int.add_argument("--integrand", required=True,
                        help="poly:c0,c1,...  or a built-in name (runge, expx)")

@@ -53,7 +53,7 @@ from .basis import NodeSet, _basis, _checked_nodes, _horner, _on_grid, _power_di
 from .analysis import _norm_inf_inverse
 from .ddouble import dd_add, dd_div, dd_dot, dd_mul, split_operand
 from .errors import MomentOverflowError, SingularSystemError
-from .poly import _checked_interval
+from .poly import Interval, _checked_interval
 from .system import _ceil_log2, _checked_eps_deg, _default_eps_deg
 
 
@@ -156,14 +156,17 @@ def rational_pipeline(nodes, interval=None):
     binary rationals they are, on its interval, which an ``interval`` passed
     beside it must equal exactly) or a sequence of ints, Fractions, ``num/den`` /
     decimal strings, ``(num, den)`` pairs of integers, floats, or numpy integer
-    and floating scalars, on (-1, 1) by default; the endpoints take the same
-    forms.  Degree detection uses exact zero tests, so feeding rounded nodes of
-    an irrational family verifies the floating pipeline on those exact inputs,
-    not the ideal rule.  The nodes and the interval pass the checks of
+    and floating scalars, on (-1, 1) by default.  ``interval`` is a
+    :class:`quadlsq.Interval` or an (a, b) pair whose endpoints take the same
+    forms as the nodes.  Degree detection uses exact zero tests, so feeding
+    rounded nodes of an irrational family verifies the floating pipeline on
+    those exact inputs, not the ideal rule.  The nodes and the interval pass the checks of
     :class:`NodeSet` and :class:`quadlsq.Interval`, so an input those reject
     raises the same ``ValueError``; a value of none of these forms raises an
     "irrational nodes" ``ValueError``.
     """
+    if isinstance(interval, Interval):
+        interval = (interval.a, interval.b)
     if isinstance(nodes, NodeSet):
         own = (nodes.interval.a, nodes.interval.b)
         if interval is not None and tuple(map(_as_fraction, interval)) != own:

@@ -458,6 +458,67 @@ class TestIntegrate:
         assert "Q_3(f) = 2" in text
 
 
+class TestGradedRange:
+    """Every command accepts n up to MAX_SWEEP_N = 64, the graded range."""
+
+    COMMANDS = [["analyze"], ["integrate", "--integrand", "poly:1"]]
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    @pytest.mark.parametrize("family", ["nc", "fejer1", "cc", "gl"])
+    def test_n_beyond_the_range_exits_2(self, capsys, command, family):
+        code, text = run(command + ["--family", family, "--n", "65"])
+        assert code == 2
+        assert text == ""
+        assert "--n is 65, beyond the graded range: n <= 64" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    @pytest.mark.parametrize("family,want", [
+        ("nc", {"analyze": 3, "integrate": 0}),
+        ("fejer1", {"analyze": 3, "integrate": 3}),
+        ("cc", {"analyze": 3, "integrate": 3}),
+        ("gl", {"analyze": 3, "integrate": 3}),
+    ])
+    def test_n_at_the_limit_keeps_its_result(self, capsys, command, family, want):
+        # n = 64 runs the rule: Newton-Cotes integrates with unchecked
+        # weights, and the other rules fail their self-check or scan
+        code, _ = run(command + ["--family", family, "--n", "64"])
+        assert code == want[command[0]]
+        assert "graded range" not in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_node_file_beyond_the_range_exits_2(self, tmp_path, capsys, command):
+        path = tmp_path / "65.txt"
+        path.write_text("".join(f"{k}/64\n" for k in range(-32, 33)), encoding="utf-8")
+        code, text = run(command + ["--family", "custom", "--nodes-file", str(path)])
+        assert code == 2
+        assert text == ""
+        assert ("the node file's node count is 65, beyond the graded range: n <= 64"
+                in capsys.readouterr().err)
+
+    def test_sweep_beyond_the_range_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "never-written.csv"
+        code, _ = run(["sweep", "--family", "gl", "--n-min", "64", "--n-max", "65",
+                       "--out", str(out)])
+        assert code == 2
+        assert "--n-max is 65, beyond the graded range: n <= 64" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_sweep_takes_no_format(self, tmp_path):
+        # sweep always writes CSV: --format would be ignored, so it is refused
+        out = tmp_path / "never-written.csv"
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep", "--family", "nc", "--n-min", "2", "--n-max", "3",
+                  "--format", "json", "--out", str(out)])
+        assert exc.value.code == 2
+        assert not out.exists()
+
+    def test_format_only_where_it_acts(self):
+        subparsers = build_parser()._subparsers._group_actions[0].choices
+        takes_format = {command: any("--format" in a.option_strings for a in p._actions)
+                        for command, p in subparsers.items()}
+        assert takes_format == {"analyze": True, "sweep": False, "integrate": True}
+
+
 class TestParser:
     def test_repeated_calls_leave_no_cyclic_garbage(self, tmp_path):
         # one parser per process: argparse's objects form reference cycles,

@@ -321,6 +321,16 @@ class TestRationalPipeline:
         with pytest.raises(ValueError, match="differs from the node set's"):
             rational_pipeline(SIMPSON, (0, 2))
 
+    def test_an_interval_is_a_pair(self):
+        # the package's own Interval stands wherever an (a, b) pair does
+        rr = rational_pipeline([0, 1, 2], q.Interval(0, 2))
+        assert rr.interval == (0, 2)
+        assert rr.weights == rational_pipeline([0, 1, 2], (0, 2)).weights
+        ns = NodeSet((0.0, 1.0, 2.0), q.Interval(0.0, 2.0))
+        assert rational_pipeline(ns, q.Interval(0, 2)).weights == rational_pipeline(ns).weights
+        with pytest.raises(ValueError, match="differs from the node set's"):
+            rational_pipeline(SIMPSON, q.Interval(0, 2))
+
 
 def _message(fn, *args):
     """The message of the ValueError that ``fn(*args)`` raises."""
