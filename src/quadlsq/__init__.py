@@ -21,7 +21,7 @@ from .analysis import (
     norm_params,
     rule_angle,
 )
-from .basis import NodeSet, build_basis
+from .basis import Interval, NodeSet, build_basis
 from .errors import (
     ConvergenceError,
     DegreeOverflowError,
@@ -49,7 +49,7 @@ from .oracle import (
     lsq_normal_equations,
     rational_pipeline,
 )
-from .poly import Interval, Polynomial
+from .poly import Polynomial
 from .system import (
     FundamentalSystem,
     RuleSolution,

@@ -27,8 +27,8 @@ import numpy as np
 from .basis import _on_grid
 from .minimax import _epsilon, equioscillation_residual
 from .system import (
-    _checked_eps_deg, _pow2_scaled, _scaled_norms, _unscaled, build_system, residual,
-    residual_norms, solve_rule,
+    _checked_eps_deg, _pow2_scaled, _scaled_norms, _sized, _unscaled, build_system,
+    residual, residual_norms, solve_rule,
 )
 
 
@@ -64,9 +64,12 @@ def rule_angle(omega, z_star, degrees=True):
     1e-16 rad, where arccos of the cosine resolves nothing below
     sqrt(2 eps) ~ 1e-8 rad, so an angle of 1e-7 rad keeps about nine
     digits.  Exactly parallel or opposite vectors (:func:`_exactly_parallel`)
-    give 0, and a zero vector or a non-finite entry is a ``ValueError``.
-    Reported in degrees by convention; pass ``degrees=False`` for radians.
+    give 0, and a zero vector, a non-finite entry or vectors of two lengths
+    are a ``ValueError``.  Reported in degrees by convention; pass
+    ``degrees=False`` for radians.
     """
+    omega = _sized(np.asarray(omega, dtype=float), np.size(omega))
+    z_star = _sized(np.asarray(z_star, dtype=float), len(omega))
     _, omega = _pow2_scaled(omega)
     _, z_star = _pow2_scaled(z_star)
     nw = np.linalg.norm(omega)
@@ -98,11 +101,10 @@ def _exactly_parallel(x, y):
 
 
 def norm_params(omega, z_star):
-    """1-norms (N_omega, N_z) of the two solutions."""
-    return (
-        float(np.sum(np.abs(np.asarray(omega, dtype=float)))),
-        float(np.sum(np.abs(np.asarray(z_star, dtype=float)))),
-    )
+    """1-norms (N_omega, N_z) of the two solutions, which must be of one length."""
+    omega = _sized(np.asarray(omega, dtype=float), np.size(omega))
+    z_star = _sized(np.asarray(z_star, dtype=float), len(omega))
+    return float(np.sum(np.abs(omega))), float(np.sum(np.abs(z_star)))
 
 
 def error_coefficient(mu_Q, degree):
@@ -145,9 +147,10 @@ def _norm_inf_inverse(nodes):
 
 def bounds_omega_gamma(fs, omega, z_star):
     """The bounds (Omega, Gamma, cond_inf_A) for a solved rule, the last
-    :func:`cond_inf_upper`'s product; |A| and its row-sum norm are formed once."""
-    omega = np.asarray(omega, dtype=float)
-    z_star = np.asarray(z_star, dtype=float)
+    :func:`cond_inf_upper`'s product; |A| and its row-sum norm are formed
+    once.  omega and z_star must be of length n."""
+    omega = _sized(np.asarray(omega, dtype=float), fs.n)
+    z_star = _sized(np.asarray(z_star, dtype=float), fs.n)
     diff = omega - z_star
     abs_a = np.abs(fs.A)
     norm_a1 = float(np.max(np.sum(abs_a, axis=0)))

@@ -22,16 +22,64 @@ Exact values have their one integer form here too: every exact
 computation reads the grid X = D x of :func:`_on_grid`, the power chain
 :func:`_power_differences` and exact :func:`_horner`.
 
-The one node check lives here: :class:`NodeSet` runs it on doubles, the
-exact oracle and the node-file reader on exact values.
+The input checks of a rule live here, next to their types: the node
+check, which :class:`NodeSet` runs on doubles and the exact oracle and the
+node-file reader on exact values, and the interval check, which
+:class:`Interval` runs on doubles and the exact oracle on exact values.
 """
 
 import math
 from dataclasses import dataclass, field
+from decimal import Decimal
 from fractions import Fraction
+from functools import partial
 from itertools import chain
 
-from .poly import Interval, _as_double
+
+def _as_double(value, what):
+    """float(value); an exact number beyond the double range, on which
+    float() raises ``OverflowError``, is a ``ValueError`` naming ``what``."""
+    try:
+        return float(value)
+    except OverflowError:  # Fraction has no format spec before 3.12
+        approx = Decimal(value.numerator) / Decimal(value.denominator)
+        raise ValueError(f"{what} {approx:.6g} is outside the double range") from None
+
+
+def _checked_interval(a, b, *, convert=partial(_as_double, what="interval endpoint")):
+    """(convert(a), convert(b)) if both are finite and the first is the
+    smaller, else ``ValueError`` showing a and b as passed; by default the
+    endpoints become doubles, and one beyond the double range is a
+    ``ValueError`` as well."""
+    lo, hi = convert(a), convert(b)
+    if any(isinstance(e, float) and not math.isfinite(e) for e in (lo, hi)):
+        raise ValueError(f"non-finite interval: ({a}, {b})")
+    if not lo < hi:
+        raise ValueError(f"invalid interval: need a < b, got ({a}, {b})")
+    return lo, hi
+
+
+@dataclass(frozen=True)
+class Interval:
+    """Integration interval (a, b) with finite a < b.  Defaults to (-1, 1)."""
+
+    a: float = -1.0
+    b: float = 1.0
+
+    def __post_init__(self):
+        a, b = _checked_interval(self.a, self.b)
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "b", b)
+
+    @property
+    def mid(self):
+        """The centre, from the halved endpoints: it cannot overflow."""
+        return 0.5 * self.a + 0.5 * self.b
+
+    @property
+    def rad(self):
+        """The half-length, from the halved endpoints: it cannot overflow."""
+        return 0.5 * self.b - 0.5 * self.a
 
 
 def _checked_nodes(nodes):

@@ -7,8 +7,13 @@ input error.  Only ``analyze`` and ``integrate`` take ``--format``;
 ``sweep`` always writes CSV.
 
 Exit codes are a stable contract: 0 on success, 2 on usage/input errors,
-3 on numerical failures (degree overflow, Newton non-convergence, singular
-systems).
+3 on numerical failures, each a :class:`quadlsq.NumericalFailure`: no
+extended moment rose above the zero threshold (``DegreeOverflowError``), a
+moment is not a finite double (``MomentOverflowError``), a diagonal entry
+of A underflowed to zero (``SingularDiagonalError``), the Gauss-Legendre
+eigensolver failed or a root failed its acceptance check
+(``ConvergenceError``), the rule failed its self-check (``SelfCheckError``),
+or ``integrate``'s weights or weighted sum are not finite doubles.
 
 CSV and JSON outputs serialize numbers with 17 significant digits so that
 parsing a file back reproduces the original doubles bit for bit, and sweep
@@ -26,10 +31,9 @@ from collections import ChainMap
 from fractions import Fraction
 
 from .analysis import build_report, error_coefficient
-from .basis import NodeSet, _horner
+from .basis import Interval, NodeSet, _horner
 from .errors import NumericalFailure
 from .nodes import Family, FamilySpec, generate, read_nodes_file
-from .poly import Interval
 from .system import build_system, solve_rule
 
 #: Fixed column order of sweep/analyze rows.

@@ -22,16 +22,16 @@ recurrence.
 """
 
 import math
+import operator
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 
 import numpy as np
 
-from .basis import NodeSet, _checked_nodes
+from .basis import Interval, NodeSet, _checked_nodes
 from .ddouble import _SPLITTER, dd_ratio, two_sum
 from .errors import ConvergenceError
-from .poly import Interval
 
 _NEWTON_PTOL = 1e-14
 
@@ -45,7 +45,10 @@ class Family(str, Enum):
 
     @classmethod
     def parse(cls, text):
-        """A member from its value or a short name of ``_SHORT_NAMES``."""
+        """A member itself, or the member of its value or of a short name
+        of ``_SHORT_NAMES``."""
+        if isinstance(text, cls):
+            return text
         key = str(text).strip().lower().replace("-", "_")
         try:
             return cls(_SHORT_NAMES.get(key, key))
@@ -59,10 +62,26 @@ _SHORT_NAMES = {"nc": "newton_cotes", "f": "fejer1", "fejer": "fejer1",
 
 @dataclass(frozen=True)
 class FamilySpec:
-    """A family to generate and its total node count (given nodes go to NodeSet)."""
+    """A family to generate and its total node count (given nodes go to NodeSet).
+
+    The family is read by :meth:`Family.parse` and n by ``operator.index``;
+    ``Family.CUSTOM``, an unknown family and a non-integral n are a
+    ``ValueError``.  The least n is the family's generator's to check.
+    """
 
     family: Family
     n: int
+
+    def __post_init__(self):
+        family = Family.parse(self.family)
+        if family is Family.CUSTOM:
+            raise ValueError("custom nodes are not generated: pass them to NodeSet")
+        try:
+            n = operator.index(self.n)
+        except TypeError:
+            raise ValueError(f"the node count must be an integer, got {self.n!r}") from None
+        object.__setattr__(self, "family", family)
+        object.__setattr__(self, "n", n)
 
 
 def _mirrored(positive_desc, n):
@@ -235,8 +254,6 @@ def generate(spec, interval=None):
     for bit, as no generator returns -0.0.
     """
     interval = interval or Interval()
-    if spec.family is Family.CUSTOM:
-        raise ValueError("custom nodes are not generated: pass them to NodeSet")
     mid, rad = interval.mid, interval.rad
     return NodeSet(tuple(mid + rad * t for t in _GENERATORS[spec.family](spec.n)), interval)
 

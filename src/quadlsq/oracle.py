@@ -49,12 +49,14 @@ from itertools import chain, islice
 
 import numpy as np
 
-from .basis import NodeSet, _basis, _checked_nodes, _horner, _on_grid, _power_differences
+from .basis import (
+    Interval, NodeSet, _basis, _checked_interval, _checked_nodes, _horner, _on_grid,
+    _power_differences,
+)
 from .analysis import _norm_inf_inverse
 from .ddouble import dd_add, dd_div, dd_dot, dd_mul, split_operand
 from .errors import MomentOverflowError, SingularSystemError
-from .poly import Interval, _checked_interval
-from .system import _ceil_log2, _checked_eps_deg, _default_eps_deg
+from .system import _ceil_log2, _checked_eps_deg, _default_eps_deg, _sized
 
 
 # ---------------------------------------------------------------------------
@@ -123,7 +125,7 @@ class RationalRule:
 
     @cached_property
     def _scaled_basis(self):
-        """(D, L, S, basis): the scaled integers of :func:`_scaled` and all
+        """(D, T, L, S, basis): the scaled integers of :func:`_scaled` and all
         of phi_0..phi_{n-1}, q_n..q_{2n}, built once for ``A`` and
         ``moments``."""
         D, T, L, S = _scaled(self.nodes, *self.interval)
@@ -343,11 +345,12 @@ def degree_by_monomials(ns, weights, eps_deg=None):
     even k against 2/(k+1); one beyond the double range raises
     :class:`quadlsq.MomentOverflowError`, and a weighted sum that is not a
     finite double is a mismatch.  ``eps_deg`` must be a finite number >= 0
-    (``ValueError`` otherwise), as for :func:`quadlsq.build_system`.
+    (``ValueError`` otherwise), as for :func:`quadlsq.build_system`, and
+    there must be n weights.
     """
     ts = np.asarray(ns.nodes, dtype=float)
-    w = np.asarray(weights, dtype=float)
     n = len(ts)
+    w = _sized(np.asarray(weights, dtype=float), n)
     D, (lo, hi) = _on_grid((ns.interval.a, ns.interval.b))
     eps = _checked_eps_deg(eps_deg)
     if eps is None:

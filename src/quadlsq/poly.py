@@ -1,11 +1,10 @@
-"""The integration interval, its input check, and dense polynomials.
+"""Dense polynomials.
 
-:class:`Interval` and its check are what the rest of the package uses of
-this module.  :class:`Polynomial` has no caller in the package: the basis
-polynomials are built exactly in :mod:`quadlsq.basis` and the CLI's
-``poly:`` integrand is evaluated on ``Fraction``s.  It is kept for the
-public API, and because the benchmark's tracer looks up its double-double
-methods and the ``DD`` operators it runs on by name.
+:class:`Polynomial` has no caller in the package: the basis polynomials
+are built exactly in :mod:`quadlsq.basis` and the CLI's ``poly:``
+integrand is evaluated on ``Fraction``s.  It is kept for the public API,
+and because the benchmark's tracer looks up its double-double methods and
+the ``DD`` operators it runs on by name.
 
 Polynomials are immutable sequences of coefficients in the monomial basis,
 lowest degree first.  Coefficients are carried internally as double-double
@@ -15,65 +14,8 @@ pairs, and the public accessors return doubles.
 weight of every rule in scope.
 """
 
-import math
-from dataclasses import dataclass
-from decimal import Decimal
-
+from .basis import Interval
 from .ddouble import DD, ZERO, as_dd
-
-
-def _as_double(value, what):
-    """float(value); an exact number beyond the double range, on which
-    float() raises ``OverflowError``, is a ``ValueError`` naming ``what``."""
-    try:
-        return float(value)
-    except OverflowError:  # Fraction has no format spec before 3.12
-        approx = Decimal(value.numerator) / Decimal(value.denominator)
-        raise ValueError(f"{what} {approx:.6g} is outside the double range") from None
-
-
-def _double_endpoint(value):
-    return _as_double(value, "interval endpoint")
-
-
-def _checked_interval(a, b, *, convert=_double_endpoint):
-    """(convert(a), convert(b)) if both are finite and the first is the
-    smaller, else ``ValueError`` showing a and b as passed; by default the
-    endpoints become doubles, and one beyond the double range is a
-    ``ValueError`` as well."""
-    lo, hi = convert(a), convert(b)
-    if any(isinstance(e, float) and not math.isfinite(e) for e in (lo, hi)):
-        raise ValueError(f"non-finite interval: ({a}, {b})")
-    if not lo < hi:
-        raise ValueError(f"invalid interval: need a < b, got ({a}, {b})")
-    return lo, hi
-
-
-@dataclass(frozen=True)
-class Interval:
-    """Integration interval (a, b) with finite a < b.  Defaults to (-1, 1)."""
-
-    a: float = -1.0
-    b: float = 1.0
-
-    def __post_init__(self):
-        a, b = _checked_interval(self.a, self.b)
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
-
-    @property
-    def length(self):
-        return self.b - self.a
-
-    @property
-    def mid(self):
-        """The centre, from the halved endpoints: it cannot overflow."""
-        return 0.5 * self.a + 0.5 * self.b
-
-    @property
-    def rad(self):
-        """The half-length, from the halved endpoints: it cannot overflow."""
-        return 0.5 * self.b - 0.5 * self.a
 
 
 class Polynomial:

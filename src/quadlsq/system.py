@@ -441,10 +441,18 @@ def _vector(x, n):
     them) are kept, doubles get lo = 0."""
     if isinstance(x, RuleSolution):
         raise TypeError("pass solution.omega / solution.z_star, not the solution")
-    xs = list(x)
-    if len(xs) != n:
-        raise ValueError(f"expected a vector of length {n}, got {len(xs)}")
-    return [v if isinstance(v, tuple) else (float(v), 0.0) for v in xs]
+    return [v if isinstance(v, tuple) else (float(v), 0.0) for v in _sized(list(x), n)]
+
+
+def _sized(x, n):
+    """x, a list or a 1-d array, if its length is n, else ``ValueError``;
+    the one length check of a vector passed in (a rule's weights, z*, a
+    candidate for :func:`residual`)."""
+    if getattr(x, "ndim", 1) != 1:
+        raise ValueError(f"expected a vector of length {n}, got shape {x.shape}")
+    if len(x) != n:
+        raise ValueError(f"expected a vector of length {n}, got {len(x)}")
+    return x
 
 
 def _residual_dd(fs, x):

@@ -1,4 +1,5 @@
 import math
+import re
 import warnings
 from fractions import Fraction
 
@@ -196,6 +197,12 @@ class TestRuleAngle:
             _, _, sol = solved(family, n)
             assert 0.0 <= rule_angle(sol.omega, sol.z_star) <= 90.0
 
+    @pytest.mark.parametrize("u,v", [([1.0, 2.0], [1.0, 2.0, 3.0]), ([1.0, 2.0, 3.0], [1.0])])
+    def test_vectors_of_two_lengths_rejected(self, u, v):
+        with pytest.raises(ValueError, match=f"expected a vector of length {len(u)}, "
+                                             f"got {len(v)}"):
+            rule_angle(u, v)
+
 
 class TestNormParams:
     def test_simpson(self):
@@ -209,7 +216,14 @@ class TestNormParams:
         assert norm_params([2.0], [8 / 3])[1] == pytest.approx(8 / 3, rel=1e-15)
 
     def test_negative_weights_counted_in_magnitude(self):
-        assert norm_params([-1.0, 2.0], [0.0])[0] == 3.0
+        assert norm_params([-1.0, 2.0], [0.0, 0.0])[0] == 3.0
+
+    @pytest.mark.parametrize("z_star", [[1.0, 2.0, 3.0], [1.0], []])
+    def test_vectors_of_two_lengths_rejected(self, z_star):
+        # a z* of another length than omega is no pair of solutions
+        with pytest.raises(ValueError, match=f"expected a vector of length 2, "
+                                             f"got {len(z_star)}"):
+            norm_params([1.0, 2.0], z_star)
 
 
 class TestErrorCoefficient:
@@ -255,6 +269,29 @@ class TestErrorCoefficient:
 
 
 class TestBounds:
+    @pytest.mark.parametrize("k", [4, 1, 6])
+    def test_vectors_of_another_length_rejected(self, k):
+        # NC n = 5: the vectors broadcast against each other, and |A| does
+        # not read them, so without the check the bounds came out finite
+        _, fs, sol = solved(q.Family.NEWTON_COTES, 5)
+        short = sol.omega[:k] if k < 5 else np.resize(sol.omega, k)
+        for omega, z_star in ((short, short), (short, sol.z_star), (sol.omega, short)):
+            with pytest.raises(ValueError, match=f"expected a vector of length 5, got {k}"):
+                bounds_omega_gamma(fs, omega, z_star)
+
+    @pytest.mark.parametrize("shape", [(5, 1), (1, 5), ()])
+    def test_vectors_of_another_shape_rejected(self, shape):
+        # a (5, 1) omega broadcast against z* to a 5 x 5 difference
+        _, fs, sol = solved(q.Family.NEWTON_COTES, 5)
+        bad = np.resize(sol.omega, shape)
+        with pytest.raises(ValueError, match=re.escape(f"got shape {shape}")):
+            bounds_omega_gamma(fs, bad, sol.z_star)
+        for u, v in ((sol.omega, bad), (bad, sol.z_star)):
+            with pytest.raises(ValueError, match=re.escape(f"got shape {shape}")):
+                norm_params(u, v)
+            with pytest.raises(ValueError, match=re.escape(f"got shape {shape}")):
+                rule_angle(u, v)
+
     def test_simpson_hand_values(self):
         fs = build_system(NodeSet((-1.0, 0.0, 1.0)))
         sol = solve_rule(fs)

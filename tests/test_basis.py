@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import quadlsq as q
 from quadlsq import NodeSet, build_basis
 from quadlsq.basis import _on_grid, _power_differences
 
@@ -71,6 +72,13 @@ class TestOnGrid:
 def test_power_differences_are_hi_k_minus_lo_k(lo, hi, m):
     got = list(islice(_power_differences(lo, hi), m))
     assert got == [hi ** k - lo ** k for k in range(1, m + 1)]
+
+
+def test_interval_is_exported_from_basis():
+    # the interval and its check sit in basis, next to NodeSet and the node check
+    assert q.Interval is q.basis.Interval
+    assert q.Interval.__module__ == "quadlsq.basis"
+    assert NodeSet((0.0,)).interval == q.basis.Interval()
 
 
 class TestNodeSet:

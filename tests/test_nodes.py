@@ -51,6 +51,37 @@ class TestFamilyParsing:
         with pytest.raises(ValueError, match="unknown family"):
             Family.parse(text)
 
+    @pytest.mark.parametrize("member", list(Family))
+    def test_a_member_is_itself(self, member):
+        assert Family.parse(member) is member
+
+
+class TestFamilySpec:
+    @pytest.mark.parametrize("member,short", [
+        (Family.NEWTON_COTES, "nc"), (Family.FEJER1, "f"),
+        (Family.CLENSHAW_CURTIS, "cc"), (Family.GAUSS_LEGENDRE, "gl"),
+    ])
+    def test_member_value_and_short_name_are_one_spec(self, member, short):
+        specs = [FamilySpec(member, 5), FamilySpec(member.value, 5), FamilySpec(short, 5)]
+        assert specs[0] == specs[1] == specs[2]
+        assert all(spec.family is member for spec in specs)
+        assert generate(specs[2]).nodes == generate(specs[0]).nodes
+
+    def test_n_is_stored_as_an_int(self):
+        spec = FamilySpec(Family.FEJER1, np.int64(4))
+        assert spec.n == 4 and type(spec.n) is int
+
+    @pytest.mark.parametrize("family,n,message", [
+        (Family.CUSTOM, 3, "custom nodes are not generated: pass them to NodeSet"),
+        ("nope", 3, "unknown family: 'nope'"),
+        (Family.NEWTON_COTES, 5.0, "the node count must be an integer, got 5.0"),
+        (Family.NEWTON_COTES, "5", "the node count must be an integer, got '5'"),
+        (Family.NEWTON_COTES, None, "the node count must be an integer, got None"),
+    ])
+    def test_a_spec_that_cannot_be_generated_is_refused(self, family, n, message):
+        with pytest.raises(ValueError, match=message):
+            FamilySpec(family, n)
+
 
 class TestGenerators:
     def test_fejer_three(self):

@@ -136,6 +136,14 @@ class TestDegreeByMonomials:
         ns = NodeSet((0.0,))
         assert degree_by_monomials(ns, [2.0]) == 1
 
+    @pytest.mark.parametrize("k", [3, 1, 0, 6])
+    def test_weights_of_another_length_rejected(self, k):
+        # a length mismatch is an input error, not a mismatch at degree -1
+        ns, _, sol = solved(q.Family.NEWTON_COTES, 5)
+        w = np.resize(sol.omega, k)
+        with pytest.raises(ValueError, match=f"expected a vector of length 5, got {k}"):
+            degree_by_monomials(ns, w)
+
     @pytest.mark.parametrize("family,n", family_cases(1, 12))
     def test_matches_moment_detection(self, family, n):
         ns, fs, sol = solved(family, n)
