@@ -16,19 +16,25 @@ For each rule we report, alongside degree and principal moment:
   (see :func:`cond_inf_upper`), to within (4n+1) u of its exact value,
   u = 2^-53.  It is not estimated: an estimator would blur the
   ill-conditioning signal these bounds exist to expose.
+
+Every diagnostic is a reduction over at most a few thousand doubles, so it
+runs on Python floats with the stdlib: sums by ``math.fsum`` (correctly
+rounded; the row sums of |A^-1| run along with their terms), 2-norms by
+``math.hypot``, maxima that pass a nan on as numpy's do.  The report reads
+the solution's doubles and the rows of ``A_dd`` and never imports numpy;
+the functions take lists, tuples or 1-d arrays.
 """
 
 import math
+import operator
 from dataclasses import dataclass
 from types import MappingProxyType
 
-import numpy as np
-
 from .basis import _on_grid
-from .minimax import _epsilon, equioscillation_residual
+from .minimax import _epsilon, _equioscillation_residual
 from .system import (
-    _checked_eps_deg, _pow2_scaled, _scaled_norms, _sized, _unscaled, build_system,
-    residual, residual_norms, solve_rule,
+    _checked_eps_deg, _fsum, _max, _pow2_scaled, _residual, _scaled_norms, _unscaled,
+    _vector, build_system, residual_norms, solve_rule,
 )
 
 
@@ -68,43 +74,45 @@ def rule_angle(omega, z_star, degrees=True):
     are a ``ValueError``.  Reported in degrees by convention; pass
     ``degrees=False`` for radians.
     """
-    omega = _sized(np.asarray(omega, dtype=float), np.size(omega))
-    z_star = _sized(np.asarray(z_star, dtype=float), len(omega))
+    omega = _vector(omega)
+    z_star = _vector(z_star, len(omega))
     _, omega = _pow2_scaled(omega)
     _, z_star = _pow2_scaled(z_star)
-    nw = np.linalg.norm(omega)
-    nz = np.linalg.norm(z_star)
+    nw = math.hypot(*omega)
+    nz = math.hypot(*z_star)
     if not (0.0 < nw < math.inf and 0.0 < nz < math.inf):
         raise ValueError("zero vector or non-finite entry: the rule angle is undefined")
     if _exactly_parallel(omega, z_star):
         return 0.0
-    u = omega / nw
-    v = z_star / nz
-    if np.dot(u, v) < 0.0:
-        v = -v
-    ang = 2.0 * math.atan2(np.linalg.norm(u - v), np.linalg.norm(u + v))
+    u = [x / nw for x in omega]
+    v = [x / nz for x in z_star]
+    if math.fsum(map(operator.mul, u, v)) < 0.0:
+        v = [-x for x in v]
+    ang = 2.0 * math.atan2(math.hypot(*map(operator.sub, u, v)),
+                           math.hypot(*map(operator.add, u, v)))
     return math.degrees(ang) if degrees else ang
 
 
 def _exactly_parallel(x, y):
     """True if x_k y_i = x_i y_k exactly for every i, k the index of the
-    largest |x_k|, on arrays below 1 in magnitude.  Equal products round
-    equal, so the exact products, on one integer grid of both vectors
-    (:func:`quadlsq.basis._on_grid`), are compared only where the rounded
-    ones agree."""
-    k = int(np.argmax(np.abs(x)))
-    if not (x[k] * y == x * y[k]).all():
+    largest |x_k|, on finite vectors below 1 in magnitude.  Equal products
+    round equal, so the exact products, on one integer grid of both
+    vectors (:func:`quadlsq.basis._on_grid`), are compared only where the
+    rounded ones agree."""
+    ax = list(map(abs, x))
+    k = ax.index(max(ax))
+    if [x[k] * v for v in y] != [y[k] * v for v in x]:
         return False
-    _, grid = _on_grid([*x.tolist(), *y.tolist()])
+    _, grid = _on_grid([*x, *y])
     X, Y = grid[:len(x)], grid[len(x):]
     return all(X[k] * Yi == Xi * Y[k] for Xi, Yi in zip(X, Y))
 
 
 def norm_params(omega, z_star):
     """1-norms (N_omega, N_z) of the two solutions, which must be of one length."""
-    omega = _sized(np.asarray(omega, dtype=float), np.size(omega))
-    z_star = _sized(np.asarray(z_star, dtype=float), len(omega))
-    return float(np.sum(np.abs(omega))), float(np.sum(np.abs(z_star)))
+    omega = _vector(omega)
+    z_star = _vector(z_star, len(omega))
+    return _fsum([abs(v) for v in omega]), _fsum([abs(v) for v in z_star])
 
 
 def error_coefficient(mu_Q, degree):
@@ -128,35 +136,61 @@ def cond_inf_upper(fs):
     A^T is the Newton-basis evaluation matrix of the nodes t, so A^-1 is
     known in closed form: A^-1[k][i] = 1 / prod_{m <= i, m != k} (t_k - t_m)
     for i >= k, the divided-difference weights (Berrut & Trefethen, SIAM
-    Review 46, 2004).  Each row sum of |A^-1| is one running product of
-    node differences.  A product beyond the double range gives a zero or
-    infinite term, so the result may be inf but never nan.
+    Review 46, 2004).  Each row sum of |A^-1| is one run of quotients by
+    node differences (:func:`_norm_inf_inverse`).  A product beyond the
+    double range gives a zero or infinite term, so the result may be inf.
     """
-    return float(np.max(np.sum(np.abs(fs.A), axis=1))) * _norm_inf_inverse(fs.nodes.nodes)
+    return _norms_of_a(fs)[1] * _norm_inf_inverse(fs.nodes.nodes)
+
+
+def _norms_of_a(fs):
+    """(||A||_1, ||A||_inf): the largest column and row sums of |A|, read
+    from the rows of ``A_dd`` in one pass."""
+    rows = [[abs(h + l) for h, l in row] for row in fs.A_dd]
+    columns = zip(*[[0.0] * i + row for i, row in enumerate(rows)])
+    return _max(map(_fsum, columns)), _max(map(_fsum, rows))
 
 
 def _norm_inf_inverse(nodes):
     """||A^-1||_inf of the nodes' A, from the closed form of
-    :func:`cond_inf_upper`."""
-    t = np.asarray(nodes, dtype=float)
-    d = np.abs(t[:, None] - t[None, :])
-    np.fill_diagonal(d, 1.0)
-    with np.errstate(over="ignore", divide="ignore"):
-        return float(np.max(np.sum(np.triu(1.0 / np.cumprod(d, axis=1)), axis=1)))
+    :func:`cond_inf_upper`.
+
+    Row k of |A^-1| holds, from column k on, the terms
+    1 / prod_{m <= i, m != k} |t_k - t_m|: 1 over the product of the
+    differences left of k, then running quotients by those right of k,
+    each added to the row sum as it comes.  One pass over the upper
+    triangle forms each difference once: |t_k - t_i| = t_i - t_k (the
+    nodes ascend) divides row k's running term and multiplies into row
+    i's product, which is complete, in the order m = 0, 1, ..., when row
+    i's turn comes.  A product that underflows to 0 gives an infinite
+    term, one that overflows a zero term.
+    """
+    t = list(nodes)
+    n = len(t)
+    products = [1.0] * n  # prod_{m < k} |t_k - t_m|, from the rows before k
+    sums = []
+    for k, tk in enumerate(t):
+        term = 1.0 / products[k] if products[k] else math.inf
+        total = term
+        for i in range(k + 1, n):
+            d = t[i] - tk
+            products[i] *= d
+            term = term / d if d else math.inf
+            total += term
+        sums.append(total)
+    return _max(sums)
 
 
 def bounds_omega_gamma(fs, omega, z_star):
     """The bounds (Omega, Gamma, cond_inf_A) for a solved rule, the last
-    :func:`cond_inf_upper`'s product; |A| and its row-sum norm are formed
-    once.  omega and z_star must be of length n."""
-    omega = _sized(np.asarray(omega, dtype=float), fs.n)
-    z_star = _sized(np.asarray(z_star, dtype=float), fs.n)
-    diff = omega - z_star
-    abs_a = np.abs(fs.A)
-    norm_a1 = float(np.max(np.sum(abs_a, axis=0)))
-    norm_ainf = float(np.max(np.sum(abs_a, axis=1)))
-    omega_bound = norm_a1 * float(np.sum(np.abs(diff))) / math.sqrt(fs.n)
-    gamma = float(np.max(np.abs(diff))) * norm_ainf / abs(fs.mu_Q)
+    :func:`cond_inf_upper`'s product; |A| and its norms are formed once.
+    omega and z_star must be of length n."""
+    omega = _vector(omega, fs.n)
+    z_star = _vector(z_star, fs.n)
+    diff = [abs(w - z) for w, z in zip(omega, z_star)]
+    norm_a1, norm_ainf = _norms_of_a(fs)
+    omega_bound = norm_a1 * _fsum(diff) / math.sqrt(fs.n)
+    gamma = _max(diff) * norm_ainf / abs(fs.mu_Q)
     return omega_bound, gamma, norm_ainf * _norm_inf_inverse(fs.nodes.nodes)
 
 
@@ -179,10 +213,10 @@ def build_report(ns, family="custom", eps_deg=None, fs=None, solution=None):
 
     # r(omega) and its scaled norms once, for the check and the norms; the
     # check comes first, so a rule that fails it forms nothing more
-    e, scaled = _scaled_norms(residual(fs, solution._omega_dd), (1, 2, 3, math.inf))
+    e, scaled = _scaled_norms(_residual(fs, solution._omega_dd), (1, 2, 3, math.inf))
     epsilon = _epsilon(fs, e, scaled)
     norms_w = _unscaled(e, scaled)
-    r_z = equioscillation_residual(fs, solution)
+    r_z = _equioscillation_residual(fs, solution)
     norms = {
         "r_omega_1": norms_w[1],
         "r_omega_2": norms_w[2],
@@ -191,9 +225,10 @@ def build_report(ns, family="custom", eps_deg=None, fs=None, solution=None):
         "r_z_inf": residual_norms(r_z, (math.inf,))[math.inf],
         "epsilon": epsilon,
     }
-    n_omega, n_z = norm_params(solution.omega, solution.z_star)
+    omega, tau, z_star = solution._doubles
+    n_omega, n_z = norm_params(omega, z_star)
     alpha, c_n = error_coefficient(fs.mu_Q, fs.degree)
-    omega_bound, gamma, cond = bounds_omega_gamma(fs, solution.omega, solution.z_star)
+    omega_bound, gamma, cond = bounds_omega_gamma(fs, omega, z_star)
 
     return RuleReport(
         family=str(family),
@@ -202,8 +237,8 @@ def build_report(ns, family="custom", eps_deg=None, fs=None, solution=None):
         mu_Q=fs.mu_Q,
         N_omega=n_omega,
         N_z=n_z,
-        angle_deg=rule_angle(solution.omega, solution.z_star),
-        tau_inf=float(np.max(np.abs(solution.tau))),
+        angle_deg=rule_angle(omega, z_star),
+        tau_inf=_max(map(abs, tau)),
         alpha=alpha,
         c_n=c_n,
         Omega=omega_bound,

@@ -118,12 +118,13 @@ def _solved(args):
 
 
 def _print_analyze_text(report, ns, sol, out):
+    omega, tau, z_star = sol._doubles
     print(f"family: {report.family}   n: {report.n}   "
           f"interval: ({_fmt(ns.interval.a)}, {_fmt(ns.interval.b)})", file=out)
     print("nodes:  " + " ".join(_fmt(t) for t in ns.nodes), file=out)
-    print("omega:  " + " ".join(_fmt(w) for w in sol.omega), file=out)
-    print("z_star: " + " ".join(_fmt(z) for z in sol.z_star), file=out)
-    print("tau:    " + " ".join(_fmt(t) for t in sol.tau), file=out)
+    print("omega:  " + " ".join(_fmt(w) for w in omega), file=out)
+    print("z_star: " + " ".join(_fmt(z) for z in z_star), file=out)
+    print("tau:    " + " ".join(_fmt(t) for t in tau), file=out)
     fields = ChainMap(vars(report), report.residual_norms)
     for name in ("degree", "mu_Q", "N_omega", "N_z", "angle_deg", "tau_inf", "alpha",
                  "c_n", "Omega", "Gamma", "cond_inf_A", "r_omega_1", "r_omega_2",
@@ -188,7 +189,7 @@ def _parse_integrand(spec):
 def _cmd_integrate(args, out):
     f = _parse_integrand(args.integrand)
     ns, label, fs, sol = _solved(args)
-    omega = sol.omega.tolist()
+    omega = sol._doubles[0]
     if not all(map(math.isfinite, omega)):
         raise NumericalFailure("the rule's weights are not finite doubles")
     # Q_n(f) fails at the first node whose value, term or running sum is not

@@ -33,7 +33,7 @@ its span layers.
 import math
 
 from .errors import SelfCheckError
-from .system import RuleSolution, _scaled_norms, residual
+from .system import RuleSolution, _freeze, _residual, _scaled_norms
 
 #: Relative tolerance of the eps = |mu_Q| self-check.
 EPS_CHECK_RTOL = 1e-10
@@ -51,12 +51,12 @@ def epsilon_check(fs, omega):
     """
     if isinstance(omega, RuleSolution):
         omega = omega._omega_dd
-    return _epsilon(fs, *_scaled_norms(residual(fs, omega), (1, 2)))
+    return _epsilon(fs, *_scaled_norms(_residual(fs, omega), (1, 2)))
 
 
 def _epsilon(fs, e, scaled):
     """eps from the 1- and 2-norms of r / 2^e, checked against |mu_Q|."""
-    eps = math.ldexp(float(scaled[2]) ** 2 / float(scaled[1]), e)
+    eps = math.ldexp(scaled[2] ** 2 / scaled[1], e)
     ref = abs(fs.mu_Q)
     if not abs(eps - ref) <= EPS_CHECK_RTOL * ref:  # a nan eps fails too
         raise SelfCheckError(
@@ -74,6 +74,11 @@ def equioscillation_residual(fs, z_star):
     accuracy).  Components 1..n come out as +|mu_Q|, component n+1 as
     -mu_Q.
     """
+    return _freeze(_equioscillation_residual(fs, z_star))
+
+
+def _equioscillation_residual(fs, z_star):
+    """:func:`equioscillation_residual` as a list of doubles."""
     if isinstance(z_star, RuleSolution):
         z_star = z_star._z_dd
-    return residual(fs, z_star)
+    return _residual(fs, z_star)

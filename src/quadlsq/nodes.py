@@ -18,7 +18,9 @@ eigenvalues of the symmetric tridiagonal Jacobi matrix as starting values
 (Golub & Welsch, "Calculation of Gauss quadrature rules", 1969), which
 LAPACK computes on a dense O(n^2) array, then one Newton step in
 double-double, and an acceptance check on the same double-double
-recurrence.
+recurrence.  That start is the one use of numpy here: it is imported
+when Gauss-Legendre nodes are first generated, and the other families
+never load it.
 """
 
 import math
@@ -26,8 +28,6 @@ import operator
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-
-import numpy as np
 
 from .basis import Interval, NodeSet, _checked_nodes
 from .ddouble import _SPLITTER, dd_ratio, two_sum
@@ -221,6 +221,8 @@ def legendre_nodes(n):
     """
     if n < 1:
         raise ValueError(f"unsupported count: need n >= 1, got {n}")
+    import numpy as np  # the one generator that needs it, for LAPACK
+
     j = np.arange(1.0, n)
     try:
         start = np.linalg.eigvalsh(np.diag(j / np.sqrt(4.0 * j * j - 1.0), -1))

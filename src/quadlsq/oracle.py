@@ -31,6 +31,10 @@ input checks, the integer basis, which the pipeline never forms, the grid
 X = D x and power chain of its moment starts, and the closed-form
 ||A^-1||_inf of :mod:`quadlsq.analysis`.
 
+The dense routes (the normal equations, the direct elimination and the
+monomial check) run on numpy arrays and import numpy when called; the
+exact route and importing this module do not load it.
+
 The exact route also computes its quantities by other formulas than the
 pipeline, so that a wrong derivation cannot show up on both sides: moments
 from the monomial coefficients of each basis polynomial (the pipeline runs
@@ -41,13 +45,12 @@ backward substitution).
 """
 
 import math
+import numbers
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import chain, islice
-
-import numpy as np
 
 from .basis import (
     Interval, NodeSet, _basis, _checked_interval, _checked_nodes, _horner, _on_grid,
@@ -56,7 +59,7 @@ from .basis import (
 from .analysis import _norm_inf_inverse
 from .ddouble import dd_add, dd_div, dd_dot, dd_mul, split_operand
 from .errors import MomentOverflowError, SingularSystemError
-from .system import _ceil_log2, _checked_eps_deg, _default_eps_deg, _sized
+from .system import _ceil_log2, _checked_eps_deg, _default_eps_deg, _fsum, _max, _vector
 
 
 # ---------------------------------------------------------------------------
@@ -70,13 +73,15 @@ def _as_fraction(value):
 
     Floats are converted exactly, whatever their exponent: every finite
     double is a binary rational.  The other forms may need integers of any
-    size.
+    size.  numpy scalars are recognised without importing numpy: numpy
+    registers its integers as ``numbers.Integral`` and its floating types
+    as ``numbers.Real``, and these have ``as_integer_ratio``.
     """
     if isinstance(value, Fraction):
         return value
-    if isinstance(value, (int, np.integer)):
+    if isinstance(value, numbers.Integral):
         return Fraction(int(value))
-    if isinstance(value, (float, np.floating)):
+    if isinstance(value, numbers.Real):
         try:
             return Fraction(*value.as_integer_ratio())
         except (OverflowError, ValueError):  # inf or nan
@@ -85,7 +90,7 @@ def _as_fraction(value):
         if isinstance(value, str):
             return Fraction(value)
         if (isinstance(value, tuple) and len(value) == 2
-                and all(isinstance(v, (int, np.integer)) for v in value)):
+                and all(isinstance(v, numbers.Integral) for v in value)):
             return Fraction(int(value[0]), int(value[1]))
     except (ValueError, ZeroDivisionError):
         raise ValueError(f"irrational nodes: cannot parse {value!r}") from None
@@ -219,6 +224,8 @@ def _solve_dense(M, rhs):
     """M x = rhs by LAPACK's backward-stable LU with partial pivoting, so x is
     within about cond(M) u of the solution (Higham, 2nd ed., ch. 9).  With no
     pivot floor, only an exactly zero pivot raises SingularSystemError."""
+    import numpy as np
+
     try:
         return np.linalg.solve(M, rhs)
     except np.linalg.LinAlgError as exc:
@@ -245,6 +252,8 @@ def _normal_system(fs):
     and a pairwise tree of ``dd_add`` that adds the upper half of the k
     rows onto the lower half until one is left.  Elementwise, the
     primitives give the scalar bits."""
+    import numpy as np
+
     n = fs.n
     fc = np.zeros((2, n, n + 1))
     for i, row in enumerate(fs.A_dd):
@@ -285,12 +294,14 @@ def lsq_normal_equations(fs):
     plus u per weight.  The stored A_dd and mu_0..mu_{n-1} add their own
     errors through A^-1.
     """
+    import numpy as np
+
     n = fs.n
     e = _scale_exponent(fs.nodes.interval)
     with np.errstate(over="ignore", invalid="ignore"):
-        scaled = np.ldexp(np.abs(fs.A), -e * np.arange(n)[:, None])
-        cond = (float(np.max(np.sum(scaled, axis=1)))
-                * _norm_inf_inverse(np.ldexp(fs.nodes.nodes, -e)))
+        scaled = np.ldexp(np.abs(fs.A), -e * np.arange(n)[:, None]).tolist()
+        nodes = np.ldexp(fs.nodes.nodes, -e).tolist()
+    cond = _max(map(_fsum, scaled)) * _norm_inf_inverse(nodes)
     if not cond * cond * _U_DD < 1.0:
         raise SingularSystemError(
             f"outside the normal equations' range: cond_inf(SA) = {cond:.3g}")
@@ -324,6 +335,8 @@ def direct_sis4_minimax(fs):
     Unknowns (z_1..z_n, eps); rows 1..n read  A_i z - eps = mu_{i-1}  and
     the last row  sign(mu_Q) eps = mu_Q, so eps comes out as |mu_Q| > 0.
     """
+    import numpy as np
+
     n = fs.n
     M = np.zeros((n + 1, n + 1))
     M[:n, :n] = fs.A
@@ -348,9 +361,11 @@ def degree_by_monomials(ns, weights, eps_deg=None):
     (``ValueError`` otherwise), as for :func:`quadlsq.build_system`, and
     there must be n weights.
     """
+    import numpy as np
+
     ts = np.asarray(ns.nodes, dtype=float)
     n = len(ts)
-    w = _sized(np.asarray(weights, dtype=float), n)
+    w = np.asarray(_vector(weights, n))
     D, (lo, hi) = _on_grid((ns.interval.a, ns.interval.b))
     eps = _checked_eps_deg(eps_deg)
     if eps is None:

@@ -43,9 +43,13 @@ the store, the IEEE addition ``float(DD)`` performs, or derived from those
 ``moments``) is computed by the same recurrence when first read; no
 pipeline or oracle path reads it.  One backward pass solves omega and tau
 together, one routine forms the residual and one coercion turns a
-candidate vector into pairs.  Residual norms are plain-double reductions
-of the extended-precision residual components, scaled by a power of two
-by the helper that also scales ``analysis.rule_angle``'s vectors.
+vector passed in into its entries.  Residual norms are reductions on
+Python floats of the residual components, each rounded once from its pair:
+the components are scaled by a power of two, by the helper that also
+scales ``analysis.rule_angle``'s vectors, and summed by ``math.fsum``.
+The report path reads the store with the stdlib alone; numpy is imported
+only where a public array view (``A``, ``c``, ``omega``, ``residual()``'s
+return, ...) is first built, by :func:`_freeze`.
 
 Every O(n^2) loop here -- the moment recurrence, the running products, the
 backward substitution and the residual -- runs on (hi, lo) float pairs
@@ -86,8 +90,6 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import islice
 
-import numpy as np
-
 from .basis import NodeSet, _on_grid, _power_differences
 from .ddouble import (
     _SPLITTER, dd_add, dd_div, dd_dot, dd_ratio, split_operand, split_operands, two_sum,
@@ -106,14 +108,23 @@ def _default_eps_deg(mu0):
 
 
 def _freeze(a):
+    """A read-only numpy array of doubles: numpy is imported here, when a
+    public array view is first built, and nowhere on the report path."""
+    import numpy as np
+
     a = np.asarray(a, dtype=float)
     a.setflags(write=False)
     return a
 
 
+def _hi_plus_lo(pairs):
+    """hi + lo of each (hi, lo) pair, as a list of doubles."""
+    return [h + l for h, l in pairs]
+
+
 def _round(pairs):
     """hi + lo of each (hi, lo) pair, as a read-only array of doubles."""
-    return _freeze([h + l for h, l in pairs])
+    return _freeze(_hi_plus_lo(pairs))
 
 
 def _repr(obj, names):
@@ -154,10 +165,7 @@ class FundamentalSystem:
 
     @cached_property
     def A(self):  # upper triangular, zero below the diagonal
-        A = np.zeros((self.n, self.n))
-        for i, row in enumerate(self.A_dd):
-            A[i, i:] = [h + l for h, l in row]
-        return _freeze(A)
+        return _freeze([[0.0] * i + _hi_plus_lo(row) for i, row in enumerate(self.A_dd)])
 
     @cached_property
     def moments_dd(self):  # mu_0..mu_2n as pairs
@@ -173,11 +181,11 @@ class FundamentalSystem:
 
     @cached_property
     def F(self):  # A with a zero row appended
-        return _freeze(np.vstack((self.A, np.zeros((1, self.n)))))
+        return _freeze([*self.A.tolist(), [0.0] * self.n])
 
     @cached_property
     def c_tilde(self):  # c followed by mu_Q
-        return _freeze(np.append(self.c, self.mu_Q))
+        return _round(self.leading_dd[:self.n] + self.leading_dd[-1:])
 
 
 @dataclass(frozen=True, eq=False, repr=False)
@@ -185,10 +193,11 @@ class RuleSolution:
     """Least-squares weights, minimax vector and the correction between them.
 
     The fields are the store: omega and tau as (hi, lo) pairs, at the
-    solves' full accuracy for residual formation.  The read-only doubles
-    ``omega`` and ``tau`` are hi + lo of the pairs, and ``z_star`` is
-    ``omega + tau`` in doubles, so that identity holds exactly; ``_z_dd``
-    is the pairs' double-double sum.
+    solves' full accuracy for residual formation.  ``_doubles`` holds
+    omega and tau as hi + lo of the pairs and z* as ``omega + tau`` in
+    doubles, so that identity holds exactly, as lists of Python floats;
+    the read-only arrays ``omega``, ``tau`` and ``z_star`` hold the same
+    doubles.  ``_z_dd`` is the pairs' double-double sum.
     """
 
     _omega_dd: tuple
@@ -198,16 +207,21 @@ class RuleSolution:
         return _repr(self, ("omega", "z_star", "tau"))
 
     @cached_property
+    def _doubles(self):  # (omega, tau, z_star) as lists of doubles
+        omega, tau = _hi_plus_lo(self._omega_dd), _hi_plus_lo(self._tau_dd)
+        return omega, tau, [w + t for w, t in zip(omega, tau)]
+
+    @cached_property
     def omega(self):
-        return _round(self._omega_dd)
+        return _freeze(self._doubles[0])
 
     @cached_property
     def tau(self):
-        return _round(self._tau_dd)
+        return _freeze(self._doubles[1])
 
     @cached_property
     def z_star(self):
-        return _freeze(self.omega + self.tau)
+        return _freeze(self._doubles[2])
 
     @cached_property
     def _z_dd(self):
@@ -436,23 +450,41 @@ def solve_rule(fs):
     return RuleSolution(tuple(w), tuple(t))
 
 
-def _vector(x, n):
-    """A candidate vector as n (hi, lo) pairs: pairs (``DD`` values among
-    them) are kept, doubles get lo = 0."""
+def _pair(v):
+    """A vector entry as a (hi, lo) pair: a pair (a ``DD`` value among them)
+    is kept, a double gets lo = 0."""
+    return v if isinstance(v, tuple) else (float(v), 0.0)
+
+
+def _vector(x, n=None, entry=float):
+    """The entries of a vector passed in (a rule's weights, z*, a candidate
+    for :func:`residual`), each through ``entry``: doubles by default.
+
+    The one check and coercion of every vector passed in with a rule.  x
+    must be one-dimensional, checked by its ``ndim`` where it has one, and
+    of length n (any length for n = None), checked before any entry is
+    read.  A column, a row or a 0-d array, a scalar and a list of rows
+    raise the ``ValueError`` "expected a vector of length n, got shape
+    ...", another length "..., got <length>".
+    """
     if isinstance(x, RuleSolution):
         raise TypeError("pass solution.omega / solution.z_star, not the solution")
-    return [v if isinstance(v, tuple) else (float(v), 0.0) for v in _sized(list(x), n)]
-
-
-def _sized(x, n):
-    """x, a list or a 1-d array, if its length is n, else ``ValueError``;
-    the one length check of a vector passed in (a rule's weights, z*, a
-    candidate for :func:`residual`)."""
+    want = "expected a vector" if n is None else f"expected a vector of length {n}"
     if getattr(x, "ndim", 1) != 1:
-        raise ValueError(f"expected a vector of length {n}, got shape {x.shape}")
-    if len(x) != n:
-        raise ValueError(f"expected a vector of length {n}, got {len(x)}")
-    return x
+        raise ValueError(f"{want}, got shape {x.shape}")
+    try:
+        x = list(x)
+    except TypeError:  # a scalar
+        raise ValueError(f"{want}, got shape ()") from None
+    if n is not None and len(x) != n:
+        raise ValueError(f"{want}, got {len(x)}")
+    try:
+        return list(map(entry, x))
+    except TypeError:  # entries that are no numbers: rows of one length?
+        lengths = {len(v) for v in x if hasattr(v, "__len__")}
+        if len(lengths) != 1:
+            raise
+        raise ValueError(f"{want}, got shape {(len(x), *lengths)}") from None
 
 
 def _residual_dd(fs, x):
@@ -471,6 +503,11 @@ def _residual_dd(fs, x):
     return r
 
 
+def _residual(fs, x):
+    """:func:`residual` as a list of doubles, each rounded once from its pair."""
+    return _hi_plus_lo(_residual_dd(fs, _vector(x, fs.n, _pair)))
+
+
 def residual(fs, x):
     """Residual vector F x - c_tilde (length n+1) for any candidate x.
 
@@ -479,45 +516,72 @@ def residual(fs, x):
     solutions so that the components that should vanish actually do, far
     below |mu_Q|.
     """
-    return _round(_residual_dd(fs, _vector(x, fs.n)))
+    return _freeze(_residual(fs, x))
 
 
 def residual_norms(r, p_list=(1, 2, 3, math.inf)):
-    """p-norms of a residual vector, plain-double reductions.
+    """p-norms of a residual vector, reductions on Python floats.
 
     The components are scaled by the power of two of max |r| first, an
-    exact scaling, so no p-th power overflows while the norm itself fits.
-    Returns a dict keyed by the requested p (use ``math.inf`` for the max
-    norm).
+    exact scaling, so no p-th power overflows while the norm itself fits;
+    a norm beyond the double range is inf.  Returns a dict keyed by the
+    requested p (use ``math.inf`` for the max norm).
     """
     return _unscaled(*_scaled_norms(r, p_list))
 
 
+def _max(values):
+    """The largest of some doubles, nan if one is nan (as numpy's max
+    gives it, where Python's ``max`` depends on the order), 0.0 for none."""
+    values = list(values)
+    return math.nan if any(map(math.isnan, values)) else max(values, default=0.0)
+
+
+def _fsum(values):
+    """The sum of a list or tuple of nonnegative doubles, correctly rounded
+    by ``math.fsum``.  Where a partial sum passes the double range fsum
+    raises ``OverflowError``; the sum is then inf, which the plain running
+    sum gives (nan if a value is nan), as numpy's sum does."""
+    try:
+        return math.fsum(values)
+    except OverflowError:
+        return sum(values)
+
+
 def _pow2_scaled(x):
-    """(e, x / 2^e) as doubles, 2^e the power of two of max |x| (e = 0 for
-    a zero or empty x), so that max |x / 2^e| lies in [1/2, 1).  The
-    scaling is exact wherever no quotient is subnormal."""
-    x = np.asarray(x, dtype=float)
-    e = math.frexp(float(np.abs(x).max(initial=0.0)))[1]
-    return e, np.ldexp(x, -e)
+    """(e, [x_i / 2^e]) as doubles, 2^e the power of two of the largest
+    finite |x_i| (e = 0 if there is none), so that every finite
+    |x_i / 2^e| lies below 1 and the largest in [1/2, 1); inf and nan stay
+    as they are.  The scaling is exact wherever no quotient is subnormal.
+    x is a list or an array, read twice."""
+    e = math.frexp(max(filter(math.isfinite, map(abs, x)), default=0.0))[1]
+    return e, [math.ldexp(v, -e) for v in x]
 
 
 def _scaled_norms(r, p_list):
     """(e, {p: ||r / 2^e||_p}) with 2^e the power of two of max |r|, so
-    every |r_i| / 2^e <= 1, exactly, and no p-th power can overflow."""
+    every finite |r_i| / 2^e < 1, exactly: no p-th power can overflow and
+    no sum of them can either, so ``math.fsum`` never raises here."""
     e, scaled = _pow2_scaled(r)
-    scaled = np.abs(scaled)
+    scaled = list(map(abs, scaled))
     out = {}
     for p in p_list:
         if p == math.inf:
-            out[p] = float(scaled.max(initial=0.0))
+            out[p] = _max(scaled)
         elif p == 2:  # math.sqrt is correctly rounded, s ** 0.5 (libm pow) is not
-            out[p] = math.sqrt(np.sum(scaled ** 2))
+            out[p] = math.sqrt(math.fsum([v * v for v in scaled]))
         else:
-            out[p] = np.sum(scaled ** p) ** (1.0 / p)
+            out[p] = math.fsum([v ** p for v in scaled]) ** (1.0 / p)
     return e, out
 
 
 def _unscaled(e, scaled):
-    """The norms of :func:`_scaled_norms` times 2^e, as floats."""
-    return {p: float(np.ldexp(v, e)) for p, v in scaled.items()}
+    """The norms of :func:`_scaled_norms` times 2^e, as floats; a norm
+    beyond the double range, where ``math.ldexp`` raises, is inf."""
+    out = {}
+    for p, v in scaled.items():
+        try:
+            out[p] = math.ldexp(v, e)
+        except OverflowError:
+            out[p] = math.inf
+    return out

@@ -382,11 +382,12 @@ class TestCondInf:
     @pytest.mark.parametrize("family", FAMILIES)
     def test_bounds_read_the_one_formula(self, family):
         # cond_inf_A of bounds_omega_gamma is cond_inf_upper, bit for bit
-        # the product ||A||_inf ||A^-1||_inf of the row sums of |A|
+        # the product ||A||_inf ||A^-1||_inf of the row sums of |A|, each
+        # correctly rounded (math.fsum), as the package forms them
         for n in range(2, 65):
             fs = build_system(nodeset(family, n), eps_deg=0.0)
             zero = np.zeros(n)
-            norm_ainf = float(np.max(np.sum(np.abs(fs.A), axis=1)))
+            norm_ainf = max(math.fsum(map(abs, row)) for row in fs.A.tolist())
             product = norm_ainf * _norm_inf_inverse(fs.nodes.nodes)
             cond = bounds_omega_gamma(fs, zero, zero)[2]
             assert bits([cond]) == bits([cond_inf_upper(fs)]) == bits([product]), n
@@ -504,7 +505,7 @@ class TestBuildReport:
         def formed(*args, **kwargs):
             raise AssertionError("formed after a failed epsilon self-check")
 
-        for name in ("equioscillation_residual", "norm_params", "error_coefficient",
+        for name in ("_equioscillation_residual", "norm_params", "error_coefficient",
                      "bounds_omega_gamma", "rule_angle"):
             monkeypatch.setattr(q.analysis, name, formed)
         with pytest.raises(q.SelfCheckError, match="epsilon self-check") as patched:
@@ -531,3 +532,162 @@ class TestBuildReport:
         assert rep_f.angle_deg == pytest.approx(0.071085, rel=1e-4)
         rep_cc = build_report(NodeSet(tuple(q.clenshaw_curtis_nodes(18))), family="cc")
         assert rep_cc.angle_deg == pytest.approx(0.0129207, rel=1e-4)
+
+
+U = 2.0 ** -53
+
+
+def _gamma(k):
+    """gamma_k = k u / (1 - k u): the relative error bound of a sum of k + 1
+    terms of one sign in any order (Higham, 2nd ed., sec. 4.2)."""
+    return k * U / (1 - k * U)
+
+
+#: Finite doubles of every size the reductions scale: huge, tiny, subnormal
+_WIDE_ENTRY = st.one_of(
+    st.floats(-2.0 ** 1000, 2.0 ** 1000),
+    st.floats(-1e-300, 1e-300),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e-310, 2.0 ** -1022, 2.0 ** 1000, 1e300]),
+)
+_WIDE_VECTORS = st.integers(1, 64).flatmap(
+    lambda n: st.tuples(st.lists(_WIDE_ENTRY, min_size=n, max_size=n),
+                        st.lists(_WIDE_ENTRY, min_size=n, max_size=n)))
+
+
+def _pow2(x):
+    """x as an array divided by the power of two of max |x|, and that exponent."""
+    x = np.asarray(x, dtype=float)
+    e = math.frexp(float(np.max(np.abs(x))))[1]
+    return np.ldexp(x, -e), e
+
+
+class TestStdlibReductions:
+    """The reductions on Python floats against numpy's, on the same scaled
+    terms, within the gap that their summation error bounds allow.
+
+    ``math.fsum`` rounds a sum once (within u of it); numpy's sum, in any
+    order, is within gamma_{n-1} of a sum of terms of one sign.  So a sum
+    of the same n nonnegative terms differs by at most (u + gamma_{n-1})
+    of it.  The entries stay below 2^1000, so with n <= 64 no sum leaves
+    the double range.
+    """
+
+    @settings(max_examples=100, deadline=None)
+    @given(xy=_WIDE_VECTORS)
+    def test_residual_norms_agree_with_numpy(self, xy):
+        x = xy[0]
+        got = q.residual_norms(x)
+        s, e = _pow2(np.abs(x))
+        n = len(x)
+        ref = {1: np.sum(s), 2: math.sqrt(np.sum(s * s)),
+               3: np.sum(s ** 3) ** (1.0 / 3.0), math.inf: np.max(s)}
+        # p = 1: the same terms, so (u + gamma_{n-1}).  p = 2: the same
+        # squares; the square root halves the sum's gap and each side adds
+        # its rounding, u.  p = 3: each side's cube is within 2u (two
+        # products or a libm pow below 1 ulp), so the sums differ by
+        # 5u + gamma_{n-1}; the cube root divides that by 3 and adds a libm
+        # pow per side, 2u each.  All below gamma_{n-1} + 8u; subnormal
+        # terms add at most 2n 2^-1074 to sums of at least 1/8, far below u.
+        # The max norm is exact on both sides.  The gaps are relative to
+        # the exact norm, so to numpy's within 1 / (1 - gamma_{n-1}), and
+        # scaling back to a subnormal norm may round each side once more.
+        bound = {1: U + _gamma(n - 1), 2: (U + _gamma(n - 1)) / 2 + 2 * U,
+                 3: _gamma(n - 1) + 8 * U, math.inf: 0.0}
+        for p, value in ref.items():
+            want = math.ldexp(float(value), e)
+            gap = bound[p] * want / (1 - _gamma(n - 1)) + 2.0 ** -1074
+            assert abs(got[p] - want) <= gap, (p, got[p], want)
+
+    @settings(max_examples=100, deadline=None)
+    @given(xy=_WIDE_VECTORS)
+    def test_norm_params_agree_with_numpy(self, xy):
+        x, y = xy
+        n = len(x)
+        for got, vector in zip(norm_params(x, y), (x, y)):
+            want = float(np.sum(np.abs(vector)))
+            assert abs(got - want) <= (U + _gamma(n - 1)) * want / (1 - _gamma(n - 1))
+
+    @settings(max_examples=100, deadline=None)
+    @given(xy=_WIDE_VECTORS)
+    def test_rule_angle_agrees_with_numpy(self, xy):
+        x, y = xy
+        if not (any(x) and any(y)):
+            return
+        n = len(x)
+        (sx, _), (sy, _) = _pow2(x), _pow2(y)
+        u, v = sx / np.linalg.norm(sx), sy / np.linalg.norm(sy)
+        if np.dot(u, v) < 0.0:
+            v = -v
+        want = 2.0 * math.atan2(np.linalg.norm(u - v), np.linalg.norm(u + v))
+        got = rule_angle(x, y, degrees=False)
+        # Each unit vector is within eta = 3u + gamma_n / 2 of the exact one
+        # (a 2-norm within 2u by math.hypot or gamma_n / 2 + u by numpy's
+        # dot, then a division).  a = ||u - v|| and b = ||u + v|| are then
+        # within 2 eta + 4u + gamma_n each, and with a^2 + b^2 = 4 the angle
+        # 2 atan2(a, b) moves by at most |da| + |db|, plus its own rounding,
+        # under 2u theta <= pi u.  Two sides: 8 eta + 16u + 4 gamma_n + 2 pi u
+        # < 48u + 8 gamma_n radians.  A dot product within its error of 0
+        # may flip v on one side only, at an angle within that error of
+        # pi/2, which the same bound covers.
+        assert abs(got - want) <= 48 * U + 8 * _gamma(n)
+
+
+class TestNonFiniteOutcomes:
+    """Where the numpy reductions gave inf, nan or a typed error, the
+    stdlib ones give the same, without a warning or a bare exception."""
+
+    def test_underflowing_products_give_inf_bounds(self):
+        # 40 nodes 1e-10 apart: the products of node differences underflow
+        fs = build_system(NodeSet(tuple(i * 1e-10 for i in range(40))), eps_deg=0.0)
+        zero = [0.0] * fs.n
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert bounds_omega_gamma(fs, zero, zero)[2] == math.inf
+            assert cond_inf_upper(fs) == math.inf
+
+    def test_wide_interval_report_is_finite(self):
+        # |mu_Q| = 2.7e199: the squared and cubed residuals overflow unscaled
+        ns = q.generate(q.FamilySpec(q.Family.NEWTON_COTES, 3), q.Interval(-1e40, 1e40))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rep = build_report(ns)
+        values = [v for v in vars(rep).values() if isinstance(v, float)]
+        assert all(map(math.isfinite, [*values, *rep.residual_norms.values()]))
+        assert rep.residual_norms["r_omega_3"] == pytest.approx(abs(rep.mu_Q), rel=1e-12)
+
+    def test_nan_weights_fail_the_self_check(self):
+        # nodes 0, 1e-155, 2e-155: the weights are nan, so eps is nan
+        ns = NodeSet((0.0, 1e-155, 2e-155))
+        fs = build_system(ns)
+        sol = solve_rule(fs)
+        assert all(map(math.isnan, sol.omega))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(q.SelfCheckError, match="= nan but"):
+                build_report(ns)
+            with pytest.raises(q.SelfCheckError, match="= nan but"):
+                q.epsilon_check(fs, sol)
+
+    @pytest.mark.parametrize("bad,want", [(math.nan, math.nan), (math.inf, math.inf),
+                                          (-math.inf, math.inf)])
+    def test_residual_norms_of_non_finite_entries(self, bad, want):
+        for r in ([bad, 1.0, 3.0], [1.0, 3.0, bad], [1e300, bad, -1e300]):
+            norms = q.residual_norms(r)
+            assert all(v == want or math.isnan(v) and math.isnan(want)
+                       for v in norms.values()), (r, norms)
+
+    @pytest.mark.parametrize("vector", [[1.7e308, 1.7e308], [1e308] * 3])
+    def test_sums_beyond_the_double_range_are_inf(self, vector):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert norm_params(vector, vector) == (math.inf, math.inf)
+            assert q.residual_norms(vector, (1,)) == {1: math.inf}
+            # a nan among them stays nan, as numpy's sum gives it
+            n_omega, n_z = norm_params([*vector, math.nan], [*vector, 1.0])
+            assert math.isnan(n_omega) and n_z == math.inf
+
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    def test_non_finite_angle_is_a_value_error(self, bad):
+        for u, v in (([1e308, bad, 1e308], [1.0, 1.0, 1.0]), ([1.0, 1.0], [bad, 1e-300])):
+            with pytest.raises(ValueError, match="non-finite entry"):
+                rule_angle(u, v)

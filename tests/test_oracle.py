@@ -80,6 +80,14 @@ class TestNormalEquations:
         with pytest.raises(SingularSystemError, match="outside the normal equations' range"):
             lsq_normal_equations(fs)
 
+    def test_nodes_the_row_scale_merges_are_declined(self):
+        # on (-4, 4) the guard reads the nodes 2^-2 t, and 5e-324 and 1e-323
+        # both round to 0 there: a zero node difference is an infinite term
+        # of ||(SA)^-1||_inf, not a ZeroDivisionError
+        fs = build_system(NodeSet((5e-324, 1e-323, 1.0), q.Interval(-4.0, 4.0)), eps_deg=0.0)
+        with pytest.raises(SingularSystemError, match=r"cond_inf\(SA\) = inf"):
+            lsq_normal_equations(fs)
+
     @pytest.mark.parametrize("family,n,b", [(q.Family.NEWTON_COTES, 9, 1e-5),
                                             (q.Family.NEWTON_COTES, 17, 1e-5),
                                             (q.Family.CLENSHAW_CURTIS, 12, 1e-3)])

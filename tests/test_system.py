@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import random
+import re
 from fractions import Fraction
 from unittest import mock
 
@@ -239,6 +240,51 @@ class TestResidual:
         fs = build_system(SIMPSON)
         with pytest.raises(ValueError):
             residual(fs, [1.0, 2.0])
+
+
+#: Vectors of NC n = 5 that are not 1-d of length 5: each with its shape
+_NOT_VECTORS = {
+    "column": (lambda sol: sol.omega[:, None], (5, 1)),
+    "row": (lambda sol: sol.z_star[None, :], (1, 5)),
+    "list of rows": (lambda sol: [[1.0]] * 5, (5, 1)),
+    "list of 1-element arrays": (lambda sol: list(sol.omega[:, None]), (5, 1)),
+    "0-d array": (lambda sol: np.array(1.0), ()),
+    "scalar": (lambda sol: 1.0, ()),
+}
+
+#: Every function that takes a vector with a rule, the bad vector in each
+#: place, and the start of its message: the first vector of a pair may
+#: have any length, the others must have n
+_VECTOR_TAKERS = {
+    "residual": (lambda fs, sol, x: residual(fs, x), 5),
+    "epsilon_check": (lambda fs, sol, x: q.epsilon_check(fs, x), 5),
+    "equioscillation_residual": (lambda fs, sol, x: q.equioscillation_residual(fs, x), 5),
+    "bounds_omega_gamma(x, z*)": (lambda fs, sol, x: q.bounds_omega_gamma(fs, x, sol.z_star), 5),
+    "bounds_omega_gamma(omega, x)": (lambda fs, sol, x: q.bounds_omega_gamma(fs, sol.omega, x),
+                                     5),
+    "norm_params(omega, x)": (lambda fs, sol, x: q.norm_params(sol.omega, x), 5),
+    "rule_angle(omega, x)": (lambda fs, sol, x: q.rule_angle(sol.omega, x), 5),
+    "degree_by_monomials": (lambda fs, sol, x: q.degree_by_monomials(fs.nodes, x), 5),
+    "norm_params(x, z*)": (lambda fs, sol, x: q.norm_params(x, sol.z_star), None),
+    "rule_angle(x, z*)": (lambda fs, sol, x: q.rule_angle(x, sol.z_star), None),
+}
+
+
+class TestVectorShape:
+    """The one coercion of a vector passed in checks its shape before it
+    reads an entry: a column or a row, a list of rows, a 0-d array or a
+    scalar is a ``ValueError`` that names the shape, not a bare
+    ``TypeError`` from converting an entry."""
+
+    @pytest.mark.parametrize("taker", list(_VECTOR_TAKERS))
+    @pytest.mark.parametrize("bad", list(_NOT_VECTORS))
+    def test_not_a_vector_names_its_shape(self, bad, taker):
+        _, fs, sol = solved(q.Family.NEWTON_COTES, 5)
+        make, shape = _NOT_VECTORS[bad]
+        call, n = _VECTOR_TAKERS[taker]
+        want = "expected a vector" + ("" if n is None else f" of length {n}")
+        with pytest.raises(ValueError, match=re.escape(f"{want}, got shape {shape}")):
+            call(fs, sol, make(sol))
 
 
 def _sqrt_correctly_rounded(s):
