@@ -31,10 +31,11 @@ from dataclasses import dataclass
 from types import MappingProxyType
 
 from .basis import _on_grid
-from .minimax import _epsilon, _equioscillation_residual
+from .errors import SingularDiagonalError
+from .minimax import _epsilon
 from .system import (
     _checked_eps_deg, _fsum, _max, _pow2_scaled, _residual, _scaled_norms, _unscaled,
-    _vector, build_system, residual_norms, solve_rule,
+    _vector, build_system, solve_rule,
 )
 
 
@@ -213,19 +214,22 @@ def build_report(ns, family="custom", eps_deg=None, fs=None, solution=None):
 
     # r(omega) and its scaled norms once, for the check and the norms; the
     # check comes first, so a rule that fails it forms nothing more
-    e, scaled = _scaled_norms(_residual(fs, solution._omega_dd), (1, 2, 3, math.inf))
+    e, scaled = _scaled_norms(_residual(fs, solution._omega_dd))
     epsilon = _epsilon(fs, e, scaled)
+    omega, tau, z_star = solution._doubles
+    if not all(map(math.isfinite, tau)):  # omega may pass the check, finite and right
+        i = max(i for i, t in enumerate(tau) if not math.isfinite(t))  # the first solved
+        raise SingularDiagonalError(f"tau is not finite from row {i + 1}: its diagonal entry "
+                                    f"{sum(fs.A_dd[i][0]):g} is too small to divide by")
     norms_w = _unscaled(e, scaled)
-    r_z = _equioscillation_residual(fs, solution)
     norms = {
         "r_omega_1": norms_w[1],
         "r_omega_2": norms_w[2],
         "r_omega_3": norms_w[3],
         "r_omega_inf": norms_w[math.inf],
-        "r_z_inf": residual_norms(r_z, (math.inf,))[math.inf],
+        "r_z_inf": _max(map(abs, _residual(fs, solution._z_dd))),  # exact, unscaled
         "epsilon": epsilon,
     }
-    omega, tau, z_star = solution._doubles
     n_omega, n_z = norm_params(omega, z_star)
     alpha, c_n = error_coefficient(fs.mu_Q, fs.degree)
     omega_bound, gamma, cond = bounds_omega_gamma(fs, omega, z_star)

@@ -10,9 +10,9 @@ Exit codes are a stable contract: 0 on success, 2 on usage/input errors,
 3 on numerical failures, each a :class:`quadlsq.NumericalFailure`: no
 extended moment rose above the zero threshold (``DegreeOverflowError``), a
 moment is not a finite double (``MomentOverflowError``), a diagonal entry
-of A underflowed to zero (``SingularDiagonalError``), the Gauss-Legendre
-eigensolver failed or a root failed its acceptance check
-(``ConvergenceError``), the rule failed its self-check (``SelfCheckError``),
+of A is zero or too small for ``analyze``'s tau (``SingularDiagonalError``),
+the Gauss-Legendre eigensolver failed or a root failed its acceptance
+check (``ConvergenceError``), the rule failed its self-check (``SelfCheckError``),
 or ``integrate``'s weights or weighted sum are not finite doubles.
 
 CSV and JSON outputs serialize numbers with 17 significant digits so that

@@ -36,7 +36,8 @@ class MomentOverflowError(NumericalFailure):
 
 
 class SingularDiagonalError(NumericalFailure):
-    """A diagonal entry of the triangular block underflowed to zero."""
+    """A diagonal entry of the triangular block underflowed to zero, or is
+    too small to divide by: tau_i = |mu_Q| / A_ii past 2^996 is nan in DD."""
 
 
 class SingularSystemError(NumericalFailure):

@@ -15,7 +15,7 @@ At z* every residual component has the same magnitude |mu_Q|: components
 must equal |mu_Q| as well; ``epsilon_check`` computes it from the actual
 residual and faults if the identity is violated, since that would mean the
 residual computation itself is broken.  ``analysis.build_report`` takes
-the same route on the r(omega) it forms for its norms.
+the same route, and the same residual as ``equioscillation_residual``.
 
 z* is always derived through tau rather than by eliminating the (n+1)x(n+1)
 system with eps unknown; the two are algebraically identical and the tau
@@ -51,7 +51,7 @@ def epsilon_check(fs, omega):
     """
     if isinstance(omega, RuleSolution):
         omega = omega._omega_dd
-    return _epsilon(fs, *_scaled_norms(_residual(fs, omega), (1, 2)))
+    return _epsilon(fs, *_scaled_norms(_residual(fs, omega)))
 
 
 def _epsilon(fs, e, scaled):
@@ -74,11 +74,6 @@ def equioscillation_residual(fs, z_star):
     accuracy).  Components 1..n come out as +|mu_Q|, component n+1 as
     -mu_Q.
     """
-    return _freeze(_equioscillation_residual(fs, z_star))
-
-
-def _equioscillation_residual(fs, z_star):
-    """:func:`equioscillation_residual` as a list of doubles."""
     if isinstance(z_star, RuleSolution):
         z_star = z_star._z_dd
-    return _residual(fs, z_star)
+    return _freeze(_residual(fs, z_star))

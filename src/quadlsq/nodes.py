@@ -43,6 +43,9 @@ class Family(str, Enum):
     GAUSS_LEGENDRE = "gauss_legendre"
     CUSTOM = "custom"
 
+    def __str__(self):  # the value, not the member name that 3.11 gives
+        return self.value
+
     @classmethod
     def parse(cls, text):
         """A member itself, or the member of its value or of a short name
@@ -65,8 +68,8 @@ class FamilySpec:
     """A family to generate and its total node count (given nodes go to NodeSet).
 
     The family is read by :meth:`Family.parse` and n by ``operator.index``;
-    ``Family.CUSTOM``, an unknown family and a non-integral n are a
-    ``ValueError``.  The least n is the family's generator's to check.
+    ``Family.CUSTOM``, an unknown family and a non-integral or ``bool`` n
+    are a ``ValueError``.  The least n is the family's generator's to check.
     """
 
     family: Family
@@ -77,7 +80,7 @@ class FamilySpec:
         if family is Family.CUSTOM:
             raise ValueError("custom nodes are not generated: pass them to NodeSet")
         try:
-            n = operator.index(self.n)
+            n = operator.index(None if isinstance(self.n, bool) else self.n)
         except TypeError:
             raise ValueError(f"the node count must be an integer, got {self.n!r}") from None
         object.__setattr__(self, "family", family)

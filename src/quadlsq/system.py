@@ -43,10 +43,10 @@ the store, the IEEE addition ``float(DD)`` performs, or derived from those
 ``moments``) is computed by the same recurrence when first read; no
 pipeline or oracle path reads it.  One backward pass solves omega and tau
 together, one routine forms the residual and one coercion turns a
-vector passed in into its entries.  Residual norms are reductions on
-Python floats of the residual components, each rounded once from its pair:
-the components are scaled by a power of two, by the helper that also
-scales ``analysis.rule_angle``'s vectors, and summed by ``math.fsum``.
+vector passed in into its entries.  One reduction forms a residual's 1-,
+2-, 3- and max norms on Python floats of its components, each rounded
+once from its pair, scaled by a power of two (as ``analysis.rule_angle``'s
+vectors are) and summed by ``math.fsum``.
 The report path reads the store with the stdlib alone; numpy is imported
 only where a public array view (``A``, ``c``, ``omega``, ``residual()``'s
 return, ...) is first built, by :func:`_freeze`.
@@ -69,7 +69,7 @@ everywhere.
 
 The starts M_0[m] are computed as the scan pulls them and kept nowhere;
 ``analysis.build_report`` forms r(omega) and its scaled norms once, for
-its norms and the epsilon self-check.
+its norms and the epsilon self-check, and r(z*) by the same residual.
 
 Moments that overflow the double range (M_0 grows like the half-length to
 the power 2n+1) raise :class:`MomentOverflowError` rather than feeding inf
@@ -351,9 +351,11 @@ def _node_products_dd(nodes):
 
 def _checked_eps_deg(eps_deg):
     """A zero threshold override as a float (None stays None); anything but
-    a finite number >= 0 raises ``ValueError``."""
+    a finite number >= 0, a ``bool`` among them, raises ``ValueError``."""
     if eps_deg is None:
         return None
+    if isinstance(eps_deg, bool) or getattr(eps_deg, "dtype", None) == bool:  # numpy's too
+        raise ValueError(f"eps_deg must be a finite number >= 0, got {eps_deg!r}")
     eps_deg = float(eps_deg)
     if not (math.isfinite(eps_deg) and eps_deg >= 0.0):
         raise ValueError(f"eps_deg must be a finite number >= 0, got {eps_deg!r}")
@@ -519,15 +521,12 @@ def residual(fs, x):
     return _freeze(_residual(fs, x))
 
 
-def residual_norms(r, p_list=(1, 2, 3, math.inf)):
-    """p-norms of a residual vector, reductions on Python floats.
-
-    The components are scaled by the power of two of max |r| first, an
-    exact scaling, so no p-th power overflows while the norm itself fits;
-    a norm beyond the double range is inf.  Returns a dict keyed by the
-    requested p (use ``math.inf`` for the max norm).
-    """
-    return _unscaled(*_scaled_norms(r, p_list))
+def residual_norms(r):
+    """The 1-, 2-, 3- and max norms of a residual vector, keyed 1, 2, 3 and
+    ``math.inf``, on Python floats of r scaled exactly by the power of two
+    of max |r|: no cube overflows where a norm fits, and one that does not
+    is inf."""
+    return _unscaled(*_scaled_norms(r))
 
 
 def _max(values):
@@ -558,21 +557,18 @@ def _pow2_scaled(x):
     return e, [math.ldexp(v, -e) for v in x]
 
 
-def _scaled_norms(r, p_list):
-    """(e, {p: ||r / 2^e||_p}) with 2^e the power of two of max |r|, so
-    every finite |r_i| / 2^e < 1, exactly: no p-th power can overflow and
-    no sum of them can either, so ``math.fsum`` never raises here."""
-    e, scaled = _pow2_scaled(r)
-    scaled = list(map(abs, scaled))
-    out = {}
-    for p in p_list:
-        if p == math.inf:
-            out[p] = _max(scaled)
-        elif p == 2:  # math.sqrt is correctly rounded, s ** 0.5 (libm pow) is not
-            out[p] = math.sqrt(math.fsum([v * v for v in scaled]))
-        else:
-            out[p] = math.fsum([v ** p for v in scaled]) ** (1.0 / p)
-    return e, out
+def _scaled_norms(r):
+    """(e, {p: ||r / 2^e||_p}) for p = 1, 2, 3 and ``math.inf``, 2^e the
+    power of two of max |r|: every finite |r_i| / 2^e < 1, so no cube or sum
+    overflows and ``math.fsum`` never raises.  ``math.sqrt`` is correctly
+    rounded, s ** 0.5 (libm pow) is not."""
+    e, scaled = _pow2_scaled(list(map(abs, r)))
+    return e, {
+        1: math.fsum(scaled),
+        2: math.sqrt(math.fsum([v * v for v in scaled])),
+        3: math.fsum([v ** 3 for v in scaled]) ** (1.0 / 3),
+        math.inf: _max(scaled),
+    }
 
 
 def _unscaled(e, scaled):

@@ -497,7 +497,8 @@ class TestBuildReport:
     def test_epsilon_is_checked_before_the_rest_of_the_report(self, monkeypatch):
         # NC-57 fails the self-check (as NC 57..64 of every sweep do): the
         # report must stop at the check, before r(z*), the norms, the
-        # bounds or the angle are formed
+        # bounds or the angle are formed (r(z*) shares ``_residual`` with
+        # r(omega); ``_unscaled``, which forms the norms, runs before it)
         ns = q.generate(q.FamilySpec(q.Family.NEWTON_COTES, 57))
         with pytest.raises(q.SelfCheckError) as unpatched:
             build_report(ns)
@@ -505,12 +506,19 @@ class TestBuildReport:
         def formed(*args, **kwargs):
             raise AssertionError("formed after a failed epsilon self-check")
 
-        for name in ("_equioscillation_residual", "norm_params", "error_coefficient",
+        for name in ("_unscaled", "norm_params", "error_coefficient",
                      "bounds_omega_gamma", "rule_angle"):
             monkeypatch.setattr(q.analysis, name, formed)
         with pytest.raises(q.SelfCheckError, match="epsilon self-check") as patched:
             build_report(ns)
         assert str(patched.value) == str(unpatched.value)
+
+    @pytest.mark.parametrize("member", list(q.Family))
+    def test_a_family_member_labels_the_report_with_its_value(self, member):
+        # str() of a str-mixin Enum member was its name, 'Family.NEWTON_COTES'
+        assert str(member) == f"{member}" == member.value
+        rep = build_report(NodeSet((-1.0, 0.0, 1.0)), family=member)
+        assert rep.family == member.value and type(rep.family) is str
 
     def test_report_is_frozen(self):
         rep = build_report(NodeSet((-1.0, 0.0, 1.0)))
@@ -668,6 +676,20 @@ class TestNonFiniteOutcomes:
             with pytest.raises(q.SelfCheckError, match="= nan but"):
                 q.epsilon_check(fs, sol)
 
+    @pytest.mark.parametrize("nodes", [(1e-320, 2e-320), (-1e-310, 1e-310),
+                                       (1.3815902728336146e-300, 1.5214422824422244e-300)])
+    def test_non_finite_tau_is_a_singular_diagonal(self, nodes):
+        # |mu_Q| / A_22 passes 2^996, where the double-double division gives
+        # nan; omega is finite and passes the self-check, and the report
+        # names the row instead of failing in the angle with a ValueError
+        ns = NodeSet(nodes)
+        sol = solve_rule(build_system(ns))
+        assert all(map(math.isfinite, sol.omega)) and not any(map(math.isfinite, sol.tau))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(q.SingularDiagonalError, match="tau is not finite from row 2"):
+                build_report(ns)
+
     @pytest.mark.parametrize("bad,want", [(math.nan, math.nan), (math.inf, math.inf),
                                           (-math.inf, math.inf)])
     def test_residual_norms_of_non_finite_entries(self, bad, want):
@@ -681,7 +703,7 @@ class TestNonFiniteOutcomes:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert norm_params(vector, vector) == (math.inf, math.inf)
-            assert q.residual_norms(vector, (1,)) == {1: math.inf}
+            assert q.residual_norms(vector)[1] == math.inf
             # a nan among them stays nan, as numpy's sum gives it
             n_omega, n_z = norm_params([*vector, math.nan], [*vector, 1.0])
             assert math.isnan(n_omega) and n_z == math.inf

@@ -1,12 +1,17 @@
+import contextlib
 import csv
 import gc
 import io
 import json
 import math
+import os
+import tempfile
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from quadlsq.cli import CSV_COLUMNS, build_parser, main
 
@@ -15,6 +20,27 @@ def run(argv):
     out = io.StringIO()
     code = main(argv, out=out)
     return code, out.getvalue()
+
+
+#: Node sets whose diagonal entry A_22 is too small to divide |mu_Q| by
+#: in double-double, so that tau is nan; omega is finite and right.
+TINY_DIAGONAL_NODES = [
+    [1e-320, 2e-320],
+    [-1e-310, 1e-310],
+    [1.3815902728336146e-300, 1.5214422824422244e-300],
+]
+
+
+def _increasing(mantissa, exponent, negative, gaps):
+    """Distinct ascending doubles: the first +-mantissa 2^exponent, each
+    next one a gap mantissa 2^exponent above, or the next double up where
+    that gap is below the spacing there."""
+    t = math.ldexp(-mantissa if negative else mantissa, exponent)
+    nodes = [t]
+    for m, e in gaps:
+        t = max(t + math.ldexp(m, e), math.nextafter(t, math.inf))
+        nodes.append(t)
+    return nodes
 
 
 @pytest.fixture
@@ -144,6 +170,38 @@ class TestAnalyze:
         assert code == 3
         assert text == ""
         assert "singular diagonal at row 3" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("nodes", TINY_DIAGONAL_NODES)
+    def test_non_finite_tau_exits_3(self, tmp_path, capsys, nodes):
+        # |mu_Q| / A_22 passes 2^996, so tau is nan while omega is finite
+        # and passes the epsilon self-check; it was a ValueError of the angle
+        path = tmp_path / "tiny.txt"
+        path.write_text("".join(f"{t!r}\n" for t in nodes), encoding="utf-8")
+        code, text = run(["analyze", "--family", "custom", "--nodes-file", str(path)])
+        assert code == 3
+        assert text == ""
+        assert "tau is not finite from row 2" in capsys.readouterr().err
+
+    @settings(max_examples=200, deadline=None)
+    @given(nodes=st.builds(
+        _increasing,
+        st.floats(0.5, 1.0), st.integers(-1074, 2), st.booleans(),
+        st.lists(st.tuples(st.floats(0.5, 1.0), st.integers(-1074, 2)),
+                 max_size=5)))
+    @example(nodes=TINY_DIAGONAL_NODES[0])
+    @example(nodes=TINY_DIAGONAL_NODES[1])
+    @example(nodes=TINY_DIAGONAL_NODES[2])
+    def test_a_valid_rule_is_reported_or_refused_as_numerical(self, nodes):
+        # 1-6 distinct doubles, spaced down to the subnormal range: a node
+        # file that passes the node check is never an input error (exit 2)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "nodes.txt")
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.writelines(f"{t!r}\n" for t in nodes)
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err):
+                code, _ = run(["analyze", "--family", "custom", "--nodes-file", path])
+        assert code in (0, 3), (nodes, err.getvalue())
 
     def test_nan_weights_exit_3(self, tmp_path, capsys):
         # the weights of nodes 1e-155 apart are nan: the epsilon self-check
@@ -420,6 +478,16 @@ class TestIntegrate:
         err = capsys.readouterr().err
         assert "the rule's weights are not finite doubles" in err
         assert "at node" not in err
+
+    def test_finite_weights_with_a_non_finite_tau_are_applied(self, tmp_path):
+        # analyze refuses these nodes, whose tau is nan; their weights 4
+        # and -2 are right, and integrate applies them
+        path = tmp_path / "tiny.txt"
+        path.write_text("1e-320\n2e-320\n", encoding="utf-8")
+        code, text = run(["integrate", "--family", "custom", "--nodes-file", str(path),
+                          "--integrand", "poly:1", "--format", "json"])
+        assert code == 0
+        assert json.loads(text)["value"] == 2.0
 
     def test_finite_weights_are_applied_unchecked(self):
         # integrate checks only that the weights are finite, not the epsilon

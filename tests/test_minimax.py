@@ -145,12 +145,12 @@ class TestEpsilonCheck:
         # taken on the one route of epsilon_check and build_report.
         _, fs, sol = solved(family, n)
         r = residual(fs, sol._omega_dd)
-        eps = _epsilon(fs, *_scaled_norms(r, (1, 2)))
+        eps = _epsilon(fs, *_scaled_norms(r))
         assert eps == epsilon_check(fs, sol)
         exps = [math.frexp(v)[1] for v in np.abs(r) if v != 0.0]
         for k in range(-1021 - min(exps), 1024 - max(exps) + 1, 7):
             scaled = SimpleNamespace(mu_Q=math.ldexp(fs.mu_Q, k))
-            eps_k = _epsilon(scaled, *_scaled_norms(np.ldexp(r, k), (1, 2)))
+            eps_k = _epsilon(scaled, *_scaled_norms(np.ldexp(r, k)))
             assert eps_k == math.ldexp(eps, k), k
 
 
@@ -186,8 +186,8 @@ class TestEquioscillation:
         _, fs, sol = solved(family, n)
         r_w = residual(fs, list(sol._omega_dd))
         r_z = equioscillation_residual(fs, sol)
-        norms = residual_norms(r_w, (1, 2, math.inf))
-        z_inf = residual_norms(r_z, (math.inf,))[math.inf]
+        norms = residual_norms(r_w)
+        z_inf = residual_norms(r_z)[math.inf]
         for p in (1, 2, math.inf):
             assert norms[p] == pytest.approx(z_inf, rel=1e-10)
 
@@ -197,10 +197,10 @@ class TestLocalOptimality:
     def test_perturbations_do_not_improve(self, family, n):
         # nudging z* along any axis never lowers the max residual
         _, fs, sol = solved(family, n)
-        base = residual_norms(equioscillation_residual(fs, sol), (math.inf,))[math.inf]
+        base = residual_norms(equioscillation_residual(fs, sol))[math.inf]
         for i in range(n):
             for delta in (1e-6, -1e-6):
                 z = sol.z_star.copy()
                 z[i] += delta
-                perturbed = residual_norms(residual(fs, z), (math.inf,))[math.inf]
+                perturbed = residual_norms(residual(fs, z))[math.inf]
                 assert perturbed >= base - 1e-12

@@ -77,6 +77,7 @@ class TestFamilySpec:
         (Family.NEWTON_COTES, 5.0, "the node count must be an integer, got 5.0"),
         (Family.NEWTON_COTES, "5", "the node count must be an integer, got '5'"),
         (Family.NEWTON_COTES, None, "the node count must be an integer, got None"),
+        (Family.GAUSS_LEGENDRE, True, "the node count must be an integer, got True"),
     ])
     def test_a_spec_that_cannot_be_generated_is_refused(self, family, n, message):
         with pytest.raises(ValueError, match=message):

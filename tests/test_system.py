@@ -176,9 +176,10 @@ class TestDetectDegree:
         with pytest.raises(DegreeOverflowError):
             build_system(SIMPSON, eps_deg=0.3)
 
-    @pytest.mark.parametrize("eps_deg", [-1.0, -1e-300, math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("eps_deg", [-1.0, -1e-300, math.nan, math.inf, -math.inf, True])
     def test_invalid_threshold_is_an_input_error(self, eps_deg):
-        # an input error, not a numerical failure further down the pipeline
+        # an input error, not a numerical failure further down the pipeline;
+        # True was a threshold of 1.0
         with pytest.raises(ValueError, match="eps_deg must be a finite number >= 0"):
             build_system(SIMPSON, eps_deg=eps_deg)
 
@@ -313,10 +314,10 @@ class TestResidualNorms:
             assert norms[p] == pytest.approx(4.0 / 15.0, abs=1e-16)
 
     def test_two_norm(self):
-        assert residual_norms([1.0, 1.0], (2,))[2] == pytest.approx(math.sqrt(2.0))
+        assert residual_norms([1.0, 1.0])[2] == pytest.approx(math.sqrt(2.0))
 
-    def test_requested_subset(self):
-        assert set(residual_norms([1.0], (1, math.inf))) == {1, math.inf}
+    def test_keys_are_the_four_norms(self):
+        assert set(residual_norms([1.0])) == {1, 2, 3, math.inf}
 
     @pytest.mark.parametrize("scale", [pytest.param(2.0 ** 700, id="2^700"),
                                        pytest.param(2.0 ** -700, id="2^-700")])
@@ -339,7 +340,7 @@ class TestResidualNorms:
             for _ in range(2000)
         ]
         for ks in cases:
-            norm = residual_norms([float(k) for k in ks], (2,))[2]
+            norm = residual_norms([float(k) for k in ks])[2]
             assert norm == _sqrt_correctly_rounded(sum(k * k for k in ks)), ks
 
     @pytest.mark.parametrize("family,n", family_cases(1, 12))
