@@ -27,10 +27,9 @@ the functions take lists, tuples or 1-d arrays.
 
 import math
 import operator
-from dataclasses import dataclass
 from types import MappingProxyType
 
-from .basis import _on_grid
+from .basis import _Record, _on_grid
 from .errors import SingularDiagonalError
 from .minimax import _epsilon
 from .system import (
@@ -39,24 +38,21 @@ from .system import (
 )
 
 
-@dataclass(frozen=True, eq=False)
-class RuleReport:
+class RuleReport(_Record):
     """All scalar diagnostics for one (family, n) pair."""
 
-    family: str
-    n: int
-    degree: int
-    mu_Q: float
-    N_omega: float
-    N_z: float
-    angle_deg: float
-    tau_inf: float
-    alpha: float
-    c_n: float
-    Omega: float
-    Gamma: float
-    cond_inf_A: float
-    residual_norms: MappingProxyType
+    __match_args__ = ("family", "n", "degree", "mu_Q", "N_omega", "N_z", "angle_deg",
+                      "tau_inf", "alpha", "c_n", "Omega", "Gamma", "cond_inf_A",
+                      "residual_norms")
+
+    def __init__(self, family: str, n: int, degree: int, mu_Q: float, N_omega: float,
+                 N_z: float, angle_deg: float, tau_inf: float, alpha: float, c_n: float,
+                 Omega: float, Gamma: float, cond_inf_A: float,
+                 residual_norms: MappingProxyType):
+        vars(self).update(family=family, n=n, degree=degree, mu_Q=mu_Q, N_omega=N_omega,
+                          N_z=N_z, angle_deg=angle_deg, tau_inf=tau_inf, alpha=alpha,
+                          c_n=c_n, Omega=Omega, Gamma=Gamma, cond_inf_A=cond_inf_A,
+                          residual_norms=residual_norms)
 
 
 def rule_angle(omega, z_star, degrees=True):

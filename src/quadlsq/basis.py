@@ -26,10 +26,11 @@ The input checks of a rule live here, next to their types: the node
 check, which :class:`NodeSet` runs on doubles and the exact oracle and the
 node-file reader on exact values, and the interval check, which
 :class:`Interval` runs on doubles and the exact oracle on exact values.
+The base of the package's immutable record types, :class:`_Record`, is
+here as well, since every module that defines one imports this one.
 """
 
 import math
-from dataclasses import dataclass, field
 from decimal import Decimal
 from fractions import Fraction
 from functools import partial
@@ -59,17 +60,58 @@ def _checked_interval(a, b, *, convert=partial(_as_double, what="interval endpoi
     return lo, hi
 
 
-@dataclass(frozen=True)
-class Interval:
+def _repr(obj, names):
+    """``Type(name=value, ...)`` over the named attributes, stored or derived."""
+    args = ", ".join(f"{name}={getattr(obj, name)!r}" for name in names)
+    return f"{type(obj).__name__}({args})"
+
+
+class _Record:
+    """Base of the package's record types, which are immutable once built.
+
+    A subclass names its fields in ``__match_args__`` (which ``match`` also
+    reads), in the order of its ``__init__``.  That ``__init__`` runs the
+    type's input check, where it has one, then stores the fields once in
+    the instance ``__dict__``, where ``functools.cached_property`` also
+    writes.  Setting or deleting an attribute raises ``AttributeError``,
+    the repr shows the fields, and a record equals only itself (a
+    :class:`_Value` compares its fields).
+    """
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __repr__(self):
+        return _repr(self, self.__match_args__)
+
+
+class _Value(_Record):
+    """A record equal to one of its own class with equal fields, and hashed
+    by its fields."""
+
+    def _key(self):
+        return tuple(getattr(self, name) for name in self.__match_args__)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+
+class Interval(_Value):
     """Integration interval (a, b) with finite a < b.  Defaults to (-1, 1)."""
 
-    a: float = -1.0
-    b: float = 1.0
+    __match_args__ = ("a", "b")
 
-    def __post_init__(self):
-        a, b = _checked_interval(self.a, self.b)
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
+    def __init__(self, a: float = -1.0, b: float = 1.0):
+        a, b = _checked_interval(a, b)
+        vars(self).update(a=a, b=b)
 
     @property
     def mid(self):
@@ -98,20 +140,18 @@ def _checked_nodes(nodes):
     return nodes
 
 
-@dataclass(frozen=True)
-class NodeSet:
+class NodeSet(_Value):
     """Strictly increasing finite abscissas plus the integration interval.
 
     Nodes may lie outside the interval; only the ordering is required.
     An exact value beyond the double range is a ``ValueError``.
     """
 
-    nodes: tuple
-    interval: Interval = field(default_factory=Interval)
+    __match_args__ = ("nodes", "interval")
 
-    def __post_init__(self):
-        nodes = tuple(_as_double(t, "node") for t in self.nodes)
-        object.__setattr__(self, "nodes", _checked_nodes(nodes))
+    def __init__(self, nodes: tuple, interval: Interval = Interval()):
+        nodes = _checked_nodes(_as_double(t, "node") for t in nodes)
+        vars(self).update(nodes=nodes, interval=interval)
 
     @property
     def n(self):

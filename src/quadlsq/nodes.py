@@ -25,11 +25,10 @@ never load it.
 
 import math
 import operator
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 
-from .basis import Interval, NodeSet, _checked_nodes
+from .basis import Interval, NodeSet, _Value, _checked_nodes
 from .ddouble import _SPLITTER, dd_ratio, two_sum
 from .errors import ConvergenceError
 
@@ -63,8 +62,7 @@ _SHORT_NAMES = {"nc": "newton_cotes", "f": "fejer1", "fejer": "fejer1",
                 "cc": "clenshaw_curtis", "gl": "gauss_legendre", "gauss": "gauss_legendre"}
 
 
-@dataclass(frozen=True)
-class FamilySpec:
+class FamilySpec(_Value):
     """A family to generate and its total node count (given nodes go to NodeSet).
 
     The family is read by :meth:`Family.parse` and n by ``operator.index``;
@@ -72,19 +70,17 @@ class FamilySpec:
     are a ``ValueError``.  The least n is the family's generator's to check.
     """
 
-    family: Family
-    n: int
+    __match_args__ = ("family", "n")
 
-    def __post_init__(self):
-        family = Family.parse(self.family)
+    def __init__(self, family: Family, n: int):
+        family = Family.parse(family)
         if family is Family.CUSTOM:
             raise ValueError("custom nodes are not generated: pass them to NodeSet")
         try:
-            n = operator.index(None if isinstance(self.n, bool) else self.n)
+            index = operator.index(None if isinstance(n, bool) else n)
         except TypeError:
-            raise ValueError(f"the node count must be an integer, got {self.n!r}") from None
-        object.__setattr__(self, "family", family)
-        object.__setattr__(self, "n", n)
+            raise ValueError(f"the node count must be an integer, got {n!r}") from None
+        vars(self).update(family=family, n=index)
 
 
 def _mirrored(positive_desc, n):

@@ -47,13 +47,12 @@ backward substitution).
 import math
 import numbers
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import chain, islice
 
 from .basis import (
-    Interval, NodeSet, _basis, _checked_interval, _checked_nodes, _horner, _on_grid,
+    Interval, NodeSet, _Record, _basis, _checked_interval, _checked_nodes, _horner, _on_grid,
     _power_differences,
 )
 from .analysis import _norm_inf_inverse
@@ -112,8 +111,7 @@ def _scaled(nodes, a, b):
     return D, T, L, S
 
 
-@dataclass(frozen=True, eq=False)
-class RationalRule:
+class RationalRule(_Record):
     """Exact analysis of a rule with rational nodes; all entries Fractions.
 
     ``interval`` is (a, b).  ``A``, ``c`` and ``moments`` (mu_0 .. mu_{2n})
@@ -122,11 +120,12 @@ class RationalRule:
     the degree, mu_Q and the weights do not need them.
     """
 
-    nodes: tuple
-    interval: tuple
-    mu_Q: Fraction
-    degree: int
-    weights: tuple
+    __match_args__ = ("nodes", "interval", "mu_Q", "degree", "weights")
+
+    def __init__(self, nodes: tuple, interval: tuple, mu_Q: Fraction, degree: int,
+                 weights: tuple):
+        vars(self).update(nodes=nodes, interval=interval, mu_Q=mu_Q, degree=degree,
+                          weights=weights)
 
     @cached_property
     def _scaled_basis(self):

@@ -86,11 +86,11 @@ raises ``ValueError``.
 """
 
 import math
-from dataclasses import dataclass
+import numbers
 from functools import cached_property
 from itertools import islice
 
-from .basis import NodeSet, _on_grid, _power_differences
+from .basis import NodeSet, _Record, _on_grid, _power_differences, _repr
 from .ddouble import (
     _SPLITTER, dd_add, dd_div, dd_dot, dd_ratio, split_operand, split_operands, two_sum,
 )
@@ -127,14 +127,7 @@ def _round(pairs):
     return _freeze(_hi_plus_lo(pairs))
 
 
-def _repr(obj, names):
-    """``Type(name=value, ...)`` over the named attributes, stored or derived."""
-    args = ", ".join(f"{name}={getattr(obj, name)!r}" for name in names)
-    return f"{type(obj).__name__}({args})"
-
-
-@dataclass(frozen=True, eq=False, repr=False)
-class FundamentalSystem:
+class FundamentalSystem(_Record):
     """F w = c_tilde for one node set, kept as its double-double store.
 
     The fields are the store: ``A_dd`` and ``leading_dd`` (mu_0..mu_{d+1},
@@ -145,11 +138,12 @@ class FundamentalSystem:
     recurrence when first read, for reports that show it.
     """
 
-    nodes: NodeSet
-    eps_deg: float
-    degree: int
-    A_dd: tuple
-    leading_dd: tuple
+    __match_args__ = ("nodes", "eps_deg", "degree", "A_dd", "leading_dd")
+
+    def __init__(self, nodes: NodeSet, eps_deg: float, degree: int, A_dd: tuple,
+                 leading_dd: tuple):
+        vars(self).update(nodes=nodes, eps_deg=eps_deg, degree=degree, A_dd=A_dd,
+                          leading_dd=leading_dd)
 
     def __repr__(self):
         return _repr(self, ("A", "mu_Q", "degree", "nodes", "eps_deg"))
@@ -188,8 +182,7 @@ class FundamentalSystem:
         return _round(self.leading_dd[:self.n] + self.leading_dd[-1:])
 
 
-@dataclass(frozen=True, eq=False, repr=False)
-class RuleSolution:
+class RuleSolution(_Record):
     """Least-squares weights, minimax vector and the correction between them.
 
     The fields are the store: omega and tau as (hi, lo) pairs, at the
@@ -200,8 +193,10 @@ class RuleSolution:
     doubles.  ``_z_dd`` is the pairs' double-double sum.
     """
 
-    _omega_dd: tuple
-    _tau_dd: tuple
+    __match_args__ = ("_omega_dd", "_tau_dd")
+
+    def __init__(self, _omega_dd: tuple, _tau_dd: tuple):
+        vars(self).update(_omega_dd=_omega_dd, _tau_dd=_tau_dd)
 
     def __repr__(self):
         return _repr(self, ("omega", "z_star", "tau"))
@@ -351,10 +346,13 @@ def _node_products_dd(nodes):
 
 def _checked_eps_deg(eps_deg):
     """A zero threshold override as a float (None stays None); anything but
-    a finite number >= 0, a ``bool`` among them, raises ``ValueError``."""
+    a finite real number >= 0 raises ``ValueError``: a ``bool``, and text or
+    a ``Decimal``, which ``float`` would also convert, among them.  numpy
+    registers its floating and integer scalars as ``numbers.Real``, not
+    its ``bool_``."""
     if eps_deg is None:
         return None
-    if isinstance(eps_deg, bool) or getattr(eps_deg, "dtype", None) == bool:  # numpy's too
+    if isinstance(eps_deg, bool) or not isinstance(eps_deg, numbers.Real):
         raise ValueError(f"eps_deg must be a finite number >= 0, got {eps_deg!r}")
     eps_deg = float(eps_deg)
     if not (math.isfinite(eps_deg) and eps_deg >= 0.0):
@@ -525,8 +523,9 @@ def residual_norms(r):
     """The 1-, 2-, 3- and max norms of a residual vector, keyed 1, 2, 3 and
     ``math.inf``, on Python floats of r scaled exactly by the power of two
     of max |r|: no cube overflows where a norm fits, and one that does not
-    is inf."""
-    return _unscaled(*_scaled_norms(r))
+    is inf.  r goes through the one coercion of a vector passed in, with
+    any length allowed."""
+    return _unscaled(*_scaled_norms(_vector(r)))
 
 
 def _max(values):

@@ -81,6 +81,60 @@ def test_interval_is_exported_from_basis():
     assert NodeSet((0.0,)).interval == q.basis.Interval()
 
 
+#: Each value type: its arguments by position and by keyword, the repr of
+#: the instance they build, the number of arguments without a default, and
+#: the arguments of an instance that differs in one field
+_VALUE_TYPES = {
+    "Interval": (q.Interval, (0, 2), {"a": 0, "b": 2}, "Interval(a=0.0, b=2.0)", 0, (0, 3)),
+    "NodeSet": (NodeSet, ((-1, 1), q.Interval(0, 2)),
+                {"nodes": (-1, 1), "interval": q.Interval(0, 2)},
+                "NodeSet(nodes=(-1.0, 1.0), interval=Interval(a=0.0, b=2.0))", 1, ((-1, 1),)),
+    "FamilySpec": (q.FamilySpec, ("nc", 5), {"family": q.Family.NEWTON_COTES, "n": 5},
+                   "FamilySpec(family=<Family.NEWTON_COTES: 'newton_cotes'>, n=5)", 2,
+                   ("nc", 6)),
+}
+
+
+@pytest.mark.parametrize("name", list(_VALUE_TYPES))
+def test_a_value_type_is_an_immutable_value(name):
+    cls, args, kwargs, text, required, other = _VALUE_TYPES[name]
+    x, y, z = cls(*args), cls(**kwargs), cls(*other)
+    assert x == y and hash(x) == hash(y) and x is not y
+    assert x != z and z != x
+    assert x.__eq__(args) is NotImplemented and x != args
+    assert repr(x) == repr(y) == text
+    for field in cls.__match_args__:
+        with pytest.raises(AttributeError, match=f"cannot assign to field '{field}'"):
+            setattr(x, field, getattr(z, field))
+        with pytest.raises(AttributeError, match=f"cannot delete field '{field}'"):
+            delattr(x, field)
+    with pytest.raises(AttributeError):
+        x.extra = 1
+    assert x == y and repr(x) == text
+    for k in range(required):
+        with pytest.raises(TypeError):
+            cls(*args[:k])
+    with pytest.raises(TypeError):
+        cls(*args, bogus=1)
+    with pytest.raises(TypeError):
+        cls(*args, args[0])
+
+
+def test_result_types_compare_by_identity():
+    ns = NodeSet((-1.0, 0.0, 1.0))
+    fs = q.build_system(ns)
+    pairs = [(fs, q.build_system(ns)), (q.solve_rule(fs), q.solve_rule(fs)),
+             (q.build_report(ns), q.build_report(ns)),
+             (q.rational_pipeline(ns.nodes), q.rational_pipeline(ns.nodes))]
+    for x, y in pairs:
+        assert x == x and x != y and hash(x) != hash(y)
+        field = type(x).__match_args__[0]
+        with pytest.raises(AttributeError):
+            setattr(x, field, getattr(y, field))
+        with pytest.raises(AttributeError):
+            delattr(x, field)
+
+
 class TestNodeSet:
     def test_rejects_unordered(self):
         with pytest.raises(ValueError, match="unordered nodes"):

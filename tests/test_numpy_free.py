@@ -1,12 +1,13 @@
-"""A rule is reported without numpy.
+"""A rule is reported without numpy and without ``dataclasses``.
 
 A fresh interpreter imports quadlsq, builds a report and runs the three
-CLI commands on Newton-Cotes, Fejer and Clenshaw-Curtis nodes, and numpy
-must still be absent from ``sys.modules`` after each step.  The same
+CLI commands on Newton-Cotes, Fejer and Clenshaw-Curtis nodes, and
+neither numpy nor ``dataclasses`` (whose import pulls in ``inspect``,
+``ast`` and ``dis``) may be in ``sys.modules`` after any step.  The same
 children then read a public array view or generate Gauss-Legendre nodes,
-which must load numpy, so that the checks cannot pass for a reason that
-has nothing to do with the package (numpy missing, or a module of that
-name never recorded).
+which must load numpy, or import ``dataclasses``, so that the checks
+cannot pass for a reason that has nothing to do with the package (a
+module missing, or a module of that name never recorded).
 """
 
 import json
@@ -25,10 +26,13 @@ PACKAGE_ROOT = str(Path(quadlsq.__file__).resolve().parent.parent)
 REPORT_STEPS = """
 import io, json, os, sys, tempfile
 
-steps = [("interpreter start", "numpy" in sys.modules)]
+def loaded():
+    return {name: name in sys.modules for name in ("numpy", "dataclasses")}
+
+steps = [("interpreter start", loaded())]
 
 def step(label):
-    steps.append((label, "numpy" in sys.modules))
+    steps.append((label, loaded()))
 
 import quadlsq
 step("import quadlsq")
@@ -52,9 +56,12 @@ step("control")
 print(json.dumps(steps))
 """
 
+#: Each control step and the module it must load.
 CONTROLS = {
-    "omega": "quadlsq.solve_rule(quadlsq.build_system(quadlsq.NodeSet((-1.0, 0.0, 1.0)))).omega",
-    "gauss_legendre": "quadlsq.generate(quadlsq.FamilySpec('gl', 5))",
+    "omega": ("numpy", "quadlsq.solve_rule(quadlsq.build_system("
+                       "quadlsq.NodeSet((-1.0, 0.0, 1.0)))).omega"),
+    "gauss_legendre": ("numpy", "quadlsq.generate(quadlsq.FamilySpec('gl', 5))"),
+    "dataclasses": ("dataclasses", "import dataclasses"),
 }
 
 
@@ -67,9 +74,10 @@ def _steps(code):
 
 @pytest.mark.parametrize("control", sorted(CONTROLS))
 def test_report_path_never_loads_numpy(control):
-    steps = _steps(REPORT_STEPS.replace("CONTROL", CONTROLS[control]))
+    module, code = CONTROLS[control]
+    steps = _steps(REPORT_STEPS.replace("CONTROL", code))
     *report_path, (label, loaded) = steps
     assert label == "control"
-    assert loaded, f"the control ({control}) should load numpy"
-    assert [s for s in report_path if s[1]] == []
+    assert loaded[module], f"the control ({control}) should load {module}"
+    assert [s for s in report_path if any(s[1].values())] == []
     assert all(s[0].endswith("(exit 0)") for s in report_path[3:])

@@ -1,7 +1,7 @@
-import dataclasses
 import math
 import random
 import re
+from decimal import Decimal
 from fractions import Fraction
 from unittest import mock
 
@@ -13,7 +13,6 @@ from hypothesis import strategies as st
 import quadlsq as q
 from quadlsq import (
     DegreeOverflowError,
-    FundamentalSystem,
     Interval,
     NodeSet,
     RuleSolution,
@@ -94,9 +93,9 @@ class TestStore:
     is derived from it."""
 
     def test_fields_are_the_store(self):
-        assert [f.name for f in dataclasses.fields(FundamentalSystem)] == [
-            "nodes", "eps_deg", "degree", "A_dd", "leading_dd"]
-        assert [f.name for f in dataclasses.fields(RuleSolution)] == ["_omega_dd", "_tau_dd"]
+        fs = build_system(SIMPSON)
+        assert list(vars(fs)) == ["nodes", "eps_deg", "degree", "A_dd", "leading_dd"]
+        assert list(vars(solve_rule(fs))) == ["_omega_dd", "_tau_dd"]
 
     def test_solution_needs_its_pairs(self):
         sol = solve_rule(build_system(SIMPSON))
@@ -176,10 +175,11 @@ class TestDetectDegree:
         with pytest.raises(DegreeOverflowError):
             build_system(SIMPSON, eps_deg=0.3)
 
-    @pytest.mark.parametrize("eps_deg", [-1.0, -1e-300, math.nan, math.inf, -math.inf, True])
+    @pytest.mark.parametrize("eps_deg", [-1.0, -1e-300, math.nan, math.inf, -math.inf, True,
+                                         "0.2", b"0.2", Decimal("0.2")])
     def test_invalid_threshold_is_an_input_error(self, eps_deg):
         # an input error, not a numerical failure further down the pipeline;
-        # True was a threshold of 1.0
+        # True was a threshold of 1.0, and the text and Decimal ones 0.2
         with pytest.raises(ValueError, match="eps_deg must be a finite number >= 0"):
             build_system(SIMPSON, eps_deg=eps_deg)
 
@@ -268,6 +268,7 @@ _VECTOR_TAKERS = {
     "degree_by_monomials": (lambda fs, sol, x: q.degree_by_monomials(fs.nodes, x), 5),
     "norm_params(x, z*)": (lambda fs, sol, x: q.norm_params(x, sol.z_star), None),
     "rule_angle(x, z*)": (lambda fs, sol, x: q.rule_angle(x, sol.z_star), None),
+    "residual_norms": (lambda fs, sol, x: residual_norms(x), None),
 }
 
 
