@@ -15,7 +15,9 @@ For each rule we report, alongside degree and principal moment:
   with cond_inf(A) computed in O(n^2) from the closed-form inverse of A
   (see :func:`cond_inf_upper`), to within (4n+1) u of its exact value,
   u = 2^-53.  It is not estimated: an estimator would blur the
-  ill-conditioning signal these bounds exist to expose.
+  ill-conditioning signal these bounds exist to expose;
+* the 1-, 2-, 3- and inf-norms of r(omega), ||r(z*)||_inf and the
+  self-check's epsilon, whose common size is |mu_Q|.
 
 Every diagnostic is a reduction over at most a few thousand doubles, so it
 runs on Python floats with the stdlib: sums by ``math.fsum`` (correctly
@@ -27,7 +29,6 @@ the functions take lists, tuples or 1-d arrays.
 
 import math
 import operator
-from types import MappingProxyType
 
 from .basis import _Record, _on_grid
 from .errors import SingularDiagonalError
@@ -39,20 +40,24 @@ from .system import (
 
 
 class RuleReport(_Record):
-    """All scalar diagnostics for one (family, n) pair."""
+    """All scalar diagnostics for one (family, n) pair, the residual norms
+    among them, each a plain field, so a report pickles and copies."""
 
     __match_args__ = ("family", "n", "degree", "mu_Q", "N_omega", "N_z", "angle_deg",
                       "tau_inf", "alpha", "c_n", "Omega", "Gamma", "cond_inf_A",
-                      "residual_norms")
+                      "r_omega_1", "r_omega_2", "r_omega_3", "r_omega_inf", "r_z_inf",
+                      "epsilon")
 
     def __init__(self, family: str, n: int, degree: int, mu_Q: float, N_omega: float,
                  N_z: float, angle_deg: float, tau_inf: float, alpha: float, c_n: float,
-                 Omega: float, Gamma: float, cond_inf_A: float,
-                 residual_norms: MappingProxyType):
+                 Omega: float, Gamma: float, cond_inf_A: float, r_omega_1: float,
+                 r_omega_2: float, r_omega_3: float, r_omega_inf: float, r_z_inf: float,
+                 epsilon: float):
         vars(self).update(family=family, n=n, degree=degree, mu_Q=mu_Q, N_omega=N_omega,
                           N_z=N_z, angle_deg=angle_deg, tau_inf=tau_inf, alpha=alpha,
                           c_n=c_n, Omega=Omega, Gamma=Gamma, cond_inf_A=cond_inf_A,
-                          residual_norms=residual_norms)
+                          r_omega_1=r_omega_1, r_omega_2=r_omega_2, r_omega_3=r_omega_3,
+                          r_omega_inf=r_omega_inf, r_z_inf=r_z_inf, epsilon=epsilon)
 
 
 def rule_angle(omega, z_star, degrees=True):
@@ -118,13 +123,12 @@ def error_coefficient(mu_Q, degree):
     mu_Q is an exact binary rational p/q, so the quotient is one integer
     true division p / (q (degree+1)!), which CPython rounds correctly for
     every degree, down to 0 where it underflows.
-    Returns the pair (alpha, c_n); the two names denote the same value.
+    The report carries this one value twice, as alpha and as c_n.
     """
     if degree < 0 or not math.isfinite(mu_Q):
         raise ValueError(f"need degree >= 0 and a finite mu_Q, got {degree} and {mu_Q!r}")
     p, q = mu_Q.as_integer_ratio()
-    value = p / (q * math.factorial(degree + 1))
-    return value, value
+    return p / (q * math.factorial(degree + 1))
 
 
 def cond_inf_upper(fs):
@@ -218,16 +222,8 @@ def build_report(ns, family="custom", eps_deg=None, fs=None, solution=None):
         raise SingularDiagonalError(f"tau is not finite from row {i + 1}: its diagonal entry "
                                     f"{sum(fs.A_dd[i][0]):g} is too small to divide by")
     norms_w = _unscaled(e, scaled)
-    norms = {
-        "r_omega_1": norms_w[1],
-        "r_omega_2": norms_w[2],
-        "r_omega_3": norms_w[3],
-        "r_omega_inf": norms_w[math.inf],
-        "r_z_inf": _max(map(abs, _residual(fs, solution._z_dd))),  # exact, unscaled
-        "epsilon": epsilon,
-    }
     n_omega, n_z = norm_params(omega, z_star)
-    alpha, c_n = error_coefficient(fs.mu_Q, fs.degree)
+    alpha = error_coefficient(fs.mu_Q, fs.degree)
     omega_bound, gamma, cond = bounds_omega_gamma(fs, omega, z_star)
 
     return RuleReport(
@@ -240,9 +236,14 @@ def build_report(ns, family="custom", eps_deg=None, fs=None, solution=None):
         angle_deg=rule_angle(omega, z_star),
         tau_inf=_max(map(abs, tau)),
         alpha=alpha,
-        c_n=c_n,
+        c_n=alpha,
         Omega=omega_bound,
         Gamma=gamma,
         cond_inf_A=cond,
-        residual_norms=MappingProxyType(norms),
+        r_omega_1=norms_w[1],
+        r_omega_2=norms_w[2],
+        r_omega_3=norms_w[3],
+        r_omega_inf=norms_w[math.inf],
+        r_z_inf=_max(map(abs, _residual(fs, solution._z_dd))),  # exact, unscaled
+        epsilon=epsilon,
     )

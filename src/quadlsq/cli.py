@@ -27,7 +27,6 @@ import json
 import math
 import re
 import sys
-from collections import ChainMap
 from fractions import Fraction
 
 from .analysis import build_report, error_coefficient
@@ -56,12 +55,12 @@ def _fmt(value):
 
 
 def _report_row(report, error=""):
-    """The ``CSV_COLUMNS`` of a report: its attributes, then its
-    ``residual_norms``, then ``error`` (``KeyError`` for a column in none).
-    Without a report every column but ``error`` is empty."""
+    """The ``CSV_COLUMNS`` of a report: its fields and ``error``
+    (``KeyError`` for a column that is neither).  Without a report every
+    column but ``error`` is empty."""
     if report is None:
         return {c: error if c == "error" else "" for c in CSV_COLUMNS}
-    fields = ChainMap(vars(report), report.residual_norms, {"error": error})
+    fields = {**vars(report), "error": error}
     return {c: fields[c] for c in CSV_COLUMNS}
 
 
@@ -125,11 +124,10 @@ def _print_analyze_text(report, ns, sol, out):
     print("omega:  " + " ".join(_fmt(w) for w in omega), file=out)
     print("z_star: " + " ".join(_fmt(z) for z in z_star), file=out)
     print("tau:    " + " ".join(_fmt(t) for t in tau), file=out)
-    fields = ChainMap(vars(report), report.residual_norms)
     for name in ("degree", "mu_Q", "N_omega", "N_z", "angle_deg", "tau_inf", "alpha",
                  "c_n", "Omega", "Gamma", "cond_inf_A", "r_omega_1", "r_omega_2",
                  "r_omega_3", "r_omega_inf", "r_z_inf"):
-        print(f"{name}: {_fmt(fields[name])}", file=out)
+        print(f"{name}: {_fmt(vars(report)[name])}", file=out)
 
 
 def _cmd_analyze(args, out):
@@ -206,7 +204,7 @@ def _cmd_integrate(args, out):
                 f"the integrand's weighted sum is not a finite double at node {_fmt(t)}"
             ) from None
     value = math.fsum(terms)
-    _, c_n = error_coefficient(fs.mu_Q, fs.degree)
+    c_n = error_coefficient(fs.mu_Q, fs.degree)
     row = {"family": label, "n": ns.n, "integrand": args.integrand,
            "value": value, "degree": fs.degree, "c_n": c_n}
     if args.format == "text":

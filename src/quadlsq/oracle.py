@@ -58,7 +58,7 @@ from .basis import (
 from .analysis import _norm_inf_inverse
 from .ddouble import dd_add, dd_div, dd_dot, dd_mul, split_operand
 from .errors import MomentOverflowError, SingularSystemError
-from .system import _ceil_log2, _checked_eps_deg, _default_eps_deg, _fsum, _max, _vector
+from .system import _ceil_log2, _default_eps_deg, _fsum, _max, _vector
 
 
 # ---------------------------------------------------------------------------
@@ -349,16 +349,16 @@ def direct_sis4_minimax(fs):
 # degree straight from the definition
 # ---------------------------------------------------------------------------
 
-def degree_by_monomials(ns, weights, eps_deg=None):
+def degree_by_monomials(ns, weights):
     """Largest d <= 2n with Q(x^k) matching the exact moment for all k <= d.
 
     The exact monomial moments come from the endpoints on the grid of
     :func:`quadlsq.basis._on_grid`, so on (-1, 1) odd k compares against 0 and
     even k against 2/(k+1); one beyond the double range raises
     :class:`quadlsq.MomentOverflowError`, and a weighted sum that is not a
-    finite double is a mismatch.  ``eps_deg`` must be a finite number >= 0
-    (``ValueError`` otherwise), as for :func:`quadlsq.build_system`, and
-    there must be n weights.
+    finite double is a mismatch.  A moment matches within the default zero
+    threshold of :func:`quadlsq.build_system` on the interval, and there
+    must be n weights.
     """
     import numpy as np
 
@@ -366,9 +366,7 @@ def degree_by_monomials(ns, weights, eps_deg=None):
     n = len(ts)
     w = np.asarray(_vector(weights, n))
     D, (lo, hi) = _on_grid((ns.interval.a, ns.interval.b))
-    eps = _checked_eps_deg(eps_deg)
-    if eps is None:
-        eps = _default_eps_deg((hi - lo) / D)
+    eps = _default_eps_deg((hi - lo) / D)
     powers = np.ones_like(ts)
     with np.errstate(over="ignore", invalid="ignore"):
         for k, num in enumerate(islice(_power_differences(lo, hi), 2 * n + 1)):

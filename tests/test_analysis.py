@@ -228,25 +228,20 @@ class TestNormParams:
 
 class TestErrorCoefficient:
     def test_cc_17_printed_value(self):
-        alpha, c_n = error_coefficient(1.26e-8, 17)
-        assert alpha == c_n
-        assert alpha == pytest.approx(1.97e-24, rel=5e-3)
+        assert error_coefficient(1.26e-8, 17) == pytest.approx(1.97e-24, rel=5e-3)
 
     def test_gl_17_printed_value(self):
-        alpha, _ = error_coefficient(1.80e-10, 33)
-        assert alpha == pytest.approx(6.11e-49, rel=5e-3)
+        assert error_coefficient(1.80e-10, 33) == pytest.approx(6.11e-49, rel=5e-3)
 
     def test_zero_moment(self):
-        assert error_coefficient(0.0, 5) == (0.0, 0.0)
+        assert error_coefficient(0.0, 5) == 0.0
 
     def test_small_factorial_branch_is_exact(self):
-        alpha, _ = error_coefficient(-4.0 / 15.0, 3)
-        assert alpha == (-4.0 / 15.0) / 24.0
+        assert error_coefficient(-4.0 / 15.0, 3) == (-4.0 / 15.0) / 24.0
 
     def test_lgamma_branch_matches_factorial(self):
         # degree 25 is above the cutover; 26! is still exact in Python ints
-        alpha, _ = error_coefficient(0.5, 25)
-        assert alpha == pytest.approx(0.5 / math.factorial(26), rel=1e-13)
+        assert error_coefficient(0.5, 25) == pytest.approx(0.5 / math.factorial(26), rel=1e-13)
 
     def test_negative_degree_rejected(self):
         with pytest.raises(ValueError):
@@ -263,7 +258,7 @@ class TestErrorCoefficient:
         # underflows to zero; log-gamma was off by up to 1.3e-13 relative
         got = [error_coefficient(mu_Q, d) for d in range(201)]
         want = [float(Fraction(mu_Q) / math.factorial(d + 1)) for d in range(201)]
-        assert [alpha for alpha, _ in got] == [c_n for _, c_n in got] == want
+        assert got == want
         if abs(mu_Q) < 1e-200:
             assert want[-1] == 0.0 and any(0.0 < abs(v) < 2.2250738585072014e-308 for v in want)
 
@@ -442,9 +437,9 @@ class TestBuildReport:
         assert rep.angle_deg == pytest.approx(6.8630, abs=5e-4)
         assert rep.alpha == rep.c_n == pytest.approx((-4 / 15) / 24.0, rel=1e-15)
         assert rep.Gamma == pytest.approx(1.5, rel=1e-12)
-        assert rep.residual_norms["epsilon"] == pytest.approx(4 / 15, rel=1e-13)
+        assert rep.epsilon == pytest.approx(4 / 15, rel=1e-13)
         for key in ("r_omega_1", "r_omega_2", "r_omega_3", "r_omega_inf", "r_z_inf"):
-            assert rep.residual_norms[key] == pytest.approx(4 / 15, rel=1e-12)
+            assert getattr(rep, key) == pytest.approx(4 / 15, rel=1e-12)
 
     def test_wide_interval_report(self):
         # on (0, 1e40) ||r||_2^2 (~1e395) and the norms of omega and z*
@@ -453,7 +448,7 @@ class TestBuildReport:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             rep = build_report(ns)
-        assert abs(rep.residual_norms["epsilon"] - abs(rep.mu_Q)) <= (
+        assert abs(rep.epsilon - abs(rep.mu_Q)) <= (
             q.minimax.EPS_CHECK_RTOL * abs(rep.mu_Q))
         degree, angle = exact_angle(ns)
         assert rep.degree == degree == 3
@@ -524,8 +519,8 @@ class TestBuildReport:
         rep = build_report(NodeSet((-1.0, 0.0, 1.0)))
         with pytest.raises(AttributeError):
             rep.mu_Q = 0.0
-        with pytest.raises(TypeError):
-            rep.residual_norms["epsilon"] = 0.0
+        with pytest.raises(AttributeError):
+            rep.epsilon = 0.0
 
     def test_fejer3_report(self):
         rep = build_report(NodeSet(tuple(q.fejer1_nodes(3))), family="fejer1")
@@ -660,8 +655,8 @@ class TestNonFiniteOutcomes:
             warnings.simplefilter("error")
             rep = build_report(ns)
         values = [v for v in vars(rep).values() if isinstance(v, float)]
-        assert all(map(math.isfinite, [*values, *rep.residual_norms.values()]))
-        assert rep.residual_norms["r_omega_3"] == pytest.approx(abs(rep.mu_Q), rel=1e-12)
+        assert all(map(math.isfinite, values))
+        assert rep.r_omega_3 == pytest.approx(abs(rep.mu_Q), rel=1e-12)
 
     def test_nan_weights_fail_the_self_check(self):
         # nodes 0, 1e-155, 2e-155: the weights are nan, so eps is nan

@@ -1,4 +1,6 @@
+import copy
 import math
+import pickle
 from fractions import Fraction
 from itertools import islice
 
@@ -11,7 +13,7 @@ import quadlsq as q
 from quadlsq import NodeSet, build_basis
 from quadlsq.basis import _on_grid, _power_differences
 
-from helpers import FAMILIES, MIN_N, nodeset, ref_basis
+from helpers import FAMILIES, MIN_N, family_cases, nodeset, ref_basis
 
 
 def value(p, x):
@@ -133,6 +135,54 @@ def test_result_types_compare_by_identity():
             setattr(x, field, getattr(y, field))
         with pytest.raises(AttributeError):
             delattr(x, field)
+
+
+def _same(x, y):
+    """True if x and y are of one type and equal, a record field by field
+    and an array or a float bit for bit."""
+    if type(x) is not type(y):
+        return False
+    if isinstance(x, q.basis._Record):
+        return list(vars(x)) == list(vars(y)) and all(map(_same, vars(x).values(),
+                                                          vars(y).values()))
+    if isinstance(x, (tuple, list)):
+        return len(x) == len(y) and all(map(_same, x, y))
+    if isinstance(x, np.ndarray):
+        return (x.dtype, x.shape, x.tobytes()) == (y.dtype, y.shape, y.tobytes())
+    if isinstance(x, float):
+        return x.hex() == y.hex()
+    return x == y
+
+
+def _records():
+    """One instance of each record type, its cached views read where it has them."""
+    ns = NodeSet((-1.0, 0.0, 1.0))
+    fs = q.build_system(ns)
+    fs.A
+    rule = q.rational_pipeline(ns)
+    rule.A
+    return {"Interval": ns.interval, "NodeSet": ns, "FamilySpec": q.FamilySpec("gl", 17),
+            "FundamentalSystem": fs, "RuleSolution": q.solve_rule(fs),
+            "RuleReport": q.build_report(ns), "RationalRule": rule}
+
+
+@pytest.mark.parametrize("name", list(_records()))
+@pytest.mark.parametrize("copy_of", [lambda x: pickle.loads(pickle.dumps(x)), copy.deepcopy],
+                         ids=["pickle", "deepcopy"])
+def test_a_record_pickles_and_copies(name, copy_of):
+    # a report held its residual norms in a mappingproxy, which neither takes
+    x = _records()[name]
+    y = copy_of(x)
+    assert y is not x and type(y).__name__ == name and _same(x, y)
+
+
+@pytest.mark.parametrize("family,n", family_cases(2, 20))
+def test_a_report_pickles_and_copies_every_field(family, n):
+    rep = q.build_report(q.generate(q.FamilySpec(family, n)), family=family)
+    assert tuple(vars(rep)) == type(rep).__match_args__  # flat: no nested mapping
+    for y in (pickle.loads(pickle.dumps(rep)), copy.deepcopy(rep)):
+        assert _same(rep, y)
+
 
 
 class TestNodeSet:

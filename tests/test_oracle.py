@@ -157,16 +157,9 @@ class TestDegreeByMonomials:
         ns, fs, sol = solved(family, n)
         assert degree_by_monomials(ns, sol.omega) == fs.degree
 
-    @pytest.mark.parametrize("eps_deg", [-1.0, math.nan, math.inf, -math.inf])
-    def test_invalid_threshold_is_an_input_error(self, eps_deg):
-        # the same check, and message, as build_system's
-        w = solve_rule(build_system(SIMPSON)).omega
-        with pytest.raises(ValueError, match="eps_deg must be a finite number >= 0"):
-            degree_by_monomials(SIMPSON, w, eps_deg=eps_deg)
-
     def test_zero_threshold_is_valid(self):
-        # the midpoint rule integrates 1 and x exactly, even at threshold 0
-        assert degree_by_monomials(NodeSet((0.0,)), [2.0], eps_deg=0.0) == 1
+        # the midpoint rule integrates 1 and x exactly, at the default threshold
+        assert degree_by_monomials(NodeSet((0.0,)), [2.0]) == 1
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_exact_moment_beyond_double_range_is_typed(self):
