@@ -75,8 +75,14 @@ class _Record:
     the instance ``__dict__``, where ``functools.cached_property`` also
     writes.  Setting or deleting an attribute raises ``AttributeError``,
     the repr shows the fields, and a record equals only itself (a
-    :class:`_Value` compares its fields).
+    :class:`_Value` compares its fields).  Pickle, ``copy`` and
+    ``deepcopy`` rebuild a record from its fields through ``__init__``, so
+    its input check runs again; ``cached_property`` state is never copied,
+    and a view is rebuilt, read-only, on first read.
     """
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, f) for f in self.__match_args__)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")

@@ -29,7 +29,7 @@ import re
 import sys
 from fractions import Fraction
 
-from .analysis import build_report, error_coefficient
+from .analysis import RuleReport, build_report, error_coefficient
 from .basis import Interval, NodeSet, _horner
 from .errors import NumericalFailure
 from .nodes import Family, FamilySpec, generate, read_nodes_file
@@ -124,10 +124,9 @@ def _print_analyze_text(report, ns, sol, out):
     print("omega:  " + " ".join(_fmt(w) for w in omega), file=out)
     print("z_star: " + " ".join(_fmt(z) for z in z_star), file=out)
     print("tau:    " + " ".join(_fmt(t) for t in tau), file=out)
-    for name in ("degree", "mu_Q", "N_omega", "N_z", "angle_deg", "tau_inf", "alpha",
-                 "c_n", "Omega", "Gamma", "cond_inf_A", "r_omega_1", "r_omega_2",
-                 "r_omega_3", "r_omega_inf", "r_z_inf"):
-        print(f"{name}: {_fmt(vars(report)[name])}", file=out)
+    for name in RuleReport.__match_args__:
+        if name not in ("family", "n", "epsilon"):  # the header shows family and n
+            print(f"{name}: {_fmt(getattr(report, name))}", file=out)
 
 
 def _cmd_analyze(args, out):

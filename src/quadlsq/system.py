@@ -35,18 +35,16 @@ centred at 0.
 
 Each result type is its double-double store.  The system keeps ``A_dd``,
 the rows of A as (hi, lo) float pairs without their structural zeros (row
-i holds columns i..n-1), and ``leading_dd``, mu_0..mu_{d+1} as pairs, which
-is all the system reads (c = mu_0..mu_{n-1} and mu_Q = mu_{d+1}, d the
-degree); a solution keeps omega and tau.  The public doubles are hi + lo of
-the store, the IEEE addition ``float(DD)`` performs, or derived from those
-(``F``, ``c_tilde``, ``z_star = omega + tau``).  The full profile mu_0..mu_2n (``moments_dd`` and its doubles
-``moments``) is computed by the same recurrence when first read; no
-pipeline or oracle path reads it.  One backward pass solves omega and tau
-together, one routine forms the residual and one coercion turns a
-vector passed in into its entries.  One reduction forms a residual's 1-,
-2-, 3- and max norms on Python floats of its components, each rounded
-once from its pair, scaled by a power of two (as ``analysis.rule_angle``'s
-vectors are) and summed by ``math.fsum``.
+i holds columns i..n-1), and ``leading_dd``, mu_0..mu_{d+1} as pairs, its
+one moment store (c = mu_0..mu_{n-1} and mu_Q = mu_{d+1}, d the degree); a
+solution keeps omega and tau.  The public doubles are hi + lo of the
+store, the IEEE addition ``float(DD)`` performs, or derived from those
+(``F``, ``c_tilde``, ``z_star = omega + tau``).  One backward pass solves
+omega and tau together, one routine forms the residual and one coercion
+turns a vector passed in into its entries.  One reduction forms a
+residual's 1-, 2-, 3- and max norms on Python floats of its components,
+each rounded once from its pair, scaled by a power of two (as
+``analysis.rule_angle``'s vectors are) and summed by ``math.fsum``.
 The report path reads the store with the stdlib alone; numpy is imported
 only where a public array view (``A``, ``c``, ``omega``, ``residual()``'s
 return, ...) is first built, by :func:`_freeze`.
@@ -133,9 +131,7 @@ class FundamentalSystem(_Record):
     The fields are the store: ``A_dd`` and ``leading_dd`` (mu_0..mu_{d+1},
     the moments the system reads), with the nodes, the zero threshold and
     the degree.  ``A``, ``mu_Q`` and the other read-only doubles are rounded
-    from it or derived from those.  The full profile mu_0..mu_{2n},
-    ``moments_dd`` and its doubles ``moments``, is computed by the same
-    recurrence when first read, for reports that show it.
+    from it or derived from those.
     """
 
     __match_args__ = ("nodes", "eps_deg", "degree", "A_dd", "leading_dd")
@@ -160,14 +156,6 @@ class FundamentalSystem(_Record):
     @cached_property
     def A(self):  # upper triangular, zero below the diagonal
         return _freeze([[0.0] * i + _hi_plus_lo(row) for i, row in enumerate(self.A_dd)])
-
-    @cached_property
-    def moments_dd(self):  # mu_0..mu_2n as pairs
-        return tuple(_moments_dd(self.nodes))
-
-    @cached_property
-    def moments(self):  # mu_0..mu_2n
-        return _round(self.moments_dd)
 
     @cached_property
     def c(self):  # mu_0..mu_{n-1}
@@ -262,11 +250,6 @@ def _iter_moments_dd(ns):
     for start in islice(_centred_monomial_moments(iv), len(factors) + 1):
         level = dd_dot(*start, level, factors)
         yield level[-1]
-
-
-def _moments_dd(ns):
-    """mu_0..mu_{2n} as (hi, lo) pairs: the whole moment profile."""
-    return list(_iter_moments_dd(ns))
 
 
 #: An operand above 2^996 turns into nan in the Dekker split, which scales

@@ -16,6 +16,7 @@ import quadlsq as q
 from quadlsq.analysis import _norm_inf_inverse
 from quadlsq.basis import NodeSet
 from quadlsq.oracle import _as_fraction, _scale_exponent
+from quadlsq.system import _iter_moments_dd
 
 FAMILIES = (
     q.Family.NEWTON_COTES,
@@ -44,6 +45,12 @@ def solved(family, n):
     ns = nodeset(family, n)
     fs = q.build_system(ns)
     return ns, fs, q.solve_rule(fs)
+
+
+def moments_dd(ns):
+    """mu_0..mu_2n of a node set as (hi, lo) pairs: the whole profile of
+    the system's moment recurrence, of which it stores mu_0..mu_Q."""
+    return list(_iter_moments_dd(ns))
 
 
 def family_cases(n_lo, n_hi):

@@ -2,6 +2,7 @@ import copy
 import math
 import pickle
 from fractions import Fraction
+from functools import cached_property
 from itertools import islice
 
 import numpy as np
@@ -143,8 +144,7 @@ def _same(x, y):
     if type(x) is not type(y):
         return False
     if isinstance(x, q.basis._Record):
-        return list(vars(x)) == list(vars(y)) and all(map(_same, vars(x).values(),
-                                                          vars(y).values()))
+        return all(_same(getattr(x, f), getattr(y, f)) for f in type(x).__match_args__)
     if isinstance(x, (tuple, list)):
         return len(x) == len(y) and all(map(_same, x, y))
     if isinstance(x, np.ndarray):
@@ -154,26 +154,39 @@ def _same(x, y):
     return x == y
 
 
+def _views(record):
+    """The names of a record's derived values: its properties, cached or not."""
+    return [name for klass in type(record).__mro__ for name, attr in vars(klass).items()
+            if isinstance(attr, (property, cached_property))]
+
+
 def _records():
-    """One instance of each record type, its cached views read where it has them."""
+    """One instance of each record type, every view of it read."""
     ns = NodeSet((-1.0, 0.0, 1.0))
     fs = q.build_system(ns)
-    fs.A
-    rule = q.rational_pipeline(ns)
-    rule.A
-    return {"Interval": ns.interval, "NodeSet": ns, "FamilySpec": q.FamilySpec("gl", 17),
-            "FundamentalSystem": fs, "RuleSolution": q.solve_rule(fs),
-            "RuleReport": q.build_report(ns), "RationalRule": rule}
+    records = {"Interval": ns.interval, "NodeSet": ns, "FamilySpec": q.FamilySpec("gl", 17),
+               "FundamentalSystem": fs, "RuleSolution": q.solve_rule(fs),
+               "RuleReport": q.build_report(ns), "RationalRule": q.rational_pipeline(ns)}
+    for x in records.values():
+        for name in _views(x):
+            getattr(x, name)
+    return records
 
 
 @pytest.mark.parametrize("name", list(_records()))
-@pytest.mark.parametrize("copy_of", [lambda x: pickle.loads(pickle.dumps(x)), copy.deepcopy],
-                         ids=["pickle", "deepcopy"])
+@pytest.mark.parametrize("copy_of", [lambda x: pickle.loads(pickle.dumps(x)), copy.copy,
+                                     copy.deepcopy], ids=["pickle", "copy", "deepcopy"])
 def test_a_record_pickles_and_copies(name, copy_of):
-    # a report held its residual norms in a mappingproxy, which neither takes
+    # a copy is rebuilt from its fields alone; each view is built again on
+    # first read, read-only (numpy drops the flag from a pickled array)
     x = _records()[name]
     y = copy_of(x)
     assert y is not x and type(y).__name__ == name and _same(x, y)
+    assert tuple(vars(y)) == type(y).__match_args__
+    for view in _views(x):
+        got = getattr(y, view)
+        assert _same(getattr(x, view), got), view
+        assert not isinstance(got, np.ndarray) or not got.flags.writeable, view
 
 
 @pytest.mark.parametrize("family,n", family_cases(2, 20))

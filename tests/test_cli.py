@@ -13,7 +13,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from quadlsq.cli import CSV_COLUMNS, build_parser, main
+from quadlsq import FamilySpec, RuleReport, build_report, generate
+from quadlsq.cli import CSV_COLUMNS, _fmt, build_parser, main
 
 
 def run(argv):
@@ -73,6 +74,23 @@ class TestAnalyze:
         assert int(lines["degree"].split()[0]) == 33
         assert float(lines["mu_Q"]) == pytest.approx(1.80e-10, rel=2e-2)
         assert float(lines["angle_deg"]) == pytest.approx(0.000154, rel=5e-2)
+
+    def test_text_lines_follow_the_record_fields(self):
+        # the header, the four vectors, then one line per report field in
+        # the record's order; family and n are in the header and epsilon
+        # is not shown
+        code, text = run(["analyze", "--family", "cc", "--n", "7"])
+        assert code == 0
+        lines = [line.split(":", 1) for line in text.splitlines()]
+        assert text.startswith("family: clenshaw_curtis   n: 7   interval: (-1, 1)\n")
+        assert [k for k, _ in lines[1:5]] == ["nodes", "omega", "z_star", "tau"]
+        names = [k for k, _ in lines[5:]]
+        assert names == [f for f in RuleReport.__match_args__ if f not in ("family", "n", "epsilon")]
+        assert names == ["degree", "mu_Q", "N_omega", "N_z", "angle_deg", "tau_inf", "alpha",
+                         "c_n", "Omega", "Gamma", "cond_inf_A", "r_omega_1", "r_omega_2",
+                         "r_omega_3", "r_omega_inf", "r_z_inf"]
+        rep = build_report(generate(FamilySpec("cc", 7)))
+        assert [v.strip() for _, v in lines[5:]] == [_fmt(getattr(rep, k)) for k in names]
 
     def test_unsupported_count_exits_2(self, capsys):
         code, _ = run(["analyze", "--family", "nc", "--n", "1"])

@@ -23,8 +23,7 @@ from quadlsq.ddouble import (
 )
 from quadlsq.nodes import _mirrored, _monic_coefficients, _monic_dd, _newton_step_dd
 from quadlsq.system import (
-    _back_substitute, _iter_moments_dd, _moments_dd, _node_products_dd, _residual_dd,
-    solve_rule,
+    _back_substitute, _iter_moments_dd, _node_products_dd, _residual_dd, solve_rule,
 )
 
 from helpers import (
@@ -38,6 +37,7 @@ from helpers import (
     ref_monic,
     ref_newton_starts,
     lsq_error_bound,
+    moments_dd,
     ref_centred_moments,
     ref_moments,
     ref_node_products,
@@ -251,7 +251,7 @@ def _floats(xs):
 def test_pipeline_bit_identical(ns):
     n = ns.n
     mom = ref_moments(ns)
-    assert bits(_moments_dd(ns)) == bits(mom)
+    assert bits(moments_dd(ns)) == bits(mom)
     rows = _node_products_dd(ns.nodes)
     ref_rows = ref_node_products(ns.nodes)
     # the store keeps row i from column i on; the reference pads it with zeros
@@ -261,9 +261,9 @@ def test_pipeline_bit_identical(ns):
 
     fs = _system(ns)
     assert bits(e for row in fs.A_dd for e in row) == bits(e for row in rows for e in row)
-    assert bits(fs.moments_dd) == bits(mom)
+    assert bits(fs.leading_dd) == bits(mom[:fs.degree + 2])
     F = _padded(fs.A_dd, n)
-    c_tilde = fs.moments_dd[:n] + (fs.moments_dd[fs.degree + 1],)
+    c_tilde = fs.leading_dd[:n] + fs.leading_dd[-1:]
     sol = solve_rule(fs)
     w = ref_solve_upper(F[:n], c_tilde[:n])
     t = ref_solve_upper(F[:n], [abs(RefDD(*c_tilde[n]))] * n)
@@ -286,7 +286,6 @@ def test_pipeline_bit_identical(ns):
     assert bits(fs.A.ravel()) == bits(float(e) for row in ref_rows for e in row)
     assert bits(fs.c_tilde) == bits(_floats(ref_c_tilde))
     assert bits(fs.c) == bits(_floats(mom[:n]))
-    assert bits(fs.moments) == bits(_floats(mom))
     assert bits([fs.mu_Q]) == bits([float(mu_q)])
     assert bits(sol.omega) == bits(omega)
     assert bits(sol.tau) == bits(tau)
@@ -356,7 +355,7 @@ def test_lsq_normal_equations_bit_identical(ns):
     fs = _system(ns)
     n = fs.n
     F = _padded(fs.A_dd, n)
-    c_tilde = fs.moments_dd[:n] + (fs.moments_dd[fs.degree + 1],)
+    c_tilde = fs.leading_dd[:n] + fs.leading_dd[-1:]
     gh, gl = oracle._normal_system(fs)
     got = [list(zip(h, l)) for h, l in zip(gh.tolist(), gl.tolist())]
     products = ref_normal_products(F, c_tilde)
@@ -445,29 +444,29 @@ class TestMomentMemo:
     def test_other_interval_after_a_warm_one(self):
         first = _rule(q.Family.CLENSHAW_CURTIS, 9, -1.0, 1.0)
         second = _rule(q.Family.CLENSHAW_CURTIS, 9, 0.0, 2.0)
-        cold = bits(_moments_dd(second))
-        _moments_dd(first)
-        assert bits(_moments_dd(second)) == cold
+        cold = bits(moments_dd(second))
+        moments_dd(first)
+        assert bits(moments_dd(second)) == cold
         assert cold == bits(ref_moments(second))
 
     def test_same_midpoint_other_half_length(self):
         # (-1, 1) and (-2, 2) share c = 0
         wide = _rule(q.Family.FEJER1, 5, -2.0, 2.0)
-        cold = bits(_moments_dd(wide))
-        _moments_dd(_rule(q.Family.FEJER1, 5, -1.0, 1.0))
-        assert bits(_moments_dd(wide)) == cold
+        cold = bits(moments_dd(wide))
+        moments_dd(_rule(q.Family.FEJER1, 5, -1.0, 1.0))
+        assert bits(moments_dd(wide)) == cold
 
     def test_short_after_long(self):
         short = _rule(q.Family.NEWTON_COTES, 3, -1.0, 1.0)
-        cold = bits(_moments_dd(short))
-        _moments_dd(_rule(q.Family.NEWTON_COTES, 33, -1.0, 1.0))
-        assert bits(_moments_dd(short)) == cold
+        cold = bits(moments_dd(short))
+        moments_dd(_rule(q.Family.NEWTON_COTES, 33, -1.0, 1.0))
+        assert bits(moments_dd(short)) == cold
 
     def test_long_after_short_extends(self):
         long = _rule(q.Family.GAUSS_LEGENDRE, 33, 2.0, 4.0)
-        cold = bits(_moments_dd(long))
-        _moments_dd(_rule(q.Family.GAUSS_LEGENDRE, 3, 2.0, 4.0))
-        assert bits(_moments_dd(long)) == cold
+        cold = bits(moments_dd(long))
+        moments_dd(_rule(q.Family.GAUSS_LEGENDRE, 3, 2.0, 4.0))
+        assert bits(moments_dd(long)) == cold
 
 
 #: Endpoints off-centre, subnormal, huge and of mixed exponent: any finite
@@ -533,7 +532,7 @@ class TestMomentOverflow:
     ])
     def test_typed_failure(self, family, n, interval, index, half):
         ns = _rule(family, n, *interval)
-        assert any(not math.isfinite(m[0]) for m in _moments_dd(ns))
+        assert any(not math.isfinite(m[0]) for m in moments_dd(ns))
         with pytest.raises(q.MomentOverflowError) as info:
             q.build_system(ns)
         assert f"mu_{index} is not finite" in str(info.value)
@@ -543,6 +542,6 @@ class TestMomentOverflow:
     def test_finite_moments_do_not_raise(self):
         # on (0, 1000) the moments still fit the double range at n = 40
         ns = _rule(q.Family.GAUSS_LEGENDRE, 40, 0.0, 1000.0)
-        assert all(math.isfinite(m[0]) for m in _moments_dd(ns))
+        assert all(math.isfinite(m[0]) for m in moments_dd(ns))
         assert q.build_system(ns).n == 40
 

@@ -7,11 +7,14 @@ neither numpy nor ``dataclasses`` (whose import pulls in ``inspect``,
 children then read a public array view or generate Gauss-Legendre nodes,
 which must load numpy, or import ``dataclasses``, so that the checks
 cannot pass for a reason that has nothing to do with the package (a
-module missing, or a module of that name never recorded).
+module missing, or a module of that name never recorded).  A system and a
+solution whose array views were read unpickle without numpy as well: a
+pickled record holds its fields alone.
 """
 
 import json
 import os
+import pickle
 import subprocess
 import sys
 from pathlib import Path
@@ -65,11 +68,13 @@ CONTROLS = {
 }
 
 
-def _steps(code):
+def _steps(code, data=None):
+    """The JSON of the last line a child running ``code`` prints; ``data``,
+    if given, is its standard input."""
     env = dict(os.environ, PYTHONPATH=PACKAGE_ROOT)
-    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                          text=True, timeout=120, check=True)
-    return json.loads(done.stdout.splitlines()[-1])
+    done = subprocess.run([sys.executable, "-c", code], env=env, input=data,
+                          capture_output=True, timeout=120, check=True)
+    return json.loads(done.stdout.decode().splitlines()[-1])
 
 
 @pytest.mark.parametrize("control", sorted(CONTROLS))
@@ -81,3 +86,28 @@ def test_report_path_never_loads_numpy(control):
     assert loaded[module], f"the control ({control}) should load {module}"
     assert [s for s in report_path if any(s[1].values())] == []
     assert all(s[0].endswith("(exit 0)") for s in report_path[3:])
+
+
+UNPICKLE_STEPS = """
+import json, pickle, sys
+
+def loaded():
+    return {name: name in sys.modules for name in ("numpy", "dataclasses")}
+
+fs, sol = pickle.loads(sys.stdin.buffer.read())
+steps = [("pickle.loads", loaded()), ("types", [type(fs).__name__, type(sol).__name__])]
+fs.A
+steps.append(("control", loaded()))
+print(json.dumps(steps))
+"""
+
+
+def test_unpickling_a_record_never_loads_numpy():
+    fs = quadlsq.build_system(quadlsq.NodeSet((-1.0, 0.0, 1.0)))
+    sol = quadlsq.solve_rule(fs)
+    fs.A, fs.c, fs.F, fs.c_tilde, sol.omega, sol.tau, sol.z_star
+    steps = _steps(UNPICKLE_STEPS, pickle.dumps((fs, sol)))
+    (label, loaded), types, control = steps
+    assert label == "pickle.loads" and loaded == {"numpy": False, "dataclasses": False}
+    assert types == ["types", ["FundamentalSystem", "RuleSolution"]]
+    assert control[1]["numpy"], "reading fs.A should load numpy"

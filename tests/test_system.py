@@ -24,11 +24,11 @@ from quadlsq import (
     solve_rule,
 )
 from quadlsq.ddouble import dd_add
-from quadlsq.system import _default_eps_deg, _iter_moments_dd, _moments_dd, _node_products_dd
+from quadlsq.system import _default_eps_deg, _iter_moments_dd, _node_products_dd
 
 from helpers import (
-    FAMILIES, MIN_N, asymmetric_rational_nodes, bits, family_cases, nodeset, ref_centred_moments,
-    solved,
+    FAMILIES, MIN_N, asymmetric_rational_nodes, bits, family_cases, moments_dd, nodeset,
+    ref_centred_moments, solved,
 )
 
 SIMPSON = NodeSet((-1.0, 0.0, 1.0))
@@ -74,13 +74,16 @@ class TestBuildSystem:
 
     def test_moment_profile_stored(self):
         fs = build_system(SIMPSON)
+        mom = moments_dd(SIMPSON)
         # mu_0..mu_2 then mu_3..mu_6
         np.testing.assert_allclose(
-            fs.moments,
+            [h + l for h, l in mom],
             [2.0, 2.0, 2.0 / 3.0, 0.0, -4.0 / 15.0, -4.0 / 15.0, 16.0 / 105.0],
             rtol=0,
             atol=1e-15,
         )
+        # the system stores mu_0..mu_Q, mu_Q = mu_4
+        assert bits(fs.leading_dd) == bits(mom[:fs.degree + 2])
 
     def test_arrays_are_readonly(self):
         fs = build_system(SIMPSON)
@@ -418,13 +421,15 @@ class TestKernelAgainstExact:
     def test_n24(self, ns):
         rr = rational_pipeline(ns)
         n = ns.n
-        A_dd, moments = _node_products_dd(ns.nodes), [h + l for h, l in _moments_dd(ns)]
+        A_dd, mom = _node_products_dd(ns.nodes), moments_dd(ns)
         try:
             fs = build_system(ns)
         except DegreeOverflowError:  # GL at n = 24: the fixed 1e-12 threshold
             pass
         else:
-            A_dd, moments = fs.A_dd, fs.moments
+            A_dd = fs.A_dd
+            assert bits(fs.leading_dd) == bits(mom[:fs.degree + 2])
+        moments = [h + l for h, l in mom]
         assert len(A_dd) == n
         _assert_matrix_exact(A_dd, rr)
         assert len(moments) == 2 * n + 1
@@ -456,7 +461,7 @@ class TestKernelAgainstExact:
         c = Fraction(0.5 * iv.a + 0.5 * iv.b)
         ua, ub = fa - c, fb - c
         scale = [(ub ** (m + 1) + (-ua) ** (m + 1)) / (m + 1) for m in range(2 * ns.n + 1)]
-        mom = _moments_dd(ns)
+        mom = moments_dd(ns)
         assert _dd_error(mom[0], rr.moments[0]) <= Fraction(1, 2 ** 100) * scale[0]
         for j, t in enumerate(ns.nodes * 2, start=1):
             d = abs(Fraction(t) - c)
@@ -471,7 +476,7 @@ def _drained_scan(ns):
     """Degree detection on the whole profile mu_0..mu_2n, default threshold:
     ("ok", leading pairs, threshold, degree), or ("overflow", first index
     of a non-finite moment), or ("degree overflow",)."""
-    full = _moments_dd(ns)
+    full = moments_dd(ns)
     moments = [h + l for h, l in full]
     bad = next((j for j, m in enumerate(moments) if not math.isfinite(m)), None)
     if bad is not None:
@@ -527,7 +532,7 @@ class TestLeadingMoments:
         ns = nodeset(family, n)
         fs = build_system(ns)
         assert len(fs.leading_dd) == fs.degree + 2
-        assert bits(fs.leading_dd) == bits(_moments_dd(ns)[:fs.degree + 2])
+        assert bits(fs.leading_dd) == bits(moments_dd(ns)[:fs.degree + 2])
         h, l = fs.leading_dd[-1]
         assert bits([fs.mu_Q]) == bits([h + l])
         assert bits(fs.c) == bits([h + l for h, l in fs.leading_dd[:n]])
@@ -658,7 +663,7 @@ class TestLeadingMoments:
             ns = q.generate(q.FamilySpec(family, n), iv)
         want = _drained_scan(ns)
         if q.system._profile_stays_finite(ns):
-            assert all(math.isfinite(h) and math.isfinite(l) for h, l in _moments_dd(ns))
+            assert all(math.isfinite(h) and math.isfinite(l) for h, l in moments_dd(ns))
             assert want[0] != "overflow"
         got = _scan_outcome(ns)
         assert got[0] == want[0]
@@ -668,37 +673,3 @@ class TestLeadingMoments:
         else:
             assert got == want
 
-
-_PROFILE = ("moments", "moments_dd")
-
-
-class TestLazyProfile:
-    """The full profile mu_0..mu_2n is built only when read: no pipeline or
-    oracle path reads it, and once read it is the full recurrence's and
-    cached."""
-
-    @pytest.mark.parametrize("ns", [
-        SIMPSON,
-        nodeset(q.Family.CLENSHAW_CURTIS, 17),
-        nodeset(q.Family.NEWTON_COTES, 9),
-        NodeSet(tuple(float(t) for t in asymmetric_rational_nodes(1, 12)), Interval(0.0, 2.0)),
-    ], ids=["simpson", "cc-17", "nc-9", "rational-12"])
-    def test_built_on_first_read_and_cached(self, ns):
-        fs = build_system(ns)
-        assert not set(_PROFILE) & vars(fs).keys()
-        sol = q.solve_rule(fs)
-        q.build_report(ns, fs=fs, solution=sol)
-        q.lsq_normal_equations(fs)
-        q.direct_sis4_minimax(fs)
-        residual(fs, sol.z_star)
-        fs.F, fs.c, fs.c_tilde
-        assert not set(_PROFILE) & vars(fs).keys()
-
-        mom_dd = fs.moments_dd
-        assert bits(mom_dd) == bits(_moments_dd(ns))
-        assert fs.moments_dd is mom_dd
-        moments = fs.moments
-        assert bits(moments) == bits([h + l for h, l in mom_dd])
-        assert fs.moments is moments
-        assert not moments.flags.writeable
-        assert bits(fs.leading_dd) == bits(mom_dd[:fs.degree + 2])
