@@ -24,15 +24,15 @@ computation reads the grid X = D x of :func:`_on_grid`, the power chain
 
 The input checks of a rule live here, next to their types: the node
 check, which :class:`NodeSet` runs on doubles and the exact oracle and the
-node-file reader on exact values, and the interval check, which
-:class:`Interval` runs on doubles and the exact oracle on exact values.
+node-file reader on exact values, the interval check, which
+:class:`Interval` runs on doubles and the exact oracle on exact values,
+and the check that an interval passed to :class:`NodeSet` or
+:func:`quadlsq.nodes.generate` is an :class:`Interval`.
 The base of the package's immutable record types, :class:`_Record`, is
 here as well, since every module that defines one imports this one.
 """
 
 import math
-from decimal import Decimal
-from fractions import Fraction
 from functools import partial
 from itertools import chain
 
@@ -43,6 +43,8 @@ def _as_double(value, what):
     try:
         return float(value)
     except OverflowError:  # Fraction has no format spec before 3.12
+        from decimal import Decimal
+
         approx = Decimal(value.numerator) / Decimal(value.denominator)
         raise ValueError(f"{what} {approx:.6g} is outside the double range") from None
 
@@ -130,6 +132,14 @@ class Interval(_Value):
         return 0.5 * self.b - 0.5 * self.a
 
 
+def _checked_interval_type(interval):
+    """``interval`` if it is an :class:`Interval`, else ``ValueError``
+    naming its type."""
+    if not isinstance(interval, Interval):
+        raise ValueError(f"the interval must be an Interval, got {type(interval).__name__}")
+    return interval
+
+
 def _checked_nodes(nodes):
     """The nodes as a tuple if there is at least one, each is finite and
     each is below the next, else ``ValueError``.  Exact values (ints,
@@ -157,6 +167,7 @@ class NodeSet(_Value):
 
     def __init__(self, nodes: tuple, interval: Interval = Interval()):
         nodes = _checked_nodes(_as_double(t, "node") for t in nodes)
+        interval = _checked_interval_type(interval)
         vars(self).update(nodes=nodes, interval=interval)
 
     @property
@@ -215,6 +226,8 @@ def build_basis(ns):
     coefficients, lowest degree first.  With the nodes on the grid
     T_i = D t_i of :func:`_on_grid`, :func:`_basis` gives D^j P_j(X / D), so
     coefficient k of P_j is an integer over D^(j - k)."""
+    from fractions import Fraction
+
     D, T = _on_grid(ns.nodes)
     return tuple(tuple(Fraction(c, D ** (j - k)) for k, c in enumerate(p))
                  for j, p in enumerate(_basis(T)))

@@ -27,7 +27,6 @@ import json
 import math
 import re
 import sys
-from fractions import Fraction
 
 from .analysis import RuleReport, build_report, error_coefficient
 from .basis import Interval, NodeSet, _horner
@@ -175,6 +174,8 @@ def _parse_integrand(spec):
         if not all(map(math.isfinite, coeffs)):
             raise ValueError(f"unknown integrand: {spec!r} has a coefficient "
                              "that is not a finite double")
+        from fractions import Fraction
+
         exact = [Fraction(c) for c in coeffs]
         # exact, rounded once: OverflowError past the double range
         return lambda x: float(_horner(exact, Fraction(x)))

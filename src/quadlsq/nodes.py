@@ -26,9 +26,8 @@ never load it.
 import math
 import operator
 from enum import Enum
-from fractions import Fraction
 
-from .basis import Interval, NodeSet, _Value, _checked_nodes
+from .basis import Interval, NodeSet, _Value, _checked_interval_type, _checked_nodes
 from .ddouble import _SPLITTER, dd_ratio, two_sum
 from .errors import ConvergenceError
 
@@ -252,9 +251,10 @@ def generate(spec, interval=None):
 
     Each node t of the family on [-1, 1] goes to mid + rad t, with the
     interval's ``mid`` and ``rad``; on [-1, 1] the map is the identity, bit
-    for bit, as no generator returns -0.0.
+    for bit, as no generator returns -0.0.  An ``interval`` that is not an
+    :class:`Interval` is a ``ValueError``.
     """
-    interval = interval or Interval()
+    interval = Interval() if interval is None else _checked_interval_type(interval)
     mid, rad = interval.mid, interval.rad
     return NodeSet(tuple(mid + rad * t for t in _GENERATORS[spec.family](spec.n)), interval)
 
@@ -266,6 +266,8 @@ def read_nodes_file(path):
     starts a comment.  Values are returned as Fractions (exact) and must
     pass the node check of :class:`NodeSet`, whose message names the path.
     """
+    from fractions import Fraction
+
     values = []
     with open(path, encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):

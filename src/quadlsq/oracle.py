@@ -47,7 +47,6 @@ backward substitution).
 import math
 import numbers
 import operator
-from fractions import Fraction
 from functools import cached_property
 from itertools import chain, islice
 
@@ -65,35 +64,46 @@ from .system import _ceil_log2, _default_eps_deg, _fsum, _max, _vector
 # exact rational pipeline
 # ---------------------------------------------------------------------------
 
-def _as_fraction(value):
-    """Exact Fraction from an int, Fraction, string, (num, den) pair of
-    integers, float or numpy scalar; a non-finite one is returned as a
-    float, for the node or interval check to reject.
+def _as_fractions(values):
+    """Exact Fractions, as a tuple, from ints, Fractions, strings, (num, den)
+    pairs of integers, floats or numpy scalars; a non-finite one is kept as
+    a float, for the node or interval check to reject.
 
     Floats are converted exactly, whatever their exponent: every finite
     double is a binary rational.  The other forms may need integers of any
     size.  numpy scalars are recognised without importing numpy: numpy
     registers its integers as ``numbers.Integral`` and its floating types
-    as ``numbers.Real``, and these have ``as_integer_ratio``.
+    as ``numbers.Real``, and these have ``as_integer_ratio``.  ``fractions``
+    is imported once per call, not once per value.
     """
-    if isinstance(value, Fraction):
-        return value
-    if isinstance(value, numbers.Integral):
-        return Fraction(int(value))
-    if isinstance(value, numbers.Real):
+    from fractions import Fraction
+
+    def exact(value):
+        if isinstance(value, Fraction):
+            return value
+        if isinstance(value, numbers.Integral):
+            return Fraction(int(value))
+        if isinstance(value, numbers.Real):
+            try:
+                return Fraction(*value.as_integer_ratio())
+            except (OverflowError, ValueError):  # inf or nan
+                return float(value)
         try:
-            return Fraction(*value.as_integer_ratio())
-        except (OverflowError, ValueError):  # inf or nan
-            return float(value)
-    try:
-        if isinstance(value, str):
-            return Fraction(value)
-        if (isinstance(value, tuple) and len(value) == 2
-                and all(isinstance(v, numbers.Integral) for v in value)):
-            return Fraction(int(value[0]), int(value[1]))
-    except (ValueError, ZeroDivisionError):
-        raise ValueError(f"irrational nodes: cannot parse {value!r}") from None
-    raise ValueError(f"irrational nodes: unsupported node spec {value!r}")
+            if isinstance(value, str):
+                return Fraction(value)
+            if (isinstance(value, tuple) and len(value) == 2
+                    and all(isinstance(v, numbers.Integral) for v in value)):
+                return Fraction(int(value[0]), int(value[1]))
+        except (ValueError, ZeroDivisionError):
+            raise ValueError(f"irrational nodes: cannot parse {value!r}") from None
+        raise ValueError(f"irrational nodes: unsupported node spec {value!r}")
+
+    return tuple(map(exact, values))
+
+
+def _as_fraction(value):
+    """One value through :func:`_as_fractions`."""
+    return _as_fractions((value,))[0]
 
 
 def _scaled(nodes, a, b):
@@ -122,7 +132,7 @@ class RationalRule(_Record):
 
     __match_args__ = ("nodes", "interval", "mu_Q", "degree", "weights")
 
-    def __init__(self, nodes: tuple, interval: tuple, mu_Q: Fraction, degree: int,
+    def __init__(self, nodes: tuple, interval: tuple, mu_Q: "Fraction", degree: int,
                  weights: tuple):
         vars(self).update(nodes=nodes, interval=interval, mu_Q=mu_Q, degree=degree,
                           weights=weights)
@@ -139,6 +149,8 @@ class RationalRule(_Record):
     def A(self):
         """A[i][j] = phi_i(t_j), zero below the diagonal: Horner's rule on
         the coefficients of phi_i."""
+        from fractions import Fraction
+
         D, T, _, _, basis = self._scaled_basis
         n, zero = len(T), Fraction(0)
         return tuple(
@@ -147,6 +159,8 @@ class RationalRule(_Record):
 
     @cached_property
     def moments(self):
+        from fractions import Fraction
+
         D, _, L, S, basis = self._scaled_basis
         return tuple(Fraction(sum(map(operator.mul, p, S)), L * D ** len(p)) for p in basis)
 
@@ -171,16 +185,18 @@ def rational_pipeline(nodes, interval=None):
     raises the same ``ValueError``; a value of none of these forms raises an
     "irrational nodes" ``ValueError``.
     """
+    from fractions import Fraction
+
     if isinstance(interval, Interval):
         interval = (interval.a, interval.b)
     if isinstance(nodes, NodeSet):
         own = (nodes.interval.a, nodes.interval.b)
-        if interval is not None and tuple(map(_as_fraction, interval)) != own:
+        if interval is not None and _as_fractions(interval) != own:
             raise ValueError(f"interval {tuple(interval)} differs from the node set's {own}")
         nodes, interval = nodes.nodes, own
     elif interval is None:
         interval = (-1, 1)
-    ts = _checked_nodes(map(_as_fraction, nodes))
+    ts = _checked_nodes(_as_fractions(nodes))
     a, b = _checked_interval(*interval, convert=_as_fraction)
     n = len(ts)
     D, T, L, S = _scaled(ts, a, b)

@@ -4,7 +4,8 @@
 are built exactly in :mod:`quadlsq.basis` and the CLI's ``poly:``
 integrand is evaluated on ``Fraction``s.  It is kept for the public API,
 and because the benchmark's tracer looks up its double-double methods and
-the ``DD`` operators it runs on by name.
+the ``DD`` operators it runs on by name; ``import quadlsq`` does not load
+this module, which ``quadlsq.Polynomial`` imports on first use.
 
 Polynomials are immutable sequences of coefficients in the monomial basis,
 lowest degree first.  Coefficients are carried internally as double-double

@@ -241,6 +241,13 @@ class TestNodeSet:
         with pytest.raises(ValueError, match=r"node 1\.00000e\+400 is outside the double range"):
             NodeSet(t for t in (0, Fraction(10 ** 400), 1))
 
+    @pytest.mark.parametrize("interval,name", [((0, 1), "tuple"), (None, "NoneType")])
+    def test_an_interval_that_is_not_an_interval_is_a_value_error(self, interval, name):
+        # before the check, the node set was built and build_report raised
+        # a bare AttributeError on interval.mid
+        with pytest.raises(ValueError, match=f"the interval must be an Interval, got {name}$"):
+            NodeSet((0.0, 0.5, 1.0), interval)
+
 
 class TestBuildBasis:
     def test_simpson(self):

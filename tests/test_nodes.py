@@ -226,6 +226,12 @@ class TestGenerate:
         with pytest.raises(ValueError, match="pass them to NodeSet"):
             generate(FamilySpec(Family.CUSTOM, 3))
 
+    @pytest.mark.parametrize("interval", [(0, 1), [0.0, 1.0], 0])
+    def test_an_interval_that_is_not_an_interval_is_a_value_error(self, interval):
+        name = type(interval).__name__
+        with pytest.raises(ValueError, match=f"the interval must be an Interval, got {name}$"):
+            generate(FamilySpec(Family.NEWTON_COTES, 3), interval)
+
     def test_interval_mapping(self):
         ns = generate(FamilySpec(Family.NEWTON_COTES, 3), Interval(0.0, 4.0))
         assert ns.nodes == (0.0, 2.0, 4.0)

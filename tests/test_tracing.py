@@ -13,6 +13,7 @@ from pathlib import Path
 
 import quadlsq as q
 import quadlsq.cli  # noqa: F401  (a span layer: the tracer looks it up)
+import quadlsq.poly  # noqa: F401  (loaded on first use: load it before the snapshots)
 from quadlsq.ddouble import DD
 
 _PERFBENCH_TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
@@ -42,6 +43,7 @@ def test_traced_report_has_its_spans_and_every_patch_is_undone():
         patched = [(name, attr) for name, owner in _namespaces()
                    for attr, value in vars(owner).items()
                    if value is not before[name].get(attr, value)]
+        served = q.generate
         q.build_report(ns, family="gauss_legendre")
     finally:
         tracer.remove()
@@ -57,3 +59,7 @@ def test_traced_report_has_its_spans_and_every_patch_is_undone():
         now = vars(owner)
         assert now.keys() == before[name].keys(), name
         assert all(now[attr] is value for attr, value in before[name].items()), name
+    # The package's lazy names are read from their modules on every access:
+    # the patch was served while installed, the original after its removal.
+    assert vars(q).keys() == before["quadlsq"].keys()
+    assert served.__wrapped__ is q.generate is sys.modules["quadlsq.nodes"].generate
