@@ -30,12 +30,12 @@ the functions take lists, tuples or 1-d arrays.
 import math
 import operator
 
-from .basis import _Record, _on_grid
+from .basis import _Record, _on_grid, _vector
 from .errors import SingularDiagonalError
 from .minimax import _epsilon
 from .system import (
     _checked_eps_deg, _fsum, _max, _pow2_scaled, _residual, _scaled_norms, _unscaled,
-    _vector, build_system, solve_rule,
+    build_system, solve_rule,
 )
 
 

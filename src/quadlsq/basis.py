@@ -22,10 +22,13 @@ Exact values have their one integer form here too: every exact
 computation reads the grid X = D x of :func:`_on_grid`, the power chain
 :func:`_power_differences` and exact :func:`_horner`.
 
-The input checks of a rule live here, next to their types: the node
+The input checks of a rule live here, next to their types: the one
+reader of a sequence passed in, :func:`_vector`, which :class:`NodeSet`
+runs on its nodes, the exact oracle on its nodes and its (a, b) pair, and
+every function that takes a vector with a rule on that vector; the node
 check, which :class:`NodeSet` runs on doubles and the exact oracle and the
-node-file reader on exact values, the interval check, which
-:class:`Interval` runs on doubles and the exact oracle on exact values,
+node-file reader on exact values; the interval check, which
+:class:`Interval` runs on doubles and the exact oracle on exact values;
 and the check that an interval passed to :class:`NodeSet` or
 :func:`quadlsq.nodes.generate` is an :class:`Interval`.
 The base of the package's immutable record types, :class:`_Record`, is
@@ -140,6 +143,59 @@ def _checked_interval_type(interval):
     return interval
 
 
+#: Builtin types that iterate but are no ordered sequence of numbers: text
+#: and bytes iterate by character, a mapping by key and a set in no order.
+_NOT_SEQUENCES = (str, bytes, dict, set, frozenset)
+
+
+def _vector(x, n=None, entry=float, what="a vector", item="vector entry"):
+    """The entries of a sequence of numbers passed in, as a list, each
+    through ``entry``: doubles by default, as they are for ``None``.
+
+    The one reader of every sequence passed in: a :class:`NodeSet`'s
+    nodes, the exact oracle's nodes and (a, b) pair, and every vector
+    passed in with a rule (its weights, z*, a candidate for
+    :func:`quadlsq.system.residual`).  x must be an ordered sequence,
+    one-dimensional by its ``ndim`` where it has one, of length n (any
+    length for n = None), checked before any entry is read.  Text, bytes,
+    a mapping and a set raise the ``ValueError`` "expected <what> of
+    length n, got <type>"; a column, a row or a 0-d array, a scalar and a
+    list of rows "..., got shape ...", another length "..., got <length>".
+    A record (a solution, a system, ...) is a ``TypeError``.  An entry
+    beyond the double range, on which ``float`` raises ``OverflowError``,
+    is the ``ValueError`` of :func:`_as_double` naming ``item``.
+    """
+    want = f"expected {what}" if n is None else f"expected {what} of length {n}"
+    if isinstance(x, _Record):
+        raise TypeError(f"{want}, got a {type(x).__name__}: pass one of its vectors")
+    if isinstance(x, _NOT_SEQUENCES):
+        raise ValueError(f"{want}, got {type(x).__name__}")
+    if getattr(x, "ndim", 1) != 1:
+        raise ValueError(f"{want}, got shape {x.shape}")
+    try:
+        x = list(x)
+    except TypeError:  # a scalar
+        raise ValueError(f"{want}, got shape ()") from None
+    if n is not None and len(x) != n:
+        raise ValueError(f"{want}, got {len(x)}")
+    if entry is None:
+        return x
+    try:
+        return list(map(entry, x))
+    except TypeError:  # entries that are no numbers: rows of one length?
+        lengths = {len(v) for v in x if hasattr(v, "__len__")}
+        if len(lengths) != 1:
+            raise
+        raise ValueError(f"{want}, got shape {(len(x), *lengths)}") from None
+    except OverflowError:  # an int or a Fraction beyond the double range
+        for v in x:
+            try:
+                entry(v)
+            except OverflowError:
+                _as_double(v, item)
+        raise
+
+
 def _checked_nodes(nodes):
     """The nodes as a tuple if there is at least one, each is finite and
     each is below the next, else ``ValueError``.  Exact values (ints,
@@ -160,13 +216,14 @@ class NodeSet(_Value):
     """Strictly increasing finite abscissas plus the integration interval.
 
     Nodes may lie outside the interval; only the ordering is required.
-    An exact value beyond the double range is a ``ValueError``.
+    The nodes are read by :func:`_vector`, so text, a mapping, a set or
+    rows are a ``ValueError``, as is an exact value beyond the double range.
     """
 
     __match_args__ = ("nodes", "interval")
 
     def __init__(self, nodes: tuple, interval: Interval = Interval()):
-        nodes = _checked_nodes(_as_double(t, "node") for t in nodes)
+        nodes = _checked_nodes(_vector(nodes, what="a vector of nodes", item="node"))
         interval = _checked_interval_type(interval)
         vars(self).update(nodes=nodes, interval=interval)
 

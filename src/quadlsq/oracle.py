@@ -26,10 +26,12 @@ Four deliberately different routes to the same quantities:
 The oracle reads the pipeline's double-double store (``A_dd``,
 ``leading_dd``) or its doubles; it shares only the float-pair primitives
 of :mod:`quadlsq.ddouble` (``dd_dot`` among them, the row the pipeline's
-moment recurrence, solve and residual also run), the NodeSet and Interval
-input checks, the integer basis, which the pipeline never forms, the grid
-X = D x and power chain of its moment starts, and the closed-form
-||A^-1||_inf of :mod:`quadlsq.analysis`.
+moment recurrence, solve and residual also run), the input checks of
+:mod:`quadlsq.basis` (the one reader of a sequence passed in, which reads
+the exact route's nodes and (a, b) pair and the monomial check's
+weights, and the node and interval checks), the integer basis, which the
+pipeline never forms, the grid X = D x and power chain of its moment
+starts, and the closed-form ||A^-1||_inf of :mod:`quadlsq.analysis`.
 
 The dense routes (the normal equations, the direct elimination and the
 monomial check) run on numpy arrays and import numpy when called; the
@@ -52,12 +54,12 @@ from itertools import chain, islice
 
 from .basis import (
     Interval, NodeSet, _Record, _basis, _checked_interval, _checked_nodes, _horner, _on_grid,
-    _power_differences,
+    _power_differences, _vector,
 )
 from .analysis import _norm_inf_inverse
 from .ddouble import dd_add, dd_div, dd_dot, dd_mul, split_operand
 from .errors import MomentOverflowError, SingularSystemError
-from .system import _ceil_log2, _default_eps_deg, _fsum, _max, _vector
+from .system import _ceil_log2, _default_eps_deg, _fsum, _max
 
 
 # ---------------------------------------------------------------------------
@@ -180,15 +182,19 @@ def rational_pipeline(nodes, interval=None):
     :class:`quadlsq.Interval` or an (a, b) pair whose endpoints take the same
     forms as the nodes.  Degree detection uses exact zero tests, so feeding
     rounded nodes of an irrational family verifies the floating pipeline on
-    those exact inputs, not the ideal rule.  The nodes and the interval pass the checks of
-    :class:`NodeSet` and :class:`quadlsq.Interval`, so an input those reject
-    raises the same ``ValueError``; a value of none of these forms raises an
+    those exact inputs, not the ideal rule.  The nodes and the interval are read
+    as :class:`NodeSet` reads its nodes, entries left exact, and pass the checks
+    of :class:`NodeSet` and :class:`quadlsq.Interval`, so an input those reject
+    (text, a mapping, a set, an interval that is not a pair, ...) raises the
+    same ``ValueError``; a value of none of these forms raises an
     "irrational nodes" ``ValueError``.
     """
     from fractions import Fraction
 
     if isinstance(interval, Interval):
         interval = (interval.a, interval.b)
+    if interval is not None:
+        interval = _vector(interval, 2, entry=None, what="the interval (a, b) as a vector")
     if isinstance(nodes, NodeSet):
         own = (nodes.interval.a, nodes.interval.b)
         if interval is not None and _as_fractions(interval) != own:
@@ -196,7 +202,7 @@ def rational_pipeline(nodes, interval=None):
         nodes, interval = nodes.nodes, own
     elif interval is None:
         interval = (-1, 1)
-    ts = _checked_nodes(_as_fractions(nodes))
+    ts = _checked_nodes(_as_fractions(_vector(nodes, entry=None, what="a vector of nodes")))
     a, b = _checked_interval(*interval, convert=_as_fraction)
     n = len(ts)
     D, T, L, S = _scaled(ts, a, b)
@@ -382,7 +388,7 @@ def degree_by_monomials(ns, weights):
     n = len(ts)
     w = np.asarray(_vector(weights, n))
     D, (lo, hi) = _on_grid((ns.interval.a, ns.interval.b))
-    eps = _default_eps_deg((hi - lo) / D)
+    eps = _default_eps_deg(2.0 * ns.interval.rad)
     powers = np.ones_like(ts)
     with np.errstate(over="ignore", invalid="ignore"):
         for k, num in enumerate(islice(_power_differences(lo, hi), 2 * n + 1)):

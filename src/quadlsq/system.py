@@ -40,8 +40,9 @@ one moment store (c = mu_0..mu_{n-1} and mu_Q = mu_{d+1}, d the degree); a
 solution keeps omega and tau.  The public doubles are hi + lo of the
 store, the IEEE addition ``float(DD)`` performs, or derived from those
 (``F``, ``c_tilde``, ``z_star = omega + tau``).  One backward pass solves
-omega and tau together, one routine forms the residual and one coercion
-turns a vector passed in into its entries.  One reduction forms a
+omega and tau together and one routine forms the residual; a vector
+passed in is read, its shape and length checked, by the one reader of a
+sequence, :func:`quadlsq.basis._vector`.  One reduction forms a
 residual's 1-, 2-, 3- and max norms on Python floats of its components,
 each rounded once from its pair, scaled by a power of two (as
 ``analysis.rule_angle``'s vectors are) and summed by ``math.fsum``.
@@ -88,21 +89,22 @@ import numbers
 from functools import cached_property
 from itertools import islice
 
-from .basis import NodeSet, _Record, _on_grid, _power_differences, _repr
+from .basis import NodeSet, _Record, _on_grid, _power_differences, _repr, _vector
 from .ddouble import (
     _SPLITTER, dd_add, dd_div, dd_dot, dd_ratio, split_operand, split_operands, two_sum,
 )
 from .errors import DegreeOverflowError, MomentOverflowError, SingularDiagonalError
 
-#: Relative zero threshold for degree detection, scaled by max(1, |mu_0|).
+#: Relative zero threshold for degree detection, scaled by max(1, b - a),
+#: the interval's width, which is mu_0.
 #: It must sit below the smallest genuine principal moment in scope
 #: (Gauss-Legendre at 17 nodes: ~1.8e-10) and far above the double-double
 #: noise floor of the moment accumulation (~1e-30).
 DEFAULT_EPS_DEG = 1e-12
 
 
-def _default_eps_deg(mu0):
-    return DEFAULT_EPS_DEG * max(1.0, abs(mu0))
+def _default_eps_deg(width):
+    return DEFAULT_EPS_DEG * max(1.0, abs(width))
 
 
 def _freeze(a):
@@ -343,9 +345,9 @@ def _checked_eps_deg(eps_deg):
     return eps_deg
 
 
-def _moments_and_degree(ns, eps_deg):
-    """(mu_0..mu_Q as pairs, threshold, degree), pulling moments only as
-    far as the scan needs them.
+def _moments_and_degree(ns, eps):
+    """(mu_0..mu_Q as pairs, degree) for the zero threshold ``eps``,
+    pulling moments only as far as the scan needs them.
 
     Each moment is checked for finiteness as it arrives.  The scan stops at
     the first j >= n with |mu_j| above the threshold when
@@ -354,7 +356,6 @@ def _moments_and_degree(ns, eps_deg):
     moment that overflows anywhere in the profile still raises
     :class:`MomentOverflowError` at its index.
     """
-    eps = _checked_eps_deg(eps_deg)
     n = ns.n
     lead, j_q = [], None
     for j, (h, l) in enumerate(_iter_moments_dd(ns)):
@@ -366,8 +367,6 @@ def _moments_and_degree(ns, eps_deg):
                 f"{ns.interval.rad:g} at n = {n}, so neither the degree "
                 "nor mu_Q can be read"
             )
-        if j == 0 and eps is None:
-            eps = _default_eps_deg(mu)
         if j_q is None:
             lead.append((h, l))
             if j >= n and abs(mu) > eps:
@@ -380,7 +379,7 @@ def _moments_and_degree(ns, eps_deg):
             f"degree overflow: no extended moment mu_{n}..mu_{2 * n} is above the zero "
             f"threshold {eps:g}; the largest is |mu_{k}| = {mu:g}"
         )
-    return tuple(lead), eps, j_q - 1
+    return tuple(lead), j_q - 1
 
 
 def build_system(ns, eps_deg=None):
@@ -390,7 +389,10 @@ def build_system(ns, eps_deg=None):
     :class:`DegreeOverflowError` if no extended moment exceeds the zero
     threshold (one above the rule's |mu_Q|, given or by default).
     """
-    lead, eps, degree = _moments_and_degree(ns, eps_deg)
+    eps = _checked_eps_deg(eps_deg)
+    if eps is None:  # the width b - a, which is mu_0
+        eps = _default_eps_deg(2.0 * ns.interval.rad)
+    lead, degree = _moments_and_degree(ns, eps)
     return FundamentalSystem(ns, eps, degree, _node_products_dd(ns.nodes), lead)
 
 
@@ -437,37 +439,6 @@ def _pair(v):
     """A vector entry as a (hi, lo) pair: a pair (a ``DD`` value among them)
     is kept, a double gets lo = 0."""
     return v if isinstance(v, tuple) else (float(v), 0.0)
-
-
-def _vector(x, n=None, entry=float):
-    """The entries of a vector passed in (a rule's weights, z*, a candidate
-    for :func:`residual`), each through ``entry``: doubles by default.
-
-    The one check and coercion of every vector passed in with a rule.  x
-    must be one-dimensional, checked by its ``ndim`` where it has one, and
-    of length n (any length for n = None), checked before any entry is
-    read.  A column, a row or a 0-d array, a scalar and a list of rows
-    raise the ``ValueError`` "expected a vector of length n, got shape
-    ...", another length "..., got <length>".
-    """
-    if isinstance(x, RuleSolution):
-        raise TypeError("pass solution.omega / solution.z_star, not the solution")
-    want = "expected a vector" if n is None else f"expected a vector of length {n}"
-    if getattr(x, "ndim", 1) != 1:
-        raise ValueError(f"{want}, got shape {x.shape}")
-    try:
-        x = list(x)
-    except TypeError:  # a scalar
-        raise ValueError(f"{want}, got shape ()") from None
-    if n is not None and len(x) != n:
-        raise ValueError(f"{want}, got {len(x)}")
-    try:
-        return list(map(entry, x))
-    except TypeError:  # entries that are no numbers: rows of one length?
-        lengths = {len(v) for v in x if hasattr(v, "__len__")}
-        if len(lengths) != 1:
-            raise
-        raise ValueError(f"{want}, got shape {(len(x), *lengths)}") from None
 
 
 def _residual_dd(fs, x):

@@ -178,6 +178,23 @@ class TestDetectDegree:
         with pytest.raises(DegreeOverflowError):
             build_system(SIMPSON, eps_deg=0.3)
 
+    @settings(max_examples=300, deadline=None)
+    @given(ends=st.lists(st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+                                   st.floats(-1e-300, 1e-300)),
+                         min_size=2, max_size=2, unique=True).map(sorted))
+    def test_default_threshold_reads_the_width(self, ends):
+        # the default threshold is read from the width b - a before the
+        # scan, and equals the one read from mu_0, the integral of 1
+        iv = Interval(*ends)
+        h, l = next(_iter_moments_dd(NodeSet((iv.mid,), iv)))
+        width = 2.0 * iv.rad
+        if math.isfinite(width):
+            assert _default_eps_deg(width) == _default_eps_deg(h + l)
+        else:  # the scan stops at mu_0, before the threshold is read
+            assert not math.isfinite(h + l)
+            with pytest.raises(q.MomentOverflowError, match="moment mu_0 is not finite"):
+                build_system(NodeSet((iv.a, iv.b), iv))
+
     @pytest.mark.parametrize("eps_deg", [-1.0, -1e-300, math.nan, math.inf, -math.inf, True,
                                          "0.2", b"0.2", Decimal("0.2")])
     def test_invalid_threshold_is_an_input_error(self, eps_deg):
