@@ -20,7 +20,8 @@ of a primitive; the class serves only :class:`quadlsq.poly.Polynomial`.
 
 The O(n^2) loops share one written-out row, :func:`dd_dot`, which returns
 the list of its running sums: the row sums of the backward pass, the
-residual and the normal-equations oracle take the last, and the moment
+residual, and the last rows of the normal-equations oracle's elimination
+and its back-substitution take the last, and the moment
 recurrence of :mod:`quadlsq.system` takes the whole list as its next
 anti-diagonal.  The running products of :mod:`quadlsq.system` and the
 Legendre recurrence of :mod:`quadlsq.nodes` write the primitives out in
@@ -34,7 +35,8 @@ The primitives are plain operator code, so on numpy float64 arrays they
 run elementwise, with broadcasting, and give every element the bits of
 the scalar call, signed zeros included (``tests/test_kernels.py`` checks
 ``dd_add`` and ``dd_mul``): the normal-equations oracle forms its Gram
-matrix this way, with no second arithmetic written for arrays.
+matrix and eliminates all but its last rows this way, with no second
+arithmetic written for arrays.
 
 Exact rationals enter as integer ratios, each rounded once by
 :func:`dd_ratio`.

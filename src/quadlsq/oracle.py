@@ -3,7 +3,8 @@
 Four deliberately different routes to the same quantities:
 
 * ``lsq_normal_equations`` -- least squares through the explicit normal
-  system F^T F y = F^T c, eliminated in double-double.  Verification only:
+  system F^T F y = F^T c, eliminated in double-double by rank-1 updates on
+  arrays, its last rows by ``dd_dot`` rows.  Verification only:
   it squares the conditioning of A, which is why the triangular route is
   the production path, and it declines where that leaves no accuracy.
 * ``degree_by_monomials`` -- degree of exactness straight from the
@@ -26,7 +27,8 @@ Four deliberately different routes to the same quantities:
 The oracle reads the pipeline's double-double store (``A_dd``,
 ``leading_dd``) or its doubles; it shares only the float-pair primitives
 of :mod:`quadlsq.ddouble` (``dd_dot`` among them, the row the pipeline's
-moment recurrence, solve and residual also run), the input checks of
+moment recurrence, solve and residual also run; ``dd_mul`` and ``dd_add``
+also on arrays), the input checks of
 :mod:`quadlsq.basis` (the one reader of a sequence passed in, which reads
 the exact route's nodes and (a, b) pair and the monomial check's
 weights, and the node and interval checks), the integer basis, which the
@@ -66,10 +68,12 @@ from .system import _ceil_log2, _default_eps_deg, _fsum, _max
 # exact rational pipeline
 # ---------------------------------------------------------------------------
 
-def _as_fractions(values):
+def _as_fractions(values, what="irrational nodes", spec="node spec"):
     """Exact Fractions, as a tuple, from ints, Fractions, strings, (num, den)
     pairs of integers, floats or numpy scalars; a non-finite one is kept as
-    a float, for the node or interval check to reject.
+    a float, for the node or interval check to reject, and any other value
+    is the ``ValueError`` "<what>: cannot parse ..." or "<what>: unsupported
+    <spec> ...".
 
     Floats are converted exactly, whatever their exponent: every finite
     double is a binary rational.  The other forms may need integers of any
@@ -97,15 +101,16 @@ def _as_fractions(values):
                     and all(isinstance(v, numbers.Integral) for v in value)):
                 return Fraction(int(value[0]), int(value[1]))
         except (ValueError, ZeroDivisionError):
-            raise ValueError(f"irrational nodes: cannot parse {value!r}") from None
-        raise ValueError(f"irrational nodes: unsupported node spec {value!r}")
+            raise ValueError(f"{what}: cannot parse {value!r}") from None
+        raise ValueError(f"{what}: unsupported {spec} {value!r}")
 
     return tuple(map(exact, values))
 
 
 def _as_fraction(value):
-    """One value through :func:`_as_fractions`."""
-    return _as_fractions((value,))[0]
+    """One interval endpoint through :func:`_as_fractions`, its errors
+    naming an endpoint."""
+    return _as_fractions((value,), "interval endpoint", "spec")[0]
 
 
 def _scaled(nodes, a, b):
@@ -186,8 +191,8 @@ def rational_pipeline(nodes, interval=None):
     as :class:`NodeSet` reads its nodes, entries left exact, and pass the checks
     of :class:`NodeSet` and :class:`quadlsq.Interval`, so an input those reject
     (text, a mapping, a set, an interval that is not a pair, ...) raises the
-    same ``ValueError``; a value of none of these forms raises an
-    "irrational nodes" ``ValueError``.
+    same ``ValueError``; a node of none of these forms raises an "irrational
+    nodes" ``ValueError``, an endpoint an "interval endpoint" one.
     """
     from fractions import Fraction
 
@@ -239,6 +244,9 @@ def rational_pipeline(nodes, interval=None):
 
 #: u_DD = 7 u^2, one DD operation's error (Joldes, Muller & Popescu, ACM TOMS 44, 2017)
 _U_DD = 7.0 * 2.0 ** -106
+
+#: the rows :func:`lsq_normal_equations` leaves to its scalar ``dd_dot`` rows
+_SCALAR_ROWS = 10
 
 
 def _solve_dense(M, rhs):
@@ -302,10 +310,26 @@ def lsq_normal_equations(fs):
     2^(-e) t, so its ||(SA)^-1||_inf has the closed form of
     :func:`quadlsq.analysis.cond_inf_upper`, and with e = 0 the guard is
     that function's cond_inf(A).  G is SPD, so it is eliminated
-    in double-double without pivoting: each entry of U, right-hand column
-    included, is one :func:`quadlsq.ddouble.dd_dot` row, the multipliers
-    take one double-double reciprocal per pivot, back-substitution runs
-    one ``dd_dot`` row per unknown, and each weight is rounded once.
+    in double-double without pivoting, right-looking: while more than
+    T = ``_SCALAR_ROWS`` rows are left, the first row of [G | b] is a row
+    of U, one ``dd_mul`` on arrays forms its multipliers U[k][i] (1/U[k][k]),
+    and ``dd_add(block, dd_mul(m, -U[k]))`` updates the rows below, the
+    primitives called on hi/lo arrays as in :func:`_normal_system`.  The
+    last T rows run one :func:`quadlsq.ddouble.dd_dot` row per entry of U,
+    right-hand column included, from their updated values.  Either way an
+    entry takes the products of pivots 0, 1, ..., k-1 in that order, the
+    order of ``dd_dot``, so U, the reciprocals and y have the bits of one
+    ``dd_dot`` row per entry (the tests compare a frozen copy of that loop,
+    kept in ``tests/helpers.py``).  The multipliers take one double-double reciprocal
+    per pivot, back-substitution runs one ``dd_dot`` row per unknown, and
+    each weight is rounded once.
+
+    T is where an array step, about 60 numpy calls at any size, stops
+    undercutting the scalar rows.  The whole call over the benchmark's 176
+    node sets (n = 3..24 on (0, 2)), per-set medians of 15 interleaved
+    runs summed, forming [G | b] 48 ms of it: 172 ms with every row
+    scalar, 178 at T = 0, 159 at 4, 150 at 6, 145 at 8, 143 at 10, 145 at
+    12 and 152 at 16 (Python 3.11, numpy 2.4, one core of an Intel Xeon).
 
     Error bound: forming G and eliminating it perturb G by n gamma_n and
     3 n gamma_n times ||G||_2 (gamma_k = k u_DD / (1 - k u_DD); Higham,
@@ -330,15 +354,26 @@ def lsq_normal_equations(fs):
     if not (np.isfinite(gh).all() and np.isfinite(gl).all()):
         raise SingularSystemError("outside the normal equations' range: Gram matrix not finite")
 
-    # U row by row; cols[j] holds -U[k][j] of the rows k done, split
+    # right-looking steps: the first row of [G | b] is a row of U, and its
+    # multipliers' products are added onto the rows below, which become [G | b]
     upper, recips = [], []
-    cols = [[] for _ in range(n + 1)]
-    for i, (g, e) in enumerate(zip(gh.tolist(), gl.tolist())):
-        mult = [dd_mul(*upper[k][i - k], *recips[k]) for k in range(i)]
-        row = [dd_dot(g[j], e[j], mult, cols[j])[-1] for j in range(i, n + 1)]
+    top = max(n - _SCALAR_ROWS, 0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(top):
+            upper.append(list(zip(gh[0].tolist(), gl[0].tolist())))
+            recips.append(dd_div(1.0, 0.0, *upper[k][0]))
+            mh, ml = dd_mul(gh[0, 1:n - k, None], gl[0, 1:n - k, None], *recips[k])
+            gh, gl = dd_add(gh[1:, 1:], gl[1:, 1:], *dd_mul(mh, ml, -gh[0, 1:], -gl[0, 1:]))
+
+    # the last rows one by one, row r of [G | b] giving U[top + r]; cols[j]
+    # holds -U[k][top + j] of the rows k done, split
+    cols = [[] for _ in range(n + 1 - top)]
+    for r, (g, e) in enumerate(zip(gh.tolist(), gl.tolist())):
+        mult = [dd_mul(*upper[top + k][r - k], *recips[top + k]) for k in range(r)]
+        row = [dd_dot(g[j], e[j], mult, cols[j])[-1] for j in range(r, n + 1 - top)]
         recips.append(dd_div(1.0, 0.0, *row[0]))
         upper.append(row)
-        for j, (h, l) in enumerate(row, start=i):
+        for j, (h, l) in enumerate(row, start=r):
             cols[j].append(split_operand(-h, -l))
 
     # U y = b; ys holds -y[i+1..n-1], split

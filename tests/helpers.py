@@ -1,7 +1,8 @@
 """Shared helpers: cached rule construction across the four families, exact
 rational references for the diagnostics, the frozen Fraction route of the
-exact oracle, and the frozen scalar-DD reference route for the float-pair
-kernels."""
+exact oracle, the frozen scalar-DD reference route for the float-pair
+kernels, and the frozen row-by-row elimination of the normal-equations
+oracle."""
 
 import math
 import random
@@ -15,8 +16,9 @@ import numpy as np
 import quadlsq as q
 from quadlsq.analysis import _norm_inf_inverse
 from quadlsq.basis import NodeSet
-from quadlsq.oracle import _as_fraction, _scale_exponent
-from quadlsq.system import _iter_moments_dd
+from quadlsq.ddouble import dd_div, dd_dot, dd_mul, split_operand
+from quadlsq.oracle import _as_fraction, _as_fractions, _normal_system, _scale_exponent
+from quadlsq.system import _fsum, _iter_moments_dd, _max
 
 FAMILIES = (
     q.Family.NEWTON_COTES,
@@ -215,7 +217,7 @@ def ref_rational_pipeline(nodes, interval=(Fraction(-1), Fraction(1))):
     if isinstance(nodes, NodeSet):
         interval = (Fraction(nodes.interval.a), Fraction(nodes.interval.b))
         nodes = nodes.nodes
-    ts = [_as_fraction(t) for t in nodes]
+    ts = list(_as_fractions(nodes))
     for x, y in zip(ts, ts[1:]):
         if not x < y:
             raise ValueError(f"unordered nodes: {x} !< {y}")
@@ -491,6 +493,45 @@ def ref_normal_system(F, c_tilde):
             sums.append(acc)
         out.append(sums)
     return out
+
+
+def ref_lsq_normal_equations(fs):
+    """``oracle.lsq_normal_equations`` as it was before its elimination
+    moved onto arrays: the same decline guard and [G | b], then U row by
+    row, each entry one ``dd_dot`` row over the rows above, one
+    double-double reciprocal per pivot and ``dd_dot`` rows for the
+    back-substitution."""
+    n = fs.n
+    e = _scale_exponent(fs.nodes.interval)
+    with np.errstate(over="ignore", invalid="ignore"):
+        scaled = np.ldexp(np.abs(fs.A), -e * np.arange(n)[:, None]).tolist()
+        nodes = np.ldexp(fs.nodes.nodes, -e).tolist()
+    cond = _max(map(_fsum, scaled)) * _norm_inf_inverse(nodes)
+    if not cond * cond * 7.0 * 2.0 ** -106 < 1.0:
+        raise q.SingularSystemError(
+            f"outside the normal equations' range: cond_inf(SA) = {cond:.3g}")
+    gh, gl = _normal_system(fs)
+    if not (np.isfinite(gh).all() and np.isfinite(gl).all()):
+        raise q.SingularSystemError("outside the normal equations' range: Gram matrix not finite")
+
+    # U row by row; cols[j] holds -U[k][j] of the rows k done, split
+    upper, recips = [], []
+    cols = [[] for _ in range(n + 1)]
+    for i, (g, e) in enumerate(zip(gh.tolist(), gl.tolist())):
+        mult = [dd_mul(*upper[k][i - k], *recips[k]) for k in range(i)]
+        row = [dd_dot(g[j], e[j], mult, cols[j])[-1] for j in range(i, n + 1)]
+        recips.append(dd_div(1.0, 0.0, *row[0]))
+        upper.append(row)
+        for j, (h, l) in enumerate(row, start=i):
+            cols[j].append(split_operand(-h, -l))
+
+    # U y = b; ys holds -y[i+1..n-1], split
+    y, ys = [], []
+    for i in range(n - 1, -1, -1):
+        yh, yl = dd_mul(*dd_dot(*upper[i][-1], upper[i][1:n - i], ys)[-1], *recips[i])
+        y.append(yh + yl)
+        ys.insert(0, split_operand(-yh, -yl))
+    return np.array(y[::-1])
 
 
 def lsq_error_bound(fs, weights):

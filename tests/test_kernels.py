@@ -39,6 +39,7 @@ from helpers import (
     lsq_error_bound,
     moments_dd,
     ref_centred_moments,
+    ref_lsq_normal_equations,
     ref_moments,
     ref_node_products,
     ref_normal_products,
@@ -368,6 +369,15 @@ def test_lsq_normal_equations_bit_identical(ns):
         for j in range(n + 1):
             size = sum(abs(_dd_value(p)) for p in products[i][j])
             assert abs(_dd_value(got[i][j]) - _dd_value(frozen[i][j])) <= slack * size, (i, j)
+
+
+@pytest.mark.parametrize("ns", ORACLE_CASES)
+def test_lsq_normal_equations_elimination_bit_identical(ns):
+    # the right-looking array steps, the dd_dot rows after them and the
+    # back-substitution against the frozen row-by-row loop, on the same
+    # [G | b]: the weights bit for bit
+    fs = _system(ns)
+    assert bits(q.lsq_normal_equations(fs)) == bits(ref_lsq_normal_equations(fs))
 
 
 @pytest.mark.parametrize("ns", ORACLE_CASES)

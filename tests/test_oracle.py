@@ -1,6 +1,8 @@
 import importlib.util
 import json
 import math
+import random
+import re
 from fractions import Fraction
 from functools import lru_cache
 from pathlib import Path
@@ -31,11 +33,32 @@ from helpers import (
     lsq_error_bound,
     moments_dd,
     nodeset,
+    ref_lsq_normal_equations,
     ref_rational_pipeline,
     solved,
 )
 
 SIMPSON = NodeSet((-1.0, 0.0, 1.0))
+
+
+@st.composite
+def _binary_rules(draw):
+    """n = 2..40 doubles on a random interval, node k within 0.4 of a cell
+    width of the centre of cell k of n equal cells."""
+    a = draw(st.floats(-100.0, 100.0))
+    b = a + draw(st.floats(2.0 ** -10, 200.0))
+    n = draw(st.integers(2, 40))
+    jitter = draw(st.lists(st.integers(-400, 400), min_size=n, max_size=n))
+    nodes = sorted({a + (b - a) * ((k + 0.5 + j / 1000) / n) for k, j in enumerate(jitter)})
+    return NodeSet(tuple(nodes), q.Interval(a, b))
+
+
+def _outcome(solve, fs):
+    """The bits of the weights, or the message of a SingularSystemError."""
+    try:
+        return bits(solve(fs))
+    except SingularSystemError as exc:
+        return str(exc)
 
 
 class TestNormalEquations:
@@ -112,6 +135,38 @@ class TestNormalEquations:
             want = np.array(cached[key]["weights"])
             y = lsq_normal_equations(build_system(ref.custom_nodeset(q, nodes)))
             assert np.max(np.abs(y - want)) <= 1e-8 * np.max(np.abs(want)), key
+
+    @pytest.mark.parametrize("n", [1, 2, oracle._SCALAR_ROWS, oracle._SCALAR_ROWS + 1, 24])
+    def test_elimination_bit_identical_on_pool_sets(self, n):
+        # rows beyond the last _SCALAR_ROWS take array steps: none at n = T,
+        # one at T + 1; the pool's generator makes sets at n = 1 and 2
+        ref, _ = _benchmark_reference()
+        sets = [nodes for key, nodes in ref.custom_pool().items()
+                if key.startswith(f"custom/{n}/")]
+        sets = sets or [ref.custom_nodes(random.Random(i), n, 0, 2) for i in range(8)]
+        for nodes in sets:
+            fs = build_system(ref.custom_nodeset(q, nodes))
+            assert bits(lsq_normal_equations(fs)) == bits(ref_lsq_normal_equations(fs)), nodes
+
+    @pytest.mark.parametrize("rows", [0, 1, 5])
+    def test_every_split_is_bit_identical(self, monkeypatch, rows):
+        # array steps down to the last row, or to the last five, give the
+        # frozen loop's bits as well
+        monkeypatch.setattr(oracle, "_SCALAR_ROWS", rows)
+        ref, _ = _benchmark_reference()
+        for key, nodes in ref.custom_pool().items():
+            if key.endswith("/0"):
+                fs = build_system(ref.custom_nodeset(q, nodes))
+                assert bits(lsq_normal_equations(fs)) == bits(ref_lsq_normal_equations(fs)), key
+
+    @settings(max_examples=60, deadline=None)
+    @given(ns=_binary_rules())
+    def test_bit_identical_or_declined(self, ns):
+        # every set the oracle accepts, to n = 30 or so here, gives the
+        # frozen loop's bits, and every set it refuses the same
+        # SingularSystemError
+        fs = build_system(ns, eps_deg=0.0)
+        assert _outcome(lsq_normal_equations, fs) == _outcome(ref_lsq_normal_equations, fs)
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -251,6 +306,25 @@ class TestRationalPipeline:
     def test_bad_string_rejected(self):
         with pytest.raises(ValueError, match="irrational nodes"):
             rational_pipeline(["pi", "1"])
+
+    @pytest.mark.parametrize("interval,message", [
+        ((object(), 1), "unsupported spec <object"),
+        (("x", 1), "cannot parse 'x'"),
+        ((0, "1/0"), "cannot parse '1/0'"),
+    ], ids=["an object", "text", "a zero denominator"])
+    def test_an_endpoint_it_cannot_read_is_named(self, interval, message):
+        # these read "irrational nodes: ...", naming nodes for an endpoint
+        with pytest.raises(ValueError, match="^" + re.escape(f"interval endpoint: {message}")):
+            rational_pipeline([0.25, 0.5], interval)
+
+    @pytest.mark.parametrize("node,message", [
+        (object(), "unsupported node spec <object"),
+        ("x", "cannot parse 'x'"),
+        ("1/0", "cannot parse '1/0'"),
+    ], ids=["an object", "text", "a zero denominator"])
+    def test_a_node_it_cannot_read_keeps_its_wording(self, node, message):
+        with pytest.raises(ValueError, match="^" + re.escape(f"irrational nodes: {message}")):
+            rational_pipeline([node, 1])
 
     @pytest.mark.parametrize("pair", [(1, 0), (1.5, 2), (1, 2.0), (Fraction(1, 2), 1), (1, 2, 3)])
     def test_malformed_pair_rejected(self, pair):
