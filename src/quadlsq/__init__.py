@@ -32,6 +32,7 @@ from .analysis import (
     cond_inf_upper,
     error_coefficient,
     norm_params,
+    residual_norms,
     rule_angle,
 )
 from .basis import Interval, NodeSet, build_basis
@@ -57,7 +58,6 @@ from .system import (
     RuleSolution,
     build_system,
     residual,
-    residual_norms,
     solve_rule,
 )
 

@@ -19,6 +19,10 @@ For each rule we report, alongside degree and principal moment:
 * the 1-, 2-, 3- and inf-norms of r(omega), ||r(z*)||_inf and the
   self-check's epsilon, whose common size is |mu_Q|.
 
+The reductions of a residual are formed here, not in :mod:`quadlsq.system`:
+its norms (:func:`_scaled_norms`, which :func:`residual_norms` unscales)
+and the epsilon identity (:func:`_epsilon`, shared with ``epsilon_check``).
+
 Every diagnostic is a reduction over at most a few thousand doubles, so it
 runs on Python floats with the stdlib: sums by ``math.fsum`` (correctly
 rounded; the row sums of |A^-1| run along with their terms), 2-norms by
@@ -31,12 +35,11 @@ import math
 import operator
 
 from .basis import _Record, _on_grid, _vector
-from .errors import SingularDiagonalError
-from .minimax import _epsilon
-from .system import (
-    _checked_eps_deg, _fsum, _max, _pow2_scaled, _residual, _scaled_norms, _unscaled,
-    build_system, solve_rule,
-)
+from .errors import SelfCheckError, SingularDiagonalError
+from .system import _checked_eps_deg, _residual, build_system, solve_rule
+
+#: Relative tolerance of the eps = |mu_Q| self-check.
+EPS_CHECK_RTOL = 1e-10
 
 
 class RuleReport(_Record):
@@ -58,6 +61,81 @@ class RuleReport(_Record):
                           c_n=c_n, Omega=Omega, Gamma=Gamma, cond_inf_A=cond_inf_A,
                           r_omega_1=r_omega_1, r_omega_2=r_omega_2, r_omega_3=r_omega_3,
                           r_omega_inf=r_omega_inf, r_z_inf=r_z_inf, epsilon=epsilon)
+
+
+def residual_norms(r):
+    """The 1-, 2-, 3- and max norms of a residual vector, keyed 1, 2, 3 and
+    ``math.inf``, on Python floats of r scaled exactly by the power of two
+    of max |r|: no cube overflows where a norm fits, and one that does not
+    is inf.  r goes through the one coercion of a vector passed in, with
+    any length allowed."""
+    return _unscaled(*_scaled_norms(_vector(r)))
+
+
+def _max(values):
+    """The largest of some doubles, nan if one is nan (as numpy's max
+    gives it, where Python's ``max`` depends on the order), 0.0 for none."""
+    values = list(values)
+    return math.nan if any(map(math.isnan, values)) else max(values, default=0.0)
+
+
+def _fsum(values):
+    """The sum of a list or tuple of nonnegative doubles, correctly rounded
+    by ``math.fsum``.  Where a partial sum passes the double range fsum
+    raises ``OverflowError``; the sum is then inf, which the plain running
+    sum gives (nan if a value is nan), as numpy's sum does."""
+    try:
+        return math.fsum(values)
+    except OverflowError:
+        return sum(values)
+
+
+def _pow2_scaled(x):
+    """(e, [x_i / 2^e]) as doubles, 2^e the power of two of the largest
+    finite |x_i| (e = 0 if there is none), so that every finite
+    |x_i / 2^e| lies below 1 and the largest in [1/2, 1); inf and nan stay
+    as they are.  The scaling is exact wherever no quotient is subnormal.
+    x is a list or an array, read twice."""
+    e = math.frexp(max(filter(math.isfinite, map(abs, x)), default=0.0))[1]
+    return e, [math.ldexp(v, -e) for v in x]
+
+
+def _scaled_norms(r):
+    """(e, {p: ||r / 2^e||_p}) for p = 1, 2, 3 and ``math.inf``, 2^e the
+    power of two of max |r|: every finite |r_i| / 2^e < 1, so no cube or sum
+    overflows and ``math.fsum`` never raises.  ``math.sqrt`` is correctly
+    rounded, s ** 0.5 (libm pow) is not."""
+    e, scaled = _pow2_scaled(list(map(abs, r)))
+    return e, {
+        1: math.fsum(scaled),
+        2: math.sqrt(math.fsum([v * v for v in scaled])),
+        3: math.fsum([v ** 3 for v in scaled]) ** (1.0 / 3),
+        math.inf: _max(scaled),
+    }
+
+
+def _unscaled(e, scaled):
+    """The norms of :func:`_scaled_norms` times 2^e, as floats; a norm
+    beyond the double range, where ``math.ldexp`` raises, is inf."""
+    out = {}
+    for p, v in scaled.items():
+        try:
+            out[p] = math.ldexp(v, e)
+        except OverflowError:
+            out[p] = math.inf
+    return out
+
+
+def _epsilon(fs, e, scaled):
+    """eps from the 1- and 2-norms of r / 2^e, checked against |mu_Q|."""
+    eps = math.ldexp(scaled[2] ** 2 / scaled[1], e)
+    ref = abs(fs.mu_Q)
+    if not abs(eps - ref) <= EPS_CHECK_RTOL * ref:  # a nan eps fails too
+        raise SelfCheckError(
+            f"epsilon self-check failed: ||r||_2^2/||r||_1 = {eps!r} but |mu_Q| = {ref!r}, "
+            f"a relative gap of {abs(eps - ref) / ref:.2g} > EPS_CHECK_RTOL = {EPS_CHECK_RTOL:g}"
+        )
+    return eps
 
 
 def rule_angle(omega, z_star, degrees=True):

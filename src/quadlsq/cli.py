@@ -141,6 +141,9 @@ def _cmd_analyze(args, out):
 
 
 def _cmd_sweep(args, out):
+    """The benchmark times each row from ``generate`` until ``build_report``
+    returns or raises, so the system is built inside ``build_report``: a
+    failure raised before it would lose its row's time."""
     family = Family.parse(args.family)
     if family is Family.CUSTOM:
         raise ValueError("sweep needs a generated family, not custom")

@@ -14,8 +14,8 @@ At z* every residual component has the same magnitude |mu_Q|: components
 
 must equal |mu_Q| as well; ``epsilon_check`` computes it from the actual
 residual and faults if the identity is violated, since that would mean the
-residual computation itself is broken.  ``analysis.build_report`` takes
-the same route, and the same residual as ``equioscillation_residual``.
+residual computation itself is broken.  The check (``analysis._epsilon``)
+is :mod:`quadlsq.analysis`'s, whose ``build_report`` runs it too.
 
 z* is always derived through tau rather than by eliminating the (n+1)x(n+1)
 system with eps unknown; the two are algebraically identical and the tau
@@ -24,19 +24,14 @@ route reuses the triangular solver.  The direct elimination lives in
 
 The one backward pass that gives omega and tau, ``solve_rule``, lives in
 :mod:`quadlsq.system` next to the store it reads, and z* is derived from
-them there.  This module keeps the checks on the minimax residual.  It
-stays a module of its own because the benchmark tracer
+them there.  This module keeps only the two public checks on the minimax
+residual.  It stays a module of its own because the benchmark tracer
 (``perfbench/tracing.py``) looks ``quadlsq.minimax`` up by name as one of
 its span layers.
 """
 
-import math
-
-from .errors import SelfCheckError
-from .system import RuleSolution, _freeze, _residual, _scaled_norms
-
-#: Relative tolerance of the eps = |mu_Q| self-check.
-EPS_CHECK_RTOL = 1e-10
+from .analysis import _epsilon, _scaled_norms
+from .system import RuleSolution, _freeze, _residual
 
 
 def epsilon_check(fs, omega):
@@ -52,18 +47,6 @@ def epsilon_check(fs, omega):
     if isinstance(omega, RuleSolution):
         omega = omega._omega_dd
     return _epsilon(fs, *_scaled_norms(_residual(fs, omega)))
-
-
-def _epsilon(fs, e, scaled):
-    """eps from the 1- and 2-norms of r / 2^e, checked against |mu_Q|."""
-    eps = math.ldexp(scaled[2] ** 2 / scaled[1], e)
-    ref = abs(fs.mu_Q)
-    if not abs(eps - ref) <= EPS_CHECK_RTOL * ref:  # a nan eps fails too
-        raise SelfCheckError(
-            f"epsilon self-check failed: ||r||_2^2/||r||_1 = {eps!r} but |mu_Q| = {ref!r}, "
-            f"a relative gap of {abs(eps - ref) / ref:.2g} > EPS_CHECK_RTOL = {EPS_CHECK_RTOL:g}"
-        )
-    return eps
 
 
 def equioscillation_residual(fs, z_star):

@@ -58,10 +58,10 @@ from .basis import (
     Interval, NodeSet, _Record, _basis, _checked_interval, _checked_nodes, _horner, _on_grid,
     _power_differences, _vector,
 )
-from .analysis import _norm_inf_inverse
+from .analysis import _fsum, _max, _norm_inf_inverse
 from .ddouble import dd_add, dd_div, dd_dot, dd_mul, split_operand
 from .errors import MomentOverflowError, SingularSystemError
-from .system import _ceil_log2, _default_eps_deg, _fsum, _max
+from .system import _ceil_log2, _default_eps_deg
 
 
 # ---------------------------------------------------------------------------

@@ -33,19 +33,18 @@ terms of the moment recurrence as small as the interval allows, so a
 shifted interval loses no more digits than one of the same length
 centred at 0.
 
-Each result type is its double-double store.  The system keeps ``A_dd``,
-the rows of A as (hi, lo) float pairs without their structural zeros (row
-i holds columns i..n-1), and ``leading_dd``, mu_0..mu_{d+1} as pairs, its
-one moment store (c = mu_0..mu_{n-1} and mu_Q = mu_{d+1}, d the degree); a
-solution keeps omega and tau.  The public doubles are hi + lo of the
-store, the IEEE addition ``float(DD)`` performs, or derived from those
+Each result type is its double-double store and nothing it can derive.
+The system keeps its nodes, its zero threshold, ``A_dd``, the rows of A as
+(hi, lo) float pairs without their structural zeros (row i holds columns
+i..n-1), and ``leading_dd``, mu_0..mu_{d+1} as pairs, its one moment store
+(c = mu_0..mu_{n-1} and mu_Q = mu_{d+1}; the degree d is its length less
+two); a solution keeps omega and tau.  The public doubles are hi + lo of
+the store, the IEEE addition ``float(DD)`` performs, or derived from those
 (``F``, ``c_tilde``, ``z_star = omega + tau``).  One backward pass solves
 omega and tau together and one routine forms the residual; a vector
 passed in is read, its shape and length checked, by the one reader of a
-sequence, :func:`quadlsq.basis._vector`.  One reduction forms a
-residual's 1-, 2-, 3- and max norms on Python floats of its components,
-each rounded once from its pair, scaled by a power of two (as
-``analysis.rule_angle``'s vectors are) and summed by ``math.fsum``.
+sequence, :func:`quadlsq.basis._vector`.  A residual's norms and the
+epsilon self-check are :mod:`quadlsq.analysis`'s.
 The report path reads the store with the stdlib alone; numpy is imported
 only where a public array view (``A``, ``c``, ``omega``, ``residual()``'s
 return, ...) is first built, by :func:`_freeze`.
@@ -66,9 +65,7 @@ bit-identical to the same loop written with the primitives or with ``DD``
 operators.  A product by a double is the full ``dd_mul`` with lo = 0, as
 everywhere.
 
-The starts M_0[m] are computed as the scan pulls them and kept nowhere;
-``analysis.build_report`` forms r(omega) and its scaled norms once, for
-its norms and the epsilon self-check, and r(z*) by the same residual.
+The starts M_0[m] are computed as the scan pulls them and kept nowhere.
 
 Moments that overflow the double range (M_0 grows like the half-length to
 the power 2n+1) raise :class:`MomentOverflowError` rather than feeding inf
@@ -131,17 +128,15 @@ class FundamentalSystem(_Record):
     """F w = c_tilde for one node set, kept as its double-double store.
 
     The fields are the store: ``A_dd`` and ``leading_dd`` (mu_0..mu_{d+1},
-    the moments the system reads), with the nodes, the zero threshold and
-    the degree.  ``A``, ``mu_Q`` and the other read-only doubles are rounded
-    from it or derived from those.
+    the moments the system reads), with the nodes and the zero threshold.
+    The degree d is read from the moment store, ``A``, ``mu_Q`` and the
+    other read-only doubles are rounded from it or derived from those.
     """
 
-    __match_args__ = ("nodes", "eps_deg", "degree", "A_dd", "leading_dd")
+    __match_args__ = ("nodes", "eps_deg", "A_dd", "leading_dd")
 
-    def __init__(self, nodes: NodeSet, eps_deg: float, degree: int, A_dd: tuple,
-                 leading_dd: tuple):
-        vars(self).update(nodes=nodes, eps_deg=eps_deg, degree=degree, A_dd=A_dd,
-                          leading_dd=leading_dd)
+    def __init__(self, nodes: NodeSet, eps_deg: float, A_dd: tuple, leading_dd: tuple):
+        vars(self).update(nodes=nodes, eps_deg=eps_deg, A_dd=A_dd, leading_dd=leading_dd)
 
     def __repr__(self):
         return _repr(self, ("A", "mu_Q", "degree", "nodes", "eps_deg"))
@@ -149,6 +144,10 @@ class FundamentalSystem(_Record):
     @property
     def n(self):
         return len(self.A_dd)
+
+    @property
+    def degree(self):  # leading_dd is mu_0..mu_{d+1}
+        return len(self.leading_dd) - 2
 
     @property
     def mu_Q(self):  # mu_{d+1}
@@ -345,9 +344,9 @@ def _checked_eps_deg(eps_deg):
     return eps_deg
 
 
-def _moments_and_degree(ns, eps):
-    """(mu_0..mu_Q as pairs, degree) for the zero threshold ``eps``,
-    pulling moments only as far as the scan needs them.
+def _leading_moments(ns, eps):
+    """mu_0..mu_Q as pairs for the zero threshold ``eps``, pulling moments
+    only as far as the scan needs them; mu_Q = mu_{d+1}, d the degree.
 
     Each moment is checked for finiteness as it arrives.  The scan stops at
     the first j >= n with |mu_j| above the threshold when
@@ -379,7 +378,7 @@ def _moments_and_degree(ns, eps):
             f"degree overflow: no extended moment mu_{n}..mu_{2 * n} is above the zero "
             f"threshold {eps:g}; the largest is |mu_{k}| = {mu:g}"
         )
-    return tuple(lead), j_q - 1
+    return tuple(lead)
 
 
 def build_system(ns, eps_deg=None):
@@ -392,8 +391,8 @@ def build_system(ns, eps_deg=None):
     eps = _checked_eps_deg(eps_deg)
     if eps is None:  # the width b - a, which is mu_0
         eps = _default_eps_deg(2.0 * ns.interval.rad)
-    lead, degree = _moments_and_degree(ns, eps)
-    return FundamentalSystem(ns, eps, degree, _node_products_dd(ns.nodes), lead)
+    lead = _leading_moments(ns, eps)  # a typed row raises here, before A is formed
+    return FundamentalSystem(ns, eps, _node_products_dd(ns.nodes), lead)
 
 
 def _back_substitute(rows, rhss):
@@ -471,66 +470,3 @@ def residual(fs, x):
     below |mu_Q|.
     """
     return _freeze(_residual(fs, x))
-
-
-def residual_norms(r):
-    """The 1-, 2-, 3- and max norms of a residual vector, keyed 1, 2, 3 and
-    ``math.inf``, on Python floats of r scaled exactly by the power of two
-    of max |r|: no cube overflows where a norm fits, and one that does not
-    is inf.  r goes through the one coercion of a vector passed in, with
-    any length allowed."""
-    return _unscaled(*_scaled_norms(_vector(r)))
-
-
-def _max(values):
-    """The largest of some doubles, nan if one is nan (as numpy's max
-    gives it, where Python's ``max`` depends on the order), 0.0 for none."""
-    values = list(values)
-    return math.nan if any(map(math.isnan, values)) else max(values, default=0.0)
-
-
-def _fsum(values):
-    """The sum of a list or tuple of nonnegative doubles, correctly rounded
-    by ``math.fsum``.  Where a partial sum passes the double range fsum
-    raises ``OverflowError``; the sum is then inf, which the plain running
-    sum gives (nan if a value is nan), as numpy's sum does."""
-    try:
-        return math.fsum(values)
-    except OverflowError:
-        return sum(values)
-
-
-def _pow2_scaled(x):
-    """(e, [x_i / 2^e]) as doubles, 2^e the power of two of the largest
-    finite |x_i| (e = 0 if there is none), so that every finite
-    |x_i / 2^e| lies below 1 and the largest in [1/2, 1); inf and nan stay
-    as they are.  The scaling is exact wherever no quotient is subnormal.
-    x is a list or an array, read twice."""
-    e = math.frexp(max(filter(math.isfinite, map(abs, x)), default=0.0))[1]
-    return e, [math.ldexp(v, -e) for v in x]
-
-
-def _scaled_norms(r):
-    """(e, {p: ||r / 2^e||_p}) for p = 1, 2, 3 and ``math.inf``, 2^e the
-    power of two of max |r|: every finite |r_i| / 2^e < 1, so no cube or sum
-    overflows and ``math.fsum`` never raises.  ``math.sqrt`` is correctly
-    rounded, s ** 0.5 (libm pow) is not."""
-    e, scaled = _pow2_scaled(list(map(abs, r)))
-    return e, {
-        1: math.fsum(scaled),
-        2: math.sqrt(math.fsum([v * v for v in scaled])),
-        3: math.fsum([v ** 3 for v in scaled]) ** (1.0 / 3),
-        math.inf: _max(scaled),
-    }
-
-
-def _unscaled(e, scaled):
-    """The norms of :func:`_scaled_norms` times 2^e, as floats; a norm
-    beyond the double range, where ``math.ldexp`` raises, is inf."""
-    out = {}
-    for p, v in scaled.items():
-        try:
-            out[p] = math.ldexp(v, e)
-        except OverflowError:
-            out[p] = math.inf
-    return out

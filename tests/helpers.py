@@ -1,24 +1,28 @@
 """Shared helpers: cached rule construction across the four families, exact
 rational references for the diagnostics, the frozen Fraction route of the
 exact oracle, the frozen scalar-DD reference route for the float-pair
-kernels, and the frozen row-by-row elimination of the normal-equations
-oracle."""
+kernels, the frozen row-by-row elimination of the normal-equations
+oracle, and the cache, grading and run lists of the honesty ratchets."""
 
+import importlib.util
+import json
 import math
 import random
 import struct
+import sys
 from fractions import Fraction
 from functools import lru_cache
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
 
 import quadlsq as q
-from quadlsq.analysis import _norm_inf_inverse
+from quadlsq.analysis import _fsum, _max, _norm_inf_inverse
 from quadlsq.basis import NodeSet
 from quadlsq.ddouble import dd_div, dd_dot, dd_mul, split_operand
 from quadlsq.oracle import _as_fraction, _as_fractions, _normal_system, _scale_exponent
-from quadlsq.system import _fsum, _iter_moments_dd, _max
+from quadlsq.system import _iter_moments_dd
 
 FAMILIES = (
     q.Family.NEWTON_COTES,
@@ -664,3 +668,106 @@ def bits(values):
     for v in values:
         flat.extend(v if isinstance(v, tuple) else (v,))
     return struct.pack(f"<{len(flat)}d", *flat)
+
+
+# ---------------------------------------------------------------------------
+# honesty ratchets (tests/test_honesty.py, tests/test_honesty_custom.py)
+# ---------------------------------------------------------------------------
+
+_PERFBENCH_REFERENCE = Path(__file__).resolve().parent.parent / "perfbench" / "reference.py"
+
+#: A right row has mu_Q and N_omega within this relative error of exact.
+RATCHET_RTOL = 1e-8
+
+
+@lru_cache(maxsize=None)
+def perfbench_reference():
+    """The benchmark's ``reference`` module, loaded from its file."""
+    spec = importlib.util.spec_from_file_location("perfbench_reference", _PERFBENCH_REFERENCE)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def runs(text):
+    """The set of n in a run list such as "2-5,9,12-13"."""
+    out = set()
+    for part in filter(None, text.split(",")):
+        lo, _, hi = part.partition("-")
+        out.update(range(int(lo), int(hi or lo) + 1))
+    return out
+
+
+def exact_entry(ns, degree=None):
+    """The ratchet's fields of the benchmark's exact reference for ``ns``:
+    the node hash, the degree (``degree``, the theoretical one of a family
+    rule, or else the exact degree on the binary nodes), mu_Q (None when it
+    overflows a double) and N_omega."""
+    ref = perfbench_reference()
+    try:
+        entry = ref.exact_reference(q, ns, degree)
+    except OverflowError:
+        rr = q.rational_pipeline(ns)
+        entry = {"nodes_sha256": ref.nodes_key(ns),
+                 "degree": rr.degree if degree is None else degree, "mu_Q": None,
+                 "n_omega": float(sum(map(abs, rr.weights)))}
+    return {k: entry[k] for k in ("nodes_sha256", "degree", "mu_Q", "n_omega")}
+
+
+def _within(value, exact):
+    """rel err <= RATCHET_RTOL against a normal double; a nan value is not
+    within, and no value is within an exact value that is not a normal
+    double."""
+    if exact is None or abs(exact) < sys.float_info.min:
+        return False
+    return abs(value - exact) <= RATCHET_RTOL * abs(exact)
+
+
+def grade(ns, family, entry):
+    """'right', 'wrong' or 'typed' for the report on ``ns`` against its
+    exact ``entry``."""
+    try:
+        report = q.build_report(ns, family=family)
+    except q.NumericalFailure:
+        return "typed"
+    right = (report.degree == entry["degree"] and _within(report.mu_Q, entry["mu_Q"])
+             and _within(report.N_omega, entry["n_omega"]))
+    return "right" if right else "wrong"
+
+
+@lru_cache(maxsize=None)
+def read_ratchet_cache(path):
+    """{key: exact entry} of a ratchet's cache file, read once."""
+    return json.loads(Path(path).read_text(encoding="utf-8"))["rules"]
+
+
+def write_ratchet_cache(path, rules):
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump({"rules": rules}, fh, separators=(",", ":"))
+        fh.write("\n")
+    print(f"wrote {len(rules)} entries to {path}")
+
+
+def graded_rows(rows, cached):
+    """({row: outcome}, recomputed) for ``rows`` of (row, key, ns, family,
+    degree), each graded on its cached exact entry ``cached[key]``, or on
+    one recomputed (:func:`exact_entry`) where that entry is missing or its
+    node hash differs from ``ns``'s; recomputed counts those."""
+    ref = perfbench_reference()
+    outcomes, recomputed = {}, 0
+    for row, key, ns, family, degree in rows:
+        entry = cached.get(key)
+        if entry is None or entry["nodes_sha256"] != ref.nodes_key(ns):
+            entry = exact_entry(ns, degree)
+            recomputed += 1
+        outcomes[row] = grade(ns, family, entry)
+    return outcomes, recomputed
+
+
+def assert_within_frozen(outcomes, wrong_ok, failed_ok):
+    """The wrong rows stay within ``wrong_ok``, and the wrong and typed rows
+    together within ``failed_ok``."""
+    wrong = {row for row, o in outcomes.items() if o == "wrong"}
+    failed = {row for row, o in outcomes.items() if o != "right"}
+    assert not wrong - wrong_ok, f"new silently wrong rows: {sorted(wrong - wrong_ok)}"
+    assert not failed - failed_ok, f"right rows that fail: {sorted(failed - failed_ok)}"

@@ -449,7 +449,7 @@ class TestBuildReport:
             warnings.simplefilter("error")
             rep = build_report(ns)
         assert abs(rep.epsilon - abs(rep.mu_Q)) <= (
-            q.minimax.EPS_CHECK_RTOL * abs(rep.mu_Q))
+            q.analysis.EPS_CHECK_RTOL * abs(rep.mu_Q))
         degree, angle = exact_angle(ns)
         assert rep.degree == degree == 3
         assert rep.angle_deg == pytest.approx(angle, rel=1e-12)

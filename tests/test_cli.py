@@ -105,6 +105,11 @@ class TestAnalyze:
         code, _ = run(["analyze", "--family", "custom"])
         assert code == 2
 
+    def test_nodes_file_with_a_family_exits_2(self, simpson_file, capsys):
+        code, _ = run(["analyze", "--family", "nc", "--n", "3", "--nodes-file", simpson_file])
+        assert code == 2
+        assert "--nodes-file only applies to --family custom" in capsys.readouterr().err
+
     def test_numerical_failure_exits_3(self, capsys):
         code, _ = run(["analyze", "--family", "nc", "--n", "5", "--eps-deg", "1e9"])
         assert code == 3
@@ -396,6 +401,60 @@ class TestSweep:
         assert rows[0]["degree"] == ""
         assert rows[1]["error"] == "" and rows[2]["error"] == ""
 
+    def test_custom_family_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "custom.csv"
+        code, _ = run(["sweep", "--family", "custom", "--n-min", "2", "--n-max", "3",
+                       "--out", str(out)])
+        assert code == 2
+        assert "sweep needs a generated family, not custom" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("n_min,n_max", [(0, 3), (3, 2)])
+    def test_empty_or_reversed_n_range_exits_2(self, tmp_path, capsys, n_min, n_max):
+        out = tmp_path / "range.csv"
+        code, _ = run(["sweep", "--family", "nc", "--n-min", str(n_min),
+                       "--n-max", str(n_max), "--out", str(out)])
+        assert code == 2
+        assert "need 1 <= n-min <= n-max" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_each_row_is_generate_then_build_report(self, tmp_path, monkeypatch):
+        # the benchmark times a sweep row from the call to ``generate``
+        # until ``build_report`` returns or raises, so the system must be
+        # built inside ``build_report``: CC n = 40..42 raise
+        # DegreeOverflowError there, and the CLI's own build_system is
+        # never called
+        import quadlsq.cli as cli
+
+        calls = []
+
+        def traced(name, fn):
+            def wrapped(*args, **kwargs):
+                try:
+                    result = fn(*args, **kwargs)
+                except Exception as exc:
+                    calls.append((name, type(exc).__name__))
+                    raise
+                calls.append((name, result.n))
+                return result
+            return wrapped
+
+        def refused(*args, **kwargs):
+            raise AssertionError("sweep built a system outside build_report")
+
+        monkeypatch.setattr(cli, "generate", traced("generate", cli.generate))
+        monkeypatch.setattr(cli, "build_report", traced("build_report", cli.build_report))
+        monkeypatch.setattr(cli, "build_system", refused)
+        code, _ = run(["sweep", "--family", "cc", "--n-min", "38", "--n-max", "42",
+                       "--out", str(tmp_path / "cc.csv")])
+        assert code == 0
+        assert calls == [
+            ("generate", 38), ("build_report", 38), ("generate", 39), ("build_report", 39),
+            ("generate", 40), ("build_report", "DegreeOverflowError"),
+            ("generate", 41), ("build_report", "DegreeOverflowError"),
+            ("generate", 42), ("build_report", "DegreeOverflowError"),
+        ]
+
     def test_range_validation(self):
         code, _ = run([
             "sweep", "--family", "gl", "--n-min", "5", "--n-max", "70",
@@ -463,6 +522,21 @@ class TestIntegrate:
         ])
         assert code == 2
         assert "unknown integrand" in capsys.readouterr().err
+
+    def test_unparsable_coefficient_exits_2(self, capsys):
+        code, _ = run(["integrate", "--family", "nc", "--n", "3", "--integrand", "poly:1,x"])
+        assert code == 2
+        assert "bad coefficients in 'poly:1,x'" in capsys.readouterr().err
+
+    def test_csv_format(self):
+        # Simpson's rule on x^4: 2/3 rounded, where the exact value is 2/5
+        code, text = run(["integrate", "--family", "nc", "--n", "3",
+                          "--integrand", "poly:0,0,0,0,1", "--format", "csv"])
+        assert code == 0
+        lines = text.splitlines()
+        assert lines[0] == "family,n,integrand,value,degree,c_n"
+        (row,) = csv.DictReader(lines)
+        assert row["value"] == "0.66666666666666663"
 
     @pytest.mark.parametrize("spec", ["poly:nan", "poly:inf", "poly:1e400", "poly:1,-inf"])
     def test_non_finite_coefficient_exits_2(self, spec, capsys):

@@ -16,8 +16,7 @@ from quadlsq import (
     solve_rule,
 )
 
-from quadlsq.minimax import _epsilon
-from quadlsq.system import _scaled_norms
+from quadlsq.analysis import _epsilon, _scaled_norms
 
 from helpers import family_cases, solved
 

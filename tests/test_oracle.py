@@ -1,11 +1,9 @@
-import importlib.util
 import json
 import math
 import random
 import re
 from fractions import Fraction
 from functools import lru_cache
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -33,6 +31,7 @@ from helpers import (
     lsq_error_bound,
     moments_dd,
     nodeset,
+    perfbench_reference,
     ref_lsq_normal_equations,
     ref_rational_pipeline,
     solved,
@@ -112,6 +111,18 @@ class TestNormalEquations:
         fs = build_system(NodeSet((5e-324, 1e-323, 1.0), q.Interval(-4.0, 4.0)), eps_deg=0.0)
         with pytest.raises(SingularSystemError, match=r"cond_inf\(SA\) = inf"):
             lsq_normal_equations(fs)
+
+    def test_gram_matrix_beyond_the_double_range_is_declined(self):
+        # 32 nodes 2^-33 apart near 100 on an interval of half-length about
+        # 2^-28: the row scale makes SA's rows of one order, so the cond
+        # guard passes, and then [G | b] overflows
+        h = 2.0 ** -33
+        ns = NodeSet(tuple(100.0 + (2 * k - 31) * h for k in range(32)),
+                     q.Interval(-31 * h, 31 * h))
+        fs = build_system(ns)
+        want = "outside the normal equations' range: Gram matrix not finite"
+        assert _outcome(lsq_normal_equations, fs) == want
+        assert _outcome(ref_lsq_normal_equations, fs) == want
 
     @pytest.mark.parametrize("family,n,b", [(q.Family.NEWTON_COTES, 9, 1e-5),
                                             (q.Family.NEWTON_COTES, 17, 1e-5),
@@ -547,16 +558,11 @@ class TestLazyFields:
         assert rr.moments == ref_rational_pipeline(asymmetric_rational_nodes(2, 8), (0, 2)).moments
 
 
-_PERFBENCH_REFERENCE = Path(__file__).resolve().parent.parent / "perfbench" / "reference.py"
-
-
 @lru_cache(maxsize=None)
 def _benchmark_reference():
-    """The benchmark's ``reference`` module, loaded from its file, and the
-    entries it cached in ``reference.json``; neither is written."""
-    spec = importlib.util.spec_from_file_location("perfbench_reference", _PERFBENCH_REFERENCE)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
+    """The benchmark's ``reference`` module and the entries it cached in
+    ``reference.json``; neither is written."""
+    module = perfbench_reference()
     return module, json.loads(module.CACHE.read_text(encoding="utf-8"))["rules"]
 
 

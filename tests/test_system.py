@@ -97,7 +97,7 @@ class TestStore:
 
     def test_fields_are_the_store(self):
         fs = build_system(SIMPSON)
-        assert list(vars(fs)) == ["nodes", "eps_deg", "degree", "A_dd", "leading_dd"]
+        assert list(vars(fs)) == ["nodes", "eps_deg", "A_dd", "leading_dd"]
         assert list(vars(solve_rule(fs))) == ["_omega_dd", "_tau_dd"]
 
     def test_solution_needs_its_pairs(self):
