@@ -25,8 +25,7 @@ class DegreeOverflowError(NumericalFailure):
 
 
 class MomentOverflowError(NumericalFailure):
-    """A moment of the fundamental system, or an exact monomial moment of
-    :func:`quadlsq.degree_by_monomials`, is not a finite double.
+    """A moment of the fundamental system is not a finite double.
 
     The centred monomial moments grow like (half-length)^(2n+1), so a wide
     interval at large n leaves the double range; the moments built from

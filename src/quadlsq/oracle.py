@@ -8,7 +8,8 @@ Four deliberately different routes to the same quantities:
   it squares the conditioning of A, which is why the triangular route is
   the production path, and it declines where that leaves no accuracy.
 * ``degree_by_monomials`` -- degree of exactness straight from the
-  definition, testing the rule against 1, x, x^2, ... monomial by monomial.
+  definition, testing the rule mapped to (-1, 1) against 1, y, y^2, ...
+  monomial by monomial.
 * ``rational_pipeline`` -- the entire basis/system/weights/degree pipeline
   re-run in exact rational arithmetic, carried on Python integers: with D
   the lcm of the node and endpoint denominators, X = D x puts every node on
@@ -35,9 +36,9 @@ weights, and the node and interval checks), the integer basis, which the
 pipeline never forms, the grid X = D x and power chain of its moment
 starts, and the closed-form ||A^-1||_inf of :mod:`quadlsq.analysis`.
 
-The dense routes (the normal equations, the direct elimination and the
-monomial check) run on numpy arrays and import numpy when called; the
-exact route and importing this module do not load it.
+The normal equations and the direct elimination run on numpy arrays and
+import numpy when called; the monomial check runs on Python floats and the
+stdlib, and neither it, the exact route nor importing this module loads it.
 
 The exact route also computes its quantities by other formulas than the
 pipeline, so that a wrong derivation cannot show up on both sides: moments
@@ -60,7 +61,7 @@ from .basis import (
 )
 from .analysis import _fsum, _max, _norm_inf_inverse
 from .ddouble import dd_add, dd_div, dd_dot, dd_mul, split_operand
-from .errors import MomentOverflowError, SingularSystemError
+from .errors import DegreeOverflowError, NumericalFailure, SingularSystemError
 from .system import _ceil_log2, _default_eps_deg
 
 
@@ -407,35 +408,34 @@ def direct_sis4_minimax(fs):
 # ---------------------------------------------------------------------------
 
 def degree_by_monomials(ns, weights):
-    """Largest d <= 2n with Q(x^k) matching the exact moment for all k <= d.
+    """Largest d < 2n with Q(x^k) exact for all k <= d, judged on (-1, 1).
 
-    The exact monomial moments come from the endpoints on the grid of
-    :func:`quadlsq.basis._on_grid`, so on (-1, 1) odd k compares against 0 and
-    even k against 2/(k+1); one beyond the double range raises
-    :class:`quadlsq.MomentOverflowError`, and a weighted sum that is not a
-    finite double is a mismatch.  A moment matches within the default zero
-    threshold of :func:`quadlsq.build_system` on the interval, and there
-    must be n weights.
+    Exactness survives x = mid + rad y, so the rule is mapped in doubles to
+    weights w_i / rad and nodes y_i = (t_i - mid) / rad, the identity on
+    (-1, 1).  ``math.fsum`` of (w_i / rad) y_i^k must match the integral of
+    y^k, 2/(k+1) for even k and 0 for odd k, within 2e-12, the default zero
+    threshold of :func:`quadlsq.build_system` on (-1, 1); a sum that is not
+    a finite double is a mismatch.  There must be n weights.  No n-point
+    rule integrates q_2n = ell^2 > 0 exactly, so matching every k <= 2n
+    raises :class:`quadlsq.DegreeOverflowError` (Gauss-Legendre from n = 21),
+    and a half-length that rounds to 0 :class:`quadlsq.NumericalFailure`.
     """
-    import numpy as np
-
-    ts = np.asarray(ns.nodes, dtype=float)
-    n = len(ts)
-    w = np.asarray(_vector(weights, n))
-    D, (lo, hi) = _on_grid((ns.interval.a, ns.interval.b))
-    eps = _default_eps_deg(2.0 * ns.interval.rad)
-    powers = np.ones_like(ts)
-    with np.errstate(over="ignore", invalid="ignore"):
-        for k, num in enumerate(islice(_power_differences(lo, hi), 2 * n + 1)):
-            try:
-                exact = num / ((k + 1) * D ** (k + 1))
-            except OverflowError:
-                raise MomentOverflowError(f"the exact moment of x^{k} overflows") from None
-            try:
-                approx = math.fsum(w * powers)
-            except (ValueError, OverflowError):  # inf - inf, or a sum past the double range
-                approx = math.nan
-            if not abs(approx - exact) <= eps:
-                return k - 1
-            powers = powers * ts
-    return 2 * n
+    n, mid, rad = ns.n, ns.interval.mid, ns.interval.rad
+    weights = _vector(weights, n)
+    if rad == 0.0:
+        raise NumericalFailure(f"the half-length of ({ns.interval.a}, {ns.interval.b}) "
+                               "rounds to 0: the rule cannot be mapped to (-1, 1)")
+    w = [v / rad for v in weights]
+    ys = [(t - mid) / rad for t in ns.nodes]
+    eps = _default_eps_deg(2.0)
+    powers = [1.0] * n
+    for k in range(2 * n + 1):
+        try:
+            approx = math.fsum(map(operator.mul, w, powers))
+        except (ValueError, OverflowError):  # inf - inf, or a sum past the double range
+            approx = math.nan
+        if not abs(approx - (0.0 if k % 2 else 2.0 / (k + 1))) <= eps:
+            return k - 1
+        powers = list(map(operator.mul, powers, ys))
+    raise DegreeOverflowError(f"degree overflow: y^0..y^{2 * n} all match on (-1, 1) within "
+                              f"the zero threshold {eps:g}, which no {n}-point rule can do")

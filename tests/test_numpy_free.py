@@ -147,3 +147,25 @@ def test_unpickling_a_record_never_loads_numpy():
     assert label == "pickle.loads" and not any(loaded.values())
     assert types == ["types", ["FundamentalSystem", "RuleSolution"]]
     assert control[1]["numpy"], "reading fs.A should load numpy"
+
+
+MONOMIAL_STEPS = LOADED + """
+import quadlsq
+
+ns = quadlsq.NodeSet((0.0, 1.0, 2.0), quadlsq.Interval(0.0, 2.0))
+steps = [("import quadlsq", loaded())]
+degree = quadlsq.degree_by_monomials(ns, [1 / 3, 4 / 3, 1 / 3])
+steps.append(("degree_by_monomials", loaded(), degree))
+quadlsq.lsq_normal_equations(quadlsq.build_system(ns))
+steps.append(("control", loaded()))
+print(json.dumps(steps))
+"""
+
+
+def test_the_monomial_check_never_loads_numpy():
+    # it judges Simpson's rule on (-1, 1) on Python floats; the normal
+    # equations, the control, load numpy
+    (_, imported), (_, checked, degree), (_, control) = _steps(MONOMIAL_STEPS)
+    assert not imported["numpy"] and not checked["numpy"]
+    assert degree == 3
+    assert control["numpy"], "the normal equations should load numpy"

@@ -229,12 +229,40 @@ class TestDegreeByMonomials:
         # the midpoint rule integrates 1 and x exactly, at the default threshold
         assert degree_by_monomials(NodeSet((0.0,)), [2.0]) == 1
 
-    @pytest.mark.filterwarnings("error::RuntimeWarning")
-    def test_exact_moment_beyond_double_range_is_typed(self):
-        # the exact moment of x^2 on (0, 1e150) is 1e450 / 3
+    def test_wide_interval_has_no_moment_to_overflow(self):
+        # the moment of x^2 on (0, 1e150) is 1e450 / 3, but the rule is
+        # judged on (-1, 1): nodes -1 and 1, weights 1 and 1
         ns = NodeSet((0.0, 1e150), q.Interval(0.0, 1e150))
-        with pytest.raises(q.MomentOverflowError, match=r"x\^2 "):
-            degree_by_monomials(ns, [5e149, 5e149])
+        assert degree_by_monomials(ns, [5e149, 5e149]) == 1
+
+    @pytest.mark.parametrize("family,n", [(q.Family.GAUSS_LEGENDRE, 21),
+                                          (q.Family.CLENSHAW_CURTIS, 61)])
+    def test_impossible_degree_2n_is_typed(self, family, n):
+        # the exact weights' genuine error at x^2n is under the threshold
+        ns = nodeset(family, n)
+        w = [float(v) for v in rational_pipeline(ns).weights]
+        with pytest.raises(q.DegreeOverflowError,
+                           match=rf"y\^0\.\.y\^{2 * n} all match .* threshold 2e-12,"):
+            degree_by_monomials(ns, w)
+
+    def test_zero_half_length_is_typed(self):
+        # rad = 0.5 * 5e-324 - 0.0 rounds to 0: a ZeroDivisionError unchecked
+        ns = NodeSet((0.0,), q.Interval(0.0, 5e-324))
+        with pytest.raises(q.NumericalFailure, match="half-length .* rounds to 0"):
+            degree_by_monomials(ns, [5e-324])
+
+    @pytest.mark.parametrize("a,b", [(0.0, 1e-5), (0.0, 1e-3), (0.0, 0.1), (2.0, 4.0),
+                                     (0.0, 100.0), (-1e4, 1e4)])
+    def test_same_degree_on_every_interval(self, a, b):
+        # exact weights of the rounded nodes mid + rad t: exactness does not
+        # depend on the interval, and neither does the check
+        got, want = {}, {}
+        for family, n in family_cases(2, 20):
+            ns = q.generate(q.FamilySpec(family, n), q.Interval(a, b))
+            got[family, n] = degree_by_monomials(ns, [float(v) for v in
+                                                      rational_pipeline(ns).weights])
+            want[family, n] = _degree_on_reference_interval(family, n)
+        assert got == want
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("nodes,degree", [
@@ -245,6 +273,13 @@ class TestDegreeByMonomials:
         ns = NodeSet(nodes)
         w = [float(v) for v in rational_pipeline(ns).weights]
         assert degree_by_monomials(ns, w) == degree
+
+
+@lru_cache(maxsize=None)
+def _degree_on_reference_interval(family, n):
+    """The monomial check's degree of a family rule on (-1, 1), exact weights."""
+    ns = nodeset(family, n)
+    return degree_by_monomials(ns, [float(v) for v in rational_pipeline(ns).weights])
 
 
 class TestRationalPipeline:
@@ -584,6 +619,37 @@ class TestCachedBenchmarkReferences:
         assert len(pool) == 176
         for key, nodes in pool.items():
             assert ref.exact_reference(q, ref.custom_nodeset(q, nodes)) == cached[key], key
+
+
+def _relative_max_error(x, ref):
+    """max |x_i - ref_i| / max |ref_i|, as custom-verify measures the weights."""
+    return max(abs(a - b) for a, b in zip(x, ref)) / max(map(abs, ref))
+
+
+def test_four_routes_agree_on_custom_pool():
+    # custom-verify's checks, on all 176 sets it draws from: the exact route
+    # to the cached bit, the normal equations and the direct minimax within
+    # its 1e-8, and the monomial check on the pipeline's omega at the exact
+    # degree
+    ref, cached = _benchmark_reference()
+    disagree = []
+    for key, nodes in ref.custom_pool().items():
+        want, ns = cached[key], ref.custom_nodeset(q, nodes)
+        fs = build_system(ns)
+        sol = solve_rule(fs)
+        rr = rational_pipeline(ns)
+        z, eps = direct_sis4_minimax(fs)
+        routes = {
+            "rational_pipeline": (rr.degree, float(rr.mu_Q), [float(w) for w in rr.weights])
+            == (want["degree"], want["mu_Q"], want["weights"]),
+            "lsq_normal_equations":
+                _relative_max_error(lsq_normal_equations(fs), want["weights"]) <= 1e-8,
+            "direct_sis4_minimax": _relative_max_error(z, sol.z_star) <= 1e-8
+            and abs(eps - abs(want["mu_Q"])) <= 1e-8 * abs(want["mu_Q"]),
+            "degree_by_monomials": degree_by_monomials(ns, sol.omega) == want["degree"],
+        }
+        disagree += [(key, route) for route, agrees in routes.items() if not agrees]
+    assert disagree == []
 
 
 class TestDirectMinimax:

@@ -96,6 +96,24 @@ class TestBeyondTheDoubleRange:
             call()
 
 
+class TestEntriesThatAreNoNumbers:
+    """An entry ``float`` refuses is its ``TypeError``, unless every entry
+    is a row of one length: then the vector is a list of rows, the
+    ``ValueError`` that names its shape."""
+
+    @pytest.mark.parametrize("x", [[object(), 1.0, 2.0], [[1.0], [1.0, 2.0], [3.0]]],
+                             ids=["an object", "ragged rows"])
+    def test_a_type_error(self, x):
+        fs = q.build_system(NodeSet((-1.0, 0.0, 1.0)))
+        with pytest.raises(TypeError, match="not '(object|list)'$"):
+            q.residual(fs, x)
+
+    def test_rows_of_one_length_name_their_shape(self):
+        fs = q.build_system(NodeSet((-1.0, 0.0, 1.0)))
+        with pytest.raises(ValueError, match=re.escape("got shape (3, 1)")):
+            q.residual(fs, [[1.0], [2.0], [3.0]])
+
+
 #: The ordered forms a sequence of numbers may take, built from a tuple
 _FORMS = {
     "tuple": tuple,
