@@ -36,7 +36,7 @@ import operator
 
 from .basis import _Record, _on_grid, _vector
 from .errors import SelfCheckError, SingularDiagonalError
-from .system import _checked_eps_deg, _residual, build_system, solve_rule
+from .system import _checked_eps_deg, _residuals, build_system, solve_rule
 
 #: Relative tolerance of the eps = |mu_Q| self-check.
 EPS_CHECK_RTOL = 1e-10
@@ -155,7 +155,11 @@ def rule_angle(omega, z_star, degrees=True):
     ``degrees=False`` for radians.
     """
     omega = _vector(omega)
-    z_star = _vector(z_star, len(omega))
+    return _rule_angle(omega, _vector(z_star, len(omega)), degrees)
+
+
+def _rule_angle(omega, z_star, degrees=True):
+    """:func:`rule_angle` of two lists of doubles of one length."""
     _, omega = _pow2_scaled(omega)
     _, z_star = _pow2_scaled(z_star)
     nw = math.hypot(*omega)
@@ -191,7 +195,11 @@ def _exactly_parallel(x, y):
 def norm_params(omega, z_star):
     """1-norms (N_omega, N_z) of the two solutions, which must be of one length."""
     omega = _vector(omega)
-    z_star = _vector(z_star, len(omega))
+    return _norm_params(omega, _vector(z_star, len(omega)))
+
+
+def _norm_params(omega, z_star):
+    """:func:`norm_params` of two lists of doubles."""
     return _fsum([abs(v) for v in omega]), _fsum([abs(v) for v in z_star])
 
 
@@ -264,8 +272,11 @@ def bounds_omega_gamma(fs, omega, z_star):
     """The bounds (Omega, Gamma, cond_inf_A) for a solved rule, the last
     :func:`cond_inf_upper`'s product; |A| and its norms are formed once.
     omega and z_star must be of length n."""
-    omega = _vector(omega, fs.n)
-    z_star = _vector(z_star, fs.n)
+    return _bounds_omega_gamma(fs, _vector(omega, fs.n), _vector(z_star, fs.n))
+
+
+def _bounds_omega_gamma(fs, omega, z_star):
+    """:func:`bounds_omega_gamma` of two lists of n doubles."""
     diff = [abs(w - z) for w, z in zip(omega, z_star)]
     norm_a1, norm_ainf = _norms_of_a(fs)
     omega_bound = norm_a1 * _fsum(diff) / math.sqrt(fs.n)
@@ -290,9 +301,11 @@ def build_report(ns, family="custom", eps_deg=None, fs=None, solution=None):
     if solution is None:
         solution = solve_rule(fs)
 
-    # r(omega) and its scaled norms once, for the check and the norms; the
-    # check comes first, so a rule that fails it forms nothing more
-    e, scaled = _scaled_norms(_residual(fs, solution._omega_dd))
+    # r(omega) and r(z*) from one walk of A, then the scaled norms of
+    # r(omega) once, for the check and the norms; the check comes first, so
+    # a rule that fails it forms nothing more
+    r_omega, r_z = _residuals(fs, solution._omega_dd, solution._z_dd)
+    e, scaled = _scaled_norms(r_omega)
     epsilon = _epsilon(fs, e, scaled)
     omega, tau, z_star = solution._doubles
     if not all(map(math.isfinite, tau)):  # omega may pass the check, finite and right
@@ -300,9 +313,9 @@ def build_report(ns, family="custom", eps_deg=None, fs=None, solution=None):
         raise SingularDiagonalError(f"tau is not finite from row {i + 1}: its diagonal entry "
                                     f"{sum(fs.A_dd[i][0]):g} is too small to divide by")
     norms_w = _unscaled(e, scaled)
-    n_omega, n_z = norm_params(omega, z_star)
+    n_omega, n_z = _norm_params(omega, z_star)
     alpha = error_coefficient(fs.mu_Q, fs.degree)
-    omega_bound, gamma, cond = bounds_omega_gamma(fs, omega, z_star)
+    omega_bound, gamma, cond = _bounds_omega_gamma(fs, omega, z_star)
 
     return RuleReport(
         family=str(family),
@@ -311,7 +324,7 @@ def build_report(ns, family="custom", eps_deg=None, fs=None, solution=None):
         mu_Q=fs.mu_Q,
         N_omega=n_omega,
         N_z=n_z,
-        angle_deg=rule_angle(omega, z_star),
+        angle_deg=_rule_angle(omega, z_star),
         tau_inf=_max(map(abs, tau)),
         alpha=alpha,
         c_n=alpha,
@@ -322,6 +335,6 @@ def build_report(ns, family="custom", eps_deg=None, fs=None, solution=None):
         r_omega_2=norms_w[2],
         r_omega_3=norms_w[3],
         r_omega_inf=norms_w[math.inf],
-        r_z_inf=_max(map(abs, _residual(fs, solution._z_dd))),  # exact, unscaled
+        r_z_inf=_max(map(abs, r_z)),  # exact, unscaled
         epsilon=epsilon,
     )

@@ -7,25 +7,27 @@ the catastrophic cancellation that plain doubles suffer when the result is
 ten orders of magnitude below the largest term.
 
 The arithmetic lives in float-pair primitives (``two_sum``, ``dd_add``,
-``dd_mul``, ``dd_div`` and the written-out row :func:`dd_dot`) that take
-and return plain ``(hi, lo)`` doubles, with the two-sum and two-product
-steps written out (Dekker 1971; Hida, Li & Bailey, QD, 2001).  Each
-operation has one primitive: a double b is the pair (b, 0.0), with the
-bits of the shorter double-operand forms (see :func:`dd_add` and
-:func:`dd_mul`).  The two-product has one form on every interpreter:
-Dekker's split by 2^27 + 1, never ``math.fma``, so that a result does not
-depend on the Python version, and the overflow limit of
+``dd_mul``, ``dd_div`` and the written-out rows :func:`dd_dot` and
+:func:`dd_dot2`) that take and return plain ``(hi, lo)`` doubles, with the
+two-sum and two-product steps written out (Dekker 1971; Hida, Li &
+Bailey, QD, 2001).  Each operation has one primitive: a double b is the
+pair (b, 0.0), with the bits of the shorter double-operand forms (see
+:func:`dd_add` and :func:`dd_mul`).  The two-product has one form on
+every interpreter: Dekker's split by 2^27 + 1, never ``math.fma``, so that
+a result does not depend on the Python version, and the overflow limit of
 :mod:`quadlsq.system` is derived for it.  Each ``DD`` operator is one call
 of a primitive; the class serves only :class:`quadlsq.poly.Polynomial`.
 
-The O(n^2) loops share one written-out row, :func:`dd_dot`, which returns
-the list of its running sums: the row sums of the backward pass, the
-residual, and the last rows of the normal-equations oracle's elimination
-and its back-substitution take the last, and the moment
+The O(n^2) loops share two written-out rows.  :func:`dd_dot` returns the
+list of its running sums: the last rows of the normal-equations oracle's
+elimination and its back-substitution take the last, and the moment
 recurrence of :mod:`quadlsq.system` takes the whole list as its next
-anti-diagonal.  The running products of :mod:`quadlsq.system` and the
-Legendre recurrence of :mod:`quadlsq.nodes` write the primitives out in
-place.  An operand that a loop reuses is split once, outside it.
+anti-diagonal.  :func:`dd_dot2` returns the whole sums of two such rows
+over the same pairs, each pair split once for both: the backward pass
+(omega and tau) and the residual (r(omega) and r(z*)) walk A once per
+vector pair with it.  The running products of :mod:`quadlsq.system` and
+the Legendre recurrence of :mod:`quadlsq.nodes` write the primitives out
+in place.  An operand that a loop reuses is split once, outside it.
 Each such loop performs the operations of ``dd_mul`` then ``dd_add`` in
 their order (a product by a double included, see :func:`dd_mul`), so
 it produces the same bits as the primitives, and as the same expression
@@ -164,6 +166,56 @@ def dd_dot(sh, sl, pairs, operands):
         sl = e - (sh - h)
         sums.append((sh, sl))
     return sums
+
+
+def dd_dot2(sh, sl, th, tl, pairs, ops1, ops2):
+    """The whole sums of two :func:`dd_dot` rows over the same pairs,
+    (sh + sl) with ``ops1`` and (th + tl) with ``ops2``, as (sh, sl, th, tl);
+    the operand lists are of one length.
+
+    Each pair is split once per step for both products, and each sum gets
+    the operations of its own ``dd_dot`` row in their order, so both have
+    its bits (``tests/test_kernels.py`` checks this, signed zeros included).
+    """
+    for (ah, al), (bh, bl, yh, yl), (ch, cl, zh, zl) in zip(pairs, ops1, ops2):
+        c = _SPLITTER * ah
+        xh = c - (c - ah)
+        xl = ah - xh
+        p = ah * bh
+        e = ((xh * yh - p) + xh * yl + xl * yh) + xl * yl
+        e += ah * bl + al * bh
+        ph = p + e
+        pl = e - (ph - p)
+        s = sh + ph
+        v = s - sh
+        e = (sh - (s - v)) + (ph - v)
+        t = sl + pl
+        v = t - sl
+        f = (sl - (t - v)) + (pl - v)
+        e += t
+        h = s + e
+        e -= h - s
+        e += f
+        sh = h + e
+        sl = e - (sh - h)
+        p = ah * ch
+        e = ((xh * zh - p) + xh * zl + xl * zh) + xl * zl
+        e += ah * cl + al * ch
+        ph = p + e
+        pl = e - (ph - p)
+        s = th + ph
+        v = s - th
+        e = (th - (s - v)) + (ph - v)
+        t = tl + pl
+        v = t - tl
+        f = (tl - (t - v)) + (pl - v)
+        e += t
+        h = s + e
+        e -= h - s
+        e += f
+        th = h + e
+        tl = e - (th - h)
+    return sh, sl, th, tl
 
 
 def dd_div(ah, al, bh, bl):

@@ -28,8 +28,9 @@ Four deliberately different routes to the same quantities:
 The oracle reads the pipeline's double-double store (``A_dd``,
 ``leading_dd``) or its doubles; it shares only the float-pair primitives
 of :mod:`quadlsq.ddouble` (``dd_dot`` among them, the row the pipeline's
-moment recurrence, solve and residual also run; ``dd_mul`` and ``dd_add``
-also on arrays), the input checks of
+moment recurrence also runs, and whose bits the pipeline's fused solve and
+residual rows give each vector; ``dd_mul`` and ``dd_add`` also on
+arrays), the input checks of
 :mod:`quadlsq.basis` (the one reader of a sequence passed in, which reads
 the exact route's nodes and (a, b) pair and the monomial check's
 weights, and the node and interval checks), the integer basis, which the

@@ -41,9 +41,9 @@ i..n-1), and ``leading_dd``, mu_0..mu_{d+1} as pairs, its one moment store
 two); a solution keeps omega and tau.  The public doubles are hi + lo of
 the store, the IEEE addition ``float(DD)`` performs, or derived from those
 (``F``, ``c_tilde``, ``z_star = omega + tau``).  One backward pass solves
-omega and tau together and one routine forms the residual; a vector
-passed in is read, its shape and length checked, by the one reader of a
-sequence, :func:`quadlsq.basis._vector`.  A residual's norms and the
+omega and tau, and one routine forms the residuals of two vectors, each
+in one walk of A; a vector passed in is read, its shape and length
+checked, by the one reader of a sequence, :func:`quadlsq.basis._vector`.  A residual's norms and the
 epsilon self-check are :mod:`quadlsq.analysis`'s.
 The report path reads the store with the stdlib alone; numpy is imported
 only where a public array view (``A``, ``c``, ``omega``, ``residual()``'s
@@ -52,12 +52,14 @@ return, ...) is first built, by :func:`_freeze`.
 Every O(n^2) loop here -- the moment recurrence, the running products, the
 backward substitution and the residual -- runs on (hi, lo) float pairs
 with the double-double arithmetic of :mod:`quadlsq.ddouble` written out.
-The moment recurrence, the backward pass and the residual run one row,
-:func:`quadlsq.ddouble.dd_dot`, with each factor or solution entry split
-once: each anti-diagonal of the recurrence is the list of running sums of
-one ``dd_dot`` over the one before, and each row sum is the last of its
-list.  The running products inline the two-product (Dekker's split, the
-one form on every interpreter).  Each loop performs the operations of
+Each factor or solution entry is split once.  Each anti-diagonal of the
+moment recurrence is the list of running sums of one
+:func:`quadlsq.ddouble.dd_dot` over the one before.  The backward pass and
+the residual serve two vectors per walk of A: each row is one
+:func:`quadlsq.ddouble.dd_dot2`, which splits each entry of A once and
+gives each vector the bits of its own ``dd_dot`` row.  The running
+products inline the two-product (Dekker's split, the one form on every
+interpreter).  Each loop performs the operations of
 ``dd_mul`` then ``dd_add`` in their order (the backward pass on the
 negated entry, whose product is the negated product up to the sign of an
 exact zero, which no sum passes on), so every stored value is
@@ -88,9 +90,11 @@ from itertools import islice
 
 from .basis import NodeSet, _Record, _on_grid, _power_differences, _repr, _vector
 from .ddouble import (
-    _SPLITTER, dd_add, dd_div, dd_dot, dd_ratio, split_operand, split_operands, two_sum,
+    _SPLITTER, dd_add, dd_div, dd_dot, dd_dot2, dd_ratio, split_operand, split_operands, two_sum,
 )
-from .errors import DegreeOverflowError, MomentOverflowError, SingularDiagonalError
+from .errors import (
+    DegreeOverflowError, MomentOverflowError, NumericalFailure, SingularDiagonalError,
+)
 
 #: Relative zero threshold for degree detection, scaled by max(1, b - a),
 #: the interval's width, which is mu_0.
@@ -384,38 +388,46 @@ def _leading_moments(ns, eps):
 def build_system(ns, eps_deg=None):
     """Assemble the fundamental system for a node set.
 
-    Raises ``ValueError`` for a negative or non-finite ``eps_deg``, and
-    :class:`DegreeOverflowError` if no extended moment exceeds the zero
-    threshold (one above the rule's |mu_Q|, given or by default).
+    Raises ``ValueError`` for a negative or non-finite ``eps_deg``,
+    :class:`quadlsq.NumericalFailure` for an interval whose half-length
+    rounds to 0, and :class:`DegreeOverflowError` if no extended moment
+    exceeds the zero threshold (one above the rule's |mu_Q|, given or by
+    default).
     """
     eps = _checked_eps_deg(eps_deg)
+    iv = ns.interval
+    if iv.rad == 0.0:
+        raise NumericalFailure(f"the half-length of ({iv.a}, {iv.b}) rounds to 0: the "
+                               "interval is too short to build a fundamental system on")
     if eps is None:  # the width b - a, which is mu_0
-        eps = _default_eps_deg(2.0 * ns.interval.rad)
+        eps = _default_eps_deg(2.0 * iv.rad)
     lead = _leading_moments(ns, eps)  # a typed row raises here, before A is formed
     return FundamentalSystem(ns, eps, _node_products_dd(ns.nodes), lead)
 
 
-def _back_substitute(rows, rhss):
+def _back_substitute(rows, b, c):
     """Backward substitution on upper-triangular rows (row i holds columns
-    i..n-1) for several right-hand sides in one pass, all in (hi, lo) pairs.
-    Each right-hand side sees the operations it would see if solved alone:
-    s - a x_j for j = i+1..n-1 in order, as ``dd_add(s, -dd_mul(a, x_j))``,
-    which :func:`quadlsq.ddouble.dd_dot` forms from the split of -x_j.
+    i..n-1) for the two right-hand sides b and c in one pass, all in
+    (hi, lo) pairs: (x, y) with A x = b and A y = c.  Each right-hand side
+    sees the operations it would see if solved alone: s - a x_j for
+    j = i+1..n-1 in order, as ``dd_add(s, -dd_mul(a, x_j))``, which
+    :func:`quadlsq.ddouble.dd_dot2` forms for both from the splits of -x_j
+    and -y_j, then one ``dd_div`` by the diagonal entry.
     """
     n = len(rows)
-    xs = [[None] * n for _ in rhss]
-    negs = [[None] * n for _ in rhss]  # split_operand(-x_j) for j > i
+    x, y = [None] * n, [None] * n
+    negx, negy = [], []  # split_operand(-x_j), split_operand(-y_j) for j > i
     for i in range(n - 1, -1, -1):
         row = rows[i]
         dh, dl = row[0]
         if dh + dl == 0.0:
             raise SingularDiagonalError(f"singular diagonal at row {i + 1}")
-        tail = row[1:]
-        for x, neg, rhs in zip(xs, negs, rhss):
-            sh, sl = dd_dot(*rhs[i], tail, neg[i + 1:])[-1]
-            xh, xl = x[i] = dd_div(sh, sl, dh, dl)
-            neg[i] = split_operand(-xh, -xl)
-    return xs
+        sh, sl, th, tl = dd_dot2(*b[i], *c[i], row[1:], negx, negy)
+        xh, xl = x[i] = dd_div(sh, sl, dh, dl)
+        yh, yl = y[i] = dd_div(th, tl, dh, dl)
+        negx.insert(0, split_operand(-xh, -xl))
+        negy.insert(0, split_operand(-yh, -yl))
+    return x, y
 
 
 def solve_rule(fs):
@@ -430,7 +442,7 @@ def solve_rule(fs):
     mh, ml = fs.leading_dd[-1]
     if mh < 0.0 or (mh == 0.0 and ml < 0.0):  # |mu_Q|, as abs(DD) forms it
         mh, ml = -mh, -ml
-    w, t = _back_substitute(fs.A_dd, (fs.leading_dd, ((mh, ml),) * fs.n))
+    w, t = _back_substitute(fs.A_dd, fs.leading_dd, ((mh, ml),) * fs.n)
     return RuleSolution(tuple(w), tuple(t))
 
 
@@ -440,25 +452,37 @@ def _pair(v):
     return v if isinstance(v, tuple) else (float(v), 0.0)
 
 
-def _residual_dd(fs, x):
-    """r(x) = F x - c_tilde as (hi, lo) pairs, for x a list of n pairs.
+def _residual_dd(fs, x, y):
+    """(r(x), r(y)), r(v) = F v - c_tilde as (hi, lo) pairs, for x and y
+    lists of n pairs, both from one walk of the rows.
 
     Row i < n of F is row i of A, zero left of column i; row n is zero.
     """
     n, lead = fs.n, fs.leading_dd
     rows = fs.A_dd + ((),)
     c_tilde = lead[:n] + lead[-1:]
-    xs = split_operands(x)
-    r = []
+    xs, ys = split_operands(x), split_operands(y)
+    rx, ry = [], []
     for i, (row, (ch, cl)) in enumerate(zip(rows, c_tilde)):
-        sh, sl = dd_dot(0.0, 0.0, row, xs[i:])[-1]
-        r.append(dd_add(sh, sl, -ch, -cl))
-    return r
+        sh, sl, th, tl = dd_dot2(0.0, 0.0, 0.0, 0.0, row, xs[i:], ys[i:])
+        rx.append(dd_add(sh, sl, -ch, -cl))
+        ry.append(dd_add(th, tl, -ch, -cl))
+    return rx, ry
+
+
+def _residuals(fs, x, y):
+    """:func:`residual` of x and of y, each a list of doubles rounded once
+    from its pair, from one walk of A; x is read first."""
+    x = _vector(x, fs.n, _pair)
+    y = _vector(y, fs.n, _pair)
+    return [_hi_plus_lo(r) for r in _residual_dd(fs, x, y)]
 
 
 def _residual(fs, x):
-    """:func:`residual` as a list of doubles, each rounded once from its pair."""
-    return _hi_plus_lo(_residual_dd(fs, _vector(x, fs.n, _pair)))
+    """:func:`residual` as a list of doubles: x is read once and walked as
+    both vectors of :func:`_residual_dd`."""
+    x = _vector(x, fs.n, _pair)
+    return _hi_plus_lo(_residual_dd(fs, x, x)[0])
 
 
 def residual(fs, x):

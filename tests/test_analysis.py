@@ -491,9 +491,9 @@ class TestBuildReport:
 
     def test_epsilon_is_checked_before_the_rest_of_the_report(self, monkeypatch):
         # NC-57 fails the self-check (as NC 57..64 of every sweep do): the
-        # report must stop at the check, before r(z*), the norms, the
-        # bounds or the angle are formed (r(z*) shares ``_residual`` with
-        # r(omega); ``_unscaled``, which forms the norms, runs before it)
+        # report must stop at the check, before the norms, the bounds or
+        # the angle are formed (r(z*) is formed with r(omega), in one walk
+        # of A; ``_unscaled``, which forms the norms, runs before the rest)
         ns = q.generate(q.FamilySpec(q.Family.NEWTON_COTES, 57))
         with pytest.raises(q.SelfCheckError) as unpatched:
             build_report(ns)
@@ -501,8 +501,8 @@ class TestBuildReport:
         def formed(*args, **kwargs):
             raise AssertionError("formed after a failed epsilon self-check")
 
-        for name in ("_unscaled", "norm_params", "error_coefficient",
-                     "bounds_omega_gamma", "rule_angle"):
+        for name in ("_unscaled", "_norm_params", "error_coefficient",
+                     "_bounds_omega_gamma", "_rule_angle"):
             monkeypatch.setattr(q.analysis, name, formed)
         with pytest.raises(q.SelfCheckError, match="epsilon self-check") as patched:
             build_report(ns)

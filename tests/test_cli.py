@@ -194,6 +194,17 @@ class TestAnalyze:
         assert text == ""
         assert "singular diagonal at row 3" in capsys.readouterr().err
 
+    def test_zero_half_length_exits_3(self, tmp_path, capsys):
+        path = tmp_path / "zero.txt"
+        path.write_text("0\n", encoding="utf-8")
+        code, text = run(["analyze", "--family", "custom", "--nodes-file", str(path),
+                          "--interval", "0", "5e-324"])
+        assert code == 3
+        assert text == ""
+        err = capsys.readouterr().err
+        assert "the half-length of (0.0, 5e-324) rounds to 0" in err
+        assert "degree overflow" not in err
+
     @pytest.mark.parametrize("nodes", TINY_DIAGONAL_NODES)
     def test_non_finite_tau_exits_3(self, tmp_path, capsys, nodes):
         # |mu_Q| / A_22 passes 2^996, so tau is nan while omega is finite

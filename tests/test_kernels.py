@@ -8,6 +8,7 @@ Every comparison here is on bit patterns, so signed zeros count.
 
 import itertools
 import math
+import random
 from fractions import Fraction
 from itertools import islice
 
@@ -19,7 +20,7 @@ from hypothesis import strategies as st
 import quadlsq as q
 from quadlsq import ddouble, oracle, system
 from quadlsq.ddouble import (
-    DD, dd_add, dd_div, dd_dot, dd_mul, dd_ratio, split_operand, split_operands,
+    DD, dd_add, dd_div, dd_dot, dd_dot2, dd_mul, dd_ratio, split_operand, split_operands,
 )
 from quadlsq.nodes import _mirrored, _monic_coefficients, _monic_dd, _newton_step_dd
 from quadlsq.system import (
@@ -193,6 +194,37 @@ class TestPrimitives:
             want = [fn(*a, *b) for a, b in pairs]
             assert bits(zip(*(v.tolist() for v in got))) == bits(want), fn.__name__
 
+    @settings(max_examples=400, deadline=None)
+    @given(s=_pairs(), t=_pairs(), terms=st.lists(st.tuples(_pairs(), _pairs(), _pairs()),
+                                                  max_size=6))
+    def test_dd_dot2(self, s, t, terms):
+        # the two sums of the fused row are the last sums of the two dd_dot
+        # rows over the same pairs, with the operands as given and negated,
+        # as the backward pass passes them
+        rows = [a for a, _, _ in terms]
+        for sign in (1.0, -1.0):
+            xs = split_operands((sign * h, sign * l) for _, (h, l), _ in terms)
+            ys = split_operands((sign * h, sign * l) for _, _, (h, l) in terms)
+            got = dd_dot2(*s, *t, rows, xs, ys)
+            _same(got[:2], dd_dot(*s, rows, xs)[-1])
+            _same(got[2:], dd_dot(*t, rows, ys)[-1])
+
+    def test_dd_dot2_signed_zeros(self):
+        # every combination of signed zeros and exact products in one step,
+        # and two steps, each sum against its own dd_dot row
+        cases = [(0.0, 0.0), (-0.0, -0.0), (-0.0, 0.0), (1.0, -0.0), (-3.0, 0.0), (1.5, -0.0)]
+        for s, t, a, x, y in itertools.product(cases, repeat=5):
+            xs, ys = split_operands([x]), [split_operand(-y[0], -y[1])]
+            got = dd_dot2(*s, *t, [a], xs, ys)
+            _same(got[:2], dd_dot(*s, [a], xs)[-1])
+            _same(got[2:], dd_dot(*t, [a], ys)[-1])
+        for s, a, x, b, y in itertools.product(cases, repeat=5):
+            t = (-s[0], -s[1])
+            xs, ys = split_operands([x, y]), [split_operand(-v[0], -v[1]) for v in (y, x)]
+            got = dd_dot2(*s, *t, [a, b], xs, ys)
+            _same(got[:2], dd_dot(*s, [a, b], xs)[-1])
+            _same(got[2:], dd_dot(*t, [a, b], ys)[-1])
+
     def test_dd_dot_signed_zeros(self):
         # every combination of signed zeros and exact products, where a
         # negated operand gives a zero of the other sign inside the product
@@ -272,9 +304,12 @@ def test_pipeline_bit_identical(ns):
     assert bits(sol._omega_dd) == bits(w)
     assert bits(sol._tau_dd) == bits(t)
     assert bits(sol._z_dd) == bits(z)
-    assert bits(_residual_dd(fs, sol._omega_dd)) == bits(ref_residual(F, c_tilde, w))
-    assert bits(_residual_dd(fs, sol._z_dd)) == bits(ref_residual(F, c_tilde, z))
-    assert bits(_back_substitute(fs.A_dd, [c_tilde[:n]])[0]) == bits(w)
+    r_w, r_z = _residual_dd(fs, sol._omega_dd, sol._z_dd)
+    assert bits(r_w) == bits(ref_residual(F, c_tilde, w))
+    assert bits(r_z) == bits(ref_residual(F, c_tilde, z))
+    x, y = _back_substitute(fs.A_dd, c_tilde[:n], [abs(RefDD(*c_tilde[n]))] * n)
+    assert bits(x) == bits(w)
+    assert bits(y) == bits(t)
 
     # The public doubles against float() of the reference route alone:
     # its rows of A, its moments, and the solves and residuals on them.
@@ -298,6 +333,33 @@ def test_pipeline_bit_identical(ns):
         _floats(ref_residual(ref_F, ref_c_tilde, z)))
     assert bits(q.equioscillation_residual(fs, sol.z_star)) == bits(
         _floats(ref_residual(ref_F, ref_c_tilde, [(v, 0.0) for v in z_star])))
+
+
+def _random_pairs(rng, n):
+    """n (hi, lo) pairs: two-sums of doubles in [-1e3, 1e3], every fifth a
+    signed zero."""
+    return [rng.choice(((0.0, 0.0), (-0.0, -0.0))) if k % 5 == 4
+            else ddouble.two_sum(rng.uniform(-1e3, 1e3), rng.uniform(-1e3, 1e3))
+            for k in range(n)]
+
+
+@pytest.mark.parametrize("ns", PIPELINE_CASES)
+def test_two_vectors_per_walk_bit_identical(ns):
+    # the backward pass solves two unrelated right-hand sides, and the
+    # residual forms r of two unrelated vectors, each with the bits of the
+    # frozen single-vector route
+    fs = _system(ns)
+    n = fs.n
+    F = _padded(fs.A_dd, n)
+    c_tilde = fs.leading_dd[:n] + fs.leading_dd[-1:]
+    rng = random.Random(n)
+    b, c, x, y = (_random_pairs(rng, n) for _ in range(4))
+    got_b, got_c = _back_substitute(fs.A_dd, b, c)
+    assert bits(got_b) == bits(ref_solve_upper(F[:n], b))
+    assert bits(got_c) == bits(ref_solve_upper(F[:n], c))
+    r_x, r_y = _residual_dd(fs, x, y)
+    assert bits(r_x) == bits(ref_residual(F, c_tilde, x))
+    assert bits(r_y) == bits(ref_residual(F, c_tilde, y))
 
 
 @pytest.mark.parametrize("ns", PIPELINE_CASES)

@@ -40,8 +40,7 @@ class TestSolveTau:
         fs = build_system(NodeSet((-1.0, -0.25, 0.5, 1.0)))
         rows = fs.A_dd
         mu = abs(DD(*fs.leading_dd[-1]))
-        t1 = _back_substitute(rows, [[mu] * fs.n])[0]
-        t4 = _back_substitute(rows, [[mu * 4.0] * fs.n])[0]
+        t1, t4 = _back_substitute(rows, [mu] * fs.n, [mu * 4.0] * fs.n)
         assert [float(DD(*x)) * 4.0 for x in t1] == [float(DD(*x)) for x in t4]
 
 

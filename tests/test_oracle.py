@@ -225,10 +225,6 @@ class TestDegreeByMonomials:
         ns, fs, sol = solved(family, n)
         assert degree_by_monomials(ns, sol.omega) == fs.degree
 
-    def test_zero_threshold_is_valid(self):
-        # the midpoint rule integrates 1 and x exactly, at the default threshold
-        assert degree_by_monomials(NodeSet((0.0,)), [2.0]) == 1
-
     def test_wide_interval_has_no_moment_to_overflow(self):
         # the moment of x^2 on (0, 1e150) is 1e450 / 3, but the rule is
         # judged on (-1, 1): nodes -1 and 1, weights 1 and 1

@@ -171,6 +171,18 @@ class TestDetectDegree:
                 r"threshold 2e-12; the largest is \|mu_42\| = 7\.06\d*e-13$")):
             build_system(ns)
 
+    @pytest.mark.parametrize("eps_deg", [None, 0.0])
+    def test_zero_half_length_is_named(self, eps_deg):
+        # rad = 0.5 * 5e-324 - 0.0 rounds to 0, so every extended moment is
+        # 0 and the scan could only blame the threshold: the interval is
+        # named before it, whatever the threshold
+        ns = NodeSet((0.0,), Interval(0.0, 5e-324))
+        with pytest.raises(q.NumericalFailure) as err:
+            build_system(ns, eps_deg=eps_deg)
+        assert type(err.value) is q.NumericalFailure
+        assert str(err.value) == ("the half-length of (0.0, 5e-324) rounds to 0: the interval "
+                                  "is too short to build a fundamental system on")
+
     def test_threshold_knob_passes_through_build(self):
         # a given threshold is the one the system keeps and scans with:
         # mu_4 = -4/15 of Simpson's rule is below 0.3 but not below 0.2
