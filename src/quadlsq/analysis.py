@@ -9,13 +9,13 @@ For each rule we report, alongside degree and principal moment:
   solutions asymptotically aligned;
 * the error coefficient alpha = c_n = mu_Q / (d+1)!, the constant in the
   smooth-integrand error formula E = alpha * f^(d+1)(xi);
-* the conditioning-flavoured bounds
+* the conditioning-flavoured bounds, which hold in exact arithmetic (the
+  reported values may miss them by a few roundings)
       Omega = ||A||_1 ||omega - z*||_1 / sqrt(n)      (|mu_Q| <= Omega)
       Gamma = ||z* - omega||_inf ||A||_inf / |mu_Q|   (1 <= Gamma <= cond_inf(A))
   with cond_inf(A) computed in O(n^2) from the closed-form inverse of A
-  (see :func:`cond_inf_upper`), to within (4n+1) u of its exact value,
-  u = 2^-53.  It is not estimated: an estimator would blur the
-  ill-conditioning signal these bounds exist to expose;
+  (:func:`cond_inf_upper`) to within (4n+1) u, u = 2^-53, and not estimated:
+  an estimator would blur the ill-conditioning signal these bounds expose;
 * the 1-, 2-, 3- and inf-norms of r(omega), ||r(z*)||_inf and the
   self-check's epsilon, whose common size is |mu_Q|.
 

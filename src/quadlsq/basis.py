@@ -26,11 +26,11 @@ The input checks of a rule live here, next to their types: the one
 reader of a sequence passed in, :func:`_vector`, which :class:`NodeSet`
 runs on its nodes, the exact oracle on its nodes and its (a, b) pair, and
 every function that takes a vector with a rule on that vector; the node
-check, which :class:`NodeSet` runs on doubles and the exact oracle and the
-node-file reader on exact values; the interval check, which
-:class:`Interval` runs on doubles and the exact oracle on exact values;
-and the check that an interval passed to :class:`NodeSet` or
-:func:`quadlsq.nodes.generate` is an :class:`Interval`.
+check, which :class:`NodeSet` runs on doubles and the exact oracle on
+exact values (the node-file reader orders its own, to quote the file);
+the interval check, which :class:`Interval` runs on doubles and the exact
+oracle on exact values; and the check that an interval passed to
+:class:`NodeSet` or :func:`quadlsq.nodes.generate` is an :class:`Interval`.
 The base of the package's immutable record types, :class:`_Record`, is
 here as well, since every module that defines one imports this one.
 """

@@ -318,3 +318,9 @@ def dd_ratio(num, den):
         return (math.inf if num > 0 else -math.inf), 0.0
     p, q = hi.as_integer_ratio()
     return hi, (num * q - den * p) / (den * q)
+
+
+def _ceil_log2(x):
+    """The least integer k with x <= 2^k, for a finite double x > 0."""
+    m, e = math.frexp(x)
+    return e - 1 if m == 0.5 else e

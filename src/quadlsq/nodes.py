@@ -27,7 +27,7 @@ import math
 import operator
 from enum import Enum
 
-from .basis import Interval, NodeSet, _Value, _checked_interval_type, _checked_nodes
+from .basis import Interval, NodeSet, _Value, _checked_interval_type
 from .ddouble import _SPLITTER, dd_ratio, two_sum
 from .errors import ConvergenceError
 
@@ -264,11 +264,11 @@ def read_nodes_file(path):
 
     Each line holds one decimal number or a ``num/den`` rational; ``#``
     starts a comment.  Values are returned as Fractions (exact) and must
-    pass the node check of :class:`NodeSet`, whose message names the path.
+    increase; an error names the path and line and quotes the file's text.
     """
     from fractions import Fraction
 
-    values = []
+    values, lines = [], []
     with open(path, encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
             text = raw.split("#", 1)[0].strip()
@@ -278,10 +278,10 @@ def read_nodes_file(path):
                 values.append(Fraction(text))
             except (ValueError, ZeroDivisionError):
                 raise ValueError(f"{path}:{lineno}: cannot parse node {text!r}") from None
+            lines.append((lineno, text))
     if not values:
         raise ValueError(f"{path}: no nodes found")
-    try:
-        _checked_nodes(values)
-    except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from None
+    for (m, before), (k, text), a, b in zip(lines, lines[1:], values, values[1:]):
+        if not a < b:
+            raise ValueError(f"{path}:{k}: node {text} is not above {before} on line {m}")
     return values

@@ -26,16 +26,16 @@ Four deliberately different routes to the same quantities:
   instead of the correction-vector route, in doubles by LAPACK.
 
 The oracle reads the pipeline's double-double store (``A_dd``,
-``leading_dd``) or its doubles; it shares only the float-pair primitives
-of :mod:`quadlsq.ddouble` (``dd_dot`` among them, the row the pipeline's
-moment recurrence also runs, and whose bits the pipeline's fused solve and
-residual rows give each vector; ``dd_mul`` and ``dd_add`` also on
-arrays), the input checks of
-:mod:`quadlsq.basis` (the one reader of a sequence passed in, which reads
-the exact route's nodes and (a, b) pair and the monomial check's
-weights, and the node and interval checks), the integer basis, which the
-pipeline never forms, the grid X = D x and power chain of its moment
-starts, and the closed-form ||A^-1||_inf of :mod:`quadlsq.analysis`.
+``leading_dd``) or its doubles, and imports nothing from :mod:`quadlsq.system`.
+It shares the float-pair primitives and ``_ceil_log2`` of :mod:`quadlsq.ddouble`
+(``dd_dot``, the row of the pipeline's moment recurrence, whose bits its
+fused solve and residual rows give each vector; ``dd_mul`` and ``dd_add``
+also on arrays), the record types and input checks of :mod:`quadlsq.basis`
+(the one reader of a sequence passed in, the node and interval checks) and
+its integer forms (the integer basis, which the pipeline never forms, and
+the grid X = D x, power chain and exact Horner of its moment starts), the
+sums, maxima and closed-form ||A^-1||_inf of :mod:`quadlsq.analysis`, and
+the exception types of :mod:`quadlsq.errors`.
 
 The normal equations and the direct elimination run on numpy arrays and
 import numpy when called; the monomial check runs on Python floats and the
@@ -61,9 +61,11 @@ from .basis import (
     _power_differences, _vector,
 )
 from .analysis import _fsum, _max, _norm_inf_inverse
-from .ddouble import dd_add, dd_div, dd_dot, dd_mul, split_operand
+from .ddouble import _ceil_log2, dd_add, dd_div, dd_dot, dd_mul, split_operand
 from .errors import DegreeOverflowError, NumericalFailure, SingularSystemError
-from .system import _ceil_log2, _default_eps_deg
+
+#: The monomial check's own zero threshold: 1e-12 mu_0, with mu_0 = 2 on (-1, 1).
+_MONOMIAL_EPS = 2e-12
 
 
 # ---------------------------------------------------------------------------
@@ -414,8 +416,8 @@ def degree_by_monomials(ns, weights):
     Exactness survives x = mid + rad y, so the rule is mapped in doubles to
     weights w_i / rad and nodes y_i = (t_i - mid) / rad, the identity on
     (-1, 1).  ``math.fsum`` of (w_i / rad) y_i^k must match the integral of
-    y^k, 2/(k+1) for even k and 0 for odd k, within 2e-12, the default zero
-    threshold of :func:`quadlsq.build_system` on (-1, 1); a sum that is not
+    y^k, 2/(k+1) for even k and 0 for odd k, within ``_MONOMIAL_EPS`` = 2e-12,
+    :func:`quadlsq.build_system`'s default threshold there; a sum that is not
     a finite double is a mismatch.  There must be n weights.  No n-point
     rule integrates q_2n = ell^2 > 0 exactly, so matching every k <= 2n
     raises :class:`quadlsq.DegreeOverflowError` (Gauss-Legendre from n = 21),
@@ -428,15 +430,14 @@ def degree_by_monomials(ns, weights):
                                "rounds to 0: the rule cannot be mapped to (-1, 1)")
     w = [v / rad for v in weights]
     ys = [(t - mid) / rad for t in ns.nodes]
-    eps = _default_eps_deg(2.0)
     powers = [1.0] * n
     for k in range(2 * n + 1):
         try:
             approx = math.fsum(map(operator.mul, w, powers))
         except (ValueError, OverflowError):  # inf - inf, or a sum past the double range
             approx = math.nan
-        if not abs(approx - (0.0 if k % 2 else 2.0 / (k + 1))) <= eps:
+        if not abs(approx - (0.0 if k % 2 else 2.0 / (k + 1))) <= _MONOMIAL_EPS:
             return k - 1
         powers = list(map(operator.mul, powers, ys))
-    raise DegreeOverflowError(f"degree overflow: y^0..y^{2 * n} all match on (-1, 1) within "
-                              f"the zero threshold {eps:g}, which no {n}-point rule can do")
+    raise DegreeOverflowError(f"degree overflow: y^0..y^{2 * n} all match on (-1, 1) within the "
+                              f"zero threshold {_MONOMIAL_EPS:g}, which no {n}-point rule can do")

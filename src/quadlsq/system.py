@@ -90,7 +90,8 @@ from itertools import islice
 
 from .basis import NodeSet, _Record, _on_grid, _power_differences, _repr, _vector
 from .ddouble import (
-    _SPLITTER, dd_add, dd_div, dd_dot, dd_dot2, dd_ratio, split_operand, split_operands, two_sum,
+    _SPLITTER, _ceil_log2, dd_add, dd_div, dd_dot, dd_dot2, dd_ratio, split_operand,
+    split_operands, two_sum,
 )
 from .errors import (
     DegreeOverflowError, MomentOverflowError, NumericalFailure, SingularDiagonalError,
@@ -260,12 +261,6 @@ def _iter_moments_dd(ns):
 #: An operand above 2^996 turns into nan in the Dekker split, which scales
 #: it by 2^27 + 1 (2^996 (2^27 + 1) is within a factor 2^-0.99 of 2^1024).
 _SPLIT_EXPONENT = 996
-
-
-def _ceil_log2(x):
-    """The least integer k with x <= 2^k, for a finite double x > 0."""
-    m, e = math.frexp(x)
-    return e - 1 if m == 0.5 else e
 
 
 def _profile_stays_finite(ns):

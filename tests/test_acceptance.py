@@ -259,7 +259,7 @@ def test_criterion_07_oracle_equivalence():
 def test_criterion_08_bound_suite():
     c = Criterion(8, "|mu_Q| <= Omega and 1 <= Gamma <= cond_inf(A)")
     for fam in FAMILIES:
-        for n in range(max(2, MIN_N[fam]), 13):
+        for n in range(MIN_N[fam], 13):
             _, fs, sol = solved(fam, n)
             omega_bound, gamma, cond = q.bounds_omega_gamma(fs, sol.omega, sol.z_star)
             c.check(abs(fs.mu_Q) <= omega_bound + 1e-12,

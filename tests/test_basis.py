@@ -305,29 +305,26 @@ class TestBuildBasis:
     @pytest.mark.parametrize("family", FAMILIES)
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 8, 12, 17])
     def test_families_equal_the_exact_product(self, family, n):
-        if n < MIN_N[family]:
-            pytest.skip("family needs more nodes")
         ns = nodeset(family, n)
         assert build_basis(ns) == ref_basis(ns.nodes)
 
 
+#: (n, family) for n = 1, 2, 3, 5, 8, 12 where the family has n nodes, in
+#: the order and with the ids of stacked n and family parametrizations
+_VANISHING_CASES = [(n, fam) for n in (1, 2, 3, 5, 8, 12) for fam in FAMILIES if n >= MIN_N[fam]]
+
+
 class TestVanishing:
-    @pytest.mark.parametrize("family", FAMILIES)
-    @pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 12])
+    @pytest.mark.parametrize("n,family", _VANISHING_CASES)
     def test_phi_vanishes_at_leading_nodes(self, family, n):
-        if n < MIN_N[family]:
-            pytest.skip("family needs more nodes")
         ns = nodeset(family, n)
         P = build_basis(ns)
         for j in range(1, n):
             for k in range(j):
                 assert value(P[j], ns.nodes[k]) == 0
 
-    @pytest.mark.parametrize("family", FAMILIES)
-    @pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 12])
+    @pytest.mark.parametrize("n,family", _VANISHING_CASES)
     def test_q_vanishes_at_all_nodes(self, family, n):
-        if n < MIN_N[family]:
-            pytest.skip("family needs more nodes")
         ns = nodeset(family, n)
         P = build_basis(ns)
         for j in range(n, 2 * n + 1):
@@ -338,8 +335,6 @@ class TestVanishing:
     @pytest.mark.parametrize("n", [2, 3, 5, 8, 12])
     def test_diagonal_entries_nonzero(self, family, n):
         # phi_i(t_{i+1}) != 0 is the full-rank argument for the system
-        if n < MIN_N[family]:
-            pytest.skip("family needs more nodes")
         ns = nodeset(family, n)
         P = build_basis(ns)
         for i in range(n - 1):

@@ -110,6 +110,13 @@ class TestAnalyze:
         assert code == 2
         assert "--nodes-file only applies to --family custom" in capsys.readouterr().err
 
+    def test_unordered_nodes_file_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "nodes.txt"
+        path.write_text("0.5\n0.1\n", encoding="utf-8")
+        code, _ = run(["analyze", "--family", "custom", "--nodes-file", str(path)])
+        assert code == 2
+        assert f"{path}:2: node 0.1 is not above 0.5 on line 1" in capsys.readouterr().err
+
     def test_numerical_failure_exits_3(self, capsys):
         code, _ = run(["analyze", "--family", "nc", "--n", "5", "--eps-deg", "1e9"])
         assert code == 3

@@ -2,8 +2,9 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
 
-from quadlsq.ddouble import dd_ratio
+from quadlsq.ddouble import _ceil_log2, dd_ratio
 
 
 def exact(x):
@@ -22,3 +23,25 @@ class TestFromFraction:
     def test_beyond_double_range_is_infinite(self):
         assert dd_ratio(10 ** 400, 1) == (math.inf, 0.0)
         assert dd_ratio(-(10 ** 400), 3) == (-math.inf, 0.0)
+
+
+class TestCeilLog2:
+    """``_ceil_log2(x)`` is the least k with x <= 2^k, over every positive
+    finite double: powers of two, their neighbours and subnormals."""
+
+    @staticmethod
+    def check(x):
+        k = _ceil_log2(x)
+        assert Fraction(2) ** (k - 1) < Fraction(x) <= Fraction(2) ** k
+
+    @pytest.mark.parametrize("x", [
+        5e-324, 1e-320, 2.0 ** -1022, math.nextafter(2.0 ** -1022, 0.0), 0.5, 1.0,
+        math.nextafter(1.0, 0.0), math.nextafter(1.0, 2.0), 3.0, 2.0 ** 1023,
+        math.nextafter(2.0 ** 1023, 0.0), math.nextafter(math.inf, 0.0),
+    ])
+    def test_edges(self, x):
+        self.check(x)
+
+    @given(st.floats(min_value=5e-324, allow_infinity=False))
+    def test_every_positive_double(self, x):
+        self.check(x)

@@ -282,7 +282,7 @@ class TestNodesFile:
     def test_unordered_rejected(self, tmp_path):
         path = tmp_path / "nodes.txt"
         path.write_text("1\n0\n", encoding="utf-8")
-        with pytest.raises(ValueError, match="unordered nodes"):
+        with pytest.raises(ValueError, match="node 0 is not above 1 on line 1"):
             read_nodes_file(path)
 
     def test_message_names_the_file(self, tmp_path):
@@ -290,7 +290,27 @@ class TestNodesFile:
         path.write_text("1/2\n1/2\n", encoding="utf-8")
         with pytest.raises(ValueError) as info:
             read_nodes_file(path)
-        assert str(info.value) == f"{path}: unordered nodes: 1/2 !< 1/2"
+        assert str(info.value) == f"{path}:2: node 1/2 is not above 1/2 on line 1"
+
+    @pytest.mark.parametrize("text, message", [
+        ("0.5\n0.1\n", "2: node 0.1 is not above 0.5 on line 1"),
+        # the lines are the file's, comments and blank lines counted, and the
+        # values its text, not their exact ratios (10^400 here)
+        ("# tiny\n-1\n\n1e-400  # first\n1E-400\n", "5: node 1E-400 is not above 1e-400 on line 4"),
+        ("0\n2\n1\n3\n", "3: node 1 is not above 2 on line 2"),
+    ], ids=["two-lines", "comments-and-blank-lines", "mid-file"])
+    def test_order_error_quotes_the_file(self, tmp_path, text, message):
+        path = tmp_path / "nodes.txt"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(ValueError) as info:
+            read_nodes_file(path)
+        assert str(info.value) == f"{path}:{message}"
+
+    def test_a_parse_error_comes_before_an_order_error(self, tmp_path):
+        path = tmp_path / "nodes.txt"
+        path.write_text("1\n0\nzero\n", encoding="utf-8")
+        with pytest.raises(ValueError, match=r":3: cannot parse node 'zero'"):
+            read_nodes_file(path)
 
     def test_value_beyond_double_range_is_a_value_error_in_a_node_set(self, tmp_path):
         # the file holds exact values, so it reads; the double conversion
