@@ -17,10 +17,13 @@ Gauss-Legendre nodes are the roots of P_n correctly rounded: the
 eigenvalues of the symmetric tridiagonal Jacobi matrix as starting values
 (Golub & Welsch, "Calculation of Gauss quadrature rules", 1969), which
 LAPACK computes on a dense O(n^2) array, then one Newton step in
-double-double, and an acceptance check on the same double-double
-recurrence.  That start is the one use of numpy here: it is imported
-when Gauss-Legendre nodes are first generated, and the other families
-never load it.
+double-double.  One walk of the double-double Legendre recurrence per
+root serves both the step and its acceptance check: the check bounds
+|P_n| at the new iterate from the walk's values at the start, by Taylor's
+theorem with max |P_n''| = P_n''(1), with every rounding counted (see
+:func:`legendre_nodes`).  That start is the one use of numpy here: it is
+imported when Gauss-Legendre nodes are first generated, and the other
+families never load it.
 """
 
 import math
@@ -32,6 +35,8 @@ from .ddouble import _SPLITTER, dd_ratio, two_sum
 from .errors import ConvergenceError
 
 _NEWTON_PTOL = 1e-14
+_U = 2.0 ** -53  # the unit roundoff of a double
+_SLACK = 1.0 + 2.0 ** -40  # covers the roundings of the acceptance bound, kappa_n and vtol
 
 
 class Family(str, Enum):
@@ -178,16 +183,91 @@ def _monic_dd(xh, xl, coeffs):
     return v0h, v0l, v1h, v1l
 
 
+def _walk_error(k):
+    """A bound on the error of :func:`_monic_dd`'s V_{k-1} and V_k at a
+    double x in [-1, 1]: 512 k^(5/2) u^2, with u = 2^-53.
+
+    The computed V_j is 2x V_{j-1} - 4 beta_j V_{j-2} + m_j, from the
+    computed V_{j-1} and V_{j-2}, with m_j the error of step j.  Its two products err by at most 7 u^2 (Joldes,
+    Muller & Popescu, ACM TOMS 44, 2017), its sum by 3 u^2 + 13 u^3 (as
+    corrected by Muller & Rideau, 2022), and the pair -4 beta_j of
+    :func:`_monic_coefficients` by u^2 |4 beta_j|, with 4 beta_j <= 4/3.
+    With |V_j| <= kappa_j <= kappa_k on [-1, 1] (|P_j| <= 1) and every
+    computed V_j within kappa_k of the true one, |m_j| <= 36.1 u^2 (2 kappa_k).
+    The error after step k is sum_j G(k, j) m_j, with G(k, j) the
+    recurrence's solution from y_{j-1} = 0, y_j = 1.  With b_m = 4 beta_m,
+    which falls from 4/3 towards 1, the form
+    E_m = y_m^2 - 2x y_m y_{m-1} + b_{m+1} y_{m-1}^2 obeys
+    E_{m+1} = b_{m+1} E_m + (b_{m+2} - b_{m+1}) y_m^2 <= b_{m+1} E_m, and
+    E_m >= y_m^2 (1 - x^2 / b_{m+1}) >= y_m^2 / (4 m^2) for |x| <= 1.  As
+    E_j = 1 and the product of all b_m is Wallis's pi/2,
+    |G(k, j)| <= 2k sqrt(pi/2) < 2.51 k.  So the error is at most
+    181 k^2 u^2 kappa_k, and kappa_k = 4^k / C(2k, k) <= 2 sqrt(k); the
+    factor 512 rather than 362 also covers underflow, a few 2^-1074 per
+    operation.
+    """
+    return 512.0 * 2.0 ** -106 * k * k * math.sqrt(k)
+
+
 def _newton_step_dd(k, x, coeffs):
-    """One double-double Newton step for P_k from the double x, on
-    :func:`_monic_dd` at x.  V_k is carried in double-double; the
+    """One double-double Newton step for P_k from the double x, on one walk
+    of :func:`_monic_dd` at x.  V_k is carried in double-double; the
     derivative, V'_k = k (V_{k-1} 2k/(2k-1) - x V_k) / (1 - x^2), only
-    scales the tiny correction and is formed in doubles.  Returns the new
-    iterate x - V_k/V'_k as (xh, xl)."""
-    v0h, _, vh, vl = _monic_dd(x, 0.0, coeffs)
+    scales the tiny correction and is formed in doubles.
+
+    Returns (xh, xl, v, dv, dv_err): the new iterate x - V_k/V'_k as
+    (xh, xl), and what the acceptance check of :func:`legendre_nodes`
+    reads from the same walk: V_k(x) and V'_k(x) as the doubles v and dv,
+    and dv_err, a bound on |dv - V'_k(x)|.  As computed, with u = 2^-53,
+    E = :func:`_walk_error` (k) and a = V_{k-1} 2k/(2k-1), b = x v and
+    d = a - b, the bracket d is within
+    err_d = u (|d| + 3 |a| + |b| + |v|) + 2 |lo of V_{k-1}| + 3 E of the
+    exact one, den = 1 - x^2 is within u (den + x^2) of 1 - x^2, and the
+    product by k and the quotient round once each.  So, with
+    r = err_d / |d| + u (x^2 / den + 3), |dv - V'_k(x)| <= 1.2 r |dv|
+    whenever r <= 1/8 and den > 0; dv_err is 2 r |dv| then, and inf
+    otherwise, which refuses the root.
+    """
+    v0h, v0l, vh, vl = _monic_dd(x, 0.0, coeffs)
     v = vh + vl
-    dv = k * (v0h * (2 * k) / (2 * k - 1) - x * v) / (1.0 - x * x)
-    return two_sum(x, -(v / dv))
+    a = v0h * (2 * k) / (2 * k - 1)
+    b = x * v
+    d = a - b
+    xx = x * x
+    den = 1.0 - xx
+    dv = k * d / den
+    err_d = _U * (abs(d) + 3.0 * abs(a) + abs(b) + abs(v)) + 2.0 * abs(v0l) + 3.0 * _walk_error(k)
+    r = err_d / abs(d) + _U * (xx / den + 3.0)
+    dv_err = 2.0 * r * abs(dv) if den > 0.0 and r <= 0.125 else math.inf
+    return (*two_sum(x, -(v / dv)), v, dv, dv_err)
+
+
+def _root_bound(x, xh, xl, v, dv, dv_err, walk_err, h2):
+    """A bound on |V_n| at the double-double point xh + xl, from a
+    :func:`_newton_step_dd` walk at the double x: the step's (xh, xl, v,
+    dv, dv_err), ``walk_err`` = :func:`_walk_error` (n) and ``h2``, half
+    of max |V_n''| on [-1, 1], rounded.
+
+    With the exact step Delta = (xh + xl) - x = dh + de + xl, two_sum
+    giving dh + de = xh - x exactly, Taylor's theorem gives
+    |V_n(x + Delta)| <= |V_n(x) + V'_n(x) Delta| + h2 Delta^2.  The first
+    term is formed as lin = (v + dv dh) + dv (de + xl): v is within
+    u |v| + walk_err of V_n(x), dv within dv_err of V'_n(x), and each of
+    the five roundings in lin is at most u of its result, which
+    3 u (|lin| + |v| + |dv dh| + |dv (de + xl)|) covers.  Every term is a
+    product or sum of non-negative values, so the roundings of the bound
+    itself, and of h2, are relative, a few u, which the caller's factor
+    1 + 2^-40 covers.  An infinite dv_err makes the bound inf or nan,
+    which no threshold accepts.
+    """
+    dh, de = two_sum(xh, -x)
+    dl = de + xl
+    p = dv * dh
+    q = dv * dl
+    lin = (v + p) + q
+    step = abs(dh) + abs(dl)
+    return (abs(lin) + 3.0 * _U * (abs(lin) + abs(v) + abs(p) + abs(q)) + walk_err
+            + dv_err * step + h2 * step * step)
 
 
 def legendre_nodes(n):
@@ -203,14 +283,28 @@ def legendre_nodes(n):
     is at most 6.8e-27 on the same n, far below half an ulp of every zero.
     So one double-double Newton step (:func:`_newton_step_dd`) makes every
     zero correctly rounded, and the zeros are then mirrored for exact
-    symmetry.  Both the
-    step and the acceptance check run the one double-double recurrence,
-    :func:`_monic_dd`, on float pairs with the :mod:`quadlsq.ddouble`
-    arithmetic written out.  Each root is accepted only if |P_n| < 1e-14
-    at the double-double iterate, tested as |V_n| < 1e-14 kappa_n with
-    kappa_n = V_n / P_n = 4^n / C(2n, n) rounded once.
-    Raises :class:`ConvergenceError` if the eigensolver does not converge
-    or if a root fails that check.
+    symmetry.
+
+    Each root takes one walk of the double-double recurrence
+    :func:`_monic_dd`, at the double start x, and is accepted from that
+    walk: only if |P_n| < 1e-14 at the double-double iterate, tested as
+    |V_n| < vtol, with vtol = 1e-14 kappa_n and
+    kappa_n = V_n / P_n = 4^n / C(2n, n) rounded once.  The iterate is
+    x + Delta, and :func:`_root_bound` bounds |V_n| there by
+    |V_n(x) + V'_n(x) Delta| + (1/2) max |V_n''| Delta^2.  The lemma:
+    P_n' is a sum of (2j+1) P_j over j = n-1, n-3, ..., so P_n'' is a sum
+    of the P_i with non-negative coefficients, and with |P_i| <= 1 = P_i(1)
+    on [-1, 1], max |P_n''| = P_n''(1) = (n-1) n (n+1) (n+2) / 8.  The
+    bound carries the walk's rounding (:func:`_walk_error`), dv's
+    (including that of 1 - x^2, see :func:`_newton_step_dd`) and its own.
+    A root is accepted iff the iterate lies in (-1, 1), where the lemma
+    holds, and the bound times 1 + 2^-40 is below vtol, the factor
+    covering the roundings of the bound, of vtol and of kappa_n; then
+    |P_n| < 1e-14 at the iterate is proved, not estimated.  A step that
+    lands off the root fails the first term, and a start far from any root
+    fails the last: an error of 1e-6 in the start gives at least 1.5e-12
+    kappa_n there.  Raises :class:`ConvergenceError` if the eigensolver does
+    not converge or if a root fails that check.
 
     The eigensolver takes the dense n x n matrix, so the start costs
     O(n^2) memory (about 19 MB at n = 1100, 0.07 MB at n <= 64) and O(n^3)
@@ -227,12 +321,16 @@ def legendre_nodes(n):
     except np.linalg.LinAlgError as exc:
         raise ConvergenceError(f"no convergence for the zeros of P_{n}: {exc}") from None
     coeffs = _monic_coefficients(n)
-    vtol = _NEWTON_PTOL * (4 ** n / math.comb(2 * n, n))
+    kappa = 4 ** n / math.comb(2 * n, n)
+    vtol = _NEWTON_PTOL * kappa
+    walk_err = _walk_error(n)
+    h2 = kappa * ((n - 1) * n * (n + 1) * (n + 2) / 16)
     half = []
     for k in range(1, n // 2 + 1):
-        xh, xl = _newton_step_dd(n, float(start[n - k]), coeffs)
-        _, _, vh, vl = _monic_dd(xh, xl, coeffs)
-        if not abs(vh + vl) < vtol:
+        x = float(start[n - k])
+        step = _newton_step_dd(n, x, coeffs)
+        xh, xl = step[0], step[1]
+        if not (abs(xh) < 1.0 and _root_bound(x, *step, walk_err, h2) * _SLACK < vtol):
             raise ConvergenceError(f"no convergence for root {k} of P_{n}")
         half.append(xh + xl)
     return _mirrored(half, n)
@@ -265,12 +363,19 @@ def read_nodes_file(path):
     Each line holds one decimal number or a ``num/den`` rational; ``#``
     starts a comment.  Values are returned as Fractions (exact) and must
     increase; an error names the path and line and quotes the file's text.
+    The file is UTF-8, with or without a byte-order mark, and any line
+    ending; a byte that is not UTF-8 is such an error too.
     """
     from fractions import Fraction
 
     values, lines = [], []
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8-sig", errors="surrogateescape") as fh:
         for lineno, raw in enumerate(fh, start=1):
+            try:
+                raw.encode("utf-8")
+            except UnicodeEncodeError as exc:  # an escaped byte: U+DC80..U+DCFF
+                byte = ord(raw[exc.start]) - 0xDC00
+                raise ValueError(f"{path}:{lineno}: byte 0x{byte:02x} is not UTF-8") from None
             text = raw.split("#", 1)[0].strip()
             if not text:
                 continue

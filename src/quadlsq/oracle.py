@@ -226,20 +226,15 @@ def rational_pipeline(nodes, interval=None):
             break
     mu_q = Fraction(num, L * D ** (j + 1))
 
-    # Lagrange weights: l_k(x) = r_k(X) / prod_{m != k} (T_k - T_m), where
-    # r_k = prod_m (X - T_m) / (X - T_k) by synthetic division.
-    w = []
-    for k, tk in enumerate(T):
-        r = [0] * n
-        r[n - 1] = acc = ell[n]
-        for i in range(n - 1, 0, -1):
-            acc = ell[i] + tk * acc
-            r[i - 1] = acc
-        scale = math.prod(tk - tm for m, tm in enumerate(T) if m != k)
-        w.append(Fraction(sum(map(operator.mul, r, S)), L * D * scale))
+    # Lagrange weights: l_k(x) = r_k(X) / ell'(T_k), with r_k = ell / (X - T_k),
+    # whose coefficients are r_i = sum_{j > i} ell_j T_k^(j-1-i).  The
+    # integral's numerator sum_i r_i S_i is then g(T_k), with
+    # g_m = sum_{j > m} ell_j S_{j-1-m} formed once for all the nodes.
+    g = [sum(map(operator.mul, ell[m + 1:], S)) for m in range(n)]
+    dell = [i * c for i, c in enumerate(ell)][1:]
+    w = tuple(Fraction(_horner(g, tk), L * D * _horner(dell, tk)) for tk in T)
 
-    return RationalRule(nodes=ts, interval=(a, b), mu_Q=mu_q, degree=j - 1,
-                        weights=tuple(w))
+    return RationalRule(nodes=ts, interval=(a, b), mu_Q=mu_q, degree=j - 1, weights=w)
 
 
 # ---------------------------------------------------------------------------

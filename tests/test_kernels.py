@@ -459,9 +459,9 @@ def test_gauss_legendre_nodes_bit_identical(n):
 
 @pytest.mark.parametrize("n", _NS)
 def test_monic_dd_bit_identical(n):
-    # the one recurrence of the Newton step and of the acceptance check:
-    # V_{n-1} and V_n at every root, where the step runs it on a double,
-    # and off the root by a low part, where the check runs it on a pair
+    # the one recurrence of the Newton step, whose walk the acceptance
+    # check reads: V_{n-1} and V_n at every root, on a double as the step
+    # runs it, and off the root by a low part, on a pair
     coeffs = _monic_coefficients(n)
     for t in q.legendre_nodes(n):
         for x in ((t, 0.0), (t, t * 2.0 ** -60), (0.5 * t, -(t * 2.0 ** -58))):
@@ -486,7 +486,7 @@ def test_gauss_legendre_start_is_as_good_as_newton(n):
     vtol = 1e-14 * (4 ** n / math.comb(2 * n, n))
     half = []
     for x in ref_newton_starts(n):
-        xh, xl = _newton_step_dd(n, x, coeffs)
+        xh, xl, *_ = _newton_step_dd(n, x, coeffs)
         _, _, vh, vl = _monic_dd(xh, xl, coeffs)
         assert abs(vh + vl) < vtol
         half.append(xh + xl)

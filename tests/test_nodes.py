@@ -194,8 +194,8 @@ class TestGenerators:
         step = nodes_mod._newton_step_dd
 
         def off_root_step(k, x, coeffs):
-            xh, xl = step(k, x, coeffs)
-            return dd_add(xh, xl, size / abs(ref_legendre_pair(k, xh)[1]), 0.0)
+            xh, xl, *walk = step(k, x, coeffs)
+            return (*dd_add(xh, xl, size / abs(ref_legendre_pair(k, xh)[1]), 0.0), *walk)
 
         monkeypatch.setattr(nodes_mod, "_newton_step_dd", off_root_step)
         if accepted:
@@ -203,6 +203,67 @@ class TestGenerators:
         else:
             with pytest.raises(ConvergenceError, match=f"no convergence for root 1 of P_{n}"):
                 legendre_nodes(n)
+
+    @pytest.mark.parametrize("n", range(2, 65))
+    def test_acceptance_bound_is_never_below_the_exact_value(self, monkeypatch, n):
+        # the bound that accepts each root, from the one walk at the start,
+        # against |V_n| at the double-double iterate in Fractions, with the
+        # exact beta_j
+        import quadlsq.nodes as nodes_mod
+
+        bounds = []
+        root_bound = nodes_mod._root_bound
+
+        def recorded(x, xh, xl, *rest):
+            bounds.append((xh, xl, root_bound(x, xh, xl, *rest)))
+            return bounds[-1][2]
+
+        monkeypatch.setattr(nodes_mod, "_root_bound", recorded)
+        legendre_nodes(n)
+        assert len(bounds) == n // 2
+        beta4 = [Fraction(4 * (i - 1) ** 2, 4 * (i - 1) ** 2 - 1) for i in range(2, n + 1)]
+        for xh, xl, bound in bounds:
+            t = Fraction(xh) + Fraction(xl)
+            v0, v1 = Fraction(1), 2 * t
+            for b in beta4:
+                v0, v1 = v1, 2 * t * v1 - b * v0
+            assert abs(v1) <= Fraction(bound), (n, xh)
+
+    @staticmethod
+    def _perturbed_start(monkeypatch, offset):
+        eigvalsh = np.linalg.eigvalsh
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda a, UPLO="L": eigvalsh(a, UPLO) + offset)
+
+    @pytest.mark.parametrize("n", [2, 17, 64])
+    def test_a_start_far_from_the_root_is_refused(self, monkeypatch, n):
+        # a start 1e-6 off: one Newton step leaves the iterate about 1e-12
+        # off, and the check's Taylor term alone exceeds the threshold
+        self._perturbed_start(monkeypatch, 1e-6)
+        with pytest.raises(ConvergenceError, match=f"no convergence for root 1 of P_{n}$"):
+            legendre_nodes(n)
+
+    @pytest.mark.parametrize("offset", [1e-12, -1e-12])
+    def test_a_start_near_the_root_gives_the_same_nodes(self, monkeypatch, offset):
+        want = {n: bits(legendre_nodes(n)) for n in range(2, 65)}
+        self._perturbed_start(monkeypatch, offset)
+        for n in range(2, 65):
+            assert bits(legendre_nodes(n)) == want[n], n
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 17, 64, 65])
+    def test_one_walk_per_root(self, monkeypatch, n):
+        # the step and its acceptance check share one walk of the recurrence
+        import quadlsq.nodes as nodes_mod
+
+        calls = []
+        walk = nodes_mod._monic_dd
+
+        def counted(*args):
+            calls.append(args)
+            return walk(*args)
+
+        monkeypatch.setattr(nodes_mod, "_monic_dd", counted)
+        assert len(legendre_nodes(n)) == n
+        assert len(calls) == n // 2
 
 
 class TestGenerate:
@@ -327,6 +388,26 @@ class TestNodesFile:
         path.write_text("zero\n", encoding="utf-8")
         with pytest.raises(ValueError, match="cannot parse"):
             read_nodes_file(path)
+
+    def test_byte_order_mark_and_crlf_read_as_the_plain_file(self, tmp_path):
+        # as Windows tools write it: a UTF-8 byte-order mark, CRLF line ends
+        plain, windows = tmp_path / "plain.txt", tmp_path / "windows.txt"
+        plain.write_bytes(b"-1\n0.5 # mid\n1/1\n")
+        windows.write_bytes(b"\xef\xbb\xbf-1\r\n0.5 # mid\r\n1/1\r\n")
+        assert read_nodes_file(windows) == read_nodes_file(plain) == [
+            Fraction(-1), Fraction(1, 2), Fraction(1)]
+
+    def test_a_byte_that_is_not_utf8_names_the_path_and_line(self, tmp_path, capsys):
+        # a latin-1 e-acute in a comment on line 2
+        from quadlsq.cli import main
+
+        path = tmp_path / "nodes.txt"
+        path.write_bytes(b"-1\n0 # caf\xe9\n1\n")
+        with pytest.raises(ValueError) as info:
+            read_nodes_file(path)
+        assert str(info.value) == f"{path}:2: byte 0xe9 is not UTF-8"
+        assert main(["analyze", "--family", "custom", "--nodes-file", str(path)]) == 2
+        assert f"{path}:2: byte 0xe9 is not UTF-8" in capsys.readouterr().err
 
     def test_empty_rejected(self, tmp_path):
         path = tmp_path / "nodes.txt"
